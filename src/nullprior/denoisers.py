@@ -128,7 +128,7 @@ def estimate_delta(denoiser, pairs):
     constant, measured on the supplied cloud only.
     """
     pairs = list(pairs)
-    if len(pairs) < 2 and not pairs:
+    if not pairs:
         raise NullPriorError("need at least one pair")
     worst = 0.0
     used = 0

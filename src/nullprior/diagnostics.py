@@ -3,7 +3,12 @@
 The contraction rate of the penalized iteration is
 rho = (1 + delta) * (||I - alpha (H'H + S'S)|| + (1 + Delta_S) ||S||),
 with unsquared spectral norms (the form the fixed-point argument actually
-uses); the squared-norm variant is recorded alongside for comparison.  The
+uses); the squared-norm variant is recorded alongside for comparison.  For an
+exact complement (QR or Fourier; `nullspace.EXACT_METHODS`) the two spectral
+norms have a closed form in the singular values of H and the penalty weight,
+widened by a Weyl bound on the basis's recorded residuals so it stays an
+upper bound (`compute_rho_exact`); approximate, rescaled and learned bases
+take both norms from dense n x n matrices (`compute_rho`).  The
 restricted-isometry constants Delta are measured on a supplied sample cloud,
 the denoiser expansion delta on sample pairs, and the improvement zone is the
 set of iterations whose projected error still dominates the prior's error
@@ -16,6 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NullPriorError
+from .nullspace import EXACT_METHODS
+from .operators import MaskedFrequencyOperator, ScaledOperator
+
+
+def psnr_from_err_sq(err_sq, n, peak):
+    """10 log10(peak^2 n / err_sq), capped at 200 dB (and 200 dB at zero error)."""
+    if err_sq <= 0:
+        return 200.0
+    return min(10.0 * np.log10(peak * peak * n / err_sq), 200.0)
 
 
 def psnr(x_hat, x_star, peak=1.0):
@@ -27,9 +41,7 @@ def psnr(x_hat, x_star, peak=1.0):
     if peak <= 0:
         raise NullPriorError("peak must be positive")
     err_sq = float(np.sum((x_hat - x_star) ** 2))
-    if err_sq == 0.0:
-        return 200.0
-    return min(10.0 * np.log10(peak * peak * x_hat.size / err_sq), 200.0)
+    return psnr_from_err_sq(err_sq, x_hat.size, peak)
 
 
 def estimate_ric(M, pairs):
@@ -81,6 +93,12 @@ class RhoEstimate:
     s_spectral_norm: float
 
 
+def _rho_estimate(delta, op_norm, s_norm, ric_s):
+    rho = (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm)
+    rho_sq = (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2)
+    return RhoEstimate(rho, rho_sq, op_norm, s_norm)
+
+
 def compute_rho(delta, alpha, H_dense, S_eff, ric_s):
     """Contraction rate of the penalized gradient map, unsquared-norm form.
 
@@ -94,9 +112,45 @@ def compute_rho(delta, alpha, H_dense, S_eff, ric_s):
     P = H.T @ H + S.T @ S
     op_norm = _spectral_norm_dense(np.eye(n) - alpha * P)
     s_norm = _spectral_norm_dense(S)
-    rho = (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm)
-    rho_sq = (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2)
-    return RhoEstimate(rho, rho_sq, op_norm, s_norm)
+    return _rho_estimate(delta, op_norm, s_norm, ric_s)
+
+
+def _sensing_spectrum(op, basis):
+    """Squared singular values of H, and ||S H'||_F measured against the same H."""
+    base, scale = (op.base, abs(op.scale)) if isinstance(op, ScaledOperator) else (op, 1.0)
+    ortho = basis.ortho_to_H_residual
+    if isinstance(base, MaskedFrequencyOperator):
+        # orthonormal transform rows: every singular value is the scale
+        if basis.method == "fourier-complement":
+            ortho *= scale  # recorded against the unscaled transform
+        return np.array([scale * scale]), ortho
+    return np.linalg.svd(op.to_dense(), compute_uv=False) ** 2, ortho
+
+
+def compute_rho_exact(delta, alpha, op, basis, gamma, ric_s):
+    """Closed-form contraction rate for an exact complement S of H.
+
+    With A = [H; sqrt(gamma) S], the nonzero eigenvalues of
+    P = H'H + gamma S'S are those of A A', whose block-diagonal part has
+    eigenvalues sigma_i(H)^2 and gamma when S S' = I; P is also singular when
+    m_eff + p < n.  Weyl's inequality bounds what the off-diagonal block
+    sqrt(gamma) S H' and the row-Gram error S S' - I add, through the basis's
+    recorded Frobenius residuals o and g, so
+    ||I - alpha P|| <= max |1 - alpha lambda| + alpha (gamma g + sqrt(gamma) o)
+    and ||sqrt(gamma) S|| <= sqrt(gamma (1 + g)): the result upper-bounds
+    `compute_rho` on the dense matrices without forming them.
+    """
+    if basis.method not in EXACT_METHODS:
+        raise NullPriorError(f"{basis.method!r} is not an exact complement")
+    h_sq, ortho = _sensing_spectrum(op, basis)
+    gram = basis.row_gram_residual
+    eig = np.append(h_sq, gamma)
+    if op.m_eff + basis.p < op.n:
+        eig = np.append(eig, 0.0)
+    op_norm = float(np.max(np.abs(1.0 - alpha * eig))
+                    + alpha * (gamma * gram + np.sqrt(gamma) * ortho))
+    s_norm = float(np.sqrt(gamma * (1.0 + gram)))
+    return _rho_estimate(delta, op_norm, s_norm, ric_s)
 
 
 def decay_constants(alpha, K, ric_s, ric_h, xstar_norm):

@@ -23,6 +23,7 @@ from . import denoisers as dn
 from .diagnostics import (
     TheoryReport,
     compute_rho,
+    compute_rho_exact,
     decay_constants,
     decay_constants_statement_variant,
     detect_ciz,
@@ -34,6 +35,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, NullPriorError
 from .nullspace import (
+    EXACT_METHODS,
     NullSpaceBasis,
     fourier_complement,
     qr_nullspace,
@@ -381,8 +383,10 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
     pairs = iterate_cloud_pairs(trace.iterates, x_star)
     S_eff = np.sqrt(config.gamma) * basis.matrix if config.gamma > 0 else basis.matrix
     ric_s = estimate_ric(S_eff, pairs)
-    H_dense = op.to_dense()
-    ric_h = estimate_ric(H_dense, pairs)
+    # exact complements get rho in closed form, so H is never densified
+    exact = basis.method in EXACT_METHODS
+    H_dense = None if exact else op.to_dense()
+    ric_h = estimate_ric(op.forward if exact else H_dense, pairs)
     delta_hat = dn.estimate_delta(pb["denoiser"],
                                   [(a.reshape(op.shape_in), b.reshape(op.shape_in))
                                    for a, b in pairs]) if delta_pairs_denoiser else 0.0
@@ -410,7 +414,11 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
     if np.linalg.norm(dx - x_star) > 1e-9 * (1.0 + xn):
         certified = False
         notes.append("ground truth is not a fixed point of the denoiser")
-    est = compute_rho(delta_hat, config.alpha, H_dense, S_eff, ric_s)
+    if exact:
+        gamma_eff = config.gamma if config.gamma > 0 else 1.0  # weight of S_eff
+        est = compute_rho_exact(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
+    else:
+        est = compute_rho(delta_hat, config.alpha, H_dense, S_eff, ric_s)
     K_eff = 0.0 if np.isnan(K) else K
     C1, C2 = decay_constants(config.alpha, K_eff, ric_s, ric_h, xn)
     C1v, C2v = decay_constants_statement_variant(config.alpha, K_eff, ric_s,
@@ -424,7 +432,7 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
 
 
 def resolve_output_dir(cfg, out=None):
-    out = out or os.environ.get(OUTPUT_ENV_VAR) or cfg.get("output")
+    out = out or cfg.get("output") or os.environ.get(OUTPUT_ENV_VAR)
     if out is None:
         raise ConfigError("no output directory: set output:, --out, or "
                           f"${OUTPUT_ENV_VAR}")

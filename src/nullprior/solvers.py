@@ -22,6 +22,7 @@ import numpy as np
 import scipy.fft
 
 from .denoisers import denoise
+from .diagnostics import psnr_from_err_sq
 from .errors import NullPriorError
 
 DIVERGENCE_GUARD = 1e12
@@ -106,12 +107,6 @@ def subspace_grad(S, x, g):
     return S.T @ (S @ np.asarray(x, dtype=float).reshape(-1) - g)
 
 
-def _psnr_value(err_sq, n, peak):
-    if err_sq <= 0:
-        return 200.0
-    return min(10.0 * np.log10(peak * peak * n / err_sq), 200.0)
-
-
 class _Recorder:
     def __init__(self, op, y, config, S, g):
         self.op = op
@@ -128,7 +123,7 @@ class _Recorder:
         if x_star is not None:
             diff = x - x_star
             err_sq = float(diff @ diff)
-            psnr = _psnr_value(err_sq, n, self.config.peak)
+            psnr = psnr_from_err_sq(err_sq, n, self.config.peak)
         else:
             diff = None
             err_sq = np.nan

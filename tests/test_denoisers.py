@@ -14,6 +14,7 @@ from nullprior.denoisers import (
     estimate_delta,
     total_variation,
 )
+from nullprior.errors import NullPriorError
 
 
 def random_pairs(shape, count, seed):
@@ -84,6 +85,11 @@ def test_gaussian_smooth_nonexpansive():
 
 def test_identity_delta_zero():
     assert estimate_delta(Identity(), random_pairs(16, 5, seed=7)) == 0.0
+
+
+def test_empty_pair_list_rejected():
+    with pytest.raises(NullPriorError):
+        estimate_delta(Identity(), [])
 
 
 def test_median_delta_reported_nonnegative():

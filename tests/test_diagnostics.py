@@ -6,6 +6,7 @@ import pytest
 from nullprior.denoisers import Identity
 from nullprior.diagnostics import (
     compute_rho,
+    compute_rho_exact,
     detect_ciz,
     detect_ciz_rip_variant,
     estimate_ric,
@@ -15,8 +16,16 @@ from nullprior.diagnostics import (
     decay_constants,
     decay_constants_statement_variant,
 )
-from nullprior.nullspace import fourier_complement
-from nullprior.operators import MaskedFrequencyOperator, lowpass_mask
+from nullprior.errors import NullPriorError
+from nullprior.experiments import build_problem, run
+from nullprior.nullspace import NullSpaceBasis, fourier_complement, qr_nullspace
+from nullprior.operators import (
+    DenseOperator,
+    MaskedFrequencyOperator,
+    ScaledOperator,
+    lowpass_mask,
+    random_mask,
+)
 from nullprior.phantoms import bumps
 from nullprior.priors import LipschitzError, OraclePrior, ZeroError
 from nullprior.solvers import SolverConfig, solve_pnp_fista
@@ -116,6 +125,120 @@ class TestComputeRho:
         est = compute_rho(0.1, 0.5, H, S, 0.2)
         assert est.rho_squared_form == pytest.approx(
             1.1 * (est.gradient_op_norm ** 2 + 1.2 * est.s_spectral_norm ** 2))
+
+
+def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
+    return compute_rho(delta, alpha, op.to_dense(), np.sqrt(gamma) * basis.matrix, ric_s)
+
+
+def _exact_cases():
+    rng = np.random.default_rng(11)
+    H = rng.standard_normal((10, 36)) / 6.0
+    cs = DenseOperator(H)
+    dct = MaskedFrequencyOperator((8, 8), lowpass_mask((8, 8), 16, "dct"), "dct")
+    dft = MaskedFrequencyOperator((8, 8), random_mask((8, 8), 12, 5, "dft"), "dft")
+    mri_scaled = ScaledOperator(dct, 0.37)
+    return {
+        "qr-full": (cs, qr_nullspace(H, 26, seed=1)),
+        "qr-partial": (cs, qr_nullspace(H, 14, seed=2)),
+        "dct": (dct, fourier_complement(dct)),
+        "dft": (dft, fourier_complement(dft)),
+        "dct-scaled-op": (mri_scaled, fourier_complement(mri_scaled)),
+        "qr-scaled-op": (mri_scaled, qr_nullspace(mri_scaled.to_dense(), 30, seed=3)),
+    }
+
+
+class TestComputeRhoExact:
+    @pytest.mark.parametrize("case", sorted(_exact_cases()))
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0.2, 0.9, 1.7])
+    def test_matches_dense_from_above(self, case, gamma, alpha):
+        op, basis = _exact_cases()[case]
+        exact = compute_rho_exact(0.1, alpha, op, basis, gamma, 0.2)
+        dense = _dense_rho(0.1, alpha, op, basis, gamma, 0.2)
+        assert exact.rho == pytest.approx(dense.rho, rel=1e-12, abs=0.0)
+        assert exact.rho >= dense.rho - 1e-14
+        assert exact.rho_squared_form == pytest.approx(dense.rho_squared_form, rel=1e-12)
+        assert exact.s_spectral_norm >= dense.s_spectral_norm - 1e-14
+
+    @pytest.mark.parametrize("case", ["qr-partial", "dct-scaled-op"])
+    @pytest.mark.parametrize("gamma", [0.3, 3.0])
+    def test_upper_bound_under_recorded_residuals(self, case, gamma):
+        # perturb an exact basis well past roundoff: the Weyl term computed
+        # from the recorded residuals must keep rho above the dense value
+        op, basis = _exact_cases()[case]
+        rng = np.random.default_rng(4)
+        S = basis.matrix + 1e-4 * rng.standard_normal(basis.matrix.shape)
+        H = op.to_dense()
+        if basis.method == "fourier-complement":
+            H = H / op.scale  # its residual is recorded against the unscaled transform
+        noisy = NullSpaceBasis(S, basis.method, float(np.linalg.norm(S @ H.T)),
+                               float(np.linalg.norm(S @ S.T - np.eye(basis.p))))
+        for alpha in (0.2, 0.9, 1.7):
+            exact = compute_rho_exact(0.0, alpha, op, noisy, gamma, 0.0)
+            dense = _dense_rho(0.0, alpha, op, noisy, gamma, 0.0)
+            assert exact.gradient_op_norm >= dense.gradient_op_norm
+            assert exact.s_spectral_norm >= dense.s_spectral_norm
+            assert exact.rho == pytest.approx(dense.rho, rel=0.05)
+
+    def test_rejects_approximate_basis(self):
+        op, basis = _exact_cases()["dct"]
+        with pytest.raises(NullPriorError):
+            compute_rho_exact(0.0, 1.0, op, basis.scaled(0.5), 1.0, 0.0)
+
+
+def _approximate_configs():
+    oracle = {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}}
+    solver = {"kind": "pnp_fista", "alpha": "auto", "gamma": 0.5, "iters": 15}
+    return {
+        "toeplitz": {"problem": "blur", "seed": 2,
+                     "operator": {"shape": [8, 8], "kernel": {"kind": "gaussian",
+                                                              "sigma": 1.0, "radius": 2}},
+                     "basis": {"method": "toeplitz"}, "prior": oracle,
+                     "solver": solver, "noise": {"snr_db": None}},
+        "radon": {"problem": "ct", "seed": 2,
+                  "operator": {"side": 8, "full_angles": 12, "acquired": 4},
+                  "basis": {"method": "radon"}, "prior": oracle,
+                  "solver": solver, "noise": {"snr_db": None}},
+        "scaled": {"problem": "mri", "seed": 2,
+                   "operator": {"shape": [8, 8], "transform": "dct",
+                                "mask": {"kind": "lowpass", "count": 16}},
+                   "basis": {"method": "fourier", "scale": 0.5}, "prior": oracle,
+                   "solver": solver, "noise": {"snr_db": None}},
+        "learned": {"problem": "cs", "seed": 2,
+                    "operator": {"n": 24, "m": 6, "dist": "gaussian", "normalize": True},
+                    "basis": {"method": "qr", "p": 8},
+                    "prior": {"kind": "net", "hidden": 8, "epochs": 10,
+                              "train_count": 30, "lambda1": 0.1, "lambda2": 0.1},
+                    "solver": solver, "noise": {"snr_db": None}},
+    }
+
+
+class TestTheoryReportRho:
+    @pytest.mark.parametrize("name", sorted(_approximate_configs()))
+    def test_approximate_bases_keep_dense_rho(self, name, tmp_path):
+        cfg = _approximate_configs()[name]
+        report = run(cfg, out_dir=str(tmp_path))["theory"]
+        pb = build_problem(cfg)
+        basis = pb["basis"]
+        assert basis.method == {"toeplitz": "toeplitz-complement",
+                                "radon": "radon-complement",
+                                "scaled": "fourier-complement-scaled",
+                                "learned": "learned"}[name]
+        expected = _dense_rho(report.delta_hat, report.alpha, pb["op"], basis,
+                              report.gamma, report.ric_s)
+        assert report.rho == expected.rho
+        assert report.rho_squared_form == expected.rho_squared_form
+
+    def test_exact_basis_uses_closed_form(self, tmp_path):
+        cfg = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
+        report = run(cfg, out_dir=str(tmp_path))["theory"]
+        pb = build_problem(cfg)
+        assert pb["basis"].method == "fourier-complement"
+        dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
+                           report.gamma, report.ric_s)
+        assert report.rho == pytest.approx(dense.rho, rel=1e-12, abs=0.0)
+        assert report.rho >= dense.rho - 1e-14
 
 
 class TestPenaltyDecayBound:

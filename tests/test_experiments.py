@@ -135,6 +135,19 @@ class TestRun:
         run(cfg)
         assert (tmp_path / "env_out" / "summary.csv").exists()
 
+    def test_config_output_beats_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NULLPRIOR_OUT", str(tmp_path / "env_out"))
+        run(cs_config(output=str(tmp_path / "cfg_out")))
+        assert (tmp_path / "cfg_out" / "summary.csv").exists()
+        assert not (tmp_path / "env_out").exists()
+
+    def test_out_dir_beats_config_and_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NULLPRIOR_OUT", str(tmp_path / "env_out"))
+        run(cs_config(output=str(tmp_path / "cfg_out")), out_dir=str(tmp_path / "arg_out"))
+        assert (tmp_path / "arg_out" / "summary.csv").exists()
+        assert not (tmp_path / "cfg_out").exists()
+        assert not (tmp_path / "env_out").exists()
+
     def test_net_prior_run(self, tmp_path):
         cfg = cs_config(
             operator={"n": 30, "m": 8, "dist": "gaussian", "normalize": True},
