@@ -41,7 +41,9 @@ def _parser():
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="concurrent sweep points (default min(4, grid))")
+                         help="run K sweep points concurrently on threads "
+                              "(default 1: serial, which is faster when the "
+                              "points compete for the GIL and BLAS threads)")
 
     p_check = sub.add_parser("theory-check",
                              help="verify contraction and penalty bounds")

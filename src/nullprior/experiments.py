@@ -553,8 +553,10 @@ def apply_sweep_value(cfg, param, value):
 def sweep(cfg, param, grid, out_dir=None, seed=None, workers=None):
     """One run per grid point with a shared seed; partial failures recorded.
 
-    Points are independent, so they execute on a small thread pool by
-    default; rows are assembled in grid order either way.
+    Points run one after another by default.  `workers=K` runs them on a
+    pool of K threads instead; on small problems the threads mostly contend
+    for the interpreter lock and for the cores BLAS already uses, so this is
+    opt-in.  Rows are assembled in grid order either way.
     """
     cfg = validate_config(dict(cfg))
     if param not in SWEEP_PARAMS:
@@ -577,7 +579,7 @@ def sweep(cfg, param, grid, out_dir=None, seed=None, workers=None):
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    workers = min(4, len(grid)) if workers is None else max(1, int(workers))
+    workers = 1 if workers is None else max(1, int(workers))
     if workers == 1:
         rows = [one_point(i, v) for i, v in enumerate(grid)]
     else:

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nullprior.errors import DimensionMismatchError, NullPriorError, SizeCapError
 from nullprior.operators import (
     CirculantConvOperator,
     DecimatedConvOperator,
     DenseOperator,
+    LinearOperator,
     MaskedFrequencyOperator,
     RadonOperator,
+    _radon_samples,
     all_representatives,
     bilinear_kernel,
+    conjugate_partner,
     dft_real_rows,
     dot_test,
     embed_kernel,
@@ -235,3 +239,120 @@ class TestKernels:
         assert lowpass_mask(8, 3, "dct") == [0, 1, 2]
         reps = lowpass_mask((4, 4), 3, "dft")
         assert reps[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# loop references for the precomputed Radon matrix and the vectorized DFT path
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b):
+    """Equal shapes and bytes: stricter than array_equal, which lets -0.0 == 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def scatter_radon_forward(op, x):
+    """Reference: one np.add.at scatter per angle, in sample order."""
+    out = np.zeros(op.m_eff)
+    for a, angle in enumerate(op.angles_deg):
+        idx, wts, dets = _radon_samples(op.side, angle)
+        acc = np.zeros(op.side)
+        np.add.at(acc, dets, wts * x[idx])
+        out[a * op.side:(a + 1) * op.side] = acc
+    return out
+
+
+def scatter_radon_adjoint(op, u):
+    out = np.zeros(op.n)
+    for a, angle in enumerate(op.angles_deg):
+        idx, wts, dets = _radon_samples(op.side, angle)
+        ua = u[a * op.side:(a + 1) * op.side]
+        np.add.at(out, idx, wts * ua[dets])
+    return out
+
+
+def loop_dft_forward(op, x):
+    """Reference: the per-frequency loop over kept DFT representatives."""
+    spec = scipy.fft.fftn(x.reshape(op.shape_in), norm="ortho").reshape(-1)
+    out = np.empty(op.m_eff)
+    j = 0
+    for k in op.kept:
+        if conjugate_partner(k, op.shape_in) == k:
+            out[j] = spec[k].real
+            j += 1
+        else:
+            out[j] = np.sqrt(2.0) * spec[k].real
+            out[j + 1] = np.sqrt(2.0) * spec[k].imag
+            j += 2
+    return out
+
+
+def loop_dft_adjoint(op, u):
+    spec = np.zeros(op.n, dtype=complex)
+    j = 0
+    for k in op.kept:
+        partner = conjugate_partner(k, op.shape_in)
+        if partner == k:
+            spec[k] = u[j]
+            j += 1
+        else:
+            w = (u[j] + 1j * u[j + 1]) / np.sqrt(2.0)
+            spec[k] = w
+            spec[partner] = np.conj(w)
+            j += 2
+    return scipy.fft.ifftn(spec.reshape(op.shape_in), norm="ortho").real.reshape(-1)
+
+
+RADON_ANGLES = [0.0, 90.0, 33.3, 135.5, 12.0, 60.0, 179.0]
+
+
+class TestRadonMatchesScatter:
+    @pytest.mark.parametrize("side", [8, 17, 32, 33])
+    def test_forward_adjoint_bit_identical(self, side):
+        op = RadonOperator(side, RADON_ANGLES)
+        rng = np.random.default_rng(side)
+        for _ in range(3):
+            x = rng.standard_normal(op.n)
+            u = rng.standard_normal(op.m_eff)
+            assert same_bits(op.forward(x), scatter_radon_forward(op, x))
+            assert same_bits(op.adjoint(u), scatter_radon_adjoint(op, u))
+
+    @pytest.mark.parametrize("side", [8, 17, 32, 33])
+    def test_to_dense_bit_identical_to_column_loop(self, side):
+        op = RadonOperator(side, RADON_ANGLES)
+        assert same_bits(op.to_dense(), LinearOperator.to_dense(op))
+
+    def test_bench_geometry_bit_identical(self):
+        # the limited-angle CT layout: 20 of 60 angles over [0, 180)
+        op = RadonOperator(32, np.linspace(0.0, 180.0, 60, endpoint=False)[::3])
+        x = np.random.default_rng(1).standard_normal(op.n)
+        y = op.forward(x)
+        assert same_bits(y, scatter_radon_forward(op, x))
+        assert same_bits(op.adjoint(y), scatter_radon_adjoint(op, y))
+
+    def test_side_128_past_dense_cap(self):
+        op = RadonOperator(128, np.linspace(0.0, 180.0, 40, endpoint=False))
+        assert dot_test(op, trials=3, seed=2) < 1e-12
+        rng = np.random.default_rng(3)
+        x, z = rng.standard_normal(op.n), rng.standard_normal(op.n)
+        lhs = op.forward(0.7 * x - 1.3 * z)
+        rhs = 0.7 * op.forward(x) - 1.3 * op.forward(z)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert same_bits(op.forward(x), scatter_radon_forward(op, x))
+        with pytest.raises(SizeCapError):
+            op.to_dense()
+
+
+class TestDftMatchesLoop:
+    @pytest.mark.parametrize("shape", [(64, 64), (15, 16), (9,), (7, 9)])
+    @pytest.mark.parametrize("kind", ["random", "lowpass"])
+    def test_forward_adjoint_bit_identical(self, shape, kind):
+        count = max(2, int(np.prod(shape)) // 4)
+        kept = (random_mask(shape, count, 3, transform="dft") if kind == "random"
+                else lowpass_mask(shape, count, "dft"))
+        op = MaskedFrequencyOperator(shape, kept, "dft")
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(op.n)
+        u = rng.standard_normal(op.m_eff)
+        u[::5] = -0.0  # signed zeros take the same path as in the loop
+        assert same_bits(op.forward(x), loop_dft_forward(op, x))
+        assert same_bits(op.adjoint(u), loop_dft_adjoint(op, u))
