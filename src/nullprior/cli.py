@@ -40,10 +40,6 @@ def _parser():
                          help="comma-separated values, e.g. 0,0.1,1")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="run K sweep points concurrently on threads "
-                              "(default 1: serial, which is faster when the "
-                              "points compete for the GIL and BLAS threads)")
 
     p_check = sub.add_parser("theory-check",
                              help="verify contraction and penalty bounds")
@@ -92,8 +88,7 @@ def _dispatch(args):
     if args.command == "sweep":
         cfg = load_config(args.config)
         grid = [float(v) for v in args.grid.split(",") if v != ""]
-        rows = sweep(cfg, args.param, grid, out_dir=args.out, seed=args.seed,
-                     workers=args.workers)
+        rows = sweep(cfg, args.param, grid, out_dir=args.out, seed=args.seed)
         failures = [r for r in rows if r.get("error")]
         for row in rows:
             tag = row["error"] if row.get("error") else \

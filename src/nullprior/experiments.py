@@ -550,13 +550,12 @@ def apply_sweep_value(cfg, param, value):
     return cfg
 
 
-def sweep(cfg, param, grid, out_dir=None, seed=None, workers=None):
+def sweep(cfg, param, grid, out_dir=None, seed=None):
     """One run per grid point with a shared seed; partial failures recorded.
 
-    Points run one after another by default.  `workers=K` runs them on a
-    pool of K threads instead; on small problems the threads mostly contend
-    for the interpreter lock and for the cores BLAS already uses, so this is
-    opt-in.  Rows are assembled in grid order either way.
+    Points run one after another, in grid order.  Threads were slower on the
+    limited-angle CT sweep: the points contend for the interpreter lock and
+    for the cores BLAS already uses.
     """
     cfg = validate_config(dict(cfg))
     if param not in SWEEP_PARAMS:
@@ -567,7 +566,8 @@ def sweep(cfg, param, grid, out_dir=None, seed=None, workers=None):
     out_dir = resolve_output_dir(cfg, out_dir)
     fields = (param,) + SUMMARY_FIELDS + ("error",)
 
-    def one_point(i, value):
+    rows = []
+    for i, value in enumerate(grid):
         point_cfg = apply_sweep_value(cfg, param, value)
         point_dir = os.path.join(out_dir, f"point_{i:03d}")
         row = {param: value, "error": ""}
@@ -577,16 +577,7 @@ def sweep(cfg, param, grid, out_dir=None, seed=None, workers=None):
             row.update(result["summary"])
         except Exception as exc:  # record and continue
             row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-
-    workers = 1 if workers is None else max(1, int(workers))
-    if workers == 1:
-        rows = [one_point(i, v) for i, v in enumerate(grid)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_point, range(len(grid)), grid))
+        rows.append(row)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), rows, fields)
     return rows
 

@@ -395,6 +395,12 @@ def _csr_in_order(rows, cols, data, shape):
     order, so this reproduces a sequential scatter-add of the same triplets
     bit for bit.  Canonicalizing (summing duplicates, sorting columns) would
     reorder those sums.
+
+    For the product this also needs scipy's compiled kernel to round each
+    `sum += a * x` as a multiply and then an add, as numpy's scatter does.
+    That holds for the x86-64 wheels; a build that fuses the two into one
+    FMA instruction agrees only to the last bits.  Densification does no
+    multiply and is exact everywhere.
     """
     # imported here: only the Radon operator needs it, and loading it adds
     # about 1.5 MB to the peak memory of every process that imports nullprior

@@ -295,40 +295,6 @@ class TestSweep:
         assert all(r["improvement_db"] > 0 for r in rows)
 
 
-class TestSweepWorkers:
-    def test_threaded_sweep_writes_the_same_bytes_as_serial(self, tmp_path):
-        # a small limited-angle CT sweep: Radon complement, PnP-ADMM with CG
-        cfg = {
-            "problem": "ct", "seed": 2,
-            "signal": {"kind": "shepp_logan"},
-            "operator": {"side": 12, "full_angles": 12, "acquired": 4},
-            "basis": {"method": "radon"},
-            "prior": {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}},
-            "denoiser": {"kind": "tv", "weight": 0.05, "iters": 5},
-            "solver": {"kind": "pnp_admm", "alpha": "auto", "gamma": 1.0, "iters": 6},
-            "noise": {"snr_db": 20.0},
-        }
-        grid = [0.3, 1.0, 3.0]
-        serial = sweep(cfg, "gamma", grid, out_dir=str(tmp_path / "serial"))
-        threaded = sweep(cfg, "gamma", grid, out_dir=str(tmp_path / "threaded"),
-                         workers=2)
-        assert all(r["error"] == "" for r in serial)
-        assert [r["gamma"] for r in threaded] == grid
-
-        def files(root):
-            return sorted(os.path.relpath(os.path.join(d, f), root)
-                          for d, _, names in os.walk(root) for f in names)
-
-        names = files(tmp_path / "serial")
-        assert names == files(tmp_path / "threaded")
-        assert "summary.csv" in names
-        assert sum(n.startswith("point_") for n in names) == 4 * len(grid)
-        for name in names:
-            a = (tmp_path / "serial" / name).read_bytes()
-            b = (tmp_path / "threaded" / name).read_bytes()
-            assert a == b, name
-
-
 class TestTheoryCheck:
     def test_pass_on_constructed_configuration(self):
         status, details = theory_check(theory_config())

@@ -1,5 +1,7 @@
 """Operator correctness: adjoint pairing, densification, linearity, factories."""
 
+import platform
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -250,6 +252,22 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# scipy's compiled CSR product rounds each `sum += a * x` as a multiply and
+# then an add, like the np.add.at scatter, on x86-64 builds.  A build that
+# fuses them into one FMA differs in the last bits, so elsewhere the Radon
+# forward/adjoint comparisons are to 1e-13 relative instead of bit for bit.
+# to_dense does no multiply and is compared bit for bit on every machine.
+UNFUSED_CSR_PRODUCT = platform.machine().lower() in ("x86_64", "amd64")
+
+
+def same_product(a, b):
+    """Radon product against its scatter reference: bits where they must agree."""
+    if UNFUSED_CSR_PRODUCT:
+        return same_bits(a, b)
+    return a.shape == b.shape and np.allclose(a, b, rtol=1e-13,
+                                              atol=1e-13 * np.abs(b).max())
+
+
 def scatter_radon_forward(op, x):
     """Reference: one np.add.at scatter per angle, in sample order."""
     out = np.zeros(op.m_eff)
@@ -313,8 +331,8 @@ class TestRadonMatchesScatter:
         for _ in range(3):
             x = rng.standard_normal(op.n)
             u = rng.standard_normal(op.m_eff)
-            assert same_bits(op.forward(x), scatter_radon_forward(op, x))
-            assert same_bits(op.adjoint(u), scatter_radon_adjoint(op, u))
+            assert same_product(op.forward(x), scatter_radon_forward(op, x))
+            assert same_product(op.adjoint(u), scatter_radon_adjoint(op, u))
 
     @pytest.mark.parametrize("side", [8, 17, 32, 33])
     def test_to_dense_bit_identical_to_column_loop(self, side):
@@ -326,8 +344,8 @@ class TestRadonMatchesScatter:
         op = RadonOperator(32, np.linspace(0.0, 180.0, 60, endpoint=False)[::3])
         x = np.random.default_rng(1).standard_normal(op.n)
         y = op.forward(x)
-        assert same_bits(y, scatter_radon_forward(op, x))
-        assert same_bits(op.adjoint(y), scatter_radon_adjoint(op, y))
+        assert same_product(y, scatter_radon_forward(op, x))
+        assert same_product(op.adjoint(y), scatter_radon_adjoint(op, y))
 
     def test_side_128_past_dense_cap(self):
         op = RadonOperator(128, np.linspace(0.0, 180.0, 40, endpoint=False))
@@ -337,7 +355,7 @@ class TestRadonMatchesScatter:
         lhs = op.forward(0.7 * x - 1.3 * z)
         rhs = 0.7 * op.forward(x) - 1.3 * op.forward(z)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
-        assert same_bits(op.forward(x), scatter_radon_forward(op, x))
+        assert same_product(op.forward(x), scatter_radon_forward(op, x))
         with pytest.raises(SizeCapError):
             op.to_dense()
 
