@@ -11,6 +11,7 @@ import numpy as np
 import scipy.fft
 import scipy.ndimage
 
+from .diagnostics import resolution_floor
 from .errors import NullPriorError
 
 
@@ -124,8 +125,9 @@ def estimate_delta(denoiser, pairs):
     """Empirical expansion constant over sample pairs.
 
     Returns max over pairs of ||D(x) - D(z)||^2 / ||x - z||^2 - 1, clipped at
-    zero; coincident pairs are skipped.  This is a lower bound on the true
-    constant, measured on the supplied cloud only.
+    zero; pairs that coincide to float resolution (`resolution_floor`) are
+    skipped.  This is a lower bound on the true constant, measured on the
+    supplied cloud only.
     """
     pairs = list(pairs)
     if not pairs:
@@ -135,12 +137,13 @@ def estimate_delta(denoiser, pairs):
     for x, z in pairs:
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        dxz = np.linalg.norm(x - z) ** 2
-        if dxz == 0.0:
+        dist = np.linalg.norm(x - z)
+        if dist <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
             continue
+        dxz = dist ** 2
         dd = np.linalg.norm(np.asarray(denoiser(x)) - np.asarray(denoiser(z))) ** 2
         worst = max(worst, dd / dxz - 1.0)
         used += 1
     if used == 0:
-        raise NullPriorError("all pairs coincident")
+        raise NullPriorError("all pairs coincide to float resolution")
     return max(worst, 0.0)

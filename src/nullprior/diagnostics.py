@@ -44,25 +44,38 @@ def psnr(x_hat, x_star, peak=1.0):
     return psnr_from_err_sq(err_sq, x_hat.size, peak)
 
 
+def resolution_floor(*norms):
+    """Smallest difference that float64 vectors of these norms resolve.
+
+    100 eps max(norms, 1): a converged solve's consecutive iterates, or an
+    iterate at the truth, differ by about this much, and a ratio taken over
+    such a difference measures rounding, not the map.
+    """
+    return 100.0 * np.finfo(float).eps * max(*norms, 1.0)
+
+
 def estimate_ric(M, pairs):
     """Restricted-isometry constant of M on the given sample pairs.
 
     Returns max over pairs of | ||M(x-z)||^2 / ||x-z||^2 - 1 |, skipping
-    coincident pairs.  M may be a matrix or a callable.
+    pairs that coincide to float resolution (`resolution_floor`).  M may be
+    a matrix or a callable.
     """
     apply_M = M if callable(M) else (lambda v, _M=np.asarray(M, float): _M @ v)
     worst = 0.0
     used = 0
     for x, z in pairs:
-        d = np.asarray(x, dtype=float).reshape(-1) - np.asarray(z, dtype=float).reshape(-1)
+        x = np.asarray(x, dtype=float).reshape(-1)
+        z = np.asarray(z, dtype=float).reshape(-1)
+        d = x - z
         dd = float(d @ d)
-        if dd == 0.0:
+        if np.sqrt(dd) <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
             continue
         md = apply_M(d)
         worst = max(worst, abs(float(md @ md) / dd - 1.0))
         used += 1
     if used == 0:
-        raise NullPriorError("all sample pairs coincident")
+        raise NullPriorError("all sample pairs coincide to float resolution")
     return worst
 
 
@@ -107,7 +120,7 @@ def compute_rho(delta, alpha, H_dense, S_eff, ric_s):
     record both forms.
     """
     H = np.asarray(H_dense, dtype=float)
-    S = np.asarray(getattr(S_eff, "matrix", S_eff), dtype=float)
+    S = np.asarray(S_eff, dtype=float)
     n = H.shape[1]
     P = H.T @ H + S.T @ S
     op_norm = _spectral_norm_dense(np.eye(n) - alpha * P)

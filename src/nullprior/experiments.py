@@ -32,6 +32,7 @@ from .diagnostics import (
     iterate_cloud_pairs,
     penalty_decay_bound,
     psnr,
+    resolution_floor,
 )
 from .errors import ConfigError, NullPriorError
 from .nullspace import (
@@ -381,12 +382,18 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
     if op.n > DENSE_CAP:
         raise NullPriorError("theory report needs n <= 4096")
     pairs = iterate_cloud_pairs(trace.iterates, x_star)
-    S_eff = np.sqrt(config.gamma) * basis.matrix if config.gamma > 0 else basis.matrix
-    ric_s = estimate_ric(S_eff, pairs)
-    # exact complements get rho in closed form, so H is never densified
+    # the penalty weights S by sqrt(gamma) (by 1 at gamma = 0); exact
+    # complements get rho in closed form, so neither S nor H is densified
     exact = basis.method in EXACT_METHODS
-    H_dense = None if exact else op.to_dense()
-    ric_h = estimate_ric(op.forward if exact else H_dense, pairs)
+    weight = np.sqrt(config.gamma) if config.gamma > 0 else 1.0
+    if exact:
+        ric_s = estimate_ric(lambda v: weight * basis.project(v), pairs)
+        ric_h = estimate_ric(op.forward, pairs)
+    else:
+        S_eff = weight * basis.matrix
+        H_dense = op.to_dense()
+        ric_s = estimate_ric(S_eff, pairs)
+        ric_h = estimate_ric(H_dense, pairs)
     delta_hat = dn.estimate_delta(pb["denoiser"],
                                   [(a.reshape(op.shape_in), b.reshape(op.shape_in))
                                    for a, b in pairs]) if delta_pairs_denoiser else 0.0
@@ -415,7 +422,7 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
         certified = False
         notes.append("ground truth is not a fixed point of the denoiser")
     if exact:
-        gamma_eff = config.gamma if config.gamma > 0 else 1.0  # weight of S_eff
+        gamma_eff = config.gamma if config.gamma > 0 else 1.0  # weight ** 2
         est = compute_rho_exact(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
     else:
         est = compute_rho(delta_hat, config.alpha, H_dense, S_eff, ric_s)
@@ -622,8 +629,7 @@ def theory_check(cfg, out_dir=None, seed=None):
     ratios = trace.ratio[ciz]
     # ratios are unmeasurable once the error sits at float resolution: the
     # difference x - x* is pure rounding noise there
-    floor = 100.0 * np.finfo(float).eps * max(report.xstar_norm, 1.0)
-    measurable = np.sqrt(trace.err_sq[ciz]) > floor
+    measurable = np.sqrt(trace.err_sq[ciz]) > resolution_floor(report.xstar_norm)
     keep = np.isfinite(ratios) & measurable
     if np.any(~measurable):
         report.notes.append(f"{int(np.sum(~measurable))} improvement-zone iteration(s) below "

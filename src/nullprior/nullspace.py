@@ -1,17 +1,20 @@
 """Construction of projection bases aligned with the sensing operator's null space.
 
-Exact complements come from QR orthogonalization of the null space (dense
-matrices) or from the unsampled rows of an orthonormal transform (masked
-frequency operators).  The Radon and convolution complements are structured
-approximations: their rows are not exactly in Null(H), so the orthogonality
-residuals are recorded rather than forced to zero.
+A basis holds its rows S as a linear operator: `project` applies S and
+`backproject` its transpose.  Exact Fourier complements are the unsampled
+rows of an orthonormal transform, held as a masked frequency operator over
+the missing frequencies, so applying S costs one DCT or FFT and no p x n
+array is formed.  QR complements, learned bases and the structured
+approximations (Radon, Toeplitz, SR) hold a dense matrix: the Radon and
+convolution rows are not exactly in Null(H), so their orthogonality
+residuals are recorded rather than forced to zero.  `.matrix` densifies an
+operator-backed basis on request, within the dense cap.
 """
 
 import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .errors import (
@@ -25,12 +28,15 @@ from .errors import (
 from .operators import (
     DENSE_CAP,
     CirculantConvOperator,
+    DenseOperator,
+    LinearOperator,
     MaskedFrequencyOperator,
     RadonOperator,
     ScaledOperator,
+    _as_flat,
     all_representatives,
-    dft_real_rows,
     embed_kernel,
+    identity_chunks,
 )
 
 RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
@@ -40,33 +46,57 @@ EXACT_METHODS = ("qr-random", "fourier-complement")
 
 @dataclass(frozen=True)
 class NullSpaceBasis:
-    """A p x n projection matrix with its construction provenance and residuals."""
+    """Projection rows S (p x n) as a linear operator, with provenance and residuals.
 
-    matrix: np.ndarray
+    A plain matrix passed as `operator` is wrapped in a DenseOperator.
+    """
+
+    operator: LinearOperator
     method: str
     ortho_to_H_residual: float
     row_gram_residual: float
 
+    def __post_init__(self):
+        if not isinstance(self.operator, LinearOperator):
+            object.__setattr__(self, "operator", DenseOperator(self.operator))
+
     @property
     def p(self):
-        return self.matrix.shape[0]
+        return self.operator.m_eff
 
     @property
     def n(self):
-        return self.matrix.shape[1]
+        return self.operator.n
+
+    @property
+    def matrix(self):
+        """S as a dense array: a dense basis's own matrix, else densified (n <= 4096)."""
+        if isinstance(self.operator, DenseOperator):
+            return self.operator.matrix
+        return self.operator.to_dense()
+
+    # S is applied through the operator's own methods rather than its public
+    # forward/adjoint, so sensing-operator call counts exclude the basis
 
     def project(self, x):
-        return self.matrix @ np.asarray(x, dtype=float).reshape(-1)
+        return self.operator._apply(_as_flat(x, self.n, "signal"))
 
     def backproject(self, coeffs):
-        return self.matrix.T @ np.asarray(coeffs, dtype=float).reshape(-1)
+        return self.operator._apply_adjoint(_as_flat(coeffs, self.p, "coefficients"))
 
     def scaled(self, factor):
-        """Rescaled copy (used by the contraction-rate experiments)."""
+        """Rescaled dense copy (used by the contraction-rate experiments)."""
         mat = float(factor) * self.matrix
         return NullSpaceBasis(mat, f"{self.method}-scaled",
                               abs(factor) * self.ortho_to_H_residual,
                               float(np.linalg.norm(mat @ mat.T - np.eye(self.p))))
+
+
+def as_basis(S):
+    """A NullSpaceBasis as is; a plain matrix wrapped with unmeasured residuals."""
+    if isinstance(S, NullSpaceBasis):
+        return S
+    return NullSpaceBasis(S, "given", float("nan"), float("nan"))
 
 
 @dataclass(frozen=True)
@@ -120,31 +150,37 @@ def qr_nullspace(H_dense, p, seed=0):
 def fourier_complement(op):
     """Rows of the transform at the frequencies the mask left out.
 
-    Works on a MaskedFrequencyOperator (or a scaled wrapper around one); the
-    complement rows are orthonormal and exactly orthogonal to the kept rows.
-    Rows are ordered by ascending frequency index.
+    Works on a MaskedFrequencyOperator (or a scaled wrapper around one) and
+    returns a basis held as the masked operator over the missing
+    frequencies: flat indices for the DCT, conjugate-pair representatives
+    for the DFT (rows as in `dft_real_rows`), both ascending.  The rows are
+    orthonormal and exactly orthogonal to the kept rows; both residuals are
+    measured through the operators, without forming S.
     """
     base = op.base if isinstance(op, ScaledOperator) else op
     if not isinstance(base, MaskedFrequencyOperator):
         raise NullPriorError("fourier_complement requires a masked frequency operator")
-    shape = base.shape_in
-    if base.transform == "dct":
-        missing = sorted(set(range(base.n)) - set(base.kept))
-        if not missing:
-            raise EmptyComplementError("mask keeps every frequency")
-        S = np.zeros((len(missing), base.n))
-        coef = np.zeros(base.n)
-        for i, k in enumerate(missing):
-            coef[k] = 1.0
-            S[i] = scipy.fft.idctn(coef.reshape(shape), type=2, norm="ortho").reshape(-1)
-            coef[k] = 0.0
-    else:
-        missing = sorted(set(all_representatives(shape)) - set(base.kept))
-        if not missing:
-            raise EmptyComplementError("mask keeps every frequency")
-        S = dft_real_rows(shape, missing)
-    ortho, gram = _residuals(S, op=base)
-    return NullSpaceBasis(S, "fourier-complement", ortho, gram)
+    pool = range(base.n) if base.transform == "dct" else all_representatives(base.shape_in)
+    missing = sorted(set(pool) - set(base.kept))
+    if not missing:
+        raise EmptyComplementError("mask keeps every frequency")
+    S_op = MaskedFrequencyOperator(base.shape_in, missing, base.transform)
+    ortho, gram = _frequency_residuals(S_op, base)
+    return NullSpaceBasis(S_op, "fourier-complement", ortho, gram)
+
+
+def _frequency_residuals(S_op, H_op):
+    """||S H'||_F and ||S S' - I||_F for two masks of one transform.
+
+    Each block of unit vectors takes one round trip: the adjoint of S gives
+    rows of S, and one full transform of them holds both S S' and H S'.
+    """
+    ortho_sq = gram_sq = 0.0
+    for _, E in identity_chunks(S_op.m_eff):
+        spec = S_op._spectrum(S_op._apply_adjoint(E))
+        ortho_sq += float(np.sum(H_op._gather(spec) ** 2))
+        gram_sq += float(np.sum((S_op._gather(spec) - E) ** 2))
+    return float(np.sqrt(ortho_sq)), float(np.sqrt(gram_sq))
 
 
 def radon_complement(side, full_angles, acquired_angles):
@@ -208,7 +244,7 @@ def orthogonality_report(S, H_dense, sample_signals):
     invertibility_loss is the mean of ||x - A^+ A x||^2 over the samples,
     where A stacks the sensing rows over the projection rows.
     """
-    S = S.matrix if isinstance(S, NullSpaceBasis) else np.asarray(S, dtype=float)
+    S = as_basis(S).matrix
     H = np.asarray(H_dense, dtype=float)
     if S.shape[1] != H.shape[1]:
         raise DimensionMismatchError("S and H must share the signal dimension")

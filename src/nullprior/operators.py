@@ -26,6 +26,19 @@ def _check_dense_cap(n):
         raise SizeCapError(f"n={n} exceeds dense cap {DENSE_CAP}")
 
 
+def identity_chunks(size, chunk=64):
+    """The size x size identity as (start, rows) blocks of at most `chunk` rows.
+
+    Batched transforms of unit vectors go block by block: a block of 64
+    rows at n = 4096 stays in cache, where larger ones ran slower.
+    """
+    for start in range(0, size, chunk):
+        count = min(chunk, size - start)
+        rows = np.zeros((count, size))
+        rows[np.arange(count), start + np.arange(count)] = 1.0
+        yield start, rows
+
+
 def _as_flat(x, n, what="input"):
     x = np.asarray(x, dtype=float)
     if x.size != n:
@@ -192,6 +205,7 @@ class MaskedFrequencyOperator(LinearOperator):
             if len(set(kept)) != len(kept):
                 raise DimensionMismatchError("mask indices must be distinct")
             self.kept = sorted(kept)
+            self._kept = np.array(self.kept)  # indexing by a list converts it per call
             self.m = self.m_eff = len(self.kept)
         else:
             self.kept = canonical_representatives(kept, self.shape_in)
@@ -206,31 +220,56 @@ class MaskedFrequencyOperator(LinearOperator):
             self.m = len(self.kept)
             self.m_eff = len(self._sc_kept) + 2 * len(self._pair_kept)
 
+    # Both applications also take a stack of vectors along leading axes,
+    # transforming every vector in one call.
+
     def _apply(self, x):
-        xs = x.reshape(self.shape_in)
+        return self._gather(self._spectrum(x))
+
+    def _spectrum(self, x):
+        """The full transform of x (or of each vector of a stack), flattened."""
+        batch = x.shape[:-1]
+        xs = x.reshape(batch + self.shape_in)
+        axes = tuple(range(-len(self.shape_in), 0))
         if self.transform == "dct":
-            return scipy.fft.dctn(xs, type=2, norm="ortho").reshape(-1)[self.kept]
-        spec = scipy.fft.fftn(xs, norm="ortho").reshape(-1)
-        out = np.empty(self.m_eff)
-        out[self._sc_slots] = spec[self._sc_kept].real
-        pairs = spec[self._pair_kept]
-        out[self._pair_slots] = np.sqrt(2.0) * pairs.real
-        out[self._pair_slots + 1] = np.sqrt(2.0) * pairs.imag
+            spec = scipy.fft.dctn(xs, type=2, norm="ortho", axes=axes)
+        else:
+            spec = scipy.fft.fftn(xs, norm="ortho", axes=axes)
+        return spec.reshape(batch + (self.n,))
+
+    def _gather(self, spec):
+        """The real measurement vector at the kept frequencies of a full transform."""
+        if self.transform == "dct":
+            return spec[..., self._kept]
+        out = np.empty(spec.shape[:-1] + (self.m_eff,))
+        out[..., self._sc_slots] = spec[..., self._sc_kept].real
+        pairs = spec[..., self._pair_kept]
+        out[..., self._pair_slots] = np.sqrt(2.0) * pairs.real
+        out[..., self._pair_slots + 1] = np.sqrt(2.0) * pairs.imag
         return out
 
     def _apply_adjoint(self, u):
+        batch = u.shape[:-1]
+        axes = tuple(range(-len(self.shape_in), 0))
         if self.transform == "dct":
-            coef = np.zeros(self.n)
-            coef[self.kept] = u
-            return scipy.fft.idctn(coef.reshape(self.shape_in), type=2,
-                                   norm="ortho").reshape(-1)
-        spec = np.zeros(self.n, dtype=complex)
-        spec[self._sc_kept] = u[self._sc_slots]
-        w = (u[self._pair_slots] + 1j * u[self._pair_slots + 1]) / np.sqrt(2.0)
-        spec[self._pair_kept] = w
-        spec[self._pair_partners] = np.conj(w)
-        x = scipy.fft.ifftn(spec.reshape(self.shape_in), norm="ortho")
-        return x.real.reshape(-1)
+            coef = np.zeros(batch + (self.n,))
+            coef[..., self._kept] = u
+            return scipy.fft.idctn(coef.reshape(batch + self.shape_in), type=2,
+                                   norm="ortho", axes=axes).reshape(batch + (self.n,))
+        spec = np.zeros(batch + (self.n,), dtype=complex)
+        spec[..., self._sc_kept] = u[..., self._sc_slots]
+        w = (u[..., self._pair_slots] + 1j * u[..., self._pair_slots + 1]) / np.sqrt(2.0)
+        spec[..., self._pair_kept] = w
+        spec[..., self._pair_partners] = np.conj(w)
+        x = scipy.fft.ifftn(spec.reshape(batch + self.shape_in), norm="ortho", axes=axes)
+        return x.real.reshape(batch + (self.n,))
+
+    def to_dense(self):
+        _check_dense_cap(self.n)
+        out = np.empty((self.m_eff, self.n))
+        for start, rows in identity_chunks(self.n):
+            out[:, start:start + len(rows)] = self._apply(rows).T
+        return out
 
 
 # ---------------------------------------------------------------------------

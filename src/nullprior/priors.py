@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NullPriorError, TrainingDivergedError
-from .nullspace import NullSpaceBasis, pseudoinverse
+from .nullspace import NullSpaceBasis, as_basis, pseudoinverse
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ class TrainReport:
 
 def _holdout_error(net, Y, targets):
     """Relative projection error ||t - G(y)|| / ||t|| averaged over a set."""
-    preds = np.array([net.predict(y) for y in Y])
+    preds = net.predict(Y)
     num = np.linalg.norm(preds - targets, axis=1)
     den = np.linalg.norm(targets, axis=1)
     ok = den > 0
@@ -275,7 +275,7 @@ def train_mmse(net, xs, operator, basis, epochs=200, lr=1e-3, batch_size=None,
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[0] == 0:
         raise NullPriorError("dataset is empty")
-    S = basis.matrix if isinstance(basis, NullSpaceBasis) else np.asarray(basis)
+    S = as_basis(basis).matrix
     Y = np.array([operator.forward(x) for x in xs])
     rng = np.random.default_rng(seed)
     if noise_std > 0:
@@ -324,8 +324,7 @@ def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
     if lam1 < 0 or lam2 < 0:
         raise NullPriorError("penalty weights must be nonnegative")
     H = np.asarray(H_dense, dtype=float)
-    S = np.array(S_init.matrix if isinstance(S_init, NullSpaceBasis) else S_init,
-                 dtype=float)
+    S = np.array(as_basis(S_init).matrix, dtype=float)
     m, n = H.shape
     p = S.shape[0]
     if S.shape[1] != n:

@@ -24,6 +24,7 @@ import scipy.fft
 from .denoisers import denoise
 from .diagnostics import psnr_from_err_sq
 from .errors import NullPriorError
+from .nullspace import as_basis
 
 DIVERGENCE_GUARD = 1e12
 
@@ -103,16 +104,16 @@ def grad_fidelity(op, x, y):
 
 def subspace_grad(S, x, g):
     """Gradient direction of the projection penalty: S'(S x - g)."""
-    S = getattr(S, "matrix", S)
-    return S.T @ (S @ np.asarray(x, dtype=float).reshape(-1) - g)
+    basis = as_basis(S)
+    return basis.backproject(basis.project(x) - g)
 
 
 class _Recorder:
-    def __init__(self, op, y, config, S, g):
+    def __init__(self, op, y, config, basis, g):
         self.op = op
         self.y = y
         self.config = config
-        self.S = getattr(S, "matrix", S) if S is not None else None
+        self.basis = basis
         self.g = g
         self.rows = []
         self.iterates = []
@@ -128,13 +129,13 @@ class _Recorder:
             diff = None
             err_sq = np.nan
             psnr = np.nan
-        if self.S is not None and diff is not None:
-            pe = self.S @ diff
+        if self.basis is not None and diff is not None:
+            pe = self.basis.project(diff)
             proj_err_sq = float(pe @ pe)
         else:
             proj_err_sq = np.nan
-        if self.S is not None and self.g is not None:
-            r = self.g - self.S @ x
+        if self.basis is not None and self.g is not None:
+            r = self.g - self.basis.project(x)
             phi = float(r @ r)
         else:
             phi = np.nan
@@ -159,15 +160,19 @@ class _Recorder:
 
 
 def _prepare_prior(basis, prior, y, gamma):
-    """Evaluate G(y) once; returns (S, g, active) where active gates the penalty."""
+    """Evaluate G(y) once; returns (basis, g, active) where active gates the penalty.
+
+    A plain matrix S is wrapped as a basis here, once per solve.
+    """
+    if basis is not None:
+        basis = as_basis(basis)
     if basis is None or prior is None or gamma <= 0:
         g = None
         if basis is not None and prior is not None:
             g = np.asarray(prior(y), dtype=float)
         return basis, g, False
     g = np.asarray(prior(y), dtype=float)
-    S = getattr(basis, "matrix", basis)
-    if g.shape[0] != S.shape[0]:
+    if g.shape[0] != basis.p:
         raise NullPriorError("prior output length does not match basis rows")
     return basis, g, True
 
@@ -179,9 +184,8 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
     point v (e.g. the denoiser residual); prox(v) maps it to the next iterate.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    S, g, active = _prepare_prior(basis, prior, y, config.gamma)
-    Smat = getattr(S, "matrix", S) if S is not None else None
-    rec = _Recorder(op, y, config, S, g)
+    basis, g, active = _prepare_prior(basis, prior, y, config.gamma)
+    rec = _Recorder(op, y, config, basis, g)
     n = op.n
     x_prev = np.zeros(n)
     z = np.zeros(n)
@@ -192,7 +196,7 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
     for ell in range(1, config.iters + 1):
         grad = grad_fidelity(op, z, y)
         if active:
-            grad = grad + config.gamma * (Smat.T @ (Smat @ z - g))
+            grad = grad + config.gamma * basis.backproject(basis.project(z) - g)
         v = z - config.alpha * grad
         v = gradient_extra(v, z)
         x = prox(v)
@@ -301,9 +305,8 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
     is solved by conjugate gradient, warm-started from the previous iterate.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    S, g, active = _prepare_prior(basis, prior, y, config.gamma)
-    Smat = getattr(S, "matrix", S) if S is not None else None
-    rec = _Recorder(op, y, config, S, g)
+    basis, g, active = _prepare_prior(basis, prior, y, config.gamma)
+    rec = _Recorder(op, y, config, basis, g)
     n = op.n
     shape = op.shape_in
     rho = config.rho
@@ -311,12 +314,12 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
     def apply_A(x):
         out = op.adjoint(op.forward(x)) + rho * x
         if active:
-            out = out + config.gamma * (Smat.T @ (Smat @ x))
+            out = out + config.gamma * basis.backproject(basis.project(x))
         return out
 
     rhs_fixed = op.adjoint(y)
     if active:
-        rhs_fixed = rhs_fixed + config.gamma * (Smat.T @ g)
+        rhs_fixed = rhs_fixed + config.gamma * basis.backproject(g)
 
     x = np.zeros(n)
     v = np.zeros(n)
@@ -342,15 +345,15 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
 
 def default_alpha(op, basis=None, gamma=0.0, safety=0.9, seed=0):
     """0.9 over the spectral norm of H'H + gamma S'S, by power iteration."""
-    S = getattr(basis, "matrix", basis) if basis is not None else None
+    basis = as_basis(basis) if basis is not None else None
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(op.n)
     vec /= np.linalg.norm(vec)
     lam = 0.0
     for _ in range(300):
         w = op.adjoint(op.forward(vec))
-        if S is not None and gamma > 0:
-            w = w + gamma * (S.T @ (S @ vec))
+        if basis is not None and gamma > 0:
+            w = w + gamma * basis.backproject(basis.project(vec))
         lam_new = float(np.linalg.norm(w))
         if lam_new == 0.0:
             raise NullPriorError("operator is zero; cannot pick a step size")
@@ -364,8 +367,7 @@ def default_alpha(op, basis=None, gamma=0.0, safety=0.9, seed=0):
 
 def stacked_pinv_solution(H_dense, S, y, g):
     """Least-squares oracle for the noiseless complete system [H; S] x = [y; g]."""
-    S = getattr(S, "matrix", S)
-    A = np.vstack([np.asarray(H_dense, dtype=float), S])
+    A = np.vstack([np.asarray(H_dense, dtype=float), as_basis(S).matrix])
     rhs = np.concatenate([np.asarray(y, dtype=float).reshape(-1),
                           np.asarray(g, dtype=float).reshape(-1)])
     return np.linalg.pinv(A, rcond=1e-12) @ rhs

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nullprior.denoisers import Identity
+from nullprior.denoisers import Identity, estimate_delta
 from nullprior.diagnostics import (
     compute_rho,
     compute_rho_exact,
@@ -78,6 +78,37 @@ class TestEstimateRic:
         assert estimate_ric(M, [(x, x), (x, np.zeros(3))]) == pytest.approx(0.0)
         with pytest.raises(Exception):
             estimate_ric(M, [(x, x)])
+
+    def test_float_resolution_pair_skipped(self):
+        # M stretches coordinate 2; the sample pairs never move along it
+        M = np.diag([1.0, 1.0, 3.0, 1.0])
+        rng = np.random.default_rng(3)
+        pairs = []
+        for _ in range(5):
+            a, b = rng.standard_normal(4), rng.standard_normal(4)
+            b[2] = a[2]
+            pairs.append((a, b))
+        base = estimate_ric(M, pairs)
+        # a pair one ulp apart along the stretched coordinate: its ratio is
+        # rounding noise, and counted it would set the maximum at 3^2 - 1
+        x = rng.standard_normal(4)
+        ulp = x.copy()
+        ulp[2] = np.nextafter(x[2], np.inf)
+        assert estimate_ric(M, pairs + [(x, ulp)]) == base
+        far = x.copy()
+        far[2] += 1e-6
+        assert estimate_ric(M, pairs + [(x, far)]) == pytest.approx(8.0)
+        with pytest.raises(NullPriorError):
+            estimate_ric(M, [(x, ulp)])
+
+    def test_float_resolution_pair_skipped_by_delta(self):
+        stretch = np.array([1.0, 1.0, 3.0, 1.0])
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(4)
+        ulp = x.copy()
+        ulp[2] = np.nextafter(x[2], -np.inf)
+        pairs = [(x, x + np.array([0.5, -0.2, 0.0, 0.1])), (x, ulp)]
+        assert estimate_delta(lambda v: stretch * v, pairs) == 0.0
 
 
 class TestComputeRho:

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from nullprior import experiments
 from nullprior.errors import (
     EmptyComplementError,
     InfeasibleDimensionError,
     RankDeficientError,
+    SizeCapError,
 )
 from nullprior.nullspace import (
+    NullSpaceBasis,
     fourier_complement,
     load_basis,
     orthogonality_report,
@@ -19,10 +23,15 @@ from nullprior.nullspace import (
     toeplitz_complement,
 )
 from nullprior.operators import (
+    DenseOperator,
     MaskedFrequencyOperator,
     RadonOperator,
+    ScaledOperator,
+    all_representatives,
     bilinear_kernel,
+    dft_real_rows,
     gaussian_kernel,
+    lowpass_mask,
     random_mask,
 )
 
@@ -229,3 +238,128 @@ class TestScaled:
         assert basis.method.endswith("-scaled")
         svals = np.linalg.svd(basis.matrix, compute_uv=False)
         assert svals[0] == pytest.approx(0.1, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# operator-backed Fourier complements against the dense reference rows
+# ---------------------------------------------------------------------------
+
+def dense_transform_rows(shape, transform, indices):
+    """Reference rows: inverse DCTs of unit coefficients, or `dft_real_rows`."""
+    if transform == "dft":
+        return dft_real_rows(shape, indices)
+    rows = []
+    for k in indices:
+        coef = np.zeros(int(np.prod(shape)))
+        coef[k] = 1.0
+        rows.append(scipy.fft.idctn(coef.reshape(shape), type=2, norm="ortho").reshape(-1))
+    return np.array(rows)
+
+
+def complement_case(shape, transform, scale):
+    pool = (range(int(np.prod(shape))) if transform == "dct"
+            else all_representatives(shape))
+    kept = lowpass_mask(shape, max(1, len(pool) // 4), transform)
+    base = MaskedFrequencyOperator(shape, kept, transform)
+    op = base if scale == 1.0 else ScaledOperator(base, scale)
+    missing = sorted(set(pool) - set(base.kept))
+    S_ref = dense_transform_rows(shape, transform, missing)
+    H_ref = dense_transform_rows(shape, transform, base.kept)
+    return op, S_ref, H_ref
+
+
+COMPLEMENT_CASES = [(shape, transform, 1.0) for shape in [(8, 8), (15, 16), (9,)]
+                    for transform in ["dct", "dft"]] + [((8, 8), "dct", 0.3),
+                                                        ((15, 16), "dft", 2.0)]
+
+
+class TestFourierComplementOperator:
+    @pytest.mark.parametrize("shape,transform,scale", COMPLEMENT_CASES)
+    def test_matches_dense_rows(self, shape, transform, scale):
+        op, S_ref, _ = complement_case(shape, transform, scale)
+        basis = fourier_complement(op)
+        assert isinstance(basis.operator, MaskedFrequencyOperator)
+        assert (basis.p, basis.n) == S_ref.shape
+        np.testing.assert_allclose(basis.matrix, S_ref, rtol=0, atol=1e-13)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(basis.n)
+        c = rng.standard_normal(basis.p)
+        np.testing.assert_allclose(basis.project(x), S_ref @ x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(basis.backproject(c), S_ref.T @ c, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape,transform,scale", COMPLEMENT_CASES)
+    def test_complements_the_kept_rows(self, shape, transform, scale):
+        op, _, H_ref = complement_case(shape, transform, scale)
+        S = fourier_complement(op).matrix
+        err = S.T @ S + H_ref.T @ H_ref - np.eye(S.shape[1])
+        assert np.linalg.norm(err) <= 1e-12
+
+    @pytest.mark.parametrize("shape,transform,scale", COMPLEMENT_CASES)
+    def test_residuals_match_dense_formulas(self, shape, transform, scale):
+        op, S_ref, H_ref = complement_case(shape, transform, scale)
+        basis = fourier_complement(op)
+        ortho = np.linalg.norm(S_ref @ H_ref.T)
+        gram = np.linalg.norm(S_ref @ S_ref.T - np.eye(len(S_ref)))
+        assert abs(basis.ortho_to_H_residual - ortho) <= 1e-13
+        assert abs(basis.row_gram_residual - gram) <= 1e-13
+
+    def test_past_dense_cap_applies_without_densifying(self):
+        op = MaskedFrequencyOperator((65, 64), lowpass_mask((65, 64), 1000), "dct")
+        basis = fourier_complement(op)
+        x = np.random.default_rng(2).standard_normal(op.n)
+        # S'S + H'H = I: the two projections split the signal exactly
+        split = basis.backproject(basis.project(x)) + op.adjoint(op.forward(x))
+        np.testing.assert_allclose(split, x, rtol=0, atol=1e-12)
+        with pytest.raises(SizeCapError):
+            basis.matrix
+
+    def test_16x16_mri_run_matches_dense_basis(self, tmp_path, monkeypatch):
+        cfg = {
+            "problem": "mri", "seed": 2,
+            "operator": {"shape": [16, 16], "transform": "dct",
+                         "mask": {"kind": "lowpass", "count": 64}},
+            "signal": {"kind": "bumps", "count": 4},
+            "basis": {"method": "fourier"},
+            "prior": {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}},
+            "denoiser": {"kind": "gaussian", "sigma": 0.4},
+            "solver": {"kind": "pnp_fista", "alpha": "auto", "gamma": 1.0, "iters": 60},
+            "noise": {"snr_db": 20.0},
+        }
+        fast = experiments.run(cfg, out_dir=str(tmp_path / "op"))
+
+        def dense_fourier(op):
+            b = fourier_complement(op)
+            return NullSpaceBasis(DenseOperator(b.matrix), b.method,
+                                  b.ortho_to_H_residual, b.row_gram_residual)
+
+        monkeypatch.setattr(experiments, "fourier_complement", dense_fourier)
+        dense = experiments.run(cfg, out_dir=str(tmp_path / "dense"))
+        for name in ("trace_baseline", "trace_npn"):
+            a, b = fast[name], dense[name]
+            for col in ("err_sq", "proj_err_sq", "phi", "data_res_sq", "psnr", "ratio"):
+                np.testing.assert_allclose(getattr(a, col), getattr(b, col),
+                                           rtol=1e-12, atol=0)
+        assert fast["theory"].rho == pytest.approx(dense["theory"].rho, rel=1e-12)
+
+
+class TestDenseBackedBases:
+    @pytest.mark.parametrize("build", [
+        lambda: radon_complement(8, [0.0, 45.0, 90.0, 135.0], [0.0, 90.0]),
+        lambda: toeplitz_complement(gaussian_kernel(1.0, ndim=2), (8, 8)),
+        lambda: sr_complement(bilinear_kernel(2, ndim=2), 2, (8, 8)),
+    ])
+    def test_apply_is_the_dense_product(self, build):
+        basis = build()
+        assert isinstance(basis.operator, DenseOperator)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(basis.n)
+        c = rng.standard_normal(basis.p)
+        assert basis.project(x).tobytes() == (basis.matrix @ x).tobytes()
+        assert basis.backproject(c).tobytes() == (basis.matrix.T @ c).tobytes()
+
+    def test_plain_matrix_is_wrapped(self):
+        S = np.arange(6.0).reshape(2, 3)
+        basis = NullSpaceBasis(S, "learned", 0.0, 0.0)
+        assert isinstance(basis.operator, DenseOperator)
+        assert basis.matrix is basis.operator.matrix
+        assert (basis.p, basis.n) == (2, 3)

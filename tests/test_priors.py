@@ -12,6 +12,7 @@ from nullprior.priors import (
     OraclePrior,
     TwoLayerNet,
     ZeroError,
+    _holdout_error,
     _net_forward_backward,
     realize_error,
     train_joint,
@@ -292,3 +293,16 @@ class TestSerialization:
         net = TwoLayerNet(4, 3, hidden=6, seed=0)
         net.V[:] = 0.0
         np.testing.assert_array_equal(net.predict(np.ones(4)), np.zeros(3))
+
+
+def test_holdout_error_batched_matches_per_sample():
+    net = TwoLayerNet(5, 3, 8, seed=1)
+    rng = np.random.default_rng(2)
+    Y = rng.standard_normal((20, 5))
+    T = rng.standard_normal((20, 3))
+    T[3] = 0.0  # zero targets are left out of the relative error
+    preds = np.array([net.predict(y) for y in Y])
+    ok = np.arange(20) != 3
+    expected = np.mean(np.linalg.norm(preds[ok] - T[ok], axis=1)
+                       / np.linalg.norm(T[ok], axis=1))
+    assert _holdout_error(net, Y, T) == pytest.approx(expected, rel=1e-12)
