@@ -84,23 +84,37 @@ class LinearOperator:
         """
         if iters < 1:
             raise NullPriorError("iters must be >= 1")
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.n)
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(iters):
-            w = self._apply_adjoint(self._apply(v))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            sigma_new = np.sqrt(nw)
-            v = w / nw
-            if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-                return sigma_new
-            sigma = sigma_new
-        warnings.warn(f"spectral_norm did not converge in {iters} iterations "
-                      f"(last estimate {sigma})", RuntimeWarning)
-        return sigma
+        # the eigenvalue sigma^2 moves by twice the relative change of sigma
+        lam = power_iteration(lambda v: self._apply_adjoint(self._apply(v)), self.n,
+                              iters, 2.0 * tol, seed, "spectral_norm")
+        return np.sqrt(lam)
+
+
+def power_iteration(apply, n, iters, tol, seed, what):
+    """Largest eigenvalue of a symmetric positive semidefinite map on R^n.
+
+    Starts from a seeded Gaussian unit vector, takes lambda = ||apply(v)||
+    and v <- apply(v) / lambda, and stops once lambda changes by at most
+    tol relative.  Returns 0.0 as soon as the map sends v to zero.  Warns,
+    naming `what`, and returns the last estimate if `iters` steps do not
+    converge.
+    """
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(n)
+    vec /= np.linalg.norm(vec)
+    lam = 0.0
+    for _ in range(iters):
+        w = apply(vec)
+        lam_new = float(np.linalg.norm(w))
+        if lam_new == 0.0:
+            return 0.0
+        vec = w / lam_new
+        if abs(lam_new - lam) <= tol * lam_new:
+            return lam_new
+        lam = lam_new
+    warnings.warn(f"{what} did not converge in {iters} iterations "
+                  f"(last eigenvalue estimate {lam})", RuntimeWarning)
+    return lam
 
 
 class DenseOperator(LinearOperator):

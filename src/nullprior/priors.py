@@ -202,22 +202,40 @@ def _net_forward_backward(net, Y, targets):
 
 
 class Adam:
-    """Standard Adam updates over a list of parameter arrays."""
+    """Standard Adam updates over a list of parameter arrays.
+
+    The moments are updated in place and the step goes through two work
+    buffers per parameter, so a step allocates no arrays; the result is bit
+    for bit that of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr mhat / (sqrt(vhat) + eps).
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._work = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g ** 2
-            mhat = self.m[i] / (1 - self.beta1 ** self.t)
-            vhat = self.v[i] / (1 - self.beta2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        bias1 = 1 - self.beta1 ** self.t
+        bias2 = 1 - self.beta2 ** self.t
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._work):
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.square(g, out=b)
+            b *= 1 - self.beta2
+            v += b
+            np.divide(m, bias1, out=a)   # mhat
+            a *= self.lr
+            np.divide(v, bias2, out=b)   # vhat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 @dataclass

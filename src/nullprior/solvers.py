@@ -25,6 +25,7 @@ from .denoisers import denoise
 from .diagnostics import psnr_from_err_sq
 from .errors import NullPriorError
 from .nullspace import as_basis
+from .operators import power_iteration
 
 DIVERGENCE_GUARD = 1e12
 
@@ -344,24 +345,21 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
 
 
 def default_alpha(op, basis=None, gamma=0.0, safety=0.9, seed=0):
-    """0.9 over the spectral norm of H'H + gamma S'S, by power iteration."""
+    """0.9 over the spectral norm of H'H + gamma S'S, by power iteration.
+
+    Warns if 300 iterations do not converge to 1e-12 relative.
+    """
     basis = as_basis(basis) if basis is not None else None
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(op.n)
-    vec /= np.linalg.norm(vec)
-    lam = 0.0
-    for _ in range(300):
+
+    def normal(vec):
         w = op.adjoint(op.forward(vec))
         if basis is not None and gamma > 0:
             w = w + gamma * basis.backproject(basis.project(vec))
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            raise NullPriorError("operator is zero; cannot pick a step size")
-        vec = w / lam_new
-        if abs(lam_new - lam) <= 1e-12 * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
+        return w
+
+    lam = power_iteration(normal, op.n, 300, 1e-12, seed, "default_alpha")
+    if lam == 0.0:
+        raise NullPriorError("operator is zero; cannot pick a step size")
     return safety / lam
 
 

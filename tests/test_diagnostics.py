@@ -149,6 +149,16 @@ class TestComputeRho:
         assert np.all(np.sqrt(ratios) <= est.rho + 1e-9)
         assert np.all(ratios <= est.rho + 1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.2, 1.7])
+    def test_norms_match_dense_svd(self, alpha):
+        rng = np.random.default_rng(9)
+        H = rng.standard_normal((6, 20)) / 3.0
+        S = rng.standard_normal((9, 20)) / 3.0
+        est = compute_rho(0.0, alpha, H, S, 0.0)
+        op_norm = np.linalg.norm(np.eye(20) - alpha * (H.T @ H + S.T @ S), 2)
+        assert est.gradient_op_norm == pytest.approx(op_norm, rel=1e-14)
+        assert est.s_spectral_norm == pytest.approx(np.linalg.norm(S, 2), rel=1e-14)
+
     def test_squared_variant_recorded(self):
         rng = np.random.default_rng(4)
         H = rng.standard_normal((3, 8)) / 4.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from nullprior import experiments
+from nullprior import experiments, nullspace
 from nullprior.errors import (
     EmptyComplementError,
     InfeasibleDimensionError,
@@ -302,6 +302,75 @@ class TestFourierComplementOperator:
         gram = np.linalg.norm(S_ref @ S_ref.T - np.eye(len(S_ref)))
         assert abs(basis.ortho_to_H_residual - ortho) <= 1e-13
         assert abs(basis.row_gram_residual - gram) <= 1e-13
+
+    @pytest.mark.parametrize("shape,transform,scale", COMPLEMENT_CASES)
+    def test_residuals_bound_unit_vector_values(self, shape, transform, scale):
+        # the exact Frobenius norms of the computed maps z -> H S'z and
+        # z -> S S'z - z, one unit vector at a time; the dense formulas on
+        # the reference rows carry their own rounding, up to 10x larger
+        op, _, _ = complement_case(shape, transform, scale)
+        basis = fourier_complement(op)
+        S_op, H_op = basis.operator, getattr(op, "base", op)
+        E = np.eye(basis.p)
+        spec = S_op._spectrum(S_op._apply_adjoint(E))
+        assert basis.ortho_to_H_residual >= np.linalg.norm(H_op._gather(spec))
+        assert basis.row_gram_residual >= np.linalg.norm(S_op._gather(spec) - E)
+
+    def test_bounds_residuals_above_roundoff(self):
+        # the probe algebra on a generic S and H, held as dense stand-ins
+        # for masked operators with the identity as their transform
+        class Rows:
+            def __init__(self, M):
+                self.M, self.m_eff = M, M.shape[0]
+
+            def _apply_adjoint(self, u):
+                return u @ self.M
+
+            def _spectrum(self, x):
+                return x
+
+            def _gather(self, spec):
+                return spec @ self.M.T
+
+        rng = np.random.default_rng(3)
+        S = rng.standard_normal((30, 50)) / np.sqrt(50)
+        H = rng.standard_normal((10, 50)) / np.sqrt(50)
+        ortho, gram = nullspace._frequency_residuals(Rows(S), Rows(H))
+        true_ortho = np.linalg.norm(S @ H.T)
+        true_gram = np.linalg.norm(S @ S.T - np.eye(30))
+        assert true_ortho <= ortho <= 2.5 * true_ortho
+        assert true_gram <= gram <= 2.5 * true_gram
+
+    def test_bound_on_unit_ortho_residual(self):
+        # S also holds one kept frequency: S H' has a single entry 1
+        shape = (8, 8)
+        H_op = MaskedFrequencyOperator(shape, lowpass_mask(shape, 16), "dct")
+        missing = sorted(set(range(64)) - set(H_op.kept))
+        S_op = MaskedFrequencyOperator(shape, missing + [H_op.kept[3]], "dct")
+        ortho, gram = nullspace._frequency_residuals(S_op, H_op)
+        assert 1.0 <= ortho <= 2.5
+        assert gram < 1e-13
+
+    @pytest.mark.parametrize("shape,count", [((8, 8), 16), ((64, 64), 1024)])
+    def test_two_round_trips_whatever_p(self, shape, count, monkeypatch):
+        op = MaskedFrequencyOperator(shape, lowpass_mask(shape, count), "dct")
+        calls = []
+        spectrum = MaskedFrequencyOperator._spectrum
+
+        def spy(self, x):
+            calls.append(x.shape)
+            return spectrum(self, x)
+
+        monkeypatch.setattr(MaskedFrequencyOperator, "_spectrum", spy)
+        basis = fourier_complement(op)
+        assert basis.p == op.n - count  # 48 and 3072
+        assert calls == [(64, basis.n), (64, basis.n)]
+
+    def test_residuals_repeat_exactly(self):
+        op, _, _ = complement_case((15, 16), "dft", 1.0)
+        a, b = fourier_complement(op), fourier_complement(op)
+        assert (a.ortho_to_H_residual, a.row_gram_residual) == \
+            (b.ortho_to_H_residual, b.row_gram_residual)
 
     def test_past_dense_cap_applies_without_densifying(self):
         op = MaskedFrequencyOperator((65, 64), lowpass_mask((65, 64), 1000), "dct")

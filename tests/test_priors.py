@@ -7,6 +7,7 @@ from nullprior.errors import NullPriorError
 from nullprior.nullspace import NullSpaceBasis, qr_nullspace
 from nullprior.operators import DenseOperator
 from nullprior.priors import (
+    Adam,
     GaussianError,
     LipschitzError,
     OraclePrior,
@@ -306,3 +307,24 @@ def test_holdout_error_batched_matches_per_sample():
     expected = np.mean(np.linalg.norm(preds[ok] - T[ok], axis=1)
                        / np.linalg.norm(T[ok], axis=1))
     assert _holdout_error(net, Y, T) == pytest.approx(expected, rel=1e-12)
+
+
+def test_adam_step_matches_allocating_formula():
+    rng = np.random.default_rng(6)
+    params = [rng.standard_normal((5, 3)), rng.standard_normal(4)]
+    ref = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 51):
+        grads = [rng.standard_normal(p.shape) for p in params]
+        opt.step(params, grads)
+        for i, (p, g) in enumerate(zip(ref, grads)):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g ** 2
+            mhat = m[i] / (1 - b1 ** t)
+            vhat = v[i] / (1 - b2 ** t)
+            p -= lr * mhat / (np.sqrt(vhat) + eps)
+        for a, b in zip(params + opt.m + opt.v, ref + m + v):
+            assert np.array_equal(a, b)

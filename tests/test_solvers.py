@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 
 from nullprior.denoisers import GaussianSmooth, Identity, TVChambolle
+from nullprior.errors import NullPriorError
 from nullprior.nullspace import qr_nullspace
 from nullprior.operators import DenseOperator, MaskedFrequencyOperator
 from nullprior.phantoms import piecewise_signal, sparse_signal
@@ -68,6 +69,43 @@ class TestGradientPieces:
         x = rng.standard_normal(8)
         g = rng.standard_normal(3)
         np.testing.assert_allclose(subspace_grad(S, x, g), S.T @ (S @ x - g), atol=1e-12)
+
+
+def _default_alpha_loop(op, basis, gamma, safety=0.9, seed=0):
+    # the power iteration default_alpha ran before it shared one routine
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(op.n)
+    vec /= np.linalg.norm(vec)
+    lam = 0.0
+    for _ in range(300):
+        w = op.adjoint(op.forward(vec))
+        if basis is not None and gamma > 0:
+            w = w + gamma * basis.backproject(basis.project(vec))
+        lam_new = float(np.linalg.norm(w))
+        vec = w / lam_new
+        if abs(lam_new - lam) <= 1e-12 * lam_new:
+            lam = lam_new
+            break
+        lam = lam_new
+    return safety / lam
+
+
+class TestDefaultAlpha:
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_matches_old_loop_bit_for_bit(self, gamma):
+        op, basis, _, _ = cs_problem(p=10)
+        assert default_alpha(op, basis, gamma=gamma) == _default_alpha_loop(op, basis, gamma)
+
+    def test_unconverged_warns_and_keeps_value(self):
+        # top eigenvalues 1 and 0.9998^2: 300 steps leave the estimate moving
+        op = DenseOperator(np.diag([1.0, 0.9998, 0.5]))
+        with pytest.warns(RuntimeWarning, match="default_alpha did not converge"):
+            alpha = default_alpha(op)
+        assert alpha == _default_alpha_loop(op, None, 0.0)
+
+    def test_zero_operator_rejected(self):
+        with pytest.raises(NullPriorError, match="operator is zero"):
+            default_alpha(DenseOperator(np.zeros((2, 3))))
 
 
 class TestPnpFista:
