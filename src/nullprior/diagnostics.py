@@ -3,12 +3,16 @@
 The contraction rate of the penalized iteration is
 rho = (1 + delta) * (||I - alpha (H'H + S'S)|| + (1 + Delta_S) ||S||),
 with unsquared spectral norms (the form the fixed-point argument actually
-uses); the squared-norm variant is recorded alongside for comparison.  For an
-exact complement (QR or Fourier; `nullspace.EXACT_METHODS`) the two spectral
-norms have a closed form in the singular values of H and the penalty weight,
+uses); the squared-norm variant is recorded alongside for comparison.  Where
+the operator and basis share a transform (masked DCT/DFT, blur and SR with
+their complements), `normal_spectrum` gives the eigenvalues of
+H'H + gamma S'S from one FFT or one batched block `eigvalsh`.  For an exact
+complement (QR or Fourier; `nullspace.EXACT_METHODS`) the two spectral norms
+have a closed form in the singular values of H and the penalty weight,
 widened by a Weyl bound on the basis's recorded residuals so it stays an
-upper bound (`compute_rho_exact`); approximate, rescaled and learned bases
-take both norms from dense n x n matrices (`compute_rho`).  The
+upper bound (`compute_rho_exact`); Toeplitz and SR complements take both
+norms exactly from the spectrum (`compute_rho_spectral`); Radon, rescaled
+and learned bases take them from dense n x n matrices (`compute_rho`).  The
 restricted-isometry constants Delta are measured on a supplied sample cloud,
 the denoiser expansion delta on sample pairs, and the improvement zone is the
 set of iterations whose projected error still dominates the prior's error
@@ -22,7 +26,12 @@ import numpy as np
 
 from .errors import NullPriorError
 from .nullspace import EXACT_METHODS
-from .operators import MaskedFrequencyOperator, ScaledOperator
+from .operators import (
+    CirculantConvOperator,
+    DecimatedConvOperator,
+    MaskedFrequencyOperator,
+    ScaledOperator,
+)
 
 
 def psnr_from_err_sq(err_sq, n, peak):
@@ -130,16 +139,102 @@ def compute_rho(delta, alpha, H_dense, S_eff, ric_s):
     return _rho_estimate(delta, op_norm, s_norm, ric_s)
 
 
-def _sensing_spectrum(op, basis):
-    """Squared singular values of H, and ||S H'||_F measured against the same H."""
-    base, scale = (op.base, abs(op.scale)) if isinstance(op, ScaledOperator) else (op, 1.0)
-    ortho = basis.ortho_to_H_residual
-    if isinstance(base, MaskedFrequencyOperator):
-        # orthonormal transform rows: every singular value is the scale
-        if basis.method == "fourier-complement":
-            ortho *= scale  # recorded against the unscaled transform
-        return np.array([scale * scale]), ortho
-    return np.linalg.svd(op.to_dense(), compute_uv=False) ** 2, ortho
+def normal_spectrum(op, basis=None, gamma=0.0):
+    """Eigenvalues of P = H'H + gamma S'S from the pair's structure, or None.
+
+    Two structures give all n eigenvalues without forming P:
+    - H and S diagonal in one orthonormal transform F (masked DCT or DFT
+      rows, circulant convolutions, scaled wrappers of these): P =
+      F' diag(d_H + gamma d_S) F, where d is scale^2 on the kept
+      frequencies of a mask and |K^|^2 per DFT bin for a convolution with
+      response K^.  A masked DCT/DFT with its Fourier complement gives
+      scale^2 on the kept and gamma on the missing frequencies; a blur
+      with its Toeplitz complement |K^|^2 + gamma |S^|^2.
+    - H a decimated convolution (factor f on each of d axes) and S diagonal
+      in the DFT: the decimation couples each DFT bin only with its f^d
+      aliases, so P splits into n / f^d blocks of size f^d, one per alias
+      class, each (scale^2 / f^d) k k* + gamma diag(|S^|^2) with k the
+      class's K^ (the polyphase split of Zhao et al., IEEE TIP 2016).  One
+      batched `eigvalsh` solves them.
+    Without a basis the result is the spectrum of H'H.  Any other pair
+    (Radon, dense CS, QR, learned or rescaled bases) gives None, also at
+    gamma = 0, so callers fall back to power iteration or dense matrices.
+    """
+    s_term = s_frame = None
+    if basis is not None:
+        s_gram = _diagonal_gram(basis.operator)
+        if s_gram is None:
+            return None
+        s_frame, s_diag = s_gram
+        s_term = gamma * s_diag
+    h_gram = _diagonal_gram(op)
+    if h_gram is not None:
+        h_frame, h_diag = h_gram
+        if s_term is None:
+            return h_diag
+        return h_diag + s_term if h_frame == s_frame else None
+    base, scale_sq = ((op.base, op.scale * op.scale) if isinstance(op, ScaledOperator)
+                      else (op, 1.0))
+    if not isinstance(base, DecimatedConvOperator):
+        return None
+    if s_term is not None and s_frame != ("dft", base.shape_in):
+        return None
+    return _alias_spectrum(base, scale_sq, s_term)
+
+
+def _diagonal_gram(op):
+    """((transform, shape), d) with A'A = F' diag(d) F, or None.
+
+    F is the orthonormal DCT or DFT on `shape`, d holds one value per flat
+    frequency bin.
+    """
+    if isinstance(op, ScaledOperator):
+        inner = _diagonal_gram(op.base)
+        if inner is None:
+            return None
+        return inner[0], op.scale * op.scale * inner[1]
+    if isinstance(op, MaskedFrequencyOperator):
+        return (op.transform, op.shape_in), op.support().astype(float)
+    if isinstance(op, CirculantConvOperator):
+        return ("dft", op.shape_in), np.abs(op.response.reshape(-1)) ** 2
+    return None
+
+
+def _alias_spectrum(op, scale_sq, s_term):
+    """Eigenvalues of scale_sq H'H + diag(s_term) for a decimated convolution H."""
+    f, shape = op.factor, op.shape_in
+    d = len(shape)
+    size = f ** d
+
+    def by_class(a):
+        # bin w = j (s / f) + r on each axis: rows are classes r, columns aliases j
+        a = a.reshape(tuple(v for s in shape for v in (f, s // f)))
+        a = a.transpose(tuple(range(1, 2 * d, 2)) + tuple(range(0, 2 * d, 2)))
+        return a.reshape(-1, size)
+
+    k = by_class(op._conv.response)
+    blocks = (scale_sq / size) * (k[:, :, None] * k[:, None, :].conj())
+    if s_term is not None:
+        diag = np.arange(size)
+        blocks[:, diag, diag] += by_class(s_term)
+    return np.linalg.eigvalsh(blocks).reshape(-1)
+
+
+def compute_rho_spectral(delta, alpha, op, basis, gamma, ric_s):
+    """Contraction rate from the pair's exact spectrum (`normal_spectrum`).
+
+    For a basis diagonal in the transform that (block-)diagonalizes H,
+    ||I - alpha P|| = max |1 - alpha lambda| over the eigenvalues of P, and
+    ||sqrt(gamma) S|| = sqrt(gamma max d_S); both are exact, with no Weyl
+    term and no n x n array.
+    """
+    eig = normal_spectrum(op, basis, gamma)
+    if eig is None:
+        raise NullPriorError(f"no structural spectrum for a {basis.method!r} basis "
+                             "on this operator")
+    op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
+    s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
+    return _rho_estimate(delta, op_norm, s_norm, ric_s)
 
 
 def compute_rho_exact(delta, alpha, op, basis, gamma, ric_s):
@@ -148,9 +243,11 @@ def compute_rho_exact(delta, alpha, op, basis, gamma, ric_s):
     With A = [H; sqrt(gamma) S], the nonzero eigenvalues of
     P = H'H + gamma S'S are those of A A', whose block-diagonal part has
     eigenvalues sigma_i(H)^2 and gamma when S S' = I; P is also singular when
-    m_eff + p < n.  Weyl's inequality bounds what the off-diagonal block
-    sqrt(gamma) S H' and the row-Gram error S S' - I add, through the basis's
-    recorded Frobenius residuals o and g, so
+    m_eff + p < n.  For a Fourier complement these are the pair's
+    structural spectrum (`normal_spectrum`); for a QR complement they come
+    from a values-only SVD of H.  Weyl's inequality bounds what the
+    off-diagonal block sqrt(gamma) S H' and the row-Gram error S S' - I add,
+    through the basis's recorded Frobenius residuals o and g, so
     ||I - alpha P|| <= max |1 - alpha lambda| + alpha (gamma g + sqrt(gamma) o)
     and ||sqrt(gamma) S|| <= sqrt(gamma (1 + g)): the result upper-bounds
     `compute_rho` on the dense matrices without forming them.  A QR
@@ -162,11 +259,15 @@ def compute_rho_exact(delta, alpha, op, basis, gamma, ric_s):
     """
     if basis.method not in EXACT_METHODS:
         raise NullPriorError(f"{basis.method!r} is not an exact complement")
-    h_sq, ortho = _sensing_spectrum(op, basis)
+    ortho = basis.ortho_to_H_residual
+    eig = normal_spectrum(op, basis, gamma)
+    if eig is None:
+        eig = np.append(np.linalg.svd(op.to_dense(), compute_uv=False) ** 2, gamma)
+        if op.m_eff + basis.p < op.n:
+            eig = np.append(eig, 0.0)
+    elif isinstance(op, ScaledOperator):
+        ortho *= abs(op.scale)  # recorded against the unscaled transform
     gram = basis.row_gram_residual
-    eig = np.append(h_sq, gamma)
-    if op.m_eff + basis.p < op.n:
-        eig = np.append(eig, 0.0)
     op_norm = float(np.max(np.abs(1.0 - alpha * eig))
                     + alpha * (gamma * gram + np.sqrt(gamma) * ortho))
     s_norm = float(np.sqrt(gamma * (1.0 + gram)))

@@ -24,12 +24,14 @@ from .diagnostics import (
     TheoryReport,
     compute_rho,
     compute_rho_exact,
+    compute_rho_spectral,
     decay_constants,
     decay_constants_statement_variant,
     detect_ciz,
     detect_ciz_rip_variant,
     estimate_ric,
     iterate_cloud_pairs,
+    normal_spectrum,
     penalty_decay_bound,
     psnr,
     resolution_floor,
@@ -379,14 +381,19 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
     x_star = pb["x_star"]
     notes = []
     certified = True
-    if op.n > DENSE_CAP:
-        raise NullPriorError("theory report needs n <= 4096")
-    pairs = iterate_cloud_pairs(trace.iterates, x_star)
     # the penalty weights S by sqrt(gamma) (by 1 at gamma = 0); exact
-    # complements get rho in closed form, so neither S nor H is densified
+    # complements get rho in closed form and pairs with a structural
+    # spectrum exactly, so for them neither S nor H is densified
+    gamma_eff = config.gamma if config.gamma > 0 else 1.0
+    weight = np.sqrt(gamma_eff)
     exact = basis.method in EXACT_METHODS
-    weight = np.sqrt(config.gamma) if config.gamma > 0 else 1.0
-    if exact:
+    spectral = not exact and normal_spectrum(op, basis) is not None
+    dense = not (exact or spectral)
+    if dense and op.n > DENSE_CAP:
+        raise NullPriorError("theory report needs n <= 4096 for a "
+                             f"{basis.method!r} basis")
+    pairs = iterate_cloud_pairs(trace.iterates, x_star)
+    if not dense:
         ric_s = estimate_ric(lambda v: weight * basis.project(v), pairs)
         ric_h = estimate_ric(op.forward, pairs)
     else:
@@ -422,8 +429,9 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
         certified = False
         notes.append("ground truth is not a fixed point of the denoiser")
     if exact:
-        gamma_eff = config.gamma if config.gamma > 0 else 1.0  # weight ** 2
         est = compute_rho_exact(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
+    elif spectral:
+        est = compute_rho_spectral(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
     else:
         est = compute_rho(delta_hat, config.alpha, H_dense, S_eff, ric_s)
     K_eff = 0.0 if np.isnan(K) else K
@@ -492,10 +500,8 @@ def run(cfg, out_dir=None, seed=None):
     tr_base.to_csv(os.path.join(out_dir, "trace_baseline.csv"))
     tr_npn.to_csv(os.path.join(out_dir, "trace_npn.csv"))
 
-    report = None
-    if op.n <= DENSE_CAP:
-        report = _theory_report(pb, tr_npn)
-        report.save(os.path.join(out_dir, "theory.txt"))
+    report = _theory_report(pb, tr_npn)
+    report.save(os.path.join(out_dir, "theory.txt"))
     if pb["prior_info"]["kind"] == "net":
         pb["prior_info"]["train_report"].save_history_csv(
             os.path.join(out_dir, "training_history.csv"))
@@ -510,7 +516,7 @@ def run(cfg, out_dir=None, seed=None):
         "err_npn": float(np.linalg.norm(x_npn - x_star)),
         "improvement_db": psnr(x_npn, x_star, peak) - psnr(x_base, x_star, peak),
         "ciz_size": int(np.sum(tr_npn.in_ciz)),
-        "rho": report.rho if report is not None else np.nan,
+        "rho": report.rho,
         "holdout_error": (pb["prior_info"]["train_report"].holdout_projection_error
                           if pb["prior_info"]["kind"] == "net" else np.nan),
     }

@@ -3,18 +3,21 @@
 A basis holds its rows S as a linear operator: `project` applies S and
 `backproject` its transpose.  Exact Fourier complements are the unsampled
 rows of an orthonormal transform, held as a masked frequency operator over
-the missing frequencies, so applying S costs one DCT or FFT and no p x n
-array is formed.  QR complements, learned bases and the structured
-approximations (Radon, Toeplitz, SR) hold a dense matrix: the Radon and
+the missing frequencies.  Toeplitz and SR complements are circulant
+convolutions with frequency response 1 - K, held as such.  Applying either
+costs one DCT or FFT round trip and forms no p x n array.  QR complements,
+learned bases and Radon complements hold a dense matrix.  The Radon and
 convolution rows are not exactly in Null(H), so their orthogonality
-residuals are recorded rather than forced to zero.  `.matrix` densifies an
-operator-backed basis on request, within the dense cap.
+residuals are recorded rather than forced to zero: in closed form over the
+FFT bins for the convolutions, from the dense rows for Radon.  `.matrix`
+densifies an operator-backed basis on request, within the dense cap.
 """
 
 import io
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .errors import (
@@ -34,6 +37,7 @@ from .operators import (
     RadonOperator,
     ScaledOperator,
     _as_flat,
+    _as_shape,
     all_representatives,
     embed_kernel,
 )
@@ -221,17 +225,27 @@ def radon_complement(side, full_angles, acquired_angles):
     return NullSpaceBasis(S, "radon-complement", ortho, gram)
 
 
-def _complement_circulant(kernel, shape, anchor, method, H_op):
+def _complement_circulant(kernel, shape, anchor, method, measured_fraction):
+    """Circulant complement of a kernel, with its residuals in closed form.
+
+    S and the blur share the DFT: S has response S^ = 1 - K^, and H is the
+    convolution with response K^, decimated for SR.  Over the FFT bins
+    ||S H'||_F^2 = measured_fraction * sum |S^ K^|^2 and
+    ||S S' - I||_F^2 = sum (|S^|^2 - 1)^2.  Every column of a circulant has
+    the same norm, and a decimation keeps m / n of the columns of S H', so
+    `measured_fraction` is m / n (1 without decimation).
+    """
     kernel = np.asarray(kernel, dtype=float)
     if np.any(kernel < 0) or not np.isclose(kernel.sum(), 1.0):
         raise NullPriorError("kernel must be nonnegative and sum to 1")
     full = embed_kernel(kernel, shape, anchor)
     gen = -full
     gen.reshape(-1)[0] += 1.0  # complement response 1 - K(w) at every bin
-    S = CirculantConvOperator(shape, gen.reshape(-1) if gen.ndim == 1 else gen,
-                              anchor="start").to_dense()
-    ortho, gram = _residuals(S, op=H_op)
-    return NullSpaceBasis(S, method, ortho, gram)
+    S_op = CirculantConvOperator(shape, gen, anchor="start")
+    s_sq = np.abs(S_op.response) ** 2
+    ortho = np.sqrt(measured_fraction * np.sum(s_sq * np.abs(scipy.fft.fftn(full)) ** 2))
+    gram = np.sqrt(np.sum((s_sq - 1.0) ** 2))
+    return NullSpaceBasis(S_op, method, float(ortho), float(gram))
 
 
 def toeplitz_complement(kernel, shape, anchor="center"):
@@ -240,20 +254,17 @@ def toeplitz_complement(kernel, shape, anchor="center"):
     Rows follow the blur's shift structure but pass what the kernel attenuates,
     so they concentrate on the high frequencies the measurements lose.
     """
-    H_op = CirculantConvOperator(shape, kernel, anchor)
-    return _complement_circulant(kernel, shape, anchor, "toeplitz-complement", H_op)
+    return _complement_circulant(kernel, shape, anchor, "toeplitz-complement", 1.0)
 
 
 def sr_complement(kernel, factor, shape, anchor="center"):
     """Complement for decimated convolution, built from the low-pass kernel alone."""
-    shape_t = (int(shape),) if np.isscalar(shape) else tuple(shape)
+    shape_t = _as_shape(shape)
     factor = int(factor)
-    if any(s % factor for s in shape_t):
+    if factor < 1 or any(s % factor for s in shape_t):
         raise DimensionMismatchError(f"factor {factor} must divide every axis of {shape_t}")
-    from .operators import DecimatedConvOperator
-
-    H_op = DecimatedConvOperator(shape, kernel, factor, anchor)
-    return _complement_circulant(kernel, shape, anchor, "sr-complement", H_op)
+    return _complement_circulant(kernel, shape_t, anchor, "sr-complement",
+                                 1.0 / factor ** len(shape_t))
 
 
 def pseudoinverse(A):

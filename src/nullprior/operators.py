@@ -47,7 +47,11 @@ def _as_flat(x, n, what="input"):
 
 
 class LinearOperator:
-    """Base class: subclasses set .shape_in, .m, .m_eff and implement _apply/_apply_adjoint."""
+    """Base class: subclasses set .shape_in, .m, .m_eff and implement _apply/_apply_adjoint.
+
+    Both take one flat vector or a stack of them as the rows of a 2-D
+    array, and apply the operator to every vector in one call.
+    """
 
     shape_in = None  # (n,) or (h, w)
     m = None         # logical measurement count
@@ -66,14 +70,11 @@ class LinearOperator:
         return self._apply_adjoint(_as_flat(u, self.m_eff, "measurement"))
 
     def to_dense(self):
-        """Materialize the (m_eff, n) matrix by applying forward to basis vectors."""
+        """Materialize the (m_eff, n) matrix by applying the operator to blocks of unit vectors."""
         _check_dense_cap(self.n)
         out = np.empty((self.m_eff, self.n))
-        e = np.zeros(self.n)
-        for i in range(self.n):
-            e[i] = 1.0
-            out[:, i] = self._apply(e)
-            e[i] = 0.0
+        for start, rows in identity_chunks(self.n):
+            out[:, start:start + len(rows)] = self._apply(rows).T
         return out
 
     def spectral_norm(self, iters=200, tol=1e-10, seed=0):
@@ -128,11 +129,14 @@ class DenseOperator(LinearOperator):
         self.shape_in = (matrix.shape[1],)
         self.m = self.m_eff = matrix.shape[0]
 
+    # transposes make a stack of row vectors columns of one product; for a
+    # single vector they do nothing
+
     def _apply(self, x):
-        return self.matrix @ x
+        return (self.matrix @ x.T).T
 
     def _apply_adjoint(self, u):
-        return self.matrix.T @ u
+        return (self.matrix.T @ u.T).T
 
     def to_dense(self):
         return self.matrix.copy()
@@ -234,9 +238,6 @@ class MaskedFrequencyOperator(LinearOperator):
             self.m = len(self.kept)
             self.m_eff = len(self._sc_kept) + 2 * len(self._pair_kept)
 
-    # Both applications also take a stack of vectors along leading axes,
-    # transforming every vector in one call.
-
     def _apply(self, x):
         return self._gather(self._spectrum(x))
 
@@ -278,12 +279,18 @@ class MaskedFrequencyOperator(LinearOperator):
         x = scipy.fft.ifftn(spec.reshape(batch + self.shape_in), norm="ortho", axes=axes)
         return x.real.reshape(batch + (self.n,))
 
-    def to_dense(self):
-        _check_dense_cap(self.n)
-        out = np.empty((self.m_eff, self.n))
-        for start, rows in identity_chunks(self.n):
-            out[:, start:start + len(rows)] = self._apply(rows).T
-        return out
+    def support(self):
+        """Boolean mask over the full transform's flat bins that these rows span.
+
+        The kept DCT indices; for the DFT, each kept representative and its
+        conjugate partner, whose two bins the representative's real rows span.
+        """
+        mask = np.zeros(self.n, dtype=bool)
+        if self.transform == "dct":
+            mask[self._kept] = True
+        else:
+            mask[self._sc_kept] = mask[self._pair_kept] = mask[self._pair_partners] = True
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +324,28 @@ class CirculantConvOperator(LinearOperator):
     """Circular correlation y[i] = sum_j h[j] x[(i+j) mod n], i.e. H[i, i+j] = h[j].
 
     Circulant, hence diagonalized by the DFT; forward multiplies the spectrum
-    by conj(K), the adjoint by K, where K is the FFT of the embedded kernel.
+    by conj(K), the adjoint by K, where K (`response`) is the FFT of the
+    embedded kernel.  H'H has eigenvalues |K|^2, one per DFT bin.
     """
 
     def __init__(self, shape, kernel, anchor="start"):
         self.shape_in = _as_shape(shape)
         self.kernel_full = embed_kernel(kernel, self.shape_in, anchor)
-        self._spectrum = scipy.fft.fftn(self.kernel_full)
+        self.response = scipy.fft.fftn(self.kernel_full)
         self.m = self.m_eff = self.n
 
     def _apply(self, x):
-        spec = scipy.fft.fftn(x.reshape(self.shape_in))
-        return scipy.fft.ifftn(spec * np.conj(self._spectrum)).real.reshape(-1)
+        return self._filter(x, np.conj(self.response))
 
     def _apply_adjoint(self, u):
-        spec = scipy.fft.fftn(u.reshape(self.shape_in))
-        return scipy.fft.ifftn(spec * self._spectrum).real.reshape(-1)
+        return self._filter(u, self.response)
+
+    def _filter(self, x, response):
+        batch = x.shape[:-1]
+        axes = tuple(range(-len(self.shape_in), 0))
+        spec = scipy.fft.fftn(x.reshape(batch + self.shape_in), axes=axes)
+        out = scipy.fft.ifftn(spec * response, axes=axes)
+        return out.real.reshape(batch + (self.n,))
 
 
 class DecimatedConvOperator(LinearOperator):
@@ -348,17 +361,18 @@ class DecimatedConvOperator(LinearOperator):
         self.factor = factor
         self.shape_out = tuple(s // factor for s in shape)
         self.m = self.m_eff = int(np.prod(self.shape_out))
+        self._grid = (Ellipsis,) + tuple(slice(None, None, factor) for _ in shape)
 
     def _apply(self, x):
-        blurred = self._conv._apply(x).reshape(self.shape_in)
-        sl = tuple(slice(None, None, self.factor) for _ in self.shape_in)
-        return blurred[sl].reshape(-1)
+        batch = x.shape[:-1]
+        blurred = self._conv._apply(x).reshape(batch + self.shape_in)
+        return blurred[self._grid].reshape(batch + (self.m_eff,))
 
     def _apply_adjoint(self, u):
-        up = np.zeros(self.shape_in)
-        sl = tuple(slice(None, None, self.factor) for _ in self.shape_in)
-        up[sl] = u.reshape(self.shape_out)
-        return self._conv._apply_adjoint(up.reshape(-1))
+        batch = u.shape[:-1]
+        up = np.zeros(batch + self.shape_in)
+        up[self._grid] = u.reshape(batch + self.shape_out)
+        return self._conv._apply_adjoint(up.reshape(batch + (self.n,)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +415,10 @@ class RadonOperator(LinearOperator):
         self._At = _csr_in_order(cols, rows, wts, (self.n, self.m_eff))
 
     def _apply(self, x):
-        return self._A @ x
+        return (self._A @ x.T).T
 
     def _apply_adjoint(self, u):
-        return self._At @ u
+        return (self._At @ u.T).T
 
     def to_dense(self):
         _check_dense_cap(self.n)

@@ -293,6 +293,8 @@ def train_mmse(net, xs, operator, basis, epochs=200, lr=1e-3, batch_size=None,
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[0] == 0:
         raise NullPriorError("dataset is empty")
+    # targets come from the dense S (n <= 4096) even for an operator-backed
+    # basis: Adam amplifies last-bit changes in the targets over many steps
     S = as_basis(basis).matrix
     Y = np.array([operator.forward(x) for x in xs])
     rng = np.random.default_rng(seed)

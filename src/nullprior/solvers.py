@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft
 
 from .denoisers import denoise
-from .diagnostics import psnr_from_err_sq
+from .diagnostics import normal_spectrum, psnr_from_err_sq
 from .errors import NullPriorError
 from .nullspace import as_basis
 from .operators import power_iteration
@@ -345,19 +345,25 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
 
 
 def default_alpha(op, basis=None, gamma=0.0, safety=0.9, seed=0):
-    """0.9 over the spectral norm of H'H + gamma S'S, by power iteration.
+    """0.9 over the spectral norm of H'H + gamma S'S.
 
-    Warns if 300 iterations do not converge to 1e-12 relative.
+    The norm is the largest eigenvalue of the pair's structural spectrum
+    (`diagnostics.normal_spectrum`: masked DCT/DFT, blur and SR with their
+    complements) where there is one, else it comes from power iteration,
+    which warns if 300 iterations do not converge to 1e-12 relative.
     """
-    basis = as_basis(basis) if basis is not None else None
+    basis = as_basis(basis) if basis is not None and gamma > 0 else None
+    eig = normal_spectrum(op, basis, gamma)
+    if eig is not None:
+        lam = float(np.max(eig))
+    else:
+        def normal(vec):
+            w = op.adjoint(op.forward(vec))
+            if basis is not None:
+                w = w + gamma * basis.backproject(basis.project(vec))
+            return w
 
-    def normal(vec):
-        w = op.adjoint(op.forward(vec))
-        if basis is not None and gamma > 0:
-            w = w + gamma * basis.backproject(basis.project(vec))
-        return w
-
-    lam = power_iteration(normal, op.n, 300, 1e-12, seed, "default_alpha")
+        lam = power_iteration(normal, op.n, 300, 1e-12, seed, "default_alpha")
     if lam == 0.0:
         raise NullPriorError("operator is zero; cannot pick a step size")
     return safety / lam

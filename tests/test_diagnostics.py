@@ -7,10 +7,12 @@ from nullprior.denoisers import Identity, estimate_delta
 from nullprior.diagnostics import (
     compute_rho,
     compute_rho_exact,
+    compute_rho_spectral,
     detect_ciz,
     detect_ciz_rip_variant,
     estimate_ric,
     iterate_cloud_pairs,
+    normal_spectrum,
     psnr,
     penalty_decay_bound,
     decay_constants,
@@ -18,11 +20,22 @@ from nullprior.diagnostics import (
 )
 from nullprior.errors import NullPriorError
 from nullprior.experiments import build_problem, run
-from nullprior.nullspace import NullSpaceBasis, fourier_complement, qr_nullspace
+from nullprior.nullspace import (
+    NullSpaceBasis,
+    fourier_complement,
+    qr_nullspace,
+    sr_complement,
+    toeplitz_complement,
+)
 from nullprior.operators import (
+    CirculantConvOperator,
+    DecimatedConvOperator,
     DenseOperator,
     MaskedFrequencyOperator,
+    RadonOperator,
     ScaledOperator,
+    bilinear_kernel,
+    gaussian_kernel,
     lowpass_mask,
     random_mask,
 )
@@ -232,11 +245,6 @@ def _approximate_configs():
     oracle = {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}}
     solver = {"kind": "pnp_fista", "alpha": "auto", "gamma": 0.5, "iters": 15}
     return {
-        "toeplitz": {"problem": "blur", "seed": 2,
-                     "operator": {"shape": [8, 8], "kernel": {"kind": "gaussian",
-                                                              "sigma": 1.0, "radius": 2}},
-                     "basis": {"method": "toeplitz"}, "prior": oracle,
-                     "solver": solver, "noise": {"snr_db": None}},
         "radon": {"problem": "ct", "seed": 2,
                   "operator": {"side": 8, "full_angles": 12, "acquired": 4},
                   "basis": {"method": "radon"}, "prior": oracle,
@@ -255,6 +263,22 @@ def _approximate_configs():
     }
 
 
+def _structured_configs():
+    oracle = {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}}
+    solver = {"kind": "pnp_fista", "alpha": "auto", "gamma": 0.5, "iters": 15}
+    return {
+        "toeplitz": {"problem": "blur", "seed": 2,
+                     "operator": {"shape": [8, 8], "kernel": {"kind": "gaussian",
+                                                              "sigma": 1.0, "radius": 2}},
+                     "basis": {"method": "toeplitz"}, "prior": oracle,
+                     "solver": solver, "noise": {"snr_db": None}},
+        "sr": {"problem": "sr", "seed": 2,
+               "operator": {"shape": [12, 12], "factor": 3, "scale": 0.8},
+               "basis": {"method": "sr"}, "prior": oracle,
+               "solver": solver, "noise": {"snr_db": None}},
+    }
+
+
 class TestTheoryReportRho:
     @pytest.mark.parametrize("name", sorted(_approximate_configs()))
     def test_approximate_bases_keep_dense_rho(self, name, tmp_path):
@@ -262,14 +286,33 @@ class TestTheoryReportRho:
         report = run(cfg, out_dir=str(tmp_path))["theory"]
         pb = build_problem(cfg)
         basis = pb["basis"]
-        assert basis.method == {"toeplitz": "toeplitz-complement",
-                                "radon": "radon-complement",
+        assert basis.method == {"radon": "radon-complement",
                                 "scaled": "fourier-complement-scaled",
                                 "learned": "learned"}[name]
         expected = _dense_rho(report.delta_hat, report.alpha, pb["op"], basis,
                               report.gamma, report.ric_s)
         assert report.rho == expected.rho
         assert report.rho_squared_form == expected.rho_squared_form
+
+    @pytest.mark.parametrize("name", sorted(_structured_configs()))
+    def test_structured_bases_match_dense_rho(self, name, tmp_path):
+        cfg = _structured_configs()[name]
+        result = run(cfg, out_dir=str(tmp_path))
+        report = result["theory"]
+        pb = build_problem(cfg)
+        assert pb["basis"].method == f"{name}-complement"
+        dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
+                           report.gamma, report.ric_s)
+        for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
+            assert getattr(report, field) == pytest.approx(getattr(dense, field),
+                                                           rel=1e-12, abs=0.0)
+        # the constants measured through the operators match the dense products
+        pairs = iterate_cloud_pairs(result["trace_npn"].iterates, pb["x_star"])
+        weight = np.sqrt(report.gamma)
+        assert report.ric_s == pytest.approx(
+            estimate_ric(weight * pb["basis"].matrix, pairs), rel=1e-12)
+        assert report.ric_h == pytest.approx(estimate_ric(pb["op"].to_dense(), pairs),
+                                             rel=1e-12)
 
     def test_exact_basis_uses_closed_form(self, tmp_path):
         cfg = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
@@ -280,6 +323,92 @@ class TestTheoryReportRho:
                            report.gamma, report.ric_s)
         assert report.rho == pytest.approx(dense.rho, rel=1e-12, abs=0.0)
         assert report.rho >= dense.rho - 1e-14
+
+
+def _spectrum_cases():
+    blur_k1, blur_k2 = gaussian_kernel(2.0, ndim=1), gaussian_kernel(1.5, ndim=2)
+    blur_1d = CirculantConvOperator(48, blur_k1, "center")
+    blur_2d = CirculantConvOperator((16, 16), blur_k2, "center")
+    dct = MaskedFrequencyOperator((8, 8), lowpass_mask((8, 8), 16, "dct"), "dct")
+    dft = MaskedFrequencyOperator((8, 8), random_mask((8, 8), 12, 5, "dft"), "dft")
+
+    def sr(shape, factor, scale=1.0):
+        kernel = bilinear_kernel(factor, ndim=len(shape))
+        op = DecimatedConvOperator(shape, kernel, factor)
+        op = op if scale == 1.0 else ScaledOperator(op, scale)
+        return op, sr_complement(kernel, factor, shape)
+
+    return {
+        "blur-1d": (blur_1d, toeplitz_complement(blur_k1, 48)),
+        "blur-2d": (blur_2d, toeplitz_complement(blur_k2, (16, 16))),
+        "blur-2d-scaled": (ScaledOperator(blur_2d, 2.5), toeplitz_complement(blur_k2, (16, 16))),
+        "sr-1d-f2": sr((48,), 2),
+        "sr-1d-f3": sr((48,), 3),
+        "sr-2d-f2": sr((16, 16), 2),
+        "sr-2d-f3": sr((12, 18), 3),
+        "sr-2d-f2-scaled": sr((16, 16), 2, 0.37),
+        "dct": (dct, fourier_complement(dct)),
+        "dft": (dft, fourier_complement(dft)),
+        "dct-scaled": (ScaledOperator(dct, 0.37), fourier_complement(dct)),
+    }
+
+
+def _dense_normal_eigs(op, basis, gamma):
+    H = op.to_dense()
+    P = H.T @ H
+    if basis is not None:
+        P += gamma * basis.matrix.T @ basis.matrix
+    return np.linalg.eigvalsh(P)
+
+
+class TestNormalSpectrum:
+    @pytest.mark.parametrize("case", sorted(_spectrum_cases()))
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 30.0])
+    def test_matches_dense_eigvalsh(self, case, gamma):
+        op, basis = _spectrum_cases()[case]
+        eig = np.sort(normal_spectrum(op, basis, gamma))
+        dense = _dense_normal_eigs(op, basis, gamma)
+        assert eig.shape == (op.n,)
+        assert np.max(np.abs(eig - dense)) <= 1e-12 * dense[-1]
+
+    @pytest.mark.parametrize("case", sorted(_spectrum_cases()))
+    def test_operator_alone(self, case):
+        op, _ = _spectrum_cases()[case]
+        dense = _dense_normal_eigs(op, None, 0.0)
+        assert np.max(np.abs(np.sort(normal_spectrum(op)) - dense)) <= 1e-12 * dense[-1]
+
+    def test_unstructured_pairs_give_none(self):
+        blur, toeplitz = _spectrum_cases()["blur-2d"]
+        dct, fourier = _spectrum_cases()["dct"]
+        radon = RadonOperator(8, [0.0, 90.0])
+        cs = DenseOperator(np.random.default_rng(1).standard_normal((10, 36)))
+        assert normal_spectrum(radon) is None
+        assert normal_spectrum(cs, qr_nullspace(cs.matrix, 20, seed=0), 1.0) is None
+        # a dense, a rescaled, or another transform's basis on a structured H
+        dense = NullSpaceBasis(toeplitz.matrix, "learned", 0.0, 0.0)
+        assert normal_spectrum(blur, dense, 0.0) is None
+        assert normal_spectrum(dct, fourier.scaled(0.5), 1.0) is None
+        assert normal_spectrum(dct, toeplitz_complement(gaussian_kernel(1.0, ndim=2), (8, 8)),
+                               1.0) is None
+        sr_op, _ = _spectrum_cases()["sr-2d-f2"]
+        assert normal_spectrum(sr_op, fourier, 1.0) is None
+
+    @pytest.mark.parametrize("case", ["blur-1d", "blur-2d-scaled", "sr-2d-f3",
+                                      "sr-2d-f2-scaled"])
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 30.0])
+    @pytest.mark.parametrize("alpha", [0.02, 0.2, 0.9])
+    def test_spectral_rho_matches_dense(self, case, gamma, alpha):
+        op, basis = _spectrum_cases()[case]
+        spectral = compute_rho_spectral(0.1, alpha, op, basis, gamma, 0.2)
+        dense = _dense_rho(0.1, alpha, op, basis, gamma, 0.2)
+        for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
+            assert getattr(spectral, field) == pytest.approx(getattr(dense, field),
+                                                             rel=1e-12, abs=0.0)
+
+    def test_spectral_rho_rejects_unstructured_pair(self):
+        op, basis = _spectrum_cases()["blur-2d"]
+        with pytest.raises(NullPriorError):
+            compute_rho_spectral(0.0, 1.0, op, basis.scaled(0.5), 1.0, 0.0)
 
 
 class TestPenaltyDecayBound:

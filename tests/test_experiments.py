@@ -211,6 +211,29 @@ class TestRun:
         result = run(cfg, out_dir=str(tmp_path))
         assert result["summary"]["improvement_db"] > 0
 
+    @pytest.mark.parametrize("problem", ["blur", "sr", "mri"])
+    def test_128x128_run_writes_theory_past_dense_cap(self, tmp_path, problem):
+        # n = 16384: the theory report takes its norms from the pair's spectrum
+        operator = {
+            "blur": {"shape": [128, 128], "kernel": {"kind": "gaussian", "sigma": 1.5}},
+            "sr": {"shape": [128, 128], "factor": 2},
+            "mri": {"shape": [128, 128], "transform": "dct",
+                    "mask": {"kind": "lowpass", "count": 4096}},
+        }[problem]
+        cfg = {
+            "problem": problem, "seed": 4, "operator": operator,
+            "signal": {"kind": "bumps", "count": 5},
+            "basis": {"method": {"blur": "toeplitz", "sr": "sr", "mri": "fourier"}[problem]},
+            "prior": {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}},
+            "denoiser": {"kind": "gaussian", "sigma": 0.4},
+            "solver": {"kind": "pnp_fista", "alpha": "auto", "gamma": 0.1, "iters": 20},
+            "noise": {"snr_db": 20.0},
+        }
+        result = run(cfg, out_dir=str(tmp_path))
+        assert (tmp_path / "theory.txt").is_file()
+        assert np.isfinite(result["summary"]["rho"])
+        assert result["summary"]["improvement_db"] > 0
+
     @pytest.mark.parametrize("solver_kind,extra", [
         ("red_fista", {"lam": 0.2}),
         ("pnp_admm", {"rho": 1.0, "alpha": 1.0}),

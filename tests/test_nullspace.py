@@ -6,6 +6,7 @@ import scipy.fft
 
 from nullprior import experiments, nullspace
 from nullprior.errors import (
+    DimensionMismatchError,
     EmptyComplementError,
     InfeasibleDimensionError,
     RankDeficientError,
@@ -23,6 +24,8 @@ from nullprior.nullspace import (
     toeplitz_complement,
 )
 from nullprior.operators import (
+    CirculantConvOperator,
+    DecimatedConvOperator,
     DenseOperator,
     MaskedFrequencyOperator,
     RadonOperator,
@@ -30,6 +33,7 @@ from nullprior.operators import (
     all_representatives,
     bilinear_kernel,
     dft_real_rows,
+    embed_kernel,
     gaussian_kernel,
     lowpass_mask,
     random_mask,
@@ -412,13 +416,8 @@ class TestFourierComplementOperator:
 
 
 class TestDenseBackedBases:
-    @pytest.mark.parametrize("build", [
-        lambda: radon_complement(8, [0.0, 45.0, 90.0, 135.0], [0.0, 90.0]),
-        lambda: toeplitz_complement(gaussian_kernel(1.0, ndim=2), (8, 8)),
-        lambda: sr_complement(bilinear_kernel(2, ndim=2), 2, (8, 8)),
-    ])
-    def test_apply_is_the_dense_product(self, build):
-        basis = build()
+    def test_apply_is_the_dense_product(self):
+        basis = radon_complement(8, [0.0, 45.0, 90.0, 135.0], [0.0, 90.0])
         assert isinstance(basis.operator, DenseOperator)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(basis.n)
@@ -432,3 +431,69 @@ class TestDenseBackedBases:
         assert isinstance(basis.operator, DenseOperator)
         assert basis.matrix is basis.operator.matrix
         assert (basis.p, basis.n) == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Toeplitz and SR complements as circulant operators against dense rows
+# ---------------------------------------------------------------------------
+
+def circulant_rows(gen):
+    """Reference rows of the correlation S[i, i + j] = gen[j]: row i is gen rolled by i."""
+    axes = tuple(range(gen.ndim))
+    return np.array([np.roll(gen, idx, axis=axes).reshape(-1)
+                     for idx in np.ndindex(gen.shape)])
+
+
+def circulant_case(kind, shape, factor):
+    shape = tuple(shape)
+    if kind == "toeplitz":
+        kernel = gaussian_kernel(1.5, ndim=len(shape))
+        basis = toeplitz_complement(kernel, shape)
+        H = CirculantConvOperator(shape, kernel, "center").to_dense()
+    else:
+        kernel = bilinear_kernel(factor, ndim=len(shape))
+        basis = sr_complement(kernel, factor, shape)
+        H = DecimatedConvOperator(shape, kernel, factor).to_dense()
+    gen = -embed_kernel(kernel, shape, "center")
+    gen.reshape(-1)[0] += 1.0
+    return basis, circulant_rows(gen), H
+
+
+CIRCULANT_CASES = [("toeplitz", (48,), 1), ("toeplitz", (16, 16), 1),
+                   ("toeplitz", (15, 16), 1), ("sr", (48,), 3), ("sr", (16, 16), 2),
+                   ("sr", (12, 18), 3), ("sr", (16, 16), 4)]
+
+
+class TestCirculantComplementOperators:
+    @pytest.mark.parametrize("kind,shape,factor", CIRCULANT_CASES)
+    def test_project_matches_dense_rows(self, kind, shape, factor):
+        basis, S_ref, _ = circulant_case(kind, shape, factor)
+        assert isinstance(basis.operator, CirculantConvOperator)
+        assert (basis.p, basis.n) == S_ref.shape
+        np.testing.assert_allclose(basis.matrix, S_ref, rtol=0, atol=1e-15)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(basis.n)
+        c = rng.standard_normal(basis.p)
+        np.testing.assert_allclose(basis.project(x), S_ref @ x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(basis.backproject(c), S_ref.T @ c, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind,shape,factor", CIRCULANT_CASES)
+    def test_residuals_match_dense_formulas(self, kind, shape, factor):
+        basis, S_ref, H = circulant_case(kind, shape, factor)
+        ortho, gram = nullspace._residuals(S_ref, H_dense=H)
+        assert basis.ortho_to_H_residual == pytest.approx(ortho, rel=1e-12)
+        assert basis.row_gram_residual == pytest.approx(gram, rel=1e-12)
+
+    def test_sr_factor_must_be_positive(self):
+        with pytest.raises(DimensionMismatchError):
+            sr_complement(bilinear_kernel(2), -2, 16)
+
+    def test_past_dense_cap(self):
+        kernel = gaussian_kernel(1.5, ndim=2)
+        basis = toeplitz_complement(kernel, (128, 128))
+        x = np.random.default_rng(3).standard_normal(basis.n)
+        H = CirculantConvOperator((128, 128), kernel, "center")
+        # S + H' = I: the complement's response is 1 - K at every bin
+        np.testing.assert_allclose(basis.project(x) + H.adjoint(x), x, rtol=0, atol=1e-12)
+        with pytest.raises(SizeCapError):
+            basis.matrix

@@ -14,6 +14,7 @@ from nullprior.operators import (
     LinearOperator,
     MaskedFrequencyOperator,
     RadonOperator,
+    ScaledOperator,
     _radon_samples,
     all_representatives,
     bilinear_kernel,
@@ -374,3 +375,76 @@ class TestDftMatchesLoop:
         u[::5] = -0.0  # signed zeros take the same path as in the loop
         assert same_bits(op.forward(x), loop_dft_forward(op, x))
         assert same_bits(op.adjoint(u), loop_dft_adjoint(op, u))
+
+
+# ---------------------------------------------------------------------------
+# stacked applications and the batched to_dense
+# ---------------------------------------------------------------------------
+
+def column_loop_dense(op):
+    """Reference: the one-unit-vector-at-a-time loop to_dense ran before batching."""
+    out = np.empty((op.m_eff, op.n))
+    e = np.zeros(op.n)
+    for i in range(op.n):
+        e[i] = 1.0
+        out[:, i] = op._apply(e)
+        e[i] = 0.0
+    return out
+
+
+def close_product(a, b):
+    """BLAS sums a matrix product and a matrix-vector product in different orders."""
+    return a.shape == b.shape and np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
+
+
+def loop_circulant(op, x, adjoint=False):
+    """Reference: the single-vector circulant product before stacks."""
+    response = op.response if adjoint else np.conj(op.response)
+    spec = scipy.fft.fftn(x.reshape(op.shape_in))
+    return scipy.fft.ifftn(spec * response).real.reshape(-1)
+
+
+def stack_cases():
+    blur = {shape: CirculantConvOperator(shape, gaussian_kernel(1.5, ndim=len(shape)),
+                                         "center")
+            for shape in [(32, 32), (16, 16), (64, 64), (48,), (15, 16)]}
+    return {
+        **{f"blur-{'x'.join(map(str, shape))}": op for shape, op in blur.items()},
+        "sr-16x16-f2": DecimatedConvOperator((16, 16), bilinear_kernel(2, ndim=2), 2),
+        "sr-12x18-f3": DecimatedConvOperator((12, 18), bilinear_kernel(3, ndim=2), 3),
+        "sr-48-f3": DecimatedConvOperator(48, bilinear_kernel(3), 3),
+        "scaled-blur": ScaledOperator(blur[(16, 16)], 2.5),
+        "scaled-sr": ScaledOperator(DecimatedConvOperator((16, 16), bilinear_kernel(4, ndim=2), 4),
+                                    0.37),
+    }
+
+
+class TestStackedApply:
+    @pytest.mark.parametrize("name", sorted(stack_cases()))
+    def test_to_dense_bit_identical_to_column_loop(self, name):
+        op = stack_cases()[name]
+        assert same_bits(op.to_dense(), column_loop_dense(op))
+
+    @pytest.mark.parametrize("name", sorted(stack_cases()) + ["dense", "dct", "dft", "ct"])
+    def test_stack_matches_each_vector(self, name):
+        op = stack_cases()[name] if name in stack_cases() else sample_operators(2)[name]
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((5, op.n))
+        U = rng.standard_normal((5, op.m_eff))
+        fx, au = op._apply(X), op._apply_adjoint(U)
+        assert fx.shape == (5, op.m_eff) and au.shape == (5, op.n)
+        same = {"ct": same_product, "dense": close_product}.get(name, same_bits)
+        for i in range(5):
+            assert same(fx[i], op._apply(X[i]))
+            assert same(au[i], op._apply_adjoint(U[i]))
+
+    @pytest.mark.parametrize("shape", [(32, 32), (48,), (15, 16)])
+    def test_single_vector_circulant_unchanged(self, shape):
+        op = CirculantConvOperator(shape, gaussian_kernel(1.5, ndim=len(shape)), "center")
+        x = np.random.default_rng(7).standard_normal(op.n)
+        assert same_bits(op.forward(x), loop_circulant(op, x))
+        assert same_bits(op.adjoint(x), loop_circulant(op, x, adjoint=True))
+
+    def test_scaled_radon_densifies_through_stacks(self):
+        base = RadonOperator(8, [0.0, 33.3, 90.0])
+        assert same_bits(ScaledOperator(base, 0.5).to_dense(), 0.5 * base.to_dense())

@@ -1,13 +1,23 @@
 """Solver correctness: gradient pieces, reductions, oracles, trace invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft
 
+from nullprior import solvers
 from nullprior.denoisers import GaussianSmooth, Identity, TVChambolle
 from nullprior.errors import NullPriorError
-from nullprior.nullspace import qr_nullspace
-from nullprior.operators import DenseOperator, MaskedFrequencyOperator
+from nullprior.nullspace import qr_nullspace, sr_complement, toeplitz_complement
+from nullprior.operators import (
+    CirculantConvOperator,
+    DecimatedConvOperator,
+    DenseOperator,
+    MaskedFrequencyOperator,
+    bilinear_kernel,
+    gaussian_kernel,
+)
 from nullprior.phantoms import piecewise_signal, sparse_signal
 from nullprior.priors import OraclePrior, ZeroError
 from nullprior.solvers import (
@@ -106,6 +116,31 @@ class TestDefaultAlpha:
     def test_zero_operator_rejected(self):
         with pytest.raises(NullPriorError, match="operator is zero"):
             default_alpha(DenseOperator(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("problem,gamma", [("blur", 0.1), ("blur", 1.0),
+                                               ("blur", 30.0), ("sr", 0.5)])
+    def test_structured_pairs_exact_without_warning(self, problem, gamma, monkeypatch):
+        # the operators of the blur gamma sweep and of the SR config run,
+        # where 300 power-iteration steps did not converge
+        if problem == "blur":
+            kernel = gaussian_kernel(2.0, radius=5, ndim=2)
+            op = CirculantConvOperator((16, 16), kernel, "center")
+            basis = toeplitz_complement(kernel, (16, 16))
+        else:
+            kernel = bilinear_kernel(4, ndim=2)
+            op = DecimatedConvOperator((16, 16), kernel, 4)
+            basis = sr_complement(kernel, 4, (16, 16))
+
+        def no_power_iteration(*args, **kwargs):
+            raise AssertionError("power iteration used on a structured pair")
+
+        monkeypatch.setattr(solvers, "power_iteration", no_power_iteration)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = default_alpha(op, basis, gamma=gamma)
+        H, S = op.to_dense(), basis.matrix
+        lam = np.linalg.eigvalsh(H.T @ H + gamma * S.T @ S)[-1]
+        assert alpha == pytest.approx(0.9 / lam, rel=1e-13)
 
 
 class TestPnpFista:
