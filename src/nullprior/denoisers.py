@@ -127,23 +127,47 @@ def estimate_delta(denoiser, pairs):
     Returns max over pairs of ||D(x) - D(z)||^2 / ||x - z||^2 - 1, clipped at
     zero; pairs that coincide to float resolution (`resolution_floor`) are
     skipped.  This is a lower bound on the true constant, measured on the
-    supplied cloud only.
+    supplied cloud only.  A pair is (x, z), or (x, z, D(x), D(z)) with both
+    images already made (`iterate_cloud_images`).  Pairs are read one at a
+    time, so a generator holds only the pairs it has not yet yielded.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise NullPriorError("need at least one pair")
     worst = 0.0
-    used = 0
-    for x, z in pairs:
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
+    seen = used = 0
+    for pair in pairs:
+        seen += 1
+        x = np.asarray(pair[0], dtype=float)
+        z = np.asarray(pair[1], dtype=float)
         dist = np.linalg.norm(x - z)
         if dist <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
             continue
         dxz = dist ** 2
-        dd = np.linalg.norm(np.asarray(denoiser(x)) - np.asarray(denoiser(z))) ** 2
+        dx, dz = pair[2:] if len(pair) == 4 else (denoiser(x), denoiser(z))
+        dd = np.linalg.norm(np.asarray(dx) - np.asarray(dz)) ** 2
         worst = max(worst, dd / dxz - 1.0)
         used += 1
+    if seen == 0:
+        raise NullPriorError("need at least one pair")
     if used == 0:
         raise NullPriorError("all pairs coincide to float resolution")
     return max(worst, 0.0)
+
+
+def iterate_cloud_images(denoiser, iterates, x_star, x_star_image, shape):
+    """The pairs of `diagnostics.iterate_cloud_pairs`, each with both images.
+
+    Yields (a, b, D(a), D(b)) with points reshaped to `shape`: each iterate
+    against the one before it, then against x*, whose flat image
+    `x_star_image` the caller supplies.  Every iterate is denoised once,
+    and only the previous iterate's image is held; the order of the pairs
+    does not change a maximum over them.
+    """
+    x_star = np.asarray(x_star, dtype=float).reshape(shape)
+    star_image = np.asarray(x_star_image).reshape(shape)
+    prev = prev_image = None
+    for a in iterates:
+        a = np.asarray(a, dtype=float).reshape(shape)
+        image = np.asarray(denoiser(a))
+        if prev is not None:
+            yield prev, a, prev_image, image
+        yield a, x_star, image, star_image
+        prev, prev_image = a, image

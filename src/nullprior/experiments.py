@@ -401,9 +401,13 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
         H_dense = op.to_dense()
         ric_s = estimate_ric(S_eff, pairs)
         ric_h = estimate_ric(H_dense, pairs)
-    delta_hat = dn.estimate_delta(pb["denoiser"],
-                                  [(a.reshape(op.shape_in), b.reshape(op.shape_in))
-                                   for a, b in pairs]) if delta_pairs_denoiser else 0.0
+    # D(x*) serves the fixed-point check below and the x* pairs of delta
+    denoiser = pb["denoiser"]
+    dx = dn.denoise(denoiser, x_star, op.shape_in)
+    delta_hat = 0.0
+    if delta_pairs_denoiser:
+        delta_hat = dn.estimate_delta(denoiser, dn.iterate_cloud_images(
+            denoiser, trace.iterates, x_star, dx, op.shape_in))
     y = add_measurement_noise(op.forward(x_star), pb["snr_db"], pb["noise_seed"])
     err_norm = pb["error_norm_fn"](y)
     K = pb["prior_info"]["K"]
@@ -422,9 +426,6 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
         notes.append("nonzero prior error with K = 0 cannot be certified")
     # the contraction argument treats the truth as a fixed point of the full
     # map, which requires the denoiser to leave it unchanged
-    from .denoisers import denoise as _denoise
-
-    dx = _denoise(pb["denoiser"], x_star, op.shape_in)
     if np.linalg.norm(dx - x_star) > 1e-9 * (1.0 + xn):
         certified = False
         notes.append("ground truth is not a fixed point of the denoiser")

@@ -118,15 +118,17 @@ class OrthogonalityReport:
 
 def _residuals(S, op=None, H_dense=None):
     if H_dense is None and op is not None:
-        # ||S H^T||_F via forward applied to rows of S; avoids densifying H
-        SHt = np.array([op.forward(row) for row in S])
+        # ||S H^T||_F from one stacked application to the rows of S; avoids
+        # densifying H
+        SHt = op._apply(S)
     elif H_dense is not None:
         SHt = S @ H_dense.T
     else:
         raise NullPriorError("need an operator or a dense matrix")
     ortho = float(np.linalg.norm(SHt))
-    gram = float(np.linalg.norm(S @ S.T - np.eye(S.shape[0])))
-    return ortho, gram
+    gram = S @ S.T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return ortho, float(np.linalg.norm(gram))
 
 
 def qr_nullspace(H_dense, p, seed=0):

@@ -11,6 +11,7 @@ spectral norm estimate.
 All operators are immutable after construction; forward/adjoint are pure.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -59,7 +60,7 @@ class LinearOperator:
 
     @property
     def n(self):
-        return int(np.prod(self.shape_in))
+        return math.prod(self.shape_in)
 
     def forward(self, x):
         """Apply the operator to a signal (flat or shaped); returns a flat measurement."""
@@ -166,8 +167,11 @@ def canonical_representatives(indices, shape):
 
 
 def all_representatives(shape):
+    """Every conjugate-pair representative of a real-input DFT, ascending."""
     shape = _as_shape(shape)
-    return canonical_representatives(range(int(np.prod(shape))), shape)
+    idx = np.indices(shape).reshape(len(shape), -1)
+    partners = np.ravel_multi_index(tuple((-idx) % np.array(shape).reshape(-1, 1)), shape)
+    return np.unique(np.minimum(np.arange(partners.size), partners)).tolist()
 
 
 def _dct_matrix(n):
@@ -508,23 +512,24 @@ def bilinear_kernel(factor, ndim=1):
     return np.outer(g, g)
 
 
-def _freq_distance(flat_index, shape, wrapped):
-    idx = np.unravel_index(flat_index, shape)
+def _freq_distances(shape, wrapped):
+    """Distance of every flat frequency index from DC, in flat order."""
+    idx = np.indices(shape).reshape(len(shape), -1)
     if wrapped:  # DFT frequencies alias around the Nyquist rate
-        return np.sqrt(sum(min(k, s - k) ** 2 for k, s in zip(idx, shape)))
-    return np.sqrt(sum(k ** 2 for k in idx))
+        idx = np.minimum(idx, np.array(shape).reshape(-1, 1) - idx)
+    return np.sqrt(np.sum(idx ** 2, axis=0))
 
 
 def lowpass_mask(shape, count, transform="dct"):
-    """Indices of the `count` lowest frequencies (DCT) or representatives (DFT)."""
+    """Indices of the `count` lowest frequencies (DCT) or representatives (DFT).
+
+    Ordered by distance from DC, ties by index.
+    """
     shape = _as_shape(shape)
-    if transform == "dct":
-        pool = range(int(np.prod(shape)))
-        order = sorted(pool, key=lambda k: (_freq_distance(k, shape, False), k))
-        return order[:count]
-    reps = all_representatives(shape)
-    order = sorted(reps, key=lambda k: (_freq_distance(k, shape, True), k))
-    return order[:count]
+    wrapped = transform != "dct"
+    pool = np.array(all_representatives(shape)) if wrapped else np.arange(math.prod(shape))
+    dist = _freq_distances(shape, wrapped)[pool]
+    return pool[np.lexsort((pool, dist))][:count].tolist()
 
 
 def random_mask(shape, count, seed, transform="dct", include_dc=True):

@@ -13,6 +13,15 @@ to the dedicated no-penalty path.
 
 Each solve records a full per-iteration trace (squared errors, projected
 errors, penalty value, data residual, PSNR, per-step contraction ratio).
+
+The FISTA loop applies H and S once to each new iterate x and shares H x
+and S x with the trace.  The momentum point z = x + beta (x - x_prev) is
+affine in the iterates, so H z and S z are carried the same way instead of
+applied.  A penalized iteration costs five operator applications: H x,
+H'(H z - y), S x, S'(S z - g) and S (x - x*) for the projected error.  A
+baseline iteration costs four (no S'), or two without a basis.  ADMM
+applies H and S inside conjugate gradient and once more to each iterate
+for its trace.
 """
 
 import warnings
@@ -110,16 +119,35 @@ def subspace_grad(S, x, g):
 
 
 class _Recorder:
+    """Trace rows for one solve; the solver hands it H x and S x.
+
+    `products` applies H, and S when phi is recorded (a basis and g are
+    present), once per iterate; the loops reuse both.
+    """
+
     def __init__(self, op, y, config, basis, g):
         self.op = op
         self.y = y
         self.config = config
         self.basis = basis
         self.g = g
+        self.tracks_s = basis is not None and g is not None
         self.rows = []
         self.iterates = []
 
-    def add(self, ell, x):
+    def products(self, x):
+        """H x, and S x or None."""
+        return self.op.forward(x), (self.basis.project(x) if self.tracks_s else None)
+
+    def start(self):
+        """Record the zero initialization; H 0 = 0 and S 0 = 0 need no application."""
+        x = np.zeros(self.op.n)
+        h = np.zeros(self.op.m_eff)
+        s = np.zeros(self.basis.p) if self.tracks_s else None
+        self.add(0, x, h, s)
+        return x, h, s
+
+    def add(self, ell, x, h, s):
         x_star = self.config.x_star
         n = self.op.n
         if x_star is not None:
@@ -135,12 +163,12 @@ class _Recorder:
             proj_err_sq = float(pe @ pe)
         else:
             proj_err_sq = np.nan
-        if self.basis is not None and self.g is not None:
-            r = self.g - self.basis.project(x)
+        if s is not None:
+            r = self.g - s
             phi = float(r @ r)
         else:
             phi = np.nan
-        res = self.op.forward(x) - self.y
+        res = h - self.y
         self.rows.append((ell, err_sq, proj_err_sq, phi, float(res @ res), psnr))
         self.iterates.append(x.copy())
 
@@ -187,33 +215,37 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
     y = np.asarray(y, dtype=float).reshape(-1)
     basis, g, active = _prepare_prior(basis, prior, y, config.gamma)
     rec = _Recorder(op, y, config, basis, g)
-    n = op.n
-    x_prev = np.zeros(n)
-    z = np.zeros(n)
+    x_prev, h_prev, s_prev = rec.start()
+    # z, H z and S z; the momentum point is affine in the iterates, so
+    # H z and S z follow from the H x and S x the trace records
+    z, hz, sz = x_prev, h_prev, s_prev
     t = 1.0
-    rec.add(0, x_prev)
     diverged = False
     flags = []
     for ell in range(1, config.iters + 1):
-        grad = grad_fidelity(op, z, y)
+        grad = op.adjoint(hz - y)
         if active:
-            grad = grad + config.gamma * basis.backproject(basis.project(z) - g)
+            grad = grad + config.gamma * basis.backproject(sz - g)
         v = z - config.alpha * grad
         v = gradient_extra(v, z)
         x = prox(v)
+        h, s = rec.products(x)
         t_prime = t
         t = (1.0 + np.sqrt(1.0 + 4.0 * t_prime * t_prime)) / 2.0
         if config.momentum == "fista":
-            z_new = x + ((t_prime - 1.0) / t) * (x - x_prev)
+            beta = (t_prime - 1.0) / t
+            z_new = x + beta * (x - x_prev)
+            hz_new = h + beta * (h - h_prev)
+            sz_new = None if s is None else s + beta * (s - s_prev)
         else:
-            z_new = x
+            z_new, hz_new, sz_new = x, h, s
         if config.restart == "fista-momentum" and ell > 1:
             if float((z - x) @ (x - x_prev)) > 0.0:
                 t = 1.0
-                z_new = x.copy()
-        z = z_new
-        x_prev = x
-        rec.add(ell, x)
+                z_new, hz_new, sz_new = x, h, s
+        z, hz, sz = z_new, hz_new, sz_new
+        x_prev, h_prev, s_prev = x, h, s
+        rec.add(ell, x, h, s)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
             diverged = True
             flags.append(f"diverged at iteration {ell}")
@@ -308,7 +340,6 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
     y = np.asarray(y, dtype=float).reshape(-1)
     basis, g, active = _prepare_prior(basis, prior, y, config.gamma)
     rec = _Recorder(op, y, config, basis, g)
-    n = op.n
     shape = op.shape_in
     rho = config.rho
 
@@ -322,10 +353,9 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
     if active:
         rhs_fixed = rhs_fixed + config.gamma * basis.backproject(g)
 
-    x = np.zeros(n)
-    v = np.zeros(n)
-    u = np.zeros(n)
-    rec.add(0, x)
+    x = rec.start()[0]
+    v = np.zeros(op.n)
+    u = np.zeros(op.n)
     diverged = False
     flags = []
     for ell in range(1, config.iters + 1):
@@ -336,7 +366,7 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
             warnings.warn(flags[-1], RuntimeWarning)
         v = denoise(denoiser, x + u, shape)
         u = u + x - v
-        rec.add(ell, x)
+        rec.add(ell, x, *rec.products(x))
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
             diverged = True
             flags.append(f"diverged at iteration {ell}")

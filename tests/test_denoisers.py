@@ -12,8 +12,10 @@ from nullprior.denoisers import (
     TransformSoftThreshold,
     denoise,
     estimate_delta,
+    iterate_cloud_images,
     total_variation,
 )
+from nullprior.diagnostics import iterate_cloud_pairs
 from nullprior.errors import NullPriorError
 
 
@@ -116,3 +118,59 @@ def test_denoise_reshapes_flat_vectors():
     assert out.shape == (36,)
     ref = GaussianSmooth(1.0)(x.reshape(6, 6)).reshape(-1)
     np.testing.assert_array_equal(out, ref)
+
+
+class _Counted:
+    def __init__(self, denoiser):
+        self.denoiser = denoiser
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.denoiser(x)
+
+
+def _converging_cloud(shape, count, seed):
+    """Iterates closing in on x*, ending with a repeat and with x* itself."""
+    rng = np.random.default_rng(seed)
+    x_star = rng.random(shape).reshape(-1)
+    iterates = [np.zeros(x_star.size)]
+    for k in range(count):
+        iterates.append(x_star + 0.6 ** k * rng.standard_normal(x_star.size))
+    iterates += [iterates[-1].copy(), x_star.copy()]
+    return iterates, x_star
+
+
+CLOUD_DENOISERS = [GaussianSmooth(0.6), TVChambolle(0.05), TransformSoftThreshold(0.02),
+                   Median(3), Identity()]
+
+
+class TestIterateCloudImages:
+    @pytest.mark.parametrize("shape", [(8, 8), (30,)])
+    @pytest.mark.parametrize("denoiser", CLOUD_DENOISERS, ids=lambda d: type(d).__name__)
+    def test_delta_bits_and_one_call_per_point(self, denoiser, shape):
+        # stretched by 1.5, so the maximum is not clipped to zero
+        base = denoiser
+        denoiser = lambda x: 1.5 * base(x)  # noqa: E731
+        iterates, x_star = _converging_cloud(shape, 25, seed=12)
+        pairs = iterate_cloud_pairs(iterates, x_star)
+        reference = estimate_delta(denoiser, [(a.reshape(shape), b.reshape(shape))
+                                              for a, b in pairs])
+        counted = _Counted(denoiser)
+        image = denoise(denoiser, x_star, shape)
+        delta = estimate_delta(counted, iterate_cloud_images(counted, iterates, x_star,
+                                                             image, shape))
+        assert delta == reference > 0.0
+        assert counted.calls == len(iterates)
+
+    def test_pairs_match_iterate_cloud_pairs(self):
+        iterates, x_star = _converging_cloud((4, 4), 5, seed=13)
+        got = sorted((a.tobytes(), b.tobytes()) for a, b, _, _ in
+                     iterate_cloud_images(Identity(), iterates, x_star, x_star, (4, 4)))
+        want = sorted((a.tobytes(), b.tobytes()) for a, b in
+                      iterate_cloud_pairs(iterates, x_star))
+        assert got == want
+
+    def test_generator_without_pairs_rejected(self):
+        with pytest.raises(NullPriorError, match="at least one pair"):
+            estimate_delta(Identity(), iter([]))

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
+from nullprior import experiments
 from nullprior.cli import main as cli_main
+from nullprior.denoisers import estimate_delta
+from nullprior.diagnostics import iterate_cloud_pairs
 from nullprior.errors import ConfigError
 from nullprior.experiments import (
     add_measurement_noise,
@@ -107,6 +110,27 @@ class TestRun:
                      "summary.csv"):
             assert (tmp_path / name).exists()
         assert result["summary"]["psnr_npn"] > result["summary"]["psnr_baseline"]
+
+    @pytest.mark.parametrize("denoiser", [{"kind": "median", "window": 3},
+                                          {"kind": "tv", "weight": 0.05, "iters": 10}])
+    def test_theory_delta_denoises_each_point_once(self, denoiser, tmp_path,
+                                                   monkeypatch):
+        cfg = theory_config(denoiser=denoiser)
+        result = run(cfg, out_dir=str(tmp_path))
+        pb = build_problem(cfg)
+        trace, shape = result["trace_npn"], pb["op"].shape_in
+        pairs = iterate_cloud_pairs(trace.iterates, pb["x_star"])
+        reference = estimate_delta(pb["denoiser"], [(a.reshape(shape), b.reshape(shape))
+                                                    for a, b in pairs])
+        assert result["theory"].delta_hat == reference
+        cls = type(pb["denoiser"])
+        calls = []
+        original = cls.__call__
+        monkeypatch.setattr(cls, "__call__",
+                            lambda self, x: calls.append(1) or original(self, x))
+        assert experiments._theory_report(pb, trace).delta_hat == reference
+        # each iterate once, and x* once for the fixed-point check and delta
+        assert len(calls) == len(trace.iterates) + 1
 
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

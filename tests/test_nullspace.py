@@ -143,6 +143,19 @@ class TestRadonComplement:
         basis = radon_complement(8, [0.0, 90.0], [0.0])
         assert basis.ortho_to_H_residual > 0.0
 
+    @pytest.mark.parametrize("side,count,acquired", [(8, 15, 5), (16, 30, 10)])
+    def test_residuals_match_row_loop(self, side, count, acquired):
+        # the row-by-row forward and explicit identity the residuals used
+        # before one stacked application: gram bits kept, ortho to 1e-14
+        full = [180.0 * k / count for k in range(count)]
+        basis = radon_complement(side, full, full[:acquired])
+        S = basis.matrix
+        op = RadonOperator(side, full[:acquired])
+        ortho = np.linalg.norm(np.array([op.forward(row) for row in S]))
+        gram = np.linalg.norm(S @ S.T - np.eye(S.shape[0]))
+        assert basis.row_gram_residual == gram
+        assert basis.ortho_to_H_residual == pytest.approx(ortho, rel=1e-14, abs=0.0)
+
     def test_empty(self):
         with pytest.raises(EmptyComplementError):
             radon_complement(8, [0.0], [0.0])

@@ -244,6 +244,44 @@ class TestKernels:
         assert reps[0] == 0
 
 
+def _loop_freq_distance(flat_index, shape, wrapped):
+    idx = np.unravel_index(flat_index, shape)
+    if wrapped:
+        return np.sqrt(sum(min(k, s - k) ** 2 for k, s in zip(idx, shape)))
+    return np.sqrt(sum(k ** 2 for k in idx))
+
+
+def _loop_representatives(shape):
+    return sorted({min(k, conjugate_partner(k, shape)) for k in range(int(np.prod(shape)))})
+
+
+def _loop_lowpass_mask(shape, count, transform):
+    # the per-element sort lowpass_mask ran before it was vectorized
+    wrapped = transform == "dft"
+    pool = _loop_representatives(shape) if wrapped else range(int(np.prod(shape)))
+    return sorted(pool, key=lambda k: (_loop_freq_distance(k, shape, wrapped), k))[:count]
+
+
+class TestVectorizedMasks:
+    SHAPES = [(64, 64), (15, 16), (9,), (7, 9)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_representatives_match_loop(self, shape):
+        reps = all_representatives(shape)
+        assert reps == _loop_representatives(shape)
+        assert all(type(k) is int for k in reps)
+
+    @pytest.mark.parametrize("transform", ["dct", "dft"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_lowpass_mask_matches_loop_ties_included(self, shape, transform):
+        pool = (int(np.prod(shape)) if transform == "dct"
+                else len(_loop_representatives(shape)))
+        for count in sorted({1, 2, 3, pool // 4, pool // 2, pool - 1, pool} - {0}):
+            mask = lowpass_mask(shape, count, transform)
+            assert mask == _loop_lowpass_mask(shape, count, transform)
+            assert all(type(k) is int for k in mask)
+
+
 # ---------------------------------------------------------------------------
 # loop references for the precomputed Radon matrix and the vectorized DFT path
 # ---------------------------------------------------------------------------

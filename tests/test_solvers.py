@@ -1,6 +1,8 @@
 """Solver correctness: gradient pieces, reductions, oracles, trace invariants."""
 
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +11,22 @@ import scipy.fft
 from nullprior import solvers
 from nullprior.denoisers import GaussianSmooth, Identity, TVChambolle
 from nullprior.errors import NullPriorError
-from nullprior.nullspace import qr_nullspace, sr_complement, toeplitz_complement
+from nullprior.nullspace import (
+    NullSpaceBasis,
+    fourier_complement,
+    qr_nullspace,
+    sr_complement,
+    toeplitz_complement,
+)
 from nullprior.operators import (
     CirculantConvOperator,
     DecimatedConvOperator,
     DenseOperator,
+    LinearOperator,
     MaskedFrequencyOperator,
     bilinear_kernel,
     gaussian_kernel,
+    lowpass_mask,
 )
 from nullprior.phantoms import piecewise_signal, sparse_signal
 from nullprior.priors import OraclePrior, ZeroError
@@ -426,3 +436,133 @@ class TestTraceInvariants:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "iter,err_sq,proj_err_sq,phi,data_res_sq,psnr,ratio,in_ciz"
+
+
+# ---------------------------------------------------------------------------
+# carried H z and S z against the loop that applied H and S to every z
+# ---------------------------------------------------------------------------
+
+def _applying_fista_solve(op, y, config, basis, prior, gradient_extra, prox):
+    # the loop before H z and S z were carried: H and S applied to every
+    # momentum point, and H x, S x applied again for the trace
+    y = np.asarray(y, dtype=float).reshape(-1)
+    basis, g, active = solvers._prepare_prior(basis, prior, y, config.gamma)
+    rec = solvers._Recorder(op, y, config, basis, g)
+    x_prev = np.zeros(op.n)
+    z = np.zeros(op.n)
+    t = 1.0
+    rec.add(0, x_prev, *rec.products(x_prev))
+    for ell in range(1, config.iters + 1):
+        grad = grad_fidelity(op, z, y)
+        if active:
+            grad = grad + config.gamma * basis.backproject(basis.project(z) - g)
+        v = z - config.alpha * grad
+        v = gradient_extra(v, z)
+        x = prox(v)
+        t_prime = t
+        t = (1.0 + np.sqrt(1.0 + 4.0 * t_prime * t_prime)) / 2.0
+        if config.momentum == "fista":
+            z_new = x + ((t_prime - 1.0) / t) * (x - x_prev)
+        else:
+            z_new = x
+        if config.restart == "fista-momentum" and ell > 1:
+            if float((z - x) @ (x - x_prev)) > 0.0:
+                t = 1.0
+                z_new = x.copy()
+        z = z_new
+        x_prev = x
+        rec.add(ell, x, *rec.products(x))
+    return x_prev, rec.finish(False, [])
+
+
+def _carry_problem(kind):
+    rng = np.random.default_rng(11)
+    shape = (16, 16)
+    if kind in ("mri-dct", "mri-dft"):
+        transform = kind[4:]
+        op = MaskedFrequencyOperator(shape, lowpass_mask(shape, 60, transform), transform)
+        basis = fourier_complement(op)
+    elif kind == "blur":
+        kernel = gaussian_kernel(1.5, ndim=2)
+        op = CirculantConvOperator(shape, kernel, "center")
+        basis = toeplitz_complement(kernel, shape)
+    elif kind == "sr":
+        kernel = bilinear_kernel(2, ndim=2)
+        op = DecimatedConvOperator(shape, kernel, 2)
+        basis = sr_complement(kernel, 2, shape)
+    else:
+        op, basis, _, _ = cs_problem(n=36, m=12, seed=9)
+        shape = op.shape_in
+    x_star = GaussianSmooth(1.0)(rng.random(shape)).reshape(-1)
+    y = op.forward(x_star) + 0.01 * rng.standard_normal(op.m_eff)
+    g = basis.project(x_star) + 0.01 * rng.standard_normal(basis.p)
+    return op, basis, x_star, y, lambda yy: g
+
+
+def _carry_solve(variant, op, y, config, basis, prior):
+    if variant == "red":
+        return solve_red_fista(op, y, TVChambolle(0.05), replace(config, lam=0.2),
+                               basis, prior)
+    if variant == "sparsity":
+        return solve_fista_sparsity(op, y, config, basis, prior, tau=1e-3)
+    config = {"none": replace(config, momentum="none"),
+              "restart": replace(config, restart="fista-momentum")}.get(variant, config)
+    return solve_pnp_fista(op, y, GaussianSmooth(0.5), config, basis, prior)
+
+
+def _max_rel_gap(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+    a, b = a[~np.isnan(b)], b[~np.isnan(b)]
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+CARRY_PROBLEMS = ["mri-dct", "mri-dft", "blur", "sr", "cs"]
+CARRY_VARIANTS = ["fista", "none", "restart", "red", "sparsity"]
+TRACE_COLUMNS = ("err_sq", "proj_err_sq", "phi", "data_res_sq", "psnr", "ratio", "step_sq")
+
+
+class TestCarriedImages:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("variant", CARRY_VARIANTS)
+    @pytest.mark.parametrize("kind", CARRY_PROBLEMS)
+    def test_matches_applying_loop(self, kind, variant, gamma, monkeypatch):
+        op, basis, x_star, y, prior = _carry_problem(kind)
+        config = SolverConfig(alpha=default_alpha(op, basis, gamma), gamma=gamma,
+                              iters=60, x_star=x_star)
+        x_new, tr_new = _carry_solve(variant, op, y, config, basis, prior)
+        monkeypatch.setattr(solvers, "_fista_solve", _applying_fista_solve)
+        x_ref, tr_ref = _carry_solve(variant, op, y, config, basis, prior)
+        assert np.linalg.norm(x_new - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        for a, b in zip(tr_new.iterates, tr_ref.iterates):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(x_ref)
+        for column in TRACE_COLUMNS:
+            assert _max_rel_gap(getattr(tr_new, column), getattr(tr_ref, column)) <= 1e-12
+
+    @pytest.mark.parametrize("gamma,backprojections", [(0.0, 0), (0.5, 1)])
+    def test_one_application_each_per_iteration(self, gamma, backprojections,
+                                                monkeypatch):
+        op, basis, x_star, y, prior = _carry_problem("mri-dct")
+        config = SolverConfig(alpha=default_alpha(op, basis, gamma), gamma=gamma,
+                              iters=25, x_star=x_star)
+        counts = Counter()
+
+        def spy(owner, name):
+            method = getattr(owner, name)
+
+            def counted(self, *args):
+                counts[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((LinearOperator, "forward"), (LinearOperator, "adjoint"),
+                            (NullSpaceBasis, "project"), (NullSpaceBasis, "backproject")):
+            spy(owner, name)
+        solve_pnp_fista(op, y, GaussianSmooth(0.5), config, basis, prior)
+        iters = config.iters
+        assert counts["forward"] == iters
+        assert counts["adjoint"] == iters
+        # S x, and S (x - x*) for every row of the trace including the start
+        assert counts["project"] == 2 * iters + 1
+        assert counts["backproject"] == backprojections * iters
