@@ -28,14 +28,31 @@ class Identity(Denoiser):
 
 
 class GaussianSmooth(Denoiser):
-    """Circular Gaussian smoothing; a nonnexpansive averaging filter."""
+    """Circular Gaussian smoothing; a nonnexpansive averaging filter.
+
+    Bit-identical to `scipy.ndimage.gaussian_filter(x, sigma, mode="wrap")`:
+    the 1-D weights are made once, as `gaussian_filter1d` makes them
+    (radius int(4 sigma + 0.5), normalized, reversed for correlation), and
+    each call correlates along every axis in turn.  A sigma of at most
+    1e-15 leaves the input unchanged, as `gaussian_filter` does.
+    """
 
     def __init__(self, sigma):
         self.sigma = float(sigma)
+        self._weights = None
+        if self.sigma > 1e-15:
+            radius = int(4.0 * self.sigma + 0.5)
+            t = np.arange(-radius, radius + 1)
+            w = np.exp(-0.5 / (self.sigma * self.sigma) * t ** 2)
+            self._weights = (w / w.sum())[::-1]
 
     def __call__(self, x):
-        return scipy.ndimage.gaussian_filter(np.asarray(x, dtype=float),
-                                             self.sigma, mode="wrap")
+        x = np.asarray(x, dtype=float)
+        if self._weights is None:
+            return scipy.ndimage.gaussian_filter(x, self.sigma, mode="wrap")
+        for axis in range(x.ndim):
+            x = scipy.ndimage.correlate1d(x, self._weights, axis, mode="wrap")
+        return x
 
 
 class TransformSoftThreshold(Denoiser):

@@ -68,11 +68,13 @@ def estimate_ric(M, pairs):
 
     Returns max over pairs of | ||M(x-z)||^2 / ||x-z||^2 - 1 |, skipping
     pairs that coincide to float resolution (`resolution_floor`).  M may be
-    a matrix or a callable.
+    a matrix or a callable.  A callable that returns a tuple of images
+    (say (S d, H d) from one `OperatorPair` application) measures one
+    constant per element, on the same pairs, and a tuple of them is
+    returned.
     """
     apply_M = M if callable(M) else (lambda v, _M=np.asarray(M, float): _M @ v)
-    worst = 0.0
-    used = 0
+    worst = None
     for x, z in pairs:
         x = np.asarray(x, dtype=float).reshape(-1)
         z = np.asarray(z, dtype=float).reshape(-1)
@@ -81,11 +83,13 @@ def estimate_ric(M, pairs):
         if np.sqrt(dd) <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
             continue
         md = apply_M(d)
-        worst = max(worst, abs(float(md @ md) / dd - 1.0))
-        used += 1
-    if used == 0:
+        images = md if isinstance(md, tuple) else (md,)
+        if worst is None:
+            worst = [0.0] * len(images)
+        worst = [max(w, abs(float(v @ v) / dd - 1.0)) for w, v in zip(worst, images)]
+    if worst is None:
         raise NullPriorError("all sample pairs coincide to float resolution")
-    return worst
+    return tuple(worst) if isinstance(md, tuple) else worst[0]
 
 
 def iterate_cloud_pairs(iterates, x_star=None):

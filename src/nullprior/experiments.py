@@ -392,15 +392,20 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
     if dense and op.n > DENSE_CAP:
         raise NullPriorError("theory report needs n <= 4096 for a "
                              f"{basis.method!r} basis")
-    pairs = iterate_cloud_pairs(trace.iterates, x_star)
+    # S d and H d from one pair application per difference
     if not dense:
-        ric_s = estimate_ric(lambda v: weight * basis.project(v), pairs)
-        ric_h = estimate_ric(op.forward, pairs)
+        pair = basis.pair(op)
+
+        def images(v):
+            h, s = pair.forward(v)
+            return weight * s, h
     else:
         S_eff = weight * basis.matrix
         H_dense = op.to_dense()
-        ric_s = estimate_ric(S_eff, pairs)
-        ric_h = estimate_ric(H_dense, pairs)
+
+        def images(v):
+            return S_eff @ v, H_dense @ v
+    ric_s, ric_h = estimate_ric(images, iterate_cloud_pairs(trace.iterates, x_star))
     # D(x*) serves the fixed-point check below and the x* pairs of delta
     denoiser = pb["denoiser"]
     dx = dn.denoise(denoiser, x_star, op.shape_in)

@@ -93,12 +93,68 @@ class NullSpaceBasis:
     def backproject(self, coeffs):
         return self.operator._apply_adjoint(_as_flat(coeffs, self.p, "coefficients"))
 
+    def pair(self, op):
+        """The stacked pair [H; S] for sensing operator `op` (an `OperatorPair`)."""
+        return OperatorPair(op, self)
+
     def scaled(self, factor):
         """Rescaled dense copy (used by the contraction-rate experiments)."""
         mat = float(factor) * self.matrix
         return NullSpaceBasis(mat, f"{self.method}-scaled",
                               abs(factor) * self.ortho_to_H_residual,
                               float(np.linalg.norm(mat @ mat.T - np.eye(self.p))))
+
+
+class OperatorPair:
+    """A sensing operator H and a basis S applied together.
+
+    `forward(x)` gives (H x, S x) and `adjoint(u, w, gamma)` gives
+    H'u + gamma S'w.  When H (or a scaled wrapper around it) and S are
+    masks of one transform on one shape with disjoint supports, as for a
+    Fourier complement, [H; S] are rows of one orthonormal transform
+    (the masked-Fourier model of Lustig, Donoho & Pauly, "Sparse MRI",
+    MRM 2007): H x and S x come from one spectrum, bit-equal to applying
+    each, and both transposes scatter into one spectrum for one inverse
+    transform.  Any other pair applies H and S separately, as `op.forward`
+    and `basis.project` do.  Which way is chosen once, here, so a solve
+    builds its pair once and makes every product through it.
+    """
+
+    def __init__(self, op, basis):
+        self.op = op
+        self.basis = basis
+        self._shared = _shared_masks(op, basis.operator)
+
+    def forward(self, x):
+        """(H x, S x)."""
+        if self._shared is None:
+            return self.op.forward(x), self.basis.project(x)
+        H, scale, S = self._shared
+        spec = H._spectrum(_as_flat(x, H.n, "signal"))
+        h = H._gather(spec)
+        return (h if scale is None else scale * h), S._gather(spec)
+
+    def adjoint(self, u, w, gamma):
+        """H'u + gamma S'w."""
+        if self._shared is None:
+            return self.op.adjoint(u) + gamma * self.basis.backproject(w)
+        H, scale, S = self._shared
+        u = _as_flat(u, H.m_eff, "measurement")
+        spec = H._scatter(u if scale is None else scale * u)
+        S._scatter(gamma * _as_flat(w, S.m_eff, "coefficients"), spec)
+        return H._inverse(spec)
+
+
+def _shared_masks(op, S_op):
+    """(H, scale or None, S) when op and S_op are disjoint masks of one transform, else None."""
+    H, scale = (op.base, op.scale) if isinstance(op, ScaledOperator) else (op, None)
+    if not (isinstance(H, MaskedFrequencyOperator) and isinstance(S_op, MaskedFrequencyOperator)):
+        return None
+    if (H.transform, H.shape_in) != (S_op.transform, S_op.shape_in):
+        return None
+    if np.any(H.support() & S_op.support()):
+        return None
+    return H, scale, S_op
 
 
 def as_basis(S):

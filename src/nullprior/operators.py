@@ -151,27 +151,27 @@ def _as_shape(shape):
     return (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
 
 
+def conjugate_partners(indices, shape):
+    """Flat indices of the mirrored (negated) frequencies of a real-input DFT, elementwise."""
+    shape = _as_shape(shape)
+    idx = np.unravel_index(np.asarray(indices, dtype=np.intp), shape)
+    return np.ravel_multi_index(tuple((-k) % s for k, s in zip(idx, shape)), shape)
+
+
 def conjugate_partner(flat_index, shape):
     """Flat index of the mirrored (negated) frequency for a real-input DFT."""
-    shape = _as_shape(shape)
-    idx = np.unravel_index(flat_index, shape)
-    mirrored = tuple((-k) % s for k, s in zip(idx, shape))
-    return int(np.ravel_multi_index(mirrored, shape))
+    return int(conjugate_partners(flat_index, shape))
 
 
 def canonical_representatives(indices, shape):
     """Map DFT frequency indices to conjugate-pair representatives, deduped and sorted."""
-    shape = _as_shape(shape)
-    reps = {min(int(k), conjugate_partner(int(k), shape)) for k in indices}
-    return sorted(reps)
+    k = np.asarray(indices, dtype=np.intp).reshape(-1)
+    return np.unique(np.minimum(k, conjugate_partners(k, shape))).tolist()
 
 
 def all_representatives(shape):
     """Every conjugate-pair representative of a real-input DFT, ascending."""
-    shape = _as_shape(shape)
-    idx = np.indices(shape).reshape(len(shape), -1)
-    partners = np.ravel_multi_index(tuple((-idx) % np.array(shape).reshape(-1, 1)), shape)
-    return np.unique(np.minimum(np.arange(partners.size), partners)).tolist()
+    return canonical_representatives(np.arange(math.prod(_as_shape(shape))), shape)
 
 
 def _dct_matrix(n):
@@ -232,7 +232,7 @@ class MaskedFrequencyOperator(LinearOperator):
         else:
             self.kept = canonical_representatives(kept, self.shape_in)
             reps = np.array(self.kept)
-            partners = np.array([conjugate_partner(k, self.shape_in) for k in self.kept])
+            partners = conjugate_partners(reps, self.shape_in)
             selfconj = partners == reps
             # output slot of each kept frequency: one row if self-conjugate, else two
             slots = np.concatenate(([0], np.cumsum(np.where(selfconj, 1, 2))[:-1]))
@@ -268,20 +268,37 @@ class MaskedFrequencyOperator(LinearOperator):
         return out
 
     def _apply_adjoint(self, u):
-        batch = u.shape[:-1]
-        axes = tuple(range(-len(self.shape_in), 0))
+        return self._inverse(self._scatter(u))
+
+    def _scatter(self, u, spec=None):
+        """Write the coefficients u into a full spectrum, zero elsewhere.
+
+        For the DFT each pair's value also goes to its conjugate partner.
+        Writes into `spec` when given, where another mask's coefficients
+        may sit in other bins, and returns it.
+        """
+        if spec is None:
+            spec = np.zeros(u.shape[:-1] + (self.n,),
+                            dtype=float if self.transform == "dct" else complex)
         if self.transform == "dct":
-            coef = np.zeros(batch + (self.n,))
-            coef[..., self._kept] = u
-            return scipy.fft.idctn(coef.reshape(batch + self.shape_in), type=2,
-                                   norm="ortho", axes=axes).reshape(batch + (self.n,))
-        spec = np.zeros(batch + (self.n,), dtype=complex)
+            spec[..., self._kept] = u
+            return spec
         spec[..., self._sc_kept] = u[..., self._sc_slots]
         w = (u[..., self._pair_slots] + 1j * u[..., self._pair_slots + 1]) / np.sqrt(2.0)
         spec[..., self._pair_kept] = w
         spec[..., self._pair_partners] = np.conj(w)
-        x = scipy.fft.ifftn(spec.reshape(batch + self.shape_in), norm="ortho", axes=axes)
-        return x.real.reshape(batch + (self.n,))
+        return spec
+
+    def _inverse(self, spec):
+        """The inverse transform of a full spectrum (or of each of a stack), real and flat."""
+        batch = spec.shape[:-1]
+        specs = spec.reshape(batch + self.shape_in)
+        axes = tuple(range(-len(self.shape_in), 0))
+        if self.transform == "dct":
+            x = scipy.fft.idctn(specs, type=2, norm="ortho", axes=axes)
+        else:
+            x = scipy.fft.ifftn(specs, norm="ortho", axes=axes).real
+        return x.reshape(batch + (self.n,))
 
     def support(self):
         """Boolean mask over the full transform's flat bins that these rows span.

@@ -17,11 +17,17 @@ errors, penalty value, data residual, PSNR, per-step contraction ratio).
 The FISTA loop applies H and S once to each new iterate x and shares H x
 and S x with the trace.  The momentum point z = x + beta (x - x_prev) is
 affine in the iterates, so H z and S z are carried the same way instead of
-applied.  A penalized iteration costs five operator applications: H x,
-H'(H z - y), S x, S'(S z - g) and S (x - x*) for the projected error.  A
-baseline iteration costs four (no S'), or two without a basis.  ADMM
-applies H and S inside conjugate gradient and once more to each iterate
-for its trace.
+applied.  A penalized iteration needs H x, S x, H'(H z - y) + gamma
+S'(S z - g) and S (x - x*) for the projected error; a baseline iteration
+the same without S', or only H x and H'(H z - y) without a basis.  H and S
+go through one `nullspace.OperatorPair`: for a masked DCT or DFT with its
+Fourier complement, [H; S] is the full transform, so H x and S x come from
+one transform and the gradient from one inverse, and a penalized or a
+baseline iteration costs three transforms.  Other pairs apply each
+operator separately: five applications per penalized iteration, four per
+baseline one.  S (x - x*) stays its own application, because near
+convergence S x - S x* would cancel.  ADMM applies H and S inside
+conjugate gradient and once more to each iterate for its trace.
 """
 
 import warnings
@@ -122,7 +128,9 @@ class _Recorder:
     """Trace rows for one solve; the solver hands it H x and S x.
 
     `products` applies H, and S when phi is recorded (a basis and g are
-    present), once per iterate; the loops reuse both.
+    present), once per iterate; the loops reuse both.  H and S go through
+    one `OperatorPair`, built here once per solve, which takes both from
+    one transform for a masked frequency operator and its complement.
     """
 
     def __init__(self, op, y, config, basis, g):
@@ -131,19 +139,21 @@ class _Recorder:
         self.config = config
         self.basis = basis
         self.g = g
-        self.tracks_s = basis is not None and g is not None
+        self.pair = basis.pair(op) if basis is not None and g is not None else None
         self.rows = []
         self.iterates = []
 
     def products(self, x):
         """H x, and S x or None."""
-        return self.op.forward(x), (self.basis.project(x) if self.tracks_s else None)
+        if self.pair is None:
+            return self.op.forward(x), None
+        return self.pair.forward(x)
 
     def start(self):
         """Record the zero initialization; H 0 = 0 and S 0 = 0 need no application."""
         x = np.zeros(self.op.n)
         h = np.zeros(self.op.m_eff)
-        s = np.zeros(self.basis.p) if self.tracks_s else None
+        s = None if self.pair is None else np.zeros(self.basis.p)
         self.add(0, x, h, s)
         return x, h, s
 
@@ -223,9 +233,10 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
     diverged = False
     flags = []
     for ell in range(1, config.iters + 1):
-        grad = op.adjoint(hz - y)
         if active:
-            grad = grad + config.gamma * basis.backproject(sz - g)
+            grad = rec.pair.adjoint(hz - y, sz - g, config.gamma)
+        else:
+            grad = op.adjoint(hz - y)
         v = z - config.alpha * grad
         v = gradient_extra(v, z)
         x = prox(v)

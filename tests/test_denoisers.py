@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.ndimage
 
 from nullprior.denoisers import (
     GaussianSmooth,
@@ -83,6 +84,15 @@ def test_gaussian_smooth_nonexpansive():
     assert delta <= 1e-12
     delta2d = estimate_delta(d, random_pairs((8, 8), 10, seed=6))
     assert delta2d <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(37,), (16, 16), (15, 22)])
+@pytest.mark.parametrize("sigma", [0.4, 1.5, 3.0, 0.0])
+def test_gaussian_smooth_bit_identical_to_gaussian_filter(shape, sigma):
+    x = np.random.default_rng(8).standard_normal(shape)
+    out = GaussianSmooth(sigma)(x)
+    assert out.shape == x.shape and out.dtype == x.dtype
+    assert np.array_equal(out, scipy.ndimage.gaussian_filter(x, sigma, mode="wrap"))
 
 
 def test_identity_delta_zero():

@@ -114,6 +114,19 @@ class TestEstimateRic:
         with pytest.raises(NullPriorError):
             estimate_ric(M, [(x, ulp)])
 
+    def test_tuple_map_gives_each_constant(self):
+        rng = np.random.default_rng(5)
+        A, B = rng.standard_normal((3, 6)), rng.standard_normal((4, 6))
+        x = rng.standard_normal(6)
+        ulp = x.copy()
+        ulp[1] = np.nextafter(x[1], np.inf)
+        pairs = [(rng.standard_normal(6), rng.standard_normal(6)) for _ in range(6)]
+        pairs += [(x, x), (x, ulp)]
+        both = estimate_ric(lambda v: (A @ v, B @ v), pairs)
+        assert both == (estimate_ric(A, pairs), estimate_ric(B, pairs))
+        with pytest.raises(NullPriorError):
+            estimate_ric(lambda v: (A @ v, B @ v), [(x, ulp)])
+
     def test_float_resolution_pair_skipped_by_delta(self):
         stretch = np.array([1.0, 1.0, 3.0, 1.0])
         rng = np.random.default_rng(4)
@@ -313,6 +326,29 @@ class TestTheoryReportRho:
             estimate_ric(weight * pb["basis"].matrix, pairs), rel=1e-12)
         assert report.ric_h == pytest.approx(estimate_ric(pb["op"].to_dense(), pairs),
                                              rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["mri-dct", "mri-dft-scaled", "toeplitz", "radon"])
+    def test_ric_pair_bit_identical_to_separate_calls(self, name, tmp_path):
+        mri = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
+        cfg = {"mri-dct": mri,
+               "mri-dft-scaled": dict(mri, operator={**mri["operator"], "transform": "dft",
+                                                     "scale": 0.37}),
+               "toeplitz": _structured_configs()["toeplitz"],
+               "radon": _approximate_configs()["radon"]}[name]
+        result = run(cfg, out_dir=str(tmp_path))
+        report = result["theory"]
+        pb = build_problem(cfg)
+        op, basis = pb["op"], pb["basis"]
+        pairs = iterate_cloud_pairs(result["trace_npn"].iterates, pb["x_star"])
+        weight = np.sqrt(report.gamma)
+        # the two calls the report made before it took both images from one pair
+        if name == "radon":
+            ric_s = estimate_ric(weight * basis.matrix, pairs)
+            ric_h = estimate_ric(op.to_dense(), pairs)
+        else:
+            ric_s = estimate_ric(lambda v: weight * basis.project(v), pairs)
+            ric_h = estimate_ric(op.forward, pairs)
+        assert (report.ric_s, report.ric_h) == (ric_s, ric_h)
 
     def test_exact_basis_uses_closed_form(self, tmp_path):
         cfg = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})

@@ -428,6 +428,99 @@ class TestFourierComplementOperator:
         assert fast["theory"].rho == pytest.approx(dense["theory"].rho, rel=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# (H x, S x) and H'u + gamma S'w through one OperatorPair
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+PAIR_CASES = [(shape, transform, scale) for shape in [(64, 64), (15, 16), (9,)]
+              for transform in ["dct", "dft"] for scale in [1.0, 0.37]]
+
+
+def fallback_case(kind):
+    if kind == "blur":
+        kernel = gaussian_kernel(1.5, ndim=2)
+        return (CirculantConvOperator((16, 16), kernel, "center"),
+                toeplitz_complement(kernel, (16, 16)))
+    if kind == "sr":
+        kernel = bilinear_kernel(2, ndim=2)
+        return (ScaledOperator(DecimatedConvOperator((16, 16), kernel, 2), 0.37),
+                sr_complement(kernel, 2, (16, 16)))
+    if kind == "radon":
+        full = np.linspace(0.0, 180.0, 12, endpoint=False)
+        return RadonOperator(8, full[:4]), radon_complement(8, full, full[:4])
+    H = np.random.default_rng(3).standard_normal((6, 24))
+    return DenseOperator(H), qr_nullspace(H, p=10, seed=3)
+
+
+class TestOperatorPair:
+    @pytest.mark.parametrize("shape,transform,scale", PAIR_CASES)
+    def test_shared_images_bit_equal_to_separate(self, shape, transform, scale):
+        op, _, _ = complement_case(shape, transform, scale)
+        basis = fourier_complement(op)
+        pair = basis.pair(op)
+        assert pair._shared is not None
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(op.n)
+        h, s = pair.forward(x)
+        assert same_bits(h, op.forward(x))
+        assert same_bits(s, basis.project(x))
+
+    @pytest.mark.parametrize("shape,transform,scale", PAIR_CASES)
+    def test_shared_adjoint_matches_separate_sum(self, shape, transform, scale):
+        op, _, _ = complement_case(shape, transform, scale)
+        basis = fourier_complement(op)
+        rng = np.random.default_rng(10)
+        u, w = rng.standard_normal(op.m_eff), rng.standard_normal(basis.p)
+        for gamma in (0.5, 3.0):
+            ref = op.adjoint(u) + gamma * basis.backproject(w)
+            got = basis.pair(op).adjoint(u, w, gamma)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", ["blur", "sr", "radon", "cs"])
+    def test_other_pairs_apply_separately_bit_for_bit(self, kind):
+        op, basis = fallback_case(kind)
+        pair = basis.pair(op)
+        assert pair._shared is None
+        rng = np.random.default_rng(11)
+        x, u, w = (rng.standard_normal(k) for k in (op.n, op.m_eff, basis.p))
+        h, s = pair.forward(x)
+        assert same_bits(h, op.forward(x))
+        assert same_bits(s, basis.project(x))
+        assert same_bits(pair.adjoint(u, w, 0.7),
+                         op.adjoint(u) + 0.7 * basis.backproject(w))
+
+    def test_masks_that_share_no_transform_apply_separately(self):
+        op = MaskedFrequencyOperator((8, 8), [0, 1, 2, 9], "dct")
+        others = {"overlap": MaskedFrequencyOperator((8, 8), [2, 3, 4], "dct"),
+                  "transform": MaskedFrequencyOperator((8, 8), [3, 4, 5], "dft"),
+                  "shape": MaskedFrequencyOperator((4, 16), [3, 4, 5], "dct")}
+        rng = np.random.default_rng(12)
+        x, u = rng.standard_normal(64), rng.standard_normal(op.m_eff)
+        for S_op in others.values():
+            basis = NullSpaceBasis(S_op, "given", float("nan"), float("nan"))
+            pair = basis.pair(op)
+            assert pair._shared is None
+            w = rng.standard_normal(basis.p)
+            assert same_bits(pair.forward(x)[1], basis.project(x))
+            assert same_bits(pair.adjoint(u, w, 2.0), op.adjoint(u) + 2.0 * basis.backproject(w))
+        # disjoint masks of one transform share it, whether or not they cover it
+        basis = NullSpaceBasis(MaskedFrequencyOperator((8, 8), [3, 4, 5], "dct"), "given",
+                               float("nan"), float("nan"))
+        assert basis.pair(op)._shared is not None
+
+    def test_inputs_are_checked(self):
+        op, _, _ = complement_case((8, 8), "dct", 1.0)
+        pair = fourier_complement(op).pair(op)
+        with pytest.raises(DimensionMismatchError):
+            pair.forward(np.zeros(63))
+        with pytest.raises(DimensionMismatchError):
+            pair.adjoint(np.zeros(op.m_eff), np.zeros(3), 1.0)
+
+
 class TestDenseBackedBases:
     def test_apply_is_the_dense_product(self):
         basis = radon_complement(8, [0.0, 45.0, 90.0, 135.0], [0.0, 90.0])

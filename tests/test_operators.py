@@ -18,6 +18,7 @@ from nullprior.operators import (
     _radon_samples,
     all_representatives,
     bilinear_kernel,
+    canonical_representatives,
     conjugate_partner,
     dft_real_rows,
     dot_test,
@@ -251,8 +252,19 @@ def _loop_freq_distance(flat_index, shape, wrapped):
     return np.sqrt(sum(k ** 2 for k in idx))
 
 
+def _loop_partner(flat_index, shape):
+    # the per-element conjugate_partner before it was vectorized
+    idx = np.unravel_index(flat_index, shape)
+    mirrored = tuple((-k) % s for k, s in zip(idx, shape))
+    return int(np.ravel_multi_index(mirrored, shape))
+
+
+def _loop_canonical(indices, shape):
+    return sorted({min(int(k), _loop_partner(int(k), shape)) for k in indices})
+
+
 def _loop_representatives(shape):
-    return sorted({min(k, conjugate_partner(k, shape)) for k in range(int(np.prod(shape)))})
+    return _loop_canonical(range(int(np.prod(shape))), shape)
 
 
 def _loop_lowpass_mask(shape, count, transform):
@@ -270,6 +282,23 @@ class TestVectorizedMasks:
         reps = all_representatives(shape)
         assert reps == _loop_representatives(shape)
         assert all(type(k) is int for k in reps)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dft_setup_matches_loop(self, shape):
+        n = int(np.prod(shape))
+        rng = np.random.default_rng(12)
+        for indices in (list(range(n)), rng.choice(n, size=n // 3, replace=False).tolist(),
+                        [0], [n - 1, n - 1, 1]):
+            reps = canonical_representatives(indices, shape)
+            assert reps == _loop_canonical(indices, shape)
+            assert all(type(k) is int for k in reps)
+            op = MaskedFrequencyOperator(shape, indices, "dft")
+            partners = [_loop_partner(k, shape) for k in op.kept]
+            assert op._sc_kept.tolist() == [k for k, q in zip(op.kept, partners) if q == k]
+            assert op._pair_kept.tolist() == [k for k, q in zip(op.kept, partners) if q != k]
+            assert op._pair_partners.tolist() == [q for k, q in zip(op.kept, partners) if q != k]
+        assert [conjugate_partner(k, shape) for k in range(n)] == [
+            _loop_partner(k, shape) for k in range(n)]
 
     @pytest.mark.parametrize("transform", ["dct", "dft"])
     @pytest.mark.parametrize("shape", SHAPES)

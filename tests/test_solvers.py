@@ -542,23 +542,13 @@ class TestCarriedImages:
     @pytest.mark.parametrize("gamma,backprojections", [(0.0, 0), (0.5, 1)])
     def test_one_application_each_per_iteration(self, gamma, backprojections,
                                                 monkeypatch):
-        op, basis, x_star, y, prior = _carry_problem("mri-dct")
+        # a blur and its Toeplitz complement share no masked transform, so
+        # the pair applies H and S separately
+        op, basis, x_star, y, prior = _carry_problem("blur")
         config = SolverConfig(alpha=default_alpha(op, basis, gamma), gamma=gamma,
                               iters=25, x_star=x_star)
-        counts = Counter()
-
-        def spy(owner, name):
-            method = getattr(owner, name)
-
-            def counted(self, *args):
-                counts[name] += 1
-                return method(self, *args)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        for owner, name in ((LinearOperator, "forward"), (LinearOperator, "adjoint"),
-                            (NullSpaceBasis, "project"), (NullSpaceBasis, "backproject")):
-            spy(owner, name)
+        counts = _spy(monkeypatch, (LinearOperator, "forward"), (LinearOperator, "adjoint"),
+                      (NullSpaceBasis, "project"), (NullSpaceBasis, "backproject"))
         solve_pnp_fista(op, y, GaussianSmooth(0.5), config, basis, prior)
         iters = config.iters
         assert counts["forward"] == iters
@@ -566,3 +556,32 @@ class TestCarriedImages:
         # S x, and S (x - x*) for every row of the trace including the start
         assert counts["project"] == 2 * iters + 1
         assert counts["backproject"] == backprojections * iters
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", ["mri-dct", "mri-dft"])
+    def test_masked_pair_three_transforms_per_iteration(self, kind, gamma, monkeypatch):
+        op, basis, x_star, y, prior = _carry_problem(kind)
+        config = SolverConfig(alpha=default_alpha(op, basis, gamma), gamma=gamma,
+                              iters=25, x_star=x_star)
+        counts = _spy(monkeypatch, (MaskedFrequencyOperator, "_spectrum"),
+                      (MaskedFrequencyOperator, "_inverse"))
+        solve_pnp_fista(op, y, GaussianSmooth(0.5), config, basis, prior)
+        iters = config.iters
+        # one spectrum holds H x and S x; S (x - x*) takes one more per row,
+        # the start row included; the gradient takes one inverse
+        assert counts["_spectrum"] == 2 * iters + 1
+        assert counts["_inverse"] == iters
+
+
+def _spy(monkeypatch, *methods):
+    """Count the calls of each (owner, name) method in a Counter keyed by name."""
+    counts = Counter()
+    for owner, name in methods:
+        method = getattr(owner, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
