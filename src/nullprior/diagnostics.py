@@ -3,21 +3,20 @@
 The contraction rate of the penalized iteration is
 rho = (1 + delta) * (||I - alpha (H'H + S'S)|| + (1 + Delta_S) ||S||),
 with unsquared spectral norms (the form the fixed-point argument actually
-uses); the squared-norm variant is recorded alongside for comparison.  Where
-the operator and basis share a transform (masked DCT/DFT, blur and SR with
-their complements), `normal_spectrum` gives the eigenvalues of
-H'H + gamma S'S from one FFT or one batched block `eigvalsh`.  For an exact
-complement (QR or Fourier; `nullspace.EXACT_METHODS`) the two spectral norms
-have a closed form in the singular values of H and the penalty weight,
-widened by a Weyl bound on the basis's recorded residuals so it stays an
-upper bound (`compute_rho_exact`); Toeplitz and SR complements take both
-norms exactly from the spectrum (`compute_rho_spectral`); Radon, rescaled
-and learned bases take them from dense n x n matrices (`compute_rho`).  The
-restricted-isometry constants Delta are measured on a supplied sample cloud,
-the denoiser expansion delta on sample pairs, and the improvement zone is the
-set of iterations whose projected error still dominates the prior's error
-norm.  Two constant pairs are in circulation for the penalty-decay bound;
-both are computed, with the first as the primary.
+uses); the squared-norm variant is recorded alongside for comparison.  The
+two spectral norms come one of two ways, chosen by the pair's structure.
+Where the operator and basis share a transform (masked DCT/DFT with its
+Fourier complement, blur and SR with their complements, scaled or not),
+`normal_spectrum` gives the eigenvalues of H'H + gamma S'S from one FFT or
+one batched block `eigvalsh`, and `compute_rho_spectral` reads both norms
+exactly from them.  Every other pair (QR, Radon, rescaled and learned bases)
+takes them from the symmetric eigenvalues of dense n x n matrices
+(`compute_rho`).  The restricted-isometry constants Delta are measured on
+a supplied sample cloud, the denoiser expansion delta on sample pairs, and
+the improvement zone is the set of iterations whose projected error still
+dominates the prior's error norm.  Two constant pairs are in circulation
+for the penalty-decay bound; both are computed, with the first as the
+primary.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NullPriorError
-from .nullspace import EXACT_METHODS
 from .operators import (
     CirculantConvOperator,
     DecimatedConvOperator,
@@ -229,8 +227,8 @@ def compute_rho_spectral(delta, alpha, op, basis, gamma, ric_s):
 
     For a basis diagonal in the transform that (block-)diagonalizes H,
     ||I - alpha P|| = max |1 - alpha lambda| over the eigenvalues of P, and
-    ||sqrt(gamma) S|| = sqrt(gamma max d_S); both are exact, with no Weyl
-    term and no n x n array.
+    ||sqrt(gamma) S|| = sqrt(gamma max d_S); both are exact, and no n x n
+    array is formed.
     """
     eig = normal_spectrum(op, basis, gamma)
     if eig is None:
@@ -238,43 +236,6 @@ def compute_rho_spectral(delta, alpha, op, basis, gamma, ric_s):
                              "on this operator")
     op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
     s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
-    return _rho_estimate(delta, op_norm, s_norm, ric_s)
-
-
-def compute_rho_exact(delta, alpha, op, basis, gamma, ric_s):
-    """Closed-form contraction rate for an exact complement S of H.
-
-    With A = [H; sqrt(gamma) S], the nonzero eigenvalues of
-    P = H'H + gamma S'S are those of A A', whose block-diagonal part has
-    eigenvalues sigma_i(H)^2 and gamma when S S' = I; P is also singular when
-    m_eff + p < n.  For a Fourier complement these are the pair's
-    structural spectrum (`normal_spectrum`); for a QR complement they come
-    from a values-only SVD of H.  Weyl's inequality bounds what the
-    off-diagonal block sqrt(gamma) S H' and the row-Gram error S S' - I add,
-    through the basis's recorded Frobenius residuals o and g, so
-    ||I - alpha P|| <= max |1 - alpha lambda| + alpha (gamma g + sqrt(gamma) o)
-    and ||sqrt(gamma) S|| <= sqrt(gamma (1 + g)): the result upper-bounds
-    `compute_rho` on the dense matrices without forming them.  A QR
-    complement's residuals are computed exactly; a Fourier complement's are
-    probabilistic upper bounds from 128 Gaussian probes (each fails with
-    probability <= 1e-6, both hold with probability >= 1 - 2e-6;
-    `nullspace._frequency_residuals`), so for it the bound holds with that
-    probability.
-    """
-    if basis.method not in EXACT_METHODS:
-        raise NullPriorError(f"{basis.method!r} is not an exact complement")
-    ortho = basis.ortho_to_H_residual
-    eig = normal_spectrum(op, basis, gamma)
-    if eig is None:
-        eig = np.append(np.linalg.svd(op.to_dense(), compute_uv=False) ** 2, gamma)
-        if op.m_eff + basis.p < op.n:
-            eig = np.append(eig, 0.0)
-    elif isinstance(op, ScaledOperator):
-        ortho *= abs(op.scale)  # recorded against the unscaled transform
-    gram = basis.row_gram_residual
-    op_norm = float(np.max(np.abs(1.0 - alpha * eig))
-                    + alpha * (gamma * gram + np.sqrt(gamma) * ortho))
-    s_norm = float(np.sqrt(gamma * (1.0 + gram)))
     return _rho_estimate(delta, op_norm, s_norm, ric_s)
 
 

@@ -23,7 +23,6 @@ from . import denoisers as dn
 from .diagnostics import (
     TheoryReport,
     compute_rho,
-    compute_rho_exact,
     compute_rho_spectral,
     decay_constants,
     decay_constants_statement_variant,
@@ -38,7 +37,6 @@ from .diagnostics import (
 )
 from .errors import ConfigError, NullPriorError
 from .nullspace import (
-    EXACT_METHODS,
     NullSpaceBasis,
     fourier_complement,
     qr_nullspace,
@@ -373,47 +371,45 @@ def build_problem(cfg, seed=None):
     }
 
 
-def _theory_report(pb, trace, delta_pairs_denoiser=True):
-    """Measure every theory constant on the run's own iterate cloud."""
+def _theory_report(pb, trace, y):
+    """Measure every theory constant on the run's own iterate cloud.
+
+    y is the noisy measurement the solve was given.
+    """
     op = pb["op"]
     basis = pb["basis"]
     config = pb["solver_config"]
     x_star = pb["x_star"]
     notes = []
     certified = True
-    # the penalty weights S by sqrt(gamma) (by 1 at gamma = 0); exact
-    # complements get rho in closed form and pairs with a structural
-    # spectrum exactly, so for them neither S nor H is densified
+    # the penalty weights S by sqrt(gamma) (by 1 at gamma = 0); a pair with a
+    # structural spectrum gets rho exactly from it, with neither S nor H
+    # densified, and every other pair gets rho from dense n x n matrices
     gamma_eff = config.gamma if config.gamma > 0 else 1.0
     weight = np.sqrt(gamma_eff)
-    exact = basis.method in EXACT_METHODS
-    spectral = not exact and normal_spectrum(op, basis) is not None
-    dense = not (exact or spectral)
+    dense = normal_spectrum(op, basis) is None
     if dense and op.n > DENSE_CAP:
         raise NullPriorError("theory report needs n <= 4096 for a "
                              f"{basis.method!r} basis")
     # S d and H d from one pair application per difference
-    if not dense:
-        pair = basis.pair(op)
-
-        def images(v):
-            h, s = pair.forward(v)
-            return weight * s, h
-    else:
+    if dense:
         S_eff = weight * basis.matrix
         H_dense = op.to_dense()
 
         def images(v):
             return S_eff @ v, H_dense @ v
+    else:
+        pair = basis.pair(op)
+
+        def images(v):
+            h, s = pair.forward(v)
+            return weight * s, h
     ric_s, ric_h = estimate_ric(images, iterate_cloud_pairs(trace.iterates, x_star))
     # D(x*) serves the fixed-point check below and the x* pairs of delta
     denoiser = pb["denoiser"]
     dx = dn.denoise(denoiser, x_star, op.shape_in)
-    delta_hat = 0.0
-    if delta_pairs_denoiser:
-        delta_hat = dn.estimate_delta(denoiser, dn.iterate_cloud_images(
-            denoiser, trace.iterates, x_star, dx, op.shape_in))
-    y = add_measurement_noise(op.forward(x_star), pb["snr_db"], pb["noise_seed"])
+    delta_hat = dn.estimate_delta(denoiser, dn.iterate_cloud_images(
+        denoiser, trace.iterates, x_star, dx, op.shape_in))
     err_norm = pb["error_norm_fn"](y)
     K = pb["prior_info"]["K"]
     xn = float(np.linalg.norm(x_star))
@@ -434,12 +430,10 @@ def _theory_report(pb, trace, delta_pairs_denoiser=True):
     if np.linalg.norm(dx - x_star) > 1e-9 * (1.0 + xn):
         certified = False
         notes.append("ground truth is not a fixed point of the denoiser")
-    if exact:
-        est = compute_rho_exact(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
-    elif spectral:
-        est = compute_rho_spectral(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
-    else:
+    if dense:
         est = compute_rho(delta_hat, config.alpha, H_dense, S_eff, ric_s)
+    else:
+        est = compute_rho_spectral(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
     K_eff = 0.0 if np.isnan(K) else K
     C1, C2 = decay_constants(config.alpha, K_eff, ric_s, ric_h, xn)
     C1v, C2v = decay_constants_statement_variant(config.alpha, K_eff, ric_s,
@@ -506,7 +500,7 @@ def run(cfg, out_dir=None, seed=None):
     tr_base.to_csv(os.path.join(out_dir, "trace_baseline.csv"))
     tr_npn.to_csv(os.path.join(out_dir, "trace_npn.csv"))
 
-    report = _theory_report(pb, tr_npn)
+    report = _theory_report(pb, tr_npn, y)
     report.save(os.path.join(out_dir, "theory.txt"))
     if pb["prior_info"]["kind"] == "net":
         pb["prior_info"]["train_report"].save_history_csv(
@@ -631,7 +625,7 @@ def theory_check(cfg, out_dir=None, seed=None):
     x_hat, trace = _solve(pb["solver_kind"], op, y, pb["denoiser"],
                           pb["solver_config"], pb["basis"], pb["prior_fn"],
                           pb["transform"])
-    report = _theory_report(pb, trace)
+    report = _theory_report(pb, trace, y)
     trace.set_ciz(report.ciz)
 
     details = {"report": report, "trace": trace, "checks": {}}

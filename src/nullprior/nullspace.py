@@ -50,8 +50,6 @@ RESIDUAL_PROBES = 128
 RESIDUAL_FAILURE = 1e-6
 _PROBE_BLOCK = 64  # probes per transform round trip
 
-EXACT_METHODS = ("qr-random", "fourier-complement")
-
 
 @dataclass(frozen=True)
 class NullSpaceBasis:

@@ -174,11 +174,6 @@ def all_representatives(shape):
     return canonical_representatives(np.arange(math.prod(_as_shape(shape))), shape)
 
 
-def _dct_matrix(n):
-    # rows of the orthonormal DCT-II matrix: row k picks coefficient k
-    return scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
-
-
 def dft_real_rows(shape, representatives):
     """Real orthonormal rows for the given DFT representatives.
 

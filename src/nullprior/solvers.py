@@ -131,6 +131,9 @@ class _Recorder:
     present), once per iterate; the loops reuse both.  H and S go through
     one `OperatorPair`, built here once per solve, which takes both from
     one transform for a masked frequency operator and its complement.
+    `add` also decides when the solve stops: once an iterate leaves the
+    divergence guard it flags the iteration and returns True.  The loops
+    append their own flags (CG convergence) to `flags`.
     """
 
     def __init__(self, op, y, config, basis, g):
@@ -142,6 +145,8 @@ class _Recorder:
         self.pair = basis.pair(op) if basis is not None and g is not None else None
         self.rows = []
         self.iterates = []
+        self.flags = []
+        self.diverged = False
 
     def products(self, x):
         """H x, and S x or None."""
@@ -181,8 +186,12 @@ class _Recorder:
         res = h - self.y
         self.rows.append((ell, err_sq, proj_err_sq, phi, float(res @ res), psnr))
         self.iterates.append(x.copy())
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
+            self.diverged = True
+            self.flags.append(f"diverged at iteration {ell}")
+        return self.diverged
 
-    def finish(self, diverged, flags):
+    def finish(self):
         rows = np.array(self.rows)
         count = rows.shape[0]
         ratio = np.full(count, np.nan)
@@ -195,7 +204,7 @@ class _Recorder:
         return SolverTrace(rows[:, 0].astype(int), rows[:, 1], rows[:, 2],
                            rows[:, 3], rows[:, 4], rows[:, 5], ratio,
                            np.zeros(count, dtype=int), step_sq,
-                           self.iterates, diverged, flags)
+                           self.iterates, self.diverged, self.flags)
 
 
 def _prepare_prior(basis, prior, y, gamma):
@@ -230,8 +239,6 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
     # H z and S z follow from the H x and S x the trace records
     z, hz, sz = x_prev, h_prev, s_prev
     t = 1.0
-    diverged = False
-    flags = []
     for ell in range(1, config.iters + 1):
         if active:
             grad = rec.pair.adjoint(hz - y, sz - g, config.gamma)
@@ -256,12 +263,9 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
                 z_new, hz_new, sz_new = x, h, s
         z, hz, sz = z_new, hz_new, sz_new
         x_prev, h_prev, s_prev = x, h, s
-        rec.add(ell, x, h, s)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
-            diverged = True
-            flags.append(f"diverged at iteration {ell}")
+        if rec.add(ell, x, h, s):
             break
-    return x_prev, rec.finish(diverged, flags)
+    return x_prev, rec.finish()
 
 
 def solve_pnp_fista(op, y, denoiser, config, basis=None, prior=None):
@@ -367,22 +371,17 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
     x = rec.start()[0]
     v = np.zeros(op.n)
     u = np.zeros(op.n)
-    diverged = False
-    flags = []
     for ell in range(1, config.iters + 1):
         x, ok = _conjugate_gradient(apply_A, rhs_fixed + rho * (v - u), x,
                                     config.cg_tol, config.cg_maxiter)
         if not ok:
-            flags.append(f"CG did not converge at iteration {ell}")
-            warnings.warn(flags[-1], RuntimeWarning)
+            rec.flags.append(f"CG did not converge at iteration {ell}")
+            warnings.warn(rec.flags[-1], RuntimeWarning)
         v = denoise(denoiser, x + u, shape)
         u = u + x - v
-        rec.add(ell, x, *rec.products(x))
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
-            diverged = True
-            flags.append(f"diverged at iteration {ell}")
+        if rec.add(ell, x, *rec.products(x)):
             break
-    return x, rec.finish(diverged, flags)
+    return x, rec.finish()
 
 
 def default_alpha(op, basis=None, gamma=0.0, safety=0.9, seed=0):

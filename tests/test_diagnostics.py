@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from nullprior import experiments
 from nullprior.denoisers import Identity, estimate_delta
 from nullprior.diagnostics import (
     compute_rho,
-    compute_rho_exact,
     compute_rho_spectral,
     detect_ciz,
     detect_ciz_rip_variant,
@@ -19,11 +19,13 @@ from nullprior.diagnostics import (
     decay_constants_statement_variant,
 )
 from nullprior.errors import NullPriorError
-from nullprior.experiments import build_problem, run
+from nullprior.experiments import add_measurement_noise, build_problem, run
 from nullprior.nullspace import (
     NullSpaceBasis,
     fourier_complement,
+    load_basis,
     qr_nullspace,
+    save_basis,
     sr_complement,
     toeplitz_complement,
 )
@@ -198,62 +200,6 @@ def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
     return compute_rho(delta, alpha, op.to_dense(), np.sqrt(gamma) * basis.matrix, ric_s)
 
 
-def _exact_cases():
-    rng = np.random.default_rng(11)
-    H = rng.standard_normal((10, 36)) / 6.0
-    cs = DenseOperator(H)
-    dct = MaskedFrequencyOperator((8, 8), lowpass_mask((8, 8), 16, "dct"), "dct")
-    dft = MaskedFrequencyOperator((8, 8), random_mask((8, 8), 12, 5, "dft"), "dft")
-    mri_scaled = ScaledOperator(dct, 0.37)
-    return {
-        "qr-full": (cs, qr_nullspace(H, 26, seed=1)),
-        "qr-partial": (cs, qr_nullspace(H, 14, seed=2)),
-        "dct": (dct, fourier_complement(dct)),
-        "dft": (dft, fourier_complement(dft)),
-        "dct-scaled-op": (mri_scaled, fourier_complement(mri_scaled)),
-        "qr-scaled-op": (mri_scaled, qr_nullspace(mri_scaled.to_dense(), 30, seed=3)),
-    }
-
-
-class TestComputeRhoExact:
-    @pytest.mark.parametrize("case", sorted(_exact_cases()))
-    @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
-    @pytest.mark.parametrize("alpha", [0.2, 0.9, 1.7])
-    def test_matches_dense_from_above(self, case, gamma, alpha):
-        op, basis = _exact_cases()[case]
-        exact = compute_rho_exact(0.1, alpha, op, basis, gamma, 0.2)
-        dense = _dense_rho(0.1, alpha, op, basis, gamma, 0.2)
-        assert exact.rho == pytest.approx(dense.rho, rel=1e-12, abs=0.0)
-        assert exact.rho >= dense.rho - 1e-14
-        assert exact.rho_squared_form == pytest.approx(dense.rho_squared_form, rel=1e-12)
-        assert exact.s_spectral_norm >= dense.s_spectral_norm - 1e-14
-
-    @pytest.mark.parametrize("case", ["qr-partial", "dct-scaled-op"])
-    @pytest.mark.parametrize("gamma", [0.3, 3.0])
-    def test_upper_bound_under_recorded_residuals(self, case, gamma):
-        # perturb an exact basis well past roundoff: the Weyl term computed
-        # from the recorded residuals must keep rho above the dense value
-        op, basis = _exact_cases()[case]
-        rng = np.random.default_rng(4)
-        S = basis.matrix + 1e-4 * rng.standard_normal(basis.matrix.shape)
-        H = op.to_dense()
-        if basis.method == "fourier-complement":
-            H = H / op.scale  # its residual is recorded against the unscaled transform
-        noisy = NullSpaceBasis(S, basis.method, float(np.linalg.norm(S @ H.T)),
-                               float(np.linalg.norm(S @ S.T - np.eye(basis.p))))
-        for alpha in (0.2, 0.9, 1.7):
-            exact = compute_rho_exact(0.0, alpha, op, noisy, gamma, 0.0)
-            dense = _dense_rho(0.0, alpha, op, noisy, gamma, 0.0)
-            assert exact.gradient_op_norm >= dense.gradient_op_norm
-            assert exact.s_spectral_norm >= dense.s_spectral_norm
-            assert exact.rho == pytest.approx(dense.rho, rel=0.05)
-
-    def test_rejects_approximate_basis(self):
-        op, basis = _exact_cases()["dct"]
-        with pytest.raises(NullPriorError):
-            compute_rho_exact(0.0, 1.0, op, basis.scaled(0.5), 1.0, 0.0)
-
-
 def _approximate_configs():
     oracle = {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}}
     solver = {"kind": "pnp_fista", "alpha": "auto", "gamma": 0.5, "iters": 15}
@@ -267,6 +213,10 @@ def _approximate_configs():
                                 "mask": {"kind": "lowpass", "count": 16}},
                    "basis": {"method": "fourier", "scale": 0.5}, "prior": oracle,
                    "solver": solver, "noise": {"snr_db": None}},
+        "qr": {"problem": "cs", "seed": 2,
+               "operator": {"n": 24, "m": 6, "dist": "gaussian", "normalize": True},
+               "basis": {"method": "qr", "p": 12}, "prior": oracle,
+               "solver": solver, "noise": {"snr_db": None}},
         "learned": {"problem": "cs", "seed": 2,
                     "operator": {"n": 24, "m": 6, "dist": "gaussian", "normalize": True},
                     "basis": {"method": "qr", "p": 8},
@@ -301,6 +251,7 @@ class TestTheoryReportRho:
         basis = pb["basis"]
         assert basis.method == {"radon": "radon-complement",
                                 "scaled": "fourier-complement-scaled",
+                                "qr": "qr-random",
                                 "learned": "learned"}[name]
         expected = _dense_rho(report.delta_hat, report.alpha, pb["op"], basis,
                               report.gamma, report.ric_s)
@@ -355,10 +306,31 @@ class TestTheoryReportRho:
         report = run(cfg, out_dir=str(tmp_path))["theory"]
         pb = build_problem(cfg)
         assert pb["basis"].method == "fourier-complement"
+        spectral = compute_rho_spectral(report.delta_hat, report.alpha, pb["op"],
+                                        pb["basis"], report.gamma, report.ric_s)
+        for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
+            assert getattr(report, field) == getattr(spectral, field)
         dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
                            report.gamma, report.ric_s)
         assert report.rho == pytest.approx(dense.rho, rel=1e-12, abs=0.0)
-        assert report.rho >= dense.rho - 1e-14
+
+    def test_dense_basis_with_fourier_label_uses_dense_rho(self, tmp_path):
+        # the label says Fourier complement, but a loaded dump is a dense
+        # matrix: its pair has no structural spectrum
+        cfg = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
+        result = run(cfg, out_dir=str(tmp_path))
+        pb = build_problem(cfg)
+        save_basis(pb["basis"], tmp_path / "basis.csv")
+        pb["basis"] = load_basis(tmp_path / "basis.csv")
+        assert pb["basis"].method == "fourier-complement"
+        assert normal_spectrum(pb["op"], pb["basis"]) is None
+        y = add_measurement_noise(pb["op"].forward(pb["x_star"]), pb["snr_db"],
+                                  pb["noise_seed"])
+        report = experiments._theory_report(pb, result["trace_npn"], y)
+        dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
+                           report.gamma, report.ric_s)
+        assert report.rho == dense.rho
+        assert report.rho_squared_form == dense.rho_squared_form
 
 
 def _spectrum_cases():
@@ -430,7 +402,7 @@ class TestNormalSpectrum:
         assert normal_spectrum(sr_op, fourier, 1.0) is None
 
     @pytest.mark.parametrize("case", ["blur-1d", "blur-2d-scaled", "sr-2d-f3",
-                                      "sr-2d-f2-scaled"])
+                                      "sr-2d-f2-scaled", "dct", "dft", "dct-scaled"])
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 30.0])
     @pytest.mark.parametrize("alpha", [0.02, 0.2, 0.9])
     def test_spectral_rho_matches_dense(self, case, gamma, alpha):

@@ -128,7 +128,9 @@ class TestRun:
         original = cls.__call__
         monkeypatch.setattr(cls, "__call__",
                             lambda self, x: calls.append(1) or original(self, x))
-        assert experiments._theory_report(pb, trace).delta_hat == reference
+        y = add_measurement_noise(pb["op"].forward(pb["x_star"]), pb["snr_db"],
+                                  pb["noise_seed"])
+        assert experiments._theory_report(pb, trace, y).delta_hat == reference
         # each iterate once, and x* once for the fixed-point check and delta
         assert len(calls) == len(trace.iterates) + 1
 

@@ -375,6 +375,20 @@ class TestPnpAdmm:
             _, trace = solve_pnp_admm(op, y, Identity(), cfg)
         assert any("CG" in f for f in trace.flags)
 
+    def test_divergence_flagged_and_stops(self):
+        # a denoiser that expands its input drives the iterates past the guard
+        op, basis, x_star, y = cs_problem(n=20, m=6, seed=16)
+        cfg = SolverConfig(alpha=1.0, gamma=0.0, rho=1.0, iters=50, x_star=x_star)
+        _, trace = solve_pnp_admm(op, y, lambda x: 1e4 * x, cfg)
+        assert trace.diverged
+        last = int(trace.iters[-1])
+        assert 0 < last < cfg.iters
+        assert trace.flags == [f"diverged at iteration {last}"]
+        norms = [np.linalg.norm(x) for x in trace.iterates]
+        assert len(norms) == last + 1
+        assert all(v <= solvers.DIVERGENCE_GUARD for v in norms[:-1])
+        assert not norms[-1] <= solvers.DIVERGENCE_GUARD
+
     def test_deblurring_improves_over_baseline(self):
         from nullprior.denoisers import TransformSoftThreshold
         from nullprior.diagnostics import psnr
@@ -472,7 +486,7 @@ def _applying_fista_solve(op, y, config, basis, prior, gradient_extra, prox):
         z = z_new
         x_prev = x
         rec.add(ell, x, *rec.products(x))
-    return x_prev, rec.finish(False, [])
+    return x_prev, rec.finish()
 
 
 def _carry_problem(kind):
