@@ -22,6 +22,8 @@ primary.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from .errors import NullPriorError
 from .operators import (
@@ -119,26 +121,55 @@ def _rho_estimate(delta, op_norm, s_norm, ric_s):
     return RhoEstimate(rho, rho_sq, op_norm, s_norm)
 
 
-def compute_rho(delta, alpha, H_dense, S_eff, ric_s):
+def compute_rho(delta, alpha, H_dense, S, ric_s, gamma=1.0):
     """Contraction rate of the penalized gradient map, unsquared-norm form.
 
-    S_eff should already include the penalty weight (sqrt(gamma) * S).  A
-    squared-norm variant of the same rate is returned alongside so runs can
-    record both forms.
+    The penalty weights S by sqrt(gamma): the rate takes ||I - alpha P|| with
+    P = H'H + gamma S'S and ||sqrt(gamma) S||.  A caller that has already
+    scaled S passes it with the default gamma = 1.  A squared-norm variant
+    of the same rate is returned alongside so runs can record both forms.
+
+    Both norms come from symmetric eigenvalues of one Fortran-ordered n x n
+    buffer that holds only a lower triangle: BLAS syrk writes gamma S'S and
+    adds H'H, the buffer is shifted in place to I - alpha P for LAPACK's
+    syevd, then refilled with gamma S'S for ||sqrt(gamma) S||^2.  Beyond its
+    inputs this allocates the one n x n buffer (8 n^2 bytes).
     """
     H = np.asarray(H_dense, dtype=float)
-    S = np.asarray(S_eff, dtype=float)
     n = H.shape[1]
-    # both norms from symmetric eigenvalues of one n x n array, updated in
-    # place: ||S||^2 = lambda_max(S'S), then S'S becomes I - alpha (H'H + S'S)
-    M = S.T @ S
-    s_norm = float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))
-    M += H.T @ H
+    M = gram_lower(S, gamma)
+    gram_lower(H, 1.0, M, beta=1.0)
     M *= -alpha
     M.flat[::n + 1] += 1.0
-    eig = np.linalg.eigvalsh(M)
+    eig = lower_eigvalsh(M)
     op_norm = float(max(abs(eig[0]), abs(eig[-1])))
+    gram_lower(S, gamma, M)
+    s_norm = float(np.sqrt(max(lower_eigvalsh(M)[-1], 0.0)))
     return _rho_estimate(delta, op_norm, s_norm, ric_s)
+
+
+def gram_lower(A, weight=1.0, out=None, beta=0.0):
+    """weight A'A + beta out in the lower triangle of a Fortran-ordered array.
+
+    One BLAS syrk; with `out` given the result is written into it and
+    returned.  The upper triangle is not written, so read the result with
+    `lower_eigvalsh`.
+    """
+    # A' of a C-ordered A is Fortran-ordered, so BLAS reads it uncopied
+    At = np.asarray(A, dtype=float).T
+    if out is None:
+        return dsyrk(weight, At, lower=1)
+    return dsyrk(weight, At, beta=beta, c=out, overwrite_c=1, lower=1)
+
+
+def lower_eigvalsh(M):
+    """Ascending eigenvalues of the symmetric matrix in M's lower triangle.
+
+    LAPACK syevd, the routine `np.linalg.eigvalsh` calls, run on M itself:
+    M is overwritten, and no copy is made when M is Fortran-ordered.
+    """
+    return scipy.linalg.eigvalsh(M, lower=True, overwrite_a=True,
+                                 check_finite=False, driver="evd")
 
 
 def normal_spectrum(op, basis=None, gamma=0.0):

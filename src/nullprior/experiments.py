@@ -393,11 +393,11 @@ def _theory_report(pb, trace, y):
                              f"{basis.method!r} basis")
     # S d and H d from one pair application per difference
     if dense:
-        S_eff = weight * basis.matrix
+        S = basis.matrix
         H_dense = op.to_dense()
 
         def images(v):
-            return S_eff @ v, H_dense @ v
+            return weight * (S @ v), H_dense @ v
     else:
         pair = basis.pair(op)
 
@@ -431,7 +431,7 @@ def _theory_report(pb, trace, y):
         certified = False
         notes.append("ground truth is not a fixed point of the denoiser")
     if dense:
-        est = compute_rho(delta_hat, config.alpha, H_dense, S_eff, ric_s)
+        est = compute_rho(delta_hat, config.alpha, H_dense, S, ric_s, gamma=gamma_eff)
     else:
         est = compute_rho_spectral(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
     K_eff = 0.0 if np.isnan(K) else K

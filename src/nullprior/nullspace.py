@@ -49,6 +49,7 @@ RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
 RESIDUAL_PROBES = 128
 RESIDUAL_FAILURE = 1e-6
 _PROBE_BLOCK = 64  # probes per transform round trip
+_RESIDUAL_ROWS = 128  # rows of a dense basis per residual block
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class NullSpaceBasis:
         mat = float(factor) * self.matrix
         return NullSpaceBasis(mat, f"{self.method}-scaled",
                               abs(factor) * self.ortho_to_H_residual,
-                              float(np.linalg.norm(mat @ mat.T - np.eye(self.p))))
+                              _residuals(mat)[1])
 
 
 class OperatorPair:
@@ -171,18 +172,27 @@ class OrthogonalityReport:
 
 
 def _residuals(S, op=None, H_dense=None):
-    if H_dense is None and op is not None:
-        # ||S H^T||_F from one stacked application to the rows of S; avoids
-        # densifying H
-        SHt = op._apply(S)
-    elif H_dense is not None:
-        SHt = S @ H_dense.T
-    else:
-        raise NullPriorError("need an operator or a dense matrix")
-    ortho = float(np.linalg.norm(SHt))
-    gram = S @ S.T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return ortho, float(np.linalg.norm(gram))
+    """(||S H'||_F, ||S S' - I||_F) of a dense p x n basis S.
+
+    H is a sensing operator `op`, applied to a stack of rows, or a dense
+    matrix `H_dense`; with neither, ||S H'||_F is nan.  Both squared norms
+    are summed over blocks of _RESIDUAL_ROWS rows of S, so at most a
+    block x max(p, m) array is formed, never S S' or S H'.  S S' - I is
+    formed directly rather than from ||S'S||^2 - 2 ||S||^2 + p, which
+    cancels to rounding error for orthonormal rows.
+    """
+    has_h = op is not None or H_dense is not None
+    ortho_sq, gram_sq = (0.0 if has_h else np.nan), 0.0
+    for start in range(0, S.shape[0], _RESIDUAL_ROWS):
+        rows = S[start:start + _RESIDUAL_ROWS]
+        if has_h:
+            sh = rows @ H_dense.T if H_dense is not None else op._apply(rows)
+            ortho_sq += float(np.vdot(sh, sh))
+        gram = rows @ S.T
+        k = np.arange(len(rows))
+        gram[k, start + k] -= 1.0
+        gram_sq += float(np.vdot(gram, gram))
+    return float(np.sqrt(ortho_sq)), float(np.sqrt(gram_sq))
 
 
 def qr_nullspace(H_dense, p, seed=0):

@@ -92,14 +92,15 @@ class LinearOperator:
         return np.sqrt(lam)
 
 
-def power_iteration(apply, n, iters, tol, seed, what):
+def power_iteration(apply, n, iters, tol, seed, what, fallback=None):
     """Largest eigenvalue of a symmetric positive semidefinite map on R^n.
 
     Starts from a seeded Gaussian unit vector, takes lambda = ||apply(v)||
     and v <- apply(v) / lambda, and stops once lambda changes by at most
-    tol relative.  Returns 0.0 as soon as the map sends v to zero.  Warns,
-    naming `what`, and returns the last estimate if `iters` steps do not
-    converge.
+    tol relative.  Returns 0.0 as soon as the map sends v to zero.  If
+    `iters` steps do not converge, the last estimate lies below the
+    eigenvalue: it returns `fallback()` when a fallback is given, else
+    warns, naming `what`, and returns the estimate.
     """
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(n)
@@ -114,6 +115,8 @@ def power_iteration(apply, n, iters, tol, seed, what):
         if abs(lam_new - lam) <= tol * lam_new:
             return lam_new
         lam = lam_new
+    if fallback is not None:
+        return fallback()
     warnings.warn(f"{what} did not converge in {iters} iterations "
                   f"(last eigenvalue estimate {lam})", RuntimeWarning)
     return lam

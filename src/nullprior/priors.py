@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NullPriorError, TrainingDivergedError
-from .nullspace import NullSpaceBasis, as_basis, pseudoinverse
+from .nullspace import NullSpaceBasis, _residuals, as_basis, pseudoinverse
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +356,7 @@ def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
     if lam1 == 0.0 and lam2 == 0.0:
         from .operators import DenseOperator
         basis = S_init if isinstance(S_init, NullSpaceBasis) else \
-            NullSpaceBasis(S, "learned", float(np.linalg.norm(S @ H.T)),
-                           float(np.linalg.norm(S @ S.T - np.eye(p))))
+            NullSpaceBasis(S, "learned", *_residuals(S, H_dense=H))
         report = train_mmse(net, xs, DenseOperator(H), basis, epochs=epochs,
                             lr=lr, batch_size=batch_size, seed=seed,
                             holdout_frac=holdout_frac, normalize=normalize,
@@ -412,8 +411,7 @@ def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
                     if len(hold_idx) else np.nan)
             history.append((epoch, fit, l1, l2, hold))
 
-    basis = NullSpaceBasis(S, "learned", float(np.linalg.norm(S @ H.T)),
-                           float(np.linalg.norm(S @ S.T - np.eye(p))))
+    basis = NullSpaceBasis(S, "learned", *_residuals(S, H_dense=H))
     holdout = (_holdout_error(net, Y[hold_idx], xs[hold_idx] @ S.T)
                if len(hold_idx) else np.nan)
     report = TrainReport(fit + lam1 * l1 + lam2 * l2, fit, l1, l2, epochs,

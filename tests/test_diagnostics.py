@@ -1,5 +1,7 @@
 """Theory measurements: isometry constants, contraction rate, penalty bound, improvement zone."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from nullprior.nullspace import (
     fourier_complement,
     load_basis,
     qr_nullspace,
+    radon_complement,
     save_basis,
     sr_complement,
     toeplitz_complement,
@@ -43,7 +46,7 @@ from nullprior.operators import (
 )
 from nullprior.phantoms import bumps
 from nullprior.priors import LipschitzError, OraclePrior, ZeroError
-from nullprior.solvers import SolverConfig, solve_pnp_fista
+from nullprior.solvers import SolverConfig, solve_pnp_admm, solve_pnp_fista
 
 
 def scaled_frequency_setup(side=8, kept=16, scale=0.1, seed=0):
@@ -196,8 +199,97 @@ class TestComputeRho:
             1.1 * (est.gradient_op_norm ** 2 + 1.2 * est.s_spectral_norm ** 2))
 
 
+def _rho_whole_matrix(alpha, H, S, gamma):
+    # the norms compute_rho took before it worked in one n x n buffer
+    S_eff = np.sqrt(gamma) * S
+    M = S_eff.T @ S_eff
+    s_norm = float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))
+    M += H.T @ H
+    M *= -alpha
+    M.flat[::H.shape[1] + 1] += 1.0
+    eig = np.linalg.eigvalsh(M)
+    return float(max(abs(eig[0]), abs(eig[-1]))), s_norm
+
+
+def _dense_pair(name):
+    """(H, S) of a pair with no structural spectrum: Radon, QR or Gaussian S."""
+    if name == "ct":
+        full = [180.0 * k / 30 for k in range(30)]
+        return (RadonOperator(16, full[:10]).to_dense(),
+                radon_complement(16, full, full[:10]).matrix)
+    rng = np.random.default_rng(21)
+    H = rng.standard_normal((30, 120)) / np.sqrt(120)
+    if name == "qr":
+        return H, qr_nullspace(H, 60, seed=2).matrix
+    return H, rng.standard_normal((50, 120)) / np.sqrt(120)
+
+
+@pytest.fixture(scope="module")
+def bench_ct():
+    """The ct-admm-sweep benchmark's problem (n = 1024, p = 1280, m = 640) at gamma 0.3."""
+    return build_problem({
+        "problem": "ct", "seed": 4, "signal": {"kind": "shepp_logan"},
+        "operator": {"side": 32, "full_angles": 60, "acquired": 20},
+        "basis": {"method": "radon"},
+        "prior": {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}},
+        "denoiser": {"kind": "tv", "weight": 0.05, "iters": 20},
+        "solver": {"kind": "pnp_admm", "alpha": "auto", "gamma": 0.3, "iters": 3},
+        "noise": {"snr_db": 20.0}})
+
+
+def _peak_bytes(fn):
+    """Peak bytes that fn allocates beyond what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+class TestDenseRhoBuffer:
+    @pytest.mark.parametrize("name", ["ct", "qr", "cs"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 3.0])
+    def test_matches_whole_matrix_formula(self, name, gamma):
+        H, S = _dense_pair(name)
+        alpha = 0.9 / np.linalg.eigvalsh(H.T @ H + gamma * S.T @ S)[-1]
+        op_norm, s_norm = _rho_whole_matrix(alpha, H, S, gamma)
+        for est in (compute_rho(0.1, alpha, H, S, 0.2, gamma=gamma),
+                    compute_rho(0.1, alpha, H, np.sqrt(gamma) * S, 0.2)):
+            assert est.gradient_op_norm == pytest.approx(op_norm, rel=1e-12, abs=0.0)
+            assert est.s_spectral_norm == pytest.approx(s_norm, rel=1e-12, abs=0.0)
+
+    def test_inputs_left_unchanged(self):
+        H, S = _dense_pair("ct")
+        H0, S0 = H.copy(), S.copy()
+        compute_rho(0.0, 0.01, H, S, 0.0, gamma=3.0)
+        np.testing.assert_array_equal(H, H0)
+        np.testing.assert_array_equal(S, S0)
+
+    def test_compute_rho_memory_on_benchmark_ct_pair(self, bench_ct):
+        H, S = bench_ct["op"].to_dense(), bench_ct["basis"].matrix
+        n = H.shape[1]
+        assert (n, S.shape[0], H.shape[0]) == (1024, 1280, 640)
+        peak = _peak_bytes(lambda: compute_rho(0.0, 0.01, H, S, 0.0, gamma=0.3))
+        assert peak <= 1.2 * 8 * n * n
+
+    def test_theory_report_memory_on_benchmark_ct_pair(self, bench_ct):
+        # the report densifies H (5.2 MB) and holds one n x n buffer (8.4 MB)
+        pb = bench_ct
+        op = pb["op"]
+        y = add_measurement_noise(op.forward(pb["x_star"]), pb["snr_db"],
+                                  pb["noise_seed"])
+        _, trace = solve_pnp_admm(op, y, pb["denoiser"], pb["solver_config"],
+                                  pb["basis"], pb["prior_fn"])
+        assert normal_spectrum(op, pb["basis"]) is None
+        assert _peak_bytes(lambda: experiments._theory_report(pb, trace, y)) <= 16e6
+
+
 def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
-    return compute_rho(delta, alpha, op.to_dense(), np.sqrt(gamma) * basis.matrix, ric_s)
+    # the call the theory report makes on a pair with no structural spectrum
+    return compute_rho(delta, alpha, op.to_dense(), basis.matrix, ric_s, gamma=gamma)
 
 
 def _approximate_configs():
@@ -294,7 +386,7 @@ class TestTheoryReportRho:
         weight = np.sqrt(report.gamma)
         # the two calls the report made before it took both images from one pair
         if name == "radon":
-            ric_s = estimate_ric(weight * basis.matrix, pairs)
+            ric_s = estimate_ric(lambda v: weight * (basis.matrix @ v), pairs)
             ric_h = estimate_ric(op.to_dense(), pairs)
         else:
             ric_s = estimate_ric(lambda v: weight * basis.project(v), pairs)

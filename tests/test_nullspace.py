@@ -1,5 +1,7 @@
 """Null-space basis construction: membership, orthonormality, complements, reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -38,6 +40,7 @@ from nullprior.operators import (
     lowpass_mask,
     random_mask,
 )
+from nullprior.priors import TwoLayerNet, train_joint
 
 
 class TestQrNullspace:
@@ -146,19 +149,86 @@ class TestRadonComplement:
     @pytest.mark.parametrize("side,count,acquired", [(8, 15, 5), (16, 30, 10)])
     def test_residuals_match_row_loop(self, side, count, acquired):
         # the row-by-row forward and explicit identity the residuals used
-        # before one stacked application: gram bits kept, ortho to 1e-14
+        # before they were summed over blocks of rows
         full = [180.0 * k / count for k in range(count)]
         basis = radon_complement(side, full, full[:acquired])
         S = basis.matrix
         op = RadonOperator(side, full[:acquired])
         ortho = np.linalg.norm(np.array([op.forward(row) for row in S]))
         gram = np.linalg.norm(S @ S.T - np.eye(S.shape[0]))
-        assert basis.row_gram_residual == gram
+        assert basis.row_gram_residual == pytest.approx(gram, rel=1e-12, abs=0.0)
         assert basis.ortho_to_H_residual == pytest.approx(ortho, rel=1e-14, abs=0.0)
 
     def test_empty(self):
         with pytest.raises(EmptyComplementError):
             radon_complement(8, [0.0], [0.0])
+
+
+def _dense_residuals(S, H):
+    return (np.linalg.norm(S @ H.T), np.linalg.norm(S @ S.T - np.eye(S.shape[0])))
+
+
+def _dense_basis_case(name):
+    """(basis, H) from each construction that records residuals of dense rows.
+
+    Every p exceeds one block of rows, so the sums cross block boundaries.
+    """
+    rng = np.random.default_rng(11)
+    if name == "radon":
+        full = [180.0 * k / 30 for k in range(30)]
+        return (radon_complement(16, full, full[:10]),
+                RadonOperator(16, full[:10]).to_dense())
+    H = rng.standard_normal((20, 200)) / np.sqrt(200)
+    if name == "qr":
+        return qr_nullspace(H, p=150, seed=3), H
+    S0 = rng.standard_normal((150, 200)) / np.sqrt(200)
+    xs = rng.standard_normal((30, 200))
+    lam = {"learned-fixed": 0.0, "learned": 0.01}[name]
+    _, basis, _ = train_joint(TwoLayerNet(20, 150, hidden=8, seed=1), S0, xs, H,
+                              lam1=lam, lam2=lam, epochs=3, lr=1e-3, seed=2)
+    return basis, H
+
+
+class TestBlockedResiduals:
+    @pytest.mark.parametrize("name", ["radon", "qr", "learned-fixed", "learned"])
+    def test_constructions_match_dense_formulas(self, name):
+        basis, H = _dense_basis_case(name)
+        assert basis.p > nullspace._RESIDUAL_ROWS
+        ortho, gram = _dense_residuals(basis.matrix, H)
+        # a QR basis has residuals of rounding size (~1e-14), which agree
+        # only absolutely
+        assert basis.ortho_to_H_residual == pytest.approx(ortho, rel=1e-12, abs=1e-12)
+        assert basis.row_gram_residual == pytest.approx(gram, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["radon", "qr", "learned"])
+    def test_scaled_gram_matches_dense_formula(self, name):
+        basis, H = _dense_basis_case(name)
+        scaled = basis.scaled(0.7)
+        _, gram = _dense_residuals(scaled.matrix, H)
+        assert scaled.row_gram_residual == pytest.approx(gram, rel=1e-12, abs=1e-12)
+        assert np.isnan(nullspace._residuals(scaled.matrix)[0])
+
+    def test_operator_and_dense_h_agree(self):
+        basis, H = _dense_basis_case("radon")
+        full = [180.0 * k / 30 for k in range(30)]
+        by_op = nullspace._residuals(basis.matrix, op=RadonOperator(16, full[:10]))
+        by_dense = nullspace._residuals(basis.matrix, H_dense=H)
+        assert by_op == pytest.approx(by_dense, rel=1e-13, abs=0.0)
+
+    def test_memory_on_benchmark_ct_pair(self):
+        # the ct-admm-sweep pair: side 32, 20 of 60 angles acquired, p = 1280,
+        # m = 640; the whole-matrix form held a 1280 x 1280 gram and S H'
+        full = [180.0 * k / 60 for k in range(60)]
+        S = radon_complement(32, full, full[:20]).matrix
+        op = RadonOperator(32, full[:20])
+        assert S.shape == (1280, 1024)
+        tracemalloc.start()
+        try:
+            nullspace._residuals(S, op=op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestCirculantComplements:

@@ -19,6 +19,7 @@ from nullprior.nullspace import (
     toeplitz_complement,
 )
 from nullprior.operators import (
+    DENSE_CAP,
     CirculantConvOperator,
     DecimatedConvOperator,
     DenseOperator,
@@ -27,6 +28,7 @@ from nullprior.operators import (
     bilinear_kernel,
     gaussian_kernel,
     lowpass_mask,
+    make_operator,
 )
 from nullprior.phantoms import piecewise_signal, sparse_signal
 from nullprior.priors import OraclePrior, ZeroError
@@ -91,6 +93,20 @@ class TestGradientPieces:
         np.testing.assert_allclose(subspace_grad(S, x, g), S.T @ (S @ x - g), atol=1e-12)
 
 
+class _Diagonal(LinearOperator):
+    """H = diag(d), with O(n) products at any n."""
+
+    def __init__(self, d):
+        self.d = d
+        self.shape_in = (d.size,)
+        self.m = self.m_eff = d.size
+
+    def _apply(self, x):
+        return self.d * x
+
+    _apply_adjoint = _apply
+
+
 def _default_alpha_loop(op, basis, gamma, safety=0.9, seed=0):
     # the power iteration default_alpha ran before it shared one routine
     rng = np.random.default_rng(seed)
@@ -117,11 +133,38 @@ class TestDefaultAlpha:
         assert default_alpha(op, basis, gamma=gamma) == _default_alpha_loop(op, basis, gamma)
 
     def test_unconverged_warns_and_keeps_value(self):
-        # top eigenvalues 1 and 0.9998^2: 300 steps leave the estimate moving
-        op = DenseOperator(np.diag([1.0, 0.9998, 0.5]))
+        # past the dense cap a stalled estimate is all there is; top
+        # eigenvalues 1 and 0.9998^2: 300 steps leave the estimate moving
+        d = np.full(DENSE_CAP + 1, 0.5)
+        d[:2] = 1.0, 0.9998
+        op = _Diagonal(d)
         with pytest.warns(RuntimeWarning, match="default_alpha did not converge"):
             alpha = default_alpha(op)
         assert alpha == _default_alpha_loop(op, None, 0.0)
+        assert alpha > 0.9
+
+    def test_unconverged_under_cap_takes_dense_eigenvalue(self):
+        # the stalled estimate lies below lambda_max = 1 and would give a step
+        # past 0.9 / lambda_max; under the cap the dense eigenvalue replaces it
+        op = DenseOperator(np.diag([1.0, 0.9998, 0.5]))
+        assert _default_alpha_loop(op, None, 0.0) > 0.9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = default_alpha(op)
+        assert alpha == pytest.approx(0.9, rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_stalled_cs_pairs_get_safe_step(self, seed):
+        # the two compressed-sensing pairs of acceptance criterion 3 on which
+        # 300 power-iteration steps stall
+        op = make_operator("cs", {"n": 100, "m": 10, "normalize": True}, seed)
+        H = op.to_dense()
+        basis = qr_nullspace(H, p=90, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = default_alpha(op, basis, gamma=1.0)
+        lam = np.linalg.eigvalsh(H.T @ H + basis.matrix.T @ basis.matrix)[-1]
+        assert alpha == pytest.approx(0.9 / lam, rel=1e-13)
 
     def test_zero_operator_rejected(self):
         with pytest.raises(NullPriorError, match="operator is zero"):
