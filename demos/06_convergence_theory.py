@@ -42,7 +42,7 @@ pairs = iterate_cloud_pairs(trace.iterates, x_star)
 ric_s = estimate_ric(basis.matrix, pairs)
 ric_h = estimate_ric(op.to_dense(), pairs)
 delta = dn.estimate_delta(dn.Identity(), pairs)
-est = compute_rho(delta, alpha, op.to_dense(), basis.matrix, ric_s)
+est = compute_rho(delta, alpha, op, basis, 1.0, ric_s)
 ciz = detect_ciz(trace.proj_err_sq, prior.error_norm(y))
 xn = np.linalg.norm(x_star)
 

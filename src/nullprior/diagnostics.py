@@ -3,22 +3,22 @@
 The contraction rate of the penalized iteration is
 rho = (1 + delta) * (||I - alpha (H'H + S'S)|| + (1 + Delta_S) ||S||),
 with unsquared spectral norms (the form the fixed-point argument actually
-uses); the squared-norm variant is recorded alongside for comparison.  The
-two spectral norms come one of two ways, chosen by the pair's structure.
+uses); the squared-norm variant is recorded alongside for comparison.  This
+module owns the spectrum of P = H'H + gamma S'S: `compute_rho` gives the
+rate and `lambda_max` the largest eigenvalue behind the default step.
 Where the operator and basis share a transform (masked DCT/DFT with its
 Fourier complement, blur and SR with their complements, scaled or not),
-`normal_spectrum` gives the eigenvalues of H'H + gamma S'S from one FFT or
-one batched block `eigvalsh`, and `compute_rho_spectral` reads both norms
-exactly from them.  Every other pair (QR, Radon, rescaled and learned bases)
-takes them from the symmetric eigenvalues of dense n x n matrices
-(`compute_rho`).  The restricted-isometry constants Delta are measured on
-a supplied sample cloud, the denoiser expansion delta on sample pairs, and
-the improvement zone is the set of iterations whose projected error still
-dominates the prior's error norm.  Two constant pairs are in circulation
-for the penalty-decay bound; both are computed, with the first as the
-primary.
+both read it from `normal_spectrum` (one FFT or one batched block
+`eigvalsh`).  Every other pair takes the norms from a dense n x n P, and
+lambda_max from power iteration.  The restricted-isometry constants Delta
+are measured on a supplied sample cloud, the denoiser expansion delta on
+sample pairs, and the improvement zone is the set of iterations whose
+projected error still dominates the prior's error norm.  Two constant
+pairs are in circulation for the penalty-decay bound; both are computed,
+with the first as the primary.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +26,12 @@ import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
 from .errors import NullPriorError
+from .nullspace import as_basis
 from .operators import (
+    DENSE_CAP,
     CirculantConvOperator,
     DecimatedConvOperator,
+    DenseOperator,
     MaskedFrequencyOperator,
     ScaledOperator,
 )
@@ -115,39 +118,6 @@ class RhoEstimate:
     s_spectral_norm: float
 
 
-def _rho_estimate(delta, op_norm, s_norm, ric_s):
-    rho = (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm)
-    rho_sq = (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2)
-    return RhoEstimate(rho, rho_sq, op_norm, s_norm)
-
-
-def compute_rho(delta, alpha, H_dense, S, ric_s, gamma=1.0):
-    """Contraction rate of the penalized gradient map, unsquared-norm form.
-
-    The penalty weights S by sqrt(gamma): the rate takes ||I - alpha P|| with
-    P = H'H + gamma S'S and ||sqrt(gamma) S||.  A caller that has already
-    scaled S passes it with the default gamma = 1.  A squared-norm variant
-    of the same rate is returned alongside so runs can record both forms.
-
-    Both norms come from symmetric eigenvalues of one Fortran-ordered n x n
-    buffer that holds only a lower triangle: BLAS syrk writes gamma S'S and
-    adds H'H, the buffer is shifted in place to I - alpha P for LAPACK's
-    syevd, then refilled with gamma S'S for ||sqrt(gamma) S||^2.  Beyond its
-    inputs this allocates the one n x n buffer (8 n^2 bytes).
-    """
-    H = np.asarray(H_dense, dtype=float)
-    n = H.shape[1]
-    M = gram_lower(S, gamma)
-    gram_lower(H, 1.0, M, beta=1.0)
-    M *= -alpha
-    M.flat[::n + 1] += 1.0
-    eig = lower_eigvalsh(M)
-    op_norm = float(max(abs(eig[0]), abs(eig[-1])))
-    gram_lower(S, gamma, M)
-    s_norm = float(np.sqrt(max(lower_eigvalsh(M)[-1], 0.0)))
-    return _rho_estimate(delta, op_norm, s_norm, ric_s)
-
-
 def gram_lower(A, weight=1.0, out=None, beta=0.0):
     """weight A'A + beta out in the lower triangle of a Fortran-ordered array.
 
@@ -191,7 +161,8 @@ def normal_spectrum(op, basis=None, gamma=0.0):
       batched `eigvalsh` solves them.
     Without a basis the result is the spectrum of H'H.  Any other pair
     (Radon, dense CS, QR, learned or rescaled bases) gives None, also at
-    gamma = 0, so callers fall back to power iteration or dense matrices.
+    gamma = 0, and `compute_rho` and `lambda_max` then work from dense
+    matrices or power iteration.
     """
     s_term = s_frame = None
     if basis is not None:
@@ -253,21 +224,83 @@ def _alias_spectrum(op, scale_sq, s_term):
     return np.linalg.eigvalsh(blocks).reshape(-1)
 
 
-def compute_rho_spectral(delta, alpha, op, basis, gamma, ric_s):
-    """Contraction rate from the pair's exact spectrum (`normal_spectrum`).
+def _dense_normal(op, S, gamma):
+    """Lower triangle of P = gamma S'S + H'H (H'H for S None), by BLAS syrk.
 
-    For a basis diagonal in the transform that (block-)diagonalizes H,
-    ||I - alpha P|| = max |1 - alpha lambda| over the eigenvalues of P, and
-    ||sqrt(gamma) S|| = sqrt(gamma max d_S); both are exact, and no n x n
-    array is formed.
+    A dense operator's matrix is read uncopied, any other densified.
     """
+    H = op.matrix if isinstance(op, DenseOperator) else op.to_dense()
+    if S is None:
+        return gram_lower(H)
+    return gram_lower(H, 1.0, gram_lower(S, gamma), beta=1.0)
+
+
+def lambda_max(op, basis=None, gamma=0.0, seed=0):
+    """Largest eigenvalue of P = H'H + gamma S'S (of H'H without a basis).
+
+    Exact from the pair's structural spectrum (`normal_spectrum`), else
+    power iteration from a seeded Gaussian unit vector: at most 300 steps
+    of lambda = ||P v||, v <- P v / lambda, stopping at a relative change
+    of 1e-12, or with 0.0 once P v = 0.  Its estimates lie below lambda_max
+    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992), so a
+    stall takes the top eigenvalue of dense P for n <= 4096 and past that
+    keeps the estimate with a warning.  `basis` may be a plain matrix.
+    """
+    basis = None if basis is None else as_basis(basis)
     eig = normal_spectrum(op, basis, gamma)
-    if eig is None:
-        raise NullPriorError(f"no structural spectrum for a {basis.method!r} basis "
-                             "on this operator")
-    op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
-    s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
-    return _rho_estimate(delta, op_norm, s_norm, ric_s)
+    if eig is not None:
+        return float(np.max(eig))
+    vec = np.random.default_rng(seed).standard_normal(op.n)
+    vec /= np.linalg.norm(vec)
+    lam = 0.0
+    for _ in range(300):
+        w = op.adjoint(op.forward(vec))
+        if basis is not None:
+            w = w + gamma * basis.backproject(basis.project(vec))
+        lam_new = float(np.linalg.norm(w))
+        if lam_new == 0.0:
+            return 0.0
+        vec = w / lam_new
+        if abs(lam_new - lam) <= 1e-12 * lam_new:
+            return lam_new
+        lam = lam_new
+    if op.n <= DENSE_CAP:
+        S = None if basis is None else basis.matrix
+        return float(lower_eigvalsh(_dense_normal(op, S, gamma))[-1])
+    warnings.warn("lambda_max did not converge in 300 iterations "
+                  f"(last eigenvalue estimate {lam})", RuntimeWarning)
+    return lam
+
+
+def compute_rho(delta, alpha, op, basis, gamma, ric_s):
+    """Contraction rate of the penalized gradient map, unsquared-norm form.
+
+    The penalty weights S by sqrt(gamma): the rate takes ||I - alpha P|| with
+    P = H'H + gamma S'S and ||sqrt(gamma) S||; a squared-norm variant is
+    returned alongside.  `basis` may be a plain matrix.  With a structural
+    spectrum (`normal_spectrum`) both norms are exact, max |1 - alpha lambda|
+    and sqrt(gamma max d_S), and no n x n array is formed.  Any other pair
+    (n <= 4096) reads them from symmetric eigenvalues of one n x n buffer
+    (`_dense_normal`), shifted in place to I - alpha P for LAPACK's syevd,
+    then refilled with gamma S'S: beyond the dense H and S, 8 n^2 bytes.
+    """
+    basis = as_basis(basis)
+    eig = normal_spectrum(op, basis, gamma)
+    if eig is not None:
+        op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
+        s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
+    else:
+        S = basis.matrix
+        M = _dense_normal(op, S, gamma)
+        M *= -alpha
+        M.flat[::op.n + 1] += 1.0
+        eig = lower_eigvalsh(M)
+        op_norm = float(max(abs(eig[0]), abs(eig[-1])))
+        gram_lower(S, gamma, M)
+        s_norm = float(np.sqrt(max(lower_eigvalsh(M)[-1], 0.0)))
+    rho = (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm)
+    rho_sq = (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2)
+    return RhoEstimate(rho, rho_sq, op_norm, s_norm)
 
 
 def decay_constants(alpha, K, ric_s, ric_h, xstar_norm):

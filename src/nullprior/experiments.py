@@ -23,19 +23,17 @@ from . import denoisers as dn
 from .diagnostics import (
     TheoryReport,
     compute_rho,
-    compute_rho_spectral,
     decay_constants,
     decay_constants_statement_variant,
     detect_ciz,
     detect_ciz_rip_variant,
     estimate_ric,
     iterate_cloud_pairs,
-    normal_spectrum,
     penalty_decay_bound,
     psnr,
     resolution_floor,
 )
-from .errors import ConfigError, NullPriorError
+from .errors import ConfigError
 from .nullspace import (
     NullSpaceBasis,
     fourier_complement,
@@ -382,28 +380,15 @@ def _theory_report(pb, trace, y):
     x_star = pb["x_star"]
     notes = []
     certified = True
-    # the penalty weights S by sqrt(gamma) (by 1 at gamma = 0); a pair with a
-    # structural spectrum gets rho exactly from it, with neither S nor H
-    # densified, and every other pair gets rho from dense n x n matrices
+    # the penalty weights S by sqrt(gamma) (by 1 at gamma = 0)
     gamma_eff = config.gamma if config.gamma > 0 else 1.0
     weight = np.sqrt(gamma_eff)
-    dense = normal_spectrum(op, basis) is None
-    if dense and op.n > DENSE_CAP:
-        raise NullPriorError("theory report needs n <= 4096 for a "
-                             f"{basis.method!r} basis")
     # S d and H d from one pair application per difference
-    if dense:
-        S = basis.matrix
-        H_dense = op.to_dense()
+    pair = basis.pair(op)
 
-        def images(v):
-            return weight * (S @ v), H_dense @ v
-    else:
-        pair = basis.pair(op)
-
-        def images(v):
-            h, s = pair.forward(v)
-            return weight * s, h
+    def images(v):
+        h, s = pair.forward(v)
+        return weight * s, h
     ric_s, ric_h = estimate_ric(images, iterate_cloud_pairs(trace.iterates, x_star))
     # D(x*) serves the fixed-point check below and the x* pairs of delta
     denoiser = pb["denoiser"]
@@ -430,10 +415,7 @@ def _theory_report(pb, trace, y):
     if np.linalg.norm(dx - x_star) > 1e-9 * (1.0 + xn):
         certified = False
         notes.append("ground truth is not a fixed point of the denoiser")
-    if dense:
-        est = compute_rho(delta_hat, config.alpha, H_dense, S, ric_s, gamma=gamma_eff)
-    else:
-        est = compute_rho_spectral(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
+    est = compute_rho(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
     K_eff = 0.0 if np.isnan(K) else K
     C1, C2 = decay_constants(config.alpha, K_eff, ric_s, ric_h, xn)
     C1v, C2v = decay_constants_statement_variant(config.alpha, K_eff, ric_s,

@@ -5,14 +5,13 @@ sensing), masked frequency transforms (MRI-style, DCT or real-stacked DFT),
 circular convolution (deblurring), decimated convolution (super-resolution),
 and a parallel-beam Radon subset (limited-angle CT).  Every operator maps a
 flat real vector of length n to a flat real measurement vector and exposes
-an exact adjoint, a dense materialization (n <= 4096), and a power-iteration
-spectral norm estimate.
+an exact adjoint and a dense materialization (n <= 4096).  Spectral
+quantities of an operator and its basis live in `diagnostics`.
 
 All operators are immutable after construction; forward/adjoint are pure.
 """
 
 import math
-import warnings
 
 import numpy as np
 import scipy.fft
@@ -77,49 +76,6 @@ class LinearOperator:
         for start, rows in identity_chunks(self.n):
             out[:, start:start + len(rows)] = self._apply(rows).T
         return out
-
-    def spectral_norm(self, iters=200, tol=1e-10, seed=0):
-        """Largest singular value by power iteration on the normal operator.
-
-        Warns (and returns the best estimate) if the relative change has not
-        dropped below tol within `iters` iterations.
-        """
-        if iters < 1:
-            raise NullPriorError("iters must be >= 1")
-        # the eigenvalue sigma^2 moves by twice the relative change of sigma
-        lam = power_iteration(lambda v: self._apply_adjoint(self._apply(v)), self.n,
-                              iters, 2.0 * tol, seed, "spectral_norm")
-        return np.sqrt(lam)
-
-
-def power_iteration(apply, n, iters, tol, seed, what, fallback=None):
-    """Largest eigenvalue of a symmetric positive semidefinite map on R^n.
-
-    Starts from a seeded Gaussian unit vector, takes lambda = ||apply(v)||
-    and v <- apply(v) / lambda, and stops once lambda changes by at most
-    tol relative.  Returns 0.0 as soon as the map sends v to zero.  If
-    `iters` steps do not converge, the last estimate lies below the
-    eigenvalue: it returns `fallback()` when a fallback is given, else
-    warns, naming `what`, and returns the estimate.
-    """
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(n)
-    vec /= np.linalg.norm(vec)
-    lam = 0.0
-    for _ in range(iters):
-        w = apply(vec)
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 0.0
-        vec = w / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
-            return lam_new
-        lam = lam_new
-    if fallback is not None:
-        return fallback()
-    warnings.warn(f"{what} did not converge in {iters} iterations "
-                  f"(last eigenvalue estimate {lam})", RuntimeWarning)
-    return lam
 
 
 class DenseOperator(LinearOperator):

@@ -37,10 +37,9 @@ import numpy as np
 import scipy.fft
 
 from .denoisers import denoise
-from .diagnostics import gram_lower, lower_eigvalsh, normal_spectrum, psnr_from_err_sq
+from .diagnostics import lambda_max, psnr_from_err_sq
 from .errors import NullPriorError
 from .nullspace import as_basis
-from .operators import DENSE_CAP, power_iteration
 
 DIVERGENCE_GUARD = 1e12
 
@@ -385,36 +384,12 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
 
 
 def default_alpha(op, basis=None, gamma=0.0, safety=0.9, seed=0):
-    """0.9 over the spectral norm of H'H + gamma S'S.
+    """0.9 over the spectral norm of H'H + gamma S'S (`diagnostics.lambda_max`).
 
-    The norm is the largest eigenvalue of the pair's structural spectrum
-    (`diagnostics.normal_spectrum`: masked DCT/DFT, blur and SR with their
-    complements) where there is one, else it comes from power iteration.
-    A stalled power iteration estimates the norm from below, which would
-    make the step too long.  If 300 iterations do not converge to 1e-12
-    relative, the norm comes from the symmetric eigenvalues of the dense
-    n x n matrix H'H + gamma S'S for n <= 4096, and past that the estimate
-    is kept with a warning.
+    With gamma = 0 the basis is left out, as the solvers leave out the
+    penalty.
     """
-    basis = as_basis(basis) if basis is not None and gamma > 0 else None
-    eig = normal_spectrum(op, basis, gamma)
-    if eig is not None:
-        lam = float(np.max(eig))
-    else:
-        def normal(vec):
-            w = op.adjoint(op.forward(vec))
-            if basis is not None:
-                w = w + gamma * basis.backproject(basis.project(vec))
-            return w
-
-        def dense_lambda_max():
-            P = gram_lower(op.to_dense())
-            if basis is not None:
-                gram_lower(basis.matrix, gamma, P, beta=1.0)
-            return float(lower_eigvalsh(P)[-1])
-
-        lam = power_iteration(normal, op.n, 300, 1e-12, seed, "default_alpha",
-                              dense_lambda_max if op.n <= DENSE_CAP else None)
+    lam = lambda_max(op, basis if gamma > 0 else None, gamma, seed)
     if lam == 0.0:
         raise NullPriorError("operator is zero; cannot pick a step size")
     return safety / lam

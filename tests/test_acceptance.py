@@ -195,7 +195,7 @@ def test_criterion_4_contraction_rate():
     assert ric_s < 1.0  # certified
     from nullprior.diagnostics import compute_rho
 
-    est = compute_rho(delta_hat, alpha, op.to_dense(), basis.matrix, ric_s)
+    est = compute_rho(delta_hat, alpha, op, basis, 1.0, ric_s)
     assert est.rho < 1.0
 
     ciz = detect_ciz(tr_npn.proj_err_sq, 0.0)

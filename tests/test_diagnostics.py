@@ -8,12 +8,14 @@ import pytest
 from nullprior import experiments
 from nullprior.denoisers import Identity, estimate_delta
 from nullprior.diagnostics import (
+    _diagonal_gram,
     compute_rho,
-    compute_rho_spectral,
     detect_ciz,
     detect_ciz_rip_variant,
     estimate_ric,
+    gram_lower,
     iterate_cloud_pairs,
+    lower_eigvalsh,
     normal_spectrum,
     psnr,
     penalty_decay_bound,
@@ -36,6 +38,7 @@ from nullprior.operators import (
     CirculantConvOperator,
     DecimatedConvOperator,
     DenseOperator,
+    LinearOperator,
     MaskedFrequencyOperator,
     RadonOperator,
     ScaledOperator,
@@ -147,7 +150,7 @@ class TestComputeRho:
         rng = np.random.default_rng(2)
         H = rng.standard_normal((4, 10)) / np.sqrt(10)
         alpha = 0.3
-        est = compute_rho(0.0, alpha, H, np.zeros((1, 10)), 0.0)
+        est = compute_rho(0.0, alpha, DenseOperator(H), np.zeros((1, 10)), 1.0, 0.0)
         expected = np.linalg.norm(np.eye(10) - alpha * (H.T @ H), 2)
         assert est.rho == pytest.approx(expected, abs=1e-12)
 
@@ -155,7 +158,7 @@ class TestComputeRho:
         rng = np.random.default_rng(3)
         Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
         H, S = Q[:4].copy(), Q[4:].copy()
-        est = compute_rho(0.0, 1.0, H, S, ric_s=0.3)
+        est = compute_rho(0.0, 1.0, DenseOperator(H), S, 1.0, ric_s=0.3)
         assert est.gradient_op_norm < 1e-12
         assert est.rho == pytest.approx(1.3 * 1.0, abs=1e-10)
 
@@ -172,7 +175,7 @@ class TestComputeRho:
         pairs = iterate_cloud_pairs(trace.iterates, x_star)
         ric_s = estimate_ric(basis.matrix, pairs)
         assert ric_s < 1.0
-        est = compute_rho(0.0, alpha, op.to_dense(), basis.matrix, ric_s)
+        est = compute_rho(0.0, alpha, op, basis, 1.0, ric_s)
         assert est.rho < 1.0
         ciz = detect_ciz(trace.proj_err_sq, 0.0)
         ratios = trace.ratio[ciz]
@@ -185,7 +188,7 @@ class TestComputeRho:
         rng = np.random.default_rng(9)
         H = rng.standard_normal((6, 20)) / 3.0
         S = rng.standard_normal((9, 20)) / 3.0
-        est = compute_rho(0.0, alpha, H, S, 0.0)
+        est = compute_rho(0.0, alpha, DenseOperator(H), S, 1.0, 0.0)
         op_norm = np.linalg.norm(np.eye(20) - alpha * (H.T @ H + S.T @ S), 2)
         assert est.gradient_op_norm == pytest.approx(op_norm, rel=1e-14)
         assert est.s_spectral_norm == pytest.approx(np.linalg.norm(S, 2), rel=1e-14)
@@ -194,7 +197,7 @@ class TestComputeRho:
         rng = np.random.default_rng(4)
         H = rng.standard_normal((3, 8)) / 4.0
         S = rng.standard_normal((2, 8)) / 4.0
-        est = compute_rho(0.1, 0.5, H, S, 0.2)
+        est = compute_rho(0.1, 0.5, DenseOperator(H), S, 1.0, 0.2)
         assert est.rho_squared_form == pytest.approx(
             1.1 * (est.gradient_op_norm ** 2 + 1.2 * est.s_spectral_norm ** 2))
 
@@ -256,15 +259,15 @@ class TestDenseRhoBuffer:
         H, S = _dense_pair(name)
         alpha = 0.9 / np.linalg.eigvalsh(H.T @ H + gamma * S.T @ S)[-1]
         op_norm, s_norm = _rho_whole_matrix(alpha, H, S, gamma)
-        for est in (compute_rho(0.1, alpha, H, S, 0.2, gamma=gamma),
-                    compute_rho(0.1, alpha, H, np.sqrt(gamma) * S, 0.2)):
+        for est in (compute_rho(0.1, alpha, DenseOperator(H), S, gamma, 0.2),
+                    compute_rho(0.1, alpha, DenseOperator(H), np.sqrt(gamma) * S, 1.0, 0.2)):
             assert est.gradient_op_norm == pytest.approx(op_norm, rel=1e-12, abs=0.0)
             assert est.s_spectral_norm == pytest.approx(s_norm, rel=1e-12, abs=0.0)
 
     def test_inputs_left_unchanged(self):
         H, S = _dense_pair("ct")
         H0, S0 = H.copy(), S.copy()
-        compute_rho(0.0, 0.01, H, S, 0.0, gamma=3.0)
+        compute_rho(0.0, 0.01, DenseOperator(H), S, 3.0, 0.0)
         np.testing.assert_array_equal(H, H0)
         np.testing.assert_array_equal(S, S0)
 
@@ -272,7 +275,7 @@ class TestDenseRhoBuffer:
         H, S = bench_ct["op"].to_dense(), bench_ct["basis"].matrix
         n = H.shape[1]
         assert (n, S.shape[0], H.shape[0]) == (1024, 1280, 640)
-        peak = _peak_bytes(lambda: compute_rho(0.0, 0.01, H, S, 0.0, gamma=0.3))
+        peak = _peak_bytes(lambda: compute_rho(0.0, 0.01, DenseOperator(H), S, 0.3, 0.0))
         assert peak <= 1.2 * 8 * n * n
 
     def test_theory_report_memory_on_benchmark_ct_pair(self, bench_ct):
@@ -288,8 +291,36 @@ class TestDenseRhoBuffer:
 
 
 def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
-    # the call the theory report makes on a pair with no structural spectrum
-    return compute_rho(delta, alpha, op.to_dense(), basis.matrix, ric_s, gamma=gamma)
+    # the dense reference: a dense operator and matrix have no structural spectrum
+    return compute_rho(delta, alpha, DenseOperator(op.to_dense()), basis.matrix, gamma, ric_s)
+
+
+def _old_dense_rho(delta, alpha, H, S, ric_s, gamma):
+    # the dense-matrix rate before compute_rho chose its path itself
+    n = H.shape[1]
+    M = gram_lower(S, gamma)
+    gram_lower(H, 1.0, M, beta=1.0)
+    M *= -alpha
+    M.flat[::n + 1] += 1.0
+    eig = lower_eigvalsh(M)
+    op_norm = float(max(abs(eig[0]), abs(eig[-1])))
+    gram_lower(S, gamma, M)
+    s_norm = float(np.sqrt(max(lower_eigvalsh(M)[-1], 0.0)))
+    return _rho_fields(delta, op_norm, s_norm, ric_s)
+
+
+def _old_spectral_rho(delta, alpha, op, basis, gamma, ric_s):
+    # the structural-spectrum rate before compute_rho chose its path itself
+    eig = normal_spectrum(op, basis, gamma)
+    op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
+    s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
+    return _rho_fields(delta, op_norm, s_norm, ric_s)
+
+
+def _rho_fields(delta, op_norm, s_norm, ric_s):
+    return {"rho": (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm),
+            "rho_squared_form": (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2),
+            "gradient_op_norm": op_norm, "s_spectral_norm": s_norm}
 
 
 def _approximate_configs():
@@ -334,6 +365,17 @@ def _structured_configs():
     }
 
 
+def _pair_configs():
+    """MRI (DCT, scaled DFT), blur, SR and CT configs of the theory-report tests."""
+    mri = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
+    return {"mri-dct": mri,
+            "mri-dft-scaled": dict(mri, operator={**mri["operator"], "transform": "dft",
+                                                  "scale": 0.37}),
+            "toeplitz": _structured_configs()["toeplitz"],
+            "sr": _structured_configs()["sr"],
+            "radon": _approximate_configs()["radon"]}
+
+
 class TestTheoryReportRho:
     @pytest.mark.parametrize("name", sorted(_approximate_configs()))
     def test_approximate_bases_keep_dense_rho(self, name, tmp_path):
@@ -372,12 +414,7 @@ class TestTheoryReportRho:
 
     @pytest.mark.parametrize("name", ["mri-dct", "mri-dft-scaled", "toeplitz", "radon"])
     def test_ric_pair_bit_identical_to_separate_calls(self, name, tmp_path):
-        mri = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
-        cfg = {"mri-dct": mri,
-               "mri-dft-scaled": dict(mri, operator={**mri["operator"], "transform": "dft",
-                                                     "scale": 0.37}),
-               "toeplitz": _structured_configs()["toeplitz"],
-               "radon": _approximate_configs()["radon"]}[name]
+        cfg = _pair_configs()[name]
         result = run(cfg, out_dir=str(tmp_path))
         report = result["theory"]
         pb = build_problem(cfg)
@@ -385,23 +422,36 @@ class TestTheoryReportRho:
         pairs = iterate_cloud_pairs(result["trace_npn"].iterates, pb["x_star"])
         weight = np.sqrt(report.gamma)
         # the two calls the report made before it took both images from one pair
-        if name == "radon":
-            ric_s = estimate_ric(lambda v: weight * (basis.matrix @ v), pairs)
-            ric_h = estimate_ric(op.to_dense(), pairs)
-        else:
-            ric_s = estimate_ric(lambda v: weight * basis.project(v), pairs)
-            ric_h = estimate_ric(op.forward, pairs)
+        ric_s = estimate_ric(lambda v: weight * basis.project(v), pairs)
+        ric_h = estimate_ric(op.forward, pairs)
         assert (report.ric_s, report.ric_h) == (ric_s, ric_h)
+
+    @pytest.mark.parametrize("name", ["mri-dct", "mri-dft-scaled", "toeplitz", "sr"])
+    def test_structured_report_densifies_nothing(self, name, monkeypatch):
+        pb = build_problem(_pair_configs()[name])
+        op = pb["op"]
+        y = add_measurement_noise(op.forward(pb["x_star"]), pb["snr_db"], pb["noise_seed"])
+        _, trace = solve_pnp_fista(op, y, pb["denoiser"], pb["solver_config"],
+                                   pb["basis"], pb["prior_fn"])
+
+        def densified(*args):
+            raise AssertionError("the theory report densified H or S")
+
+        for cls in (LinearOperator, DenseOperator, RadonOperator):
+            monkeypatch.setattr(cls, "to_dense", densified)
+        monkeypatch.setattr(NullSpaceBasis, "matrix", property(densified))
+        report = experiments._theory_report(pb, trace, y)
+        assert np.isfinite(report.rho)
 
     def test_exact_basis_uses_closed_form(self, tmp_path):
         cfg = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
         report = run(cfg, out_dir=str(tmp_path))["theory"]
         pb = build_problem(cfg)
         assert pb["basis"].method == "fourier-complement"
-        spectral = compute_rho_spectral(report.delta_hat, report.alpha, pb["op"],
-                                        pb["basis"], report.gamma, report.ric_s)
-        for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
-            assert getattr(report, field) == getattr(spectral, field)
+        spectral = _old_spectral_rho(report.delta_hat, report.alpha, pb["op"],
+                                     pb["basis"], report.gamma, report.ric_s)
+        for field, value in spectral.items():
+            assert getattr(report, field) == value
         dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
                            report.gamma, report.ric_s)
         assert report.rho == pytest.approx(dense.rho, rel=1e-12, abs=0.0)
@@ -499,16 +549,36 @@ class TestNormalSpectrum:
     @pytest.mark.parametrize("alpha", [0.02, 0.2, 0.9])
     def test_spectral_rho_matches_dense(self, case, gamma, alpha):
         op, basis = _spectrum_cases()[case]
-        spectral = compute_rho_spectral(0.1, alpha, op, basis, gamma, 0.2)
+        spectral = compute_rho(0.1, alpha, op, basis, gamma, 0.2)
         dense = _dense_rho(0.1, alpha, op, basis, gamma, 0.2)
         for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
             assert getattr(spectral, field) == pytest.approx(getattr(dense, field),
                                                              rel=1e-12, abs=0.0)
 
     def test_spectral_rho_rejects_unstructured_pair(self):
+        # a rescaled basis has no structural spectrum, so the rate is the dense one
         op, basis = _spectrum_cases()["blur-2d"]
-        with pytest.raises(NullPriorError):
-            compute_rho_spectral(0.0, 1.0, op, basis.scaled(0.5), 1.0, 0.0)
+        scaled = basis.scaled(0.5)
+        assert normal_spectrum(op, scaled, 1.0) is None
+        assert vars(compute_rho(0.0, 1.0, op, scaled, 1.0, 0.0)) == _old_dense_rho(
+            0.0, 1.0, op.to_dense(), scaled.matrix, 0.0, 1.0)
+
+    @pytest.mark.parametrize("case", sorted(_spectrum_cases()))
+    def test_rho_bit_identical_to_spectral_formula(self, case):
+        op, basis = _spectrum_cases()[case]
+        for gamma in (0.1, 1.0, 30.0):
+            for alpha in (0.02, 0.9):
+                assert vars(compute_rho(0.1, alpha, op, basis, gamma, 0.2)) == \
+                    _old_spectral_rho(0.1, alpha, op, basis, gamma, 0.2)
+
+    @pytest.mark.parametrize("name", sorted(_approximate_configs()))
+    def test_rho_bit_identical_to_dense_formula(self, name):
+        pb = build_problem(_approximate_configs()[name])
+        op, basis, alpha = pb["op"], pb["basis"], pb["solver_config"].alpha
+        assert normal_spectrum(op, basis, 1.0) is None
+        for gamma in (0.5, 3.0):
+            assert vars(compute_rho(0.1, alpha, op, basis, gamma, 0.2)) == \
+                _old_dense_rho(0.1, alpha, op.to_dense(), basis.matrix, 0.2, gamma)
 
 
 class TestPenaltyDecayBound:

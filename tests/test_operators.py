@@ -108,27 +108,6 @@ class TestToDense:
             op.to_dense()
 
 
-class TestSpectralNorm:
-    def test_identity(self):
-        assert DenseOperator(np.eye(5)).spectral_norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal(self):
-        assert DenseOperator(np.diag([3.0, 1.0])).spectral_norm() == pytest.approx(3.0, abs=1e-9)
-
-    def test_matches_dense_svd(self):
-        rng = np.random.default_rng(7)
-        mat = rng.standard_normal((4, 10))
-        ref = np.linalg.svd(mat, compute_uv=False)[0]
-        assert DenseOperator(mat).spectral_norm(iters=500, tol=1e-13) == pytest.approx(ref, abs=1e-8)
-
-    def test_nonconvergence_flagged(self):
-        rng = np.random.default_rng(8)
-        op = DenseOperator(rng.standard_normal((6, 12)))
-        with pytest.warns(RuntimeWarning, match="did not converge"):
-            estimate = op.spectral_norm(iters=2, tol=1e-16)
-        assert estimate > 0
-
-
 class TestLinearity:
     @pytest.mark.parametrize("name", ["dense", "dct", "dft", "blur", "sr", "ct"])
     def test_zero_and_superposition(self, name):

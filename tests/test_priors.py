@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nullprior.errors import NullPriorError
+from nullprior.errors import NullPriorError, TrainingDivergedError
 from nullprior.nullspace import NullSpaceBasis, qr_nullspace
 from nullprior.operators import DenseOperator
 from nullprior.priors import (
@@ -148,7 +148,10 @@ class TestTrainMmse:
         net = TwoLayerNet(4, 3, hidden=8, seed=0)
         net.W *= 1e160  # force overflow in the first forward pass
         net.V *= 1e160
-        with pytest.raises(Exception):
+        # the overflow, and the inf * 0 it leads to in the backward pass,
+        # are what the divergence check has to catch
+        with pytest.raises(TrainingDivergedError, match="loss became inf"), \
+                pytest.warns(RuntimeWarning, match="overflow|invalid value"):
             train_mmse(net, xs, DenseOperator(H), basis, epochs=5, lr=1e3,
                        normalize=False)
 

@@ -138,7 +138,7 @@ class TestDefaultAlpha:
         d = np.full(DENSE_CAP + 1, 0.5)
         d[:2] = 1.0, 0.9998
         op = _Diagonal(d)
-        with pytest.warns(RuntimeWarning, match="default_alpha did not converge"):
+        with pytest.warns(RuntimeWarning, match="lambda_max did not converge"):
             alpha = default_alpha(op)
         assert alpha == _default_alpha_loop(op, None, 0.0)
         assert alpha > 0.9
@@ -184,14 +184,17 @@ class TestDefaultAlpha:
             op = DecimatedConvOperator((16, 16), kernel, 4)
             basis = sr_complement(kernel, 4, (16, 16))
 
-        def no_power_iteration(*args, **kwargs):
-            raise AssertionError("power iteration used on a structured pair")
+        H, S = op.to_dense(), basis.matrix
 
-        monkeypatch.setattr(solvers, "power_iteration", no_power_iteration)
+        def applied(*args):
+            raise AssertionError("lambda_max applied the pair instead of its spectrum")
+
+        for inner in (op, basis.operator):
+            monkeypatch.setattr(inner, "_apply", applied)
+            monkeypatch.setattr(inner, "_apply_adjoint", applied)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alpha = default_alpha(op, basis, gamma=gamma)
-        H, S = op.to_dense(), basis.matrix
         lam = np.linalg.eigvalsh(H.T @ H + gamma * S.T @ S)[-1]
         assert alpha == pytest.approx(0.9 / lam, rel=1e-13)
 
