@@ -10,7 +10,7 @@ Where the operator and basis share a transform (masked DCT/DFT with its
 Fourier complement, blur and SR with their complements, scaled or not),
 both read it from `normal_spectrum` (one FFT or one batched block
 `eigvalsh`).  Every other pair takes the norms from a dense n x n P, and
-lambda_max from power iteration.  The restricted-isometry constants Delta
+lambda_max from residuals or Lanczos.  The restricted-isometry constants Delta
 are measured on a supplied sample cloud, the denoiser expansion delta on
 sample pairs, and the improvement zone is the set of iterations whose
 projected error still dominates the prior's error norm.  Two constant
@@ -18,7 +18,6 @@ pairs are in circulation for the penalty-decay bound; both are computed,
 with the first as the primary.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,6 @@ from scipy.linalg.blas import dsyrk
 from .errors import NullPriorError
 from .nullspace import as_basis
 from .operators import (
-    DENSE_CAP,
     CirculantConvOperator,
     DecimatedConvOperator,
     DenseOperator,
@@ -161,8 +159,8 @@ def normal_spectrum(op, basis=None, gamma=0.0):
       batched `eigvalsh` solves them.
     Without a basis the result is the spectrum of H'H.  Any other pair
     (Radon, dense CS, QR, learned or rescaled bases) gives None, also at
-    gamma = 0, and `compute_rho` and `lambda_max` then work from dense
-    matrices or power iteration.
+    gamma = 0: `compute_rho` then works from dense matrices, and
+    `lambda_max` from the basis residuals or Lanczos.
     """
     s_term = s_frame = None
     if basis is not None:
@@ -224,52 +222,48 @@ def _alias_spectrum(op, scale_sq, s_term):
     return np.linalg.eigvalsh(blocks).reshape(-1)
 
 
-def _dense_normal(op, S, gamma):
-    """Lower triangle of P = gamma S'S + H'H (H'H for S None), by BLAS syrk.
-
-    A dense operator's matrix is read uncopied, any other densified.
-    """
-    H = op.matrix if isinstance(op, DenseOperator) else op.to_dense()
-    if S is None:
-        return gram_lower(H)
-    return gram_lower(H, 1.0, gram_lower(S, gamma), beta=1.0)
-
-
-def lambda_max(op, basis=None, gamma=0.0, seed=0):
+def lambda_max(op, basis=None, gamma=0.0):
     """Largest eigenvalue of P = H'H + gamma S'S (of H'H without a basis).
 
-    Exact from the pair's structural spectrum (`normal_spectrum`), else
-    power iteration from a seeded Gaussian unit vector: at most 300 steps
-    of lambda = ||P v||, v <- P v / lambda, stopping at a relative change
-    of 1e-12, or with 0.0 once P v = 0.  Its estimates lie below lambda_max
-    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992), so a
-    stall takes the top eigenvalue of dense P for n <= 4096 and past that
-    keeps the estimate with a warning.  `basis` may be a plain matrix.
+    Exact from the structural spectrum (`normal_spectrum`), else Lanczos
+    (ARPACK `eigsh`) on the matrix-free P to machine precision from a fixed
+    start vector, a few ulps below lambda_max (Kuczynski & Wozniakowski,
+    SIAM J. Matrix Anal. Appl. 1992).  With S H' = 0 and S S' = I the top
+    of P is max(lambda_max(H'H), gamma), and that is returned when the
+    basis's residuals bound the Weyl perturbation 2 sqrt(gamma) ||S H'||_F
+    + gamma ||S S' - I||_F by 1e-13 lambda_max: the step at gamma <=
+    lambda_max(H'H) is then the step at gamma = 0 bit for bit.  `basis` may
+    be a plain matrix, whose residuals are nan.
     """
     basis = None if basis is None else as_basis(basis)
     eig = normal_spectrum(op, basis, gamma)
     if eig is not None:
         return float(np.max(eig))
-    vec = np.random.default_rng(seed).standard_normal(op.n)
-    vec /= np.linalg.norm(vec)
-    lam = 0.0
-    for _ in range(300):
-        w = op.adjoint(op.forward(vec))
-        if basis is not None:
-            w = w + gamma * basis.backproject(basis.project(vec))
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 0.0
-        vec = w / lam_new
-        if abs(lam_new - lam) <= 1e-12 * lam_new:
-            return lam_new
-        lam = lam_new
-    if op.n <= DENSE_CAP:
-        S = None if basis is None else basis.matrix
-        return float(lower_eigvalsh(_dense_normal(op, S, gamma))[-1])
-    warnings.warn("lambda_max did not converge in 300 iterations "
-                  f"(last eigenvalue estimate {lam})", RuntimeWarning)
+    if basis is None:
+        return _lanczos_max(op.n, lambda v: op.adjoint(op.forward(v)))
+    pair = basis.pair(op)
+    lam = _lanczos_max(op.n, lambda v: pair.adjoint(*pair.forward(v), gamma))
+    weyl = (2.0 * np.sqrt(gamma) * basis.ortho_to_H_residual
+            + gamma * basis.row_gram_residual)
+    if weyl <= 1e-13 * lam:
+        return max(lambda_max(op), gamma)
     return lam
+
+
+def _lanczos_max(n, matvec):
+    """Largest eigenvalue of the symmetric n x n matrix applied by `matvec`."""
+    if n == 1:  # ARPACK needs n > 1
+        return float(matvec(np.ones(1))[0])
+    # its own seed: drawn from a basis's stream, a start can miss the basis
+    rng = np.random.default_rng(1992)
+    start = rng.uniform(-1.0, 1.0, n)
+    if not np.any(matvec(start)):  # ARPACK rejects a start vector in the null space
+        return 0.0
+    # imported here: ARPACK adds 2 MB to the peak memory of every process
+    from scipy.sparse.linalg import LinearOperator, eigsh
+    P = LinearOperator((n, n), matvec=matvec, dtype=float)
+    return float(eigsh(P, k=1, which="LA", tol=0, v0=start, rng=rng,
+                       return_eigenvectors=False)[0])
 
 
 def compute_rho(delta, alpha, op, basis, gamma, ric_s):
@@ -280,9 +274,10 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
     returned alongside.  `basis` may be a plain matrix.  With a structural
     spectrum (`normal_spectrum`) both norms are exact, max |1 - alpha lambda|
     and sqrt(gamma max d_S), and no n x n array is formed.  Any other pair
-    (n <= 4096) reads them from symmetric eigenvalues of one n x n buffer
-    (`_dense_normal`), shifted in place to I - alpha P for LAPACK's syevd,
-    then refilled with gamma S'S: beyond the dense H and S, 8 n^2 bytes.
+    (n <= 4096) reads them from symmetric eigenvalues of one n x n buffer:
+    P = gamma S'S + H'H by BLAS syrk (a dense operator's matrix read
+    uncopied), shifted in place to I - alpha P for LAPACK's syevd, then
+    refilled with gamma S'S: beyond the dense H and S, 8 n^2 bytes.
     """
     basis = as_basis(basis)
     eig = normal_spectrum(op, basis, gamma)
@@ -291,7 +286,8 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
         s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
     else:
         S = basis.matrix
-        M = _dense_normal(op, S, gamma)
+        H = op.matrix if isinstance(op, DenseOperator) else op.to_dense()
+        M = gram_lower(H, 1.0, gram_lower(S, gamma), beta=1.0)
         M *= -alpha
         M.flat[::op.n + 1] += 1.0
         eig = lower_eigvalsh(M)

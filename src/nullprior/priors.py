@@ -181,24 +181,23 @@ class TwoLayerNet:
         return net
 
 
-def _net_forward_backward(net, Y, targets):
-    """Mean squared fit loss and its analytic gradients for a batch.
+def _net_forward(net, Y, targets):
+    """Mean squared fit loss of a batch, and (Z, Hh, R) for `_net_backward`.
 
-    Y: (N, dim_in) standardized measurements; targets: (N, p).
-    Returns (loss, dW, dV, residual) with loss = mean_i ||G(y_i) - t_i||^2.
+    Y: (N, dim_in) standardized measurements; targets: (N, p); R = G(Y) - targets.
     """
-    phi, dphi = _activation(net.activation)
-    N = Y.shape[0]
+    phi, _ = _activation(net.activation)
     Z = Y @ net.W.T             # (N, k)
     Hh = phi(Z)                 # (N, k)
-    out = Hh @ net.V.T          # (N, p)
-    R = out - targets           # (N, p)
-    loss = float(np.sum(R ** 2) / N)
-    dV = 2.0 * R.T @ Hh / N
-    dH = R @ net.V              # (N, k)
-    dZ = dH * dphi(Z)
-    dW = 2.0 * dZ.T @ Y / N
-    return loss, dW, dV, R
+    R = Hh @ net.V.T - targets  # (N, p)
+    return float(np.sum(R ** 2) / Y.shape[0]), Z, Hh, R
+
+
+def _net_backward(net, Y, Z, Hh, R):
+    """Analytic gradients (dW, dV) of the fit loss from `_net_forward`'s pieces."""
+    N = Y.shape[0]
+    dZ = (R @ net.V) * _activation(net.activation)[1](Z)  # (N, k)
+    return 2.0 * dZ.T @ Y / N, 2.0 * R.T @ Hh / N
 
 
 class Adam:
@@ -315,11 +314,11 @@ def train_mmse(net, xs, operator, basis, epochs=200, lr=1e-3, batch_size=None,
         order = rng.permutation(len(train_idx)) if batch_size else np.arange(len(train_idx))
         epoch_loss = 0.0
         for chunk in np.array_split(order, nb):
-            loss, dW, dV, _ = _net_forward_backward(net, Yn[chunk], Tn[chunk])
+            loss, *pieces = _net_forward(net, Yn[chunk], Tn[chunk])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"loss became {loss} at epoch {epoch} (lr={lr})")
-            opt.step([net.W, net.V], [dW, dV])
+            opt.step([net.W, net.V], _net_backward(net, Yn[chunk], *pieces))
             epoch_loss += loss * len(chunk)
         epoch_loss /= len(train_idx)
         if epoch % max(1, epochs // 50) == 0 or epoch == epochs - 1:
@@ -381,7 +380,11 @@ def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
         for chunk in np.array_split(order, nb):
             Yb, Xb = Yn[chunk], Xt[chunk]
             Tb = Xb @ S.T
-            fit, dW, dV, R = _net_forward_backward(net, Yb, Tb)
+            fit, Z, Hh, R = _net_forward(net, Yb, Tb)
+            if not np.isfinite(fit):
+                raise TrainingDivergedError(
+                    f"loss became {fit} at epoch {epoch} (lr={lr})")
+            dW, dV = _net_backward(net, Yb, Z, Hh, R)
             # fit residual also drives S: d mean||G - Sx||^2 / dS = -2/N R^T X
             dS = -2.0 * R.T @ Xb / Xb.shape[0]
             dW *= fit_weight

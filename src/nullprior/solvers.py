@@ -383,13 +383,13 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
     return x, rec.finish()
 
 
-def default_alpha(op, basis=None, gamma=0.0, safety=0.9, seed=0):
-    """0.9 over the spectral norm of H'H + gamma S'S (`diagnostics.lambda_max`).
+def default_alpha(op, basis=None, gamma=0.0, safety=0.9):
+    """0.9 over the largest eigenvalue of H'H + gamma S'S (`diagnostics.lambda_max`).
 
     With gamma = 0 the basis is left out, as the solvers leave out the
     penalty.
     """
-    lam = lambda_max(op, basis if gamma > 0 else None, gamma, seed)
+    lam = lambda_max(op, basis if gamma > 0 else None, gamma)
     if lam == 0.0:
         raise NullPriorError("operator is zero; cannot pick a step size")
     return safety / lam

@@ -14,7 +14,8 @@ from nullprior.priors import (
     TwoLayerNet,
     ZeroError,
     _holdout_error,
-    _net_forward_backward,
+    _net_backward,
+    _net_forward,
     realize_error,
     train_joint,
     train_mmse,
@@ -86,13 +87,14 @@ class TestGradients:
             net = TwoLayerNet(4, 3, hidden=6, activation=activation, seed=trial)
             Y = rng.standard_normal((5, 4))
             T = rng.standard_normal((5, 3))
-            _, dW, dV, _ = _net_forward_backward(net, Y, T)
+            _, *pieces = _net_forward(net, Y, T)
+            dW, dV = _net_backward(net, Y, *pieces)
             h = 1e-6
 
             def loss_at(W, V):
                 saved_w, saved_v = net.W, net.V
                 net.W, net.V = W, V
-                val = _net_forward_backward(net, Y, T)[0]
+                val = _net_forward(net, Y, T)[0]
                 net.W, net.V = saved_w, saved_v
                 return val
 
@@ -148,8 +150,8 @@ class TestTrainMmse:
         net = TwoLayerNet(4, 3, hidden=8, seed=0)
         net.W *= 1e160  # force overflow in the first forward pass
         net.V *= 1e160
-        # the overflow, and the inf * 0 it leads to in the backward pass,
-        # are what the divergence check has to catch
+        # the forward pass overflows, and the check stops before the
+        # backward pass would multiply the infinite residual
         with pytest.raises(TrainingDivergedError, match="loss became inf"), \
                 pytest.warns(RuntimeWarning, match="overflow|invalid value"):
             train_mmse(net, xs, DenseOperator(H), basis, epochs=5, lr=1e3,
