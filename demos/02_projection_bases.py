@@ -20,7 +20,9 @@ from nullprior.nullspace import (
     toeplitz_complement,
 )
 from nullprior.operators import (
+    CirculantConvOperator,
     MaskedFrequencyOperator,
+    RadonOperator,
     gaussian_kernel,
     lowpass_mask,
     make_operator,
@@ -42,16 +44,14 @@ print(f"   p={fc.p}  ||S H'||_F = {fc.ortho_to_H_residual:.2e}")
 
 print("== Radon complement: 15 angles total, 5 acquired (approximate)")
 full = [180.0 * i / 15 for i in range(15)]
-rc = radon_complement(16, full, full[:5])
+rc = radon_complement(RadonOperator(16, full[:5]), full)
 print(f"   p={rc.p}  ||S H'||_F = {rc.ortho_to_H_residual:.3f}  (nonzero, recorded)")
 
 print("== circulant complement of a Gaussian blur (response 1 - K at each bin)")
-kernel = gaussian_kernel(2.0, radius=5, ndim=1)
-tc = toeplitz_complement(kernel, 64)
-from nullprior.operators import embed_kernel
-
+blur = CirculantConvOperator(64, gaussian_kernel(2.0, radius=5, ndim=1), "center")
+tc = toeplitz_complement(blur)
 resp_s = np.fft.fft(tc.matrix[0])
-resp_h = np.fft.fft(embed_kernel(kernel, 64, anchor="center"))
+resp_h = blur.response
 print(f"   max |FFT(row) - (1 - FFT(kernel))| = "
       f"{np.max(np.abs(resp_s - (1 - resp_h))):.2e}")
 

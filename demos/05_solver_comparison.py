@@ -26,7 +26,7 @@ from nullprior.solvers import (
 side = 16
 kernel = gaussian_kernel(2.0, radius=5, ndim=2)
 op = CirculantConvOperator((side, side), kernel, "center")
-basis = toeplitz_complement(kernel, (side, side))
+basis = toeplitz_complement(op)
 x_star = bumps(side, 5, seed=11).reshape(-1)
 y = add_measurement_noise(op.forward(x_star), 15.0, seed=12)
 s_norm = np.linalg.norm(basis.project(x_star))

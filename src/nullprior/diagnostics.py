@@ -214,7 +214,7 @@ def _alias_spectrum(op, scale_sq, s_term):
         a = a.transpose(tuple(range(1, 2 * d, 2)) + tuple(range(0, 2 * d, 2)))
         return a.reshape(-1, size)
 
-    k = by_class(op._conv.response)
+    k = by_class(op.conv.response)
     blocks = (scale_sq / size) * (k[:, :, None] * k[:, None, :].conj())
     if s_term is not None:
         diag = np.arange(size)

@@ -42,7 +42,7 @@ from .nullspace import (
     sr_complement,
     toeplitz_complement,
 )
-from .operators import DENSE_CAP, make_operator
+from .operators import DENSE_CAP, DenseOperator, make_operator
 from .phantoms import generate, toy_plane_disk
 from .priors import (
     OraclePrior,
@@ -66,11 +66,15 @@ _TOP_KEYS = {"problem", "seed", "output", "signal", "operator", "basis",
              "prior", "denoiser", "solver", "noise", "toy3d"}
 _SOLVER_KEYS = {"kind", "alpha", "gamma", "lam", "iters", "momentum", "restart",
                 "rho", "cg_tol", "cg_maxiter", "transform", "peak"}
-_PRIOR_KEYS = {"kind", "error", "hidden", "epochs", "lr", "batch", "lambda1",
-               "lambda2", "activation", "train_count", "train_seed", "holdout",
-               "normalize", "noise_std", "init_scale"}
-_BASIS_KEYS = {"method", "p", "scale"}
-_DENOISER_KEYS = {"kind", "sigma", "tau", "weight", "iters", "window"}
+# the keys each kind of a section reads
+_PRIOR_KEYS = {"oracle": {"kind", "error"},
+               "net": {"kind", "hidden", "epochs", "lr", "batch", "lambda1", "lambda2", "activation",
+                       "train_count", "train_seed", "holdout", "normalize", "noise_std", "init_scale"}}
+_BASIS_KEYS = {m: {"method", "scale"} for m in ("fourier", "toeplitz", "sr", "radon")}
+_BASIS_KEYS["qr"] = {"method", "p", "scale"}
+_DENOISER_KEYS = {"identity": {"kind"}, "gaussian": {"kind", "sigma"},
+                  "dct_soft": {"kind", "tau"}, "tv": {"kind", "weight", "iters"},
+                  "median": {"kind", "window"}}
 _NOISE_KEYS = {"snr_db"}
 _TOY_KEYS = {"count", "radius", "hidden", "epochs", "lr", "grid_lo", "grid_hi",
              "grid_points", "gamma", "iters", "init_scale"}
@@ -96,16 +100,17 @@ def validate_config(cfg):
         if key not in cfg:
             raise ConfigError(f"missing required section {key!r}")
     _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
-    _check_keys(cfg.get("prior", {}), _PRIOR_KEYS, "prior")
-    _check_keys(cfg.get("basis", {}), _BASIS_KEYS, "basis")
-    _check_keys(cfg.get("denoiser", {}), _DENOISER_KEYS, "denoiser")
+    _check_kind_keys(cfg.get("prior"), "kind", "oracle", _PRIOR_KEYS, "prior")
+    method = _check_kind_keys(cfg.get("basis"), "method",
+                              _DEFAULT_BASIS_METHOD[problem], _BASIS_KEYS, "basis")
+    # a complement fits the one problem it is the default of; qr fits any
+    if method != "qr" and _DEFAULT_BASIS_METHOD[problem] != method:
+        raise ConfigError(f"basis method {method!r} does not fit problem {problem!r}")
+    _check_kind_keys(cfg.get("denoiser"), "kind", "identity", _DENOISER_KEYS, "denoiser")
     _check_keys(cfg.get("noise", {}), _NOISE_KEYS, "noise")
     solver_kind = cfg["solver"].get("kind", "pnp_fista")
     if solver_kind not in ("pnp_fista", "red_fista", "pnp_admm", "fista_sparsity"):
         raise ConfigError(f"unknown solver kind {solver_kind!r}")
-    prior_kind = cfg.get("prior", {}).get("kind", "oracle")
-    if prior_kind not in ("oracle", "net"):
-        raise ConfigError(f"unknown prior kind {prior_kind!r}")
     if float(cfg["solver"].get("gamma", 0.0)) < 0:
         raise ConfigError("solver.gamma must be nonnegative")
     return cfg
@@ -119,6 +124,15 @@ def _check_keys(section, allowed, where):
     extra = set(section) - allowed
     if extra:
         raise ConfigError(f"unknown {where} key(s): {sorted(extra)}")
+
+
+def _check_kind_keys(section, kind_key, default, keys_by_kind, where):
+    """Check a section against the keys its kind reads; returns the kind."""
+    kind = section.get(kind_key, default) if isinstance(section, dict) else default
+    if kind not in keys_by_kind:
+        raise ConfigError(f"unknown {where} {kind_key} {kind!r}")
+    _check_keys(section, keys_by_kind[kind], f"{kind!r} {where}")
+    return kind
 
 
 def _seeds(seed, count):
@@ -142,22 +156,23 @@ _DEFAULT_BASIS_METHOD = {"cs": "qr", "mri": "fourier", "blur": "toeplitz",
 
 
 def _build_operator(problem, op_cfg, seed):
+    if problem != "ct":
+        return make_operator(problem, op_cfg, seed)
     op_cfg = dict(op_cfg)
-    if problem == "ct":
-        side = int(op_cfg.pop("side"))
-        full = op_cfg.pop("full_angles")
-        acquired = op_cfg.pop("acquired")
-        if op_cfg:
-            raise ConfigError(f"unknown ct operator key(s): {sorted(op_cfg)}")
-        full_angles = ([180.0 * i / int(full) for i in range(int(full))]
-                       if np.isscalar(full) else [float(a) for a in full])
-        acq_angles = (full_angles[: int(acquired)] if np.isscalar(acquired)
-                      else [float(a) for a in acquired])
-        op = make_operator("ct", {"side": side, "angles": acq_angles}, seed)
-        return op, {"side": side, "full_angles": full_angles,
-                    "acquired": acq_angles}
-    op = make_operator(problem, op_cfg, seed)
-    return op, dict(op_cfg)
+    side = int(op_cfg.pop("side"))
+    full_angles = _full_angles(op_cfg.pop("full_angles"))
+    acquired = op_cfg.pop("acquired")
+    if op_cfg:
+        raise ConfigError(f"unknown ct operator key(s): {sorted(op_cfg)}")
+    acq_angles = (full_angles[: int(acquired)] if np.isscalar(acquired)
+                  else [float(a) for a in acquired])
+    return make_operator("ct", {"side": side, "angles": acq_angles}, seed)
+
+
+def _full_angles(full):
+    """CT's full angle list: a count of equispaced angles in [0, 180), or the angles."""
+    return ([180.0 * i / int(full) for i in range(int(full))]
+            if np.isscalar(full) else [float(a) for a in full])
 
 
 def _build_signal(problem, signal_cfg, op, seed):
@@ -175,9 +190,9 @@ def _build_signal(problem, signal_cfg, op, seed):
     return np.asarray(x, dtype=float).reshape(-1)
 
 
-def _build_basis(problem, basis_cfg, op, op_info, seed):
-    basis_cfg = dict(basis_cfg) if basis_cfg else {}
-    method = basis_cfg.get("method", _DEFAULT_BASIS_METHOD[problem])
+def _build_basis(cfg, op, seed):
+    basis_cfg = cfg.get("basis") or {}
+    method = basis_cfg.get("method", _DEFAULT_BASIS_METHOD[cfg["problem"]])
     scale = float(basis_cfg.get("scale", 1.0))
     if method == "qr":
         if op.n > DENSE_CAP:
@@ -189,48 +204,29 @@ def _build_basis(problem, basis_cfg, op, op_info, seed):
     elif method == "fourier":
         basis = fourier_complement(op)
     elif method == "radon":
-        basis = radon_complement(op_info["side"], op_info["full_angles"],
-                                 op_info["acquired"])
+        basis = radon_complement(op, _full_angles(cfg["operator"]["full_angles"]))
     elif method == "toeplitz":
-        kernel = _operator_kernel(op)
-        basis = toeplitz_complement(kernel, op.shape_in, anchor="center")
-    elif method == "sr":
-        kernel = _operator_kernel(op)
-        basis = sr_complement(kernel, getattr(op, "factor", 1), op.shape_in,
-                              anchor="center")
+        basis = toeplitz_complement(op)
     else:
-        raise ConfigError(f"unknown basis method {method!r}")
+        basis = sr_complement(op)
     if scale != 1.0:
         basis = basis.scaled(scale)
     return basis
 
 
-def _operator_kernel(op):
-    base = getattr(op, "base", op)
-    conv = getattr(base, "_conv", base)
-    kernel_full = getattr(conv, "kernel_full", None)
-    if kernel_full is None:
-        raise ConfigError("operator has no convolution kernel")
-    # kernel_full already lives on the full grid with anchor applied; recenter
-    shift = [s // 2 for s in kernel_full.shape]
-    return np.roll(kernel_full, shift, axis=tuple(range(kernel_full.ndim)))
-
-
 def _build_denoiser(den_cfg):
-    den_cfg = dict(den_cfg) if den_cfg else {"kind": "identity"}
-    kind = den_cfg.pop("kind", "identity")
-    if kind == "identity":
-        return dn.Identity()
+    den_cfg = den_cfg or {}
+    kind = den_cfg.get("kind", "identity")
     if kind == "gaussian":
-        return dn.GaussianSmooth(float(den_cfg.pop("sigma", 1.0)))
+        return dn.GaussianSmooth(float(den_cfg.get("sigma", 1.0)))
     if kind == "dct_soft":
-        return dn.TransformSoftThreshold(float(den_cfg.pop("tau", 0.1)))
+        return dn.TransformSoftThreshold(float(den_cfg.get("tau", 0.1)))
     if kind == "tv":
-        return dn.TVChambolle(float(den_cfg.pop("weight", 0.1)),
-                              int(den_cfg.pop("iters", 20)))
+        return dn.TVChambolle(float(den_cfg.get("weight", 0.1)),
+                              int(den_cfg.get("iters", 20)))
     if kind == "median":
-        return dn.Median(int(den_cfg.pop("window", 3)))
-    raise ConfigError(f"unknown denoiser kind {kind!r}")
+        return dn.Median(int(den_cfg.get("window", 3)))
+    return dn.Identity()
 
 
 def _build_prior(prior_cfg, problem, signal_cfg, op, basis, x_star, seed):
@@ -262,15 +258,8 @@ def _build_prior(prior_cfg, problem, signal_cfg, op, basis, x_star, seed):
     init_scale = float(prior_cfg.get("init_scale", 1.0))
     train_seed = int(prior_cfg.get("train_seed", seed + 1))
 
-    sig_spec = dict(signal_cfg) if signal_cfg else dict(_DEFAULT_SIGNALS[problem])
-    if sig_spec.get("kind") in ("bumps", "shepp_logan"):
-        sig_spec.setdefault("side", op.shape_in[0])
-    else:
-        sig_spec.setdefault("n", op.n)
-    xs = np.array([
-        _build_signal(problem, sig_spec, op, s)
-        for s in _seeds(train_seed, train_count)
-    ])
+    xs = np.array([_build_signal(problem, signal_cfg, op, s)
+                   for s in _seeds(train_seed, train_count)])
     net = TwoLayerNet(op.m_eff, basis.p, hidden, activation, seed=train_seed,
                       init_scale=init_scale)
     if lam1 > 0 or lam2 > 0:
@@ -347,9 +336,9 @@ def build_problem(cfg, seed=None):
                           "(CLI subcommand `toy3d`)")
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     op_seed, sig_seed, basis_seed, prior_seed, noise_seed = _seeds(seed, 5)
-    op, op_info = _build_operator(problem, cfg["operator"], op_seed)
+    op = _build_operator(problem, cfg["operator"], op_seed)
     x_star = _build_signal(problem, cfg.get("signal"), op, sig_seed)
-    basis = _build_basis(problem, cfg.get("basis"), op, op_info, basis_seed)
+    basis = _build_basis(cfg, op, basis_seed)
     prior_fn, error_norm_fn, prior_info = _build_prior(
         cfg.get("prior"), problem, cfg.get("signal"), op, basis, x_star,
         prior_seed)
@@ -359,7 +348,7 @@ def build_problem(cfg, seed=None):
     kind, solver_config, transform = _build_solver(dict(cfg["solver"]), op,
                                                    basis, x_star)
     return {
-        "problem": problem, "seed": seed, "op": op, "op_info": op_info,
+        "problem": problem, "seed": seed, "op": op,
         "x_star": x_star, "basis": basis, "denoiser": denoiser,
         "prior_fn": prior_fn, "error_norm_fn": error_norm_fn,
         "prior_info": prior_info, "solver_kind": kind,
@@ -515,6 +504,7 @@ SWEEP_PARAMS = ("gamma", "p", "eps", "af", "sigma_blur")
 
 
 def apply_sweep_value(cfg, param, value):
+    """The config of one sweep point; ConfigError where the parameter does not apply."""
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
     if param == "gamma":
         cfg.setdefault("solver", {})["gamma"] = float(value)
@@ -530,14 +520,20 @@ def apply_sweep_value(cfg, param, value):
         cfg["prior"] = prior
     elif param == "af":
         op = cfg["operator"]
+        if cfg["problem"] != "mri" or not isinstance(op.get("mask", {}), dict):
+            raise ConfigError("sweep parameter 'af' needs an mri problem with a mask spec")
         shape = op.get("shape")
         n = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
         mask = dict(op.get("mask", {"kind": "lowpass"}))
         mask["count"] = max(1, int(round(n / float(value))))
         op["mask"] = mask
     elif param == "sigma_blur":
-        kernel = dict(cfg["operator"].get("kernel", {"kind": "gaussian"}))
-        kernel["sigma"] = float(value)
+        kernel = cfg["operator"].get("kernel", {"kind": "gaussian"})
+        if cfg["problem"] not in ("blur", "sr") or not (
+                isinstance(kernel, dict) and kernel.get("kind") == "gaussian"):
+            raise ConfigError("sweep parameter 'sigma_blur' needs a blur or sr "
+                              "problem with a gaussian kernel")
+        kernel = dict(kernel, sigma=float(value))
         cfg["operator"]["kernel"] = kernel
     else:
         raise ConfigError(f"unknown sweep parameter {param!r} "
@@ -548,7 +544,9 @@ def apply_sweep_value(cfg, param, value):
 def sweep(cfg, param, grid, out_dir=None, seed=None):
     """One run per grid point with a shared seed; partial failures recorded.
 
-    Points run one after another, in grid order.  Threads were slower on the
+    Every point's config is checked before any point runs, so a parameter
+    that does not apply raises ConfigError and writes nothing.  Points run
+    one after another, in grid order.  Threads were slower on the
     limited-angle CT sweep: the points contend for the interpreter lock and
     for the cores BLAS already uses.
     """
@@ -558,12 +556,12 @@ def sweep(cfg, param, grid, out_dir=None, seed=None):
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep grid is empty")
+    point_cfgs = [validate_config(apply_sweep_value(cfg, param, value)) for value in grid]
     out_dir = resolve_output_dir(cfg, out_dir)
     fields = (param,) + SUMMARY_FIELDS + ("error",)
 
     rows = []
-    for i, value in enumerate(grid):
-        point_cfg = apply_sweep_value(cfg, param, value)
+    for i, (value, point_cfg) in enumerate(zip(grid, point_cfgs)):
         point_dir = os.path.join(out_dir, f"point_{i:03d}")
         row = {param: value, "error": ""}
         try:
@@ -698,8 +696,6 @@ def run_toy3d(cfg, out_dir=None, seed=None):
     rng = np.random.default_rng(op_seed)
     H = rng.standard_normal((2, 3))
     basis = qr_nullspace(H, p=1, seed=op_seed)
-    from .operators import DenseOperator
-
     op = DenseOperator(H)
     points, plane = toy_plane_disk(count, radius, seed=data_seed)
 

@@ -1,11 +1,13 @@
 """Construction of projection bases aligned with the sensing operator's null space.
 
 A basis holds its rows S as a linear operator: `project` applies S and
-`backproject` its transpose.  Exact Fourier complements are the unsampled
-rows of an orthonormal transform, held as a masked frequency operator over
-the missing frequencies.  Toeplitz and SR complements are circulant
-convolutions with frequency response 1 - K, held as such.  Applying either
-costs one DCT or FFT round trip and forms no p x n array.  QR complements,
+`backproject` its transpose.  Each complement is built from the sensing
+operator it complements, unscaled.  Exact Fourier complements are the
+unsampled rows of an orthonormal transform, held as a masked frequency
+operator over the missing frequencies.  Toeplitz and SR complements are
+circulant convolutions with frequency response 1 - K, K that of the
+operator's convolution, held as such.  Applying either costs one DCT or FFT
+round trip and forms no p x n array.  QR complements (of a dense H),
 learned bases and Radon complements hold a dense matrix.  The Radon and
 convolution rows are not exactly in Null(H), so their orthogonality
 residuals are recorded rather than forced to zero: in closed form over the
@@ -17,7 +19,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .errors import (
@@ -31,15 +32,14 @@ from .errors import (
 from .operators import (
     DENSE_CAP,
     CirculantConvOperator,
+    DecimatedConvOperator,
     DenseOperator,
     LinearOperator,
     MaskedFrequencyOperator,
     RadonOperator,
     ScaledOperator,
     _as_flat,
-    _as_shape,
     all_representatives,
-    embed_kernel,
 )
 
 RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
@@ -156,6 +156,14 @@ def _shared_masks(op, S_op):
     return H, scale, S_op
 
 
+def _unscaled(op, cls, name):
+    """op, or the operator inside a ScaledOperator, checked to be a `cls`."""
+    base = op.base if isinstance(op, ScaledOperator) else op
+    if not isinstance(base, cls):
+        raise NullPriorError(f"{name} requires a {cls.__name__}")
+    return base
+
+
 def as_basis(S):
     """A NullSpaceBasis as is; a plain matrix wrapped with unmeasured residuals."""
     if isinstance(S, NullSpaceBasis):
@@ -235,9 +243,7 @@ def fourier_complement(op):
     probability >= 1 - 1e-6, both together with probability >= 1 - 2e-6
     (`_frequency_residuals`).
     """
-    base = op.base if isinstance(op, ScaledOperator) else op
-    if not isinstance(base, MaskedFrequencyOperator):
-        raise NullPriorError("fourier_complement requires a masked frequency operator")
+    base = _unscaled(op, MaskedFrequencyOperator, "fourier_complement")
     pool = range(base.n) if base.transform == "dct" else all_representatives(base.shape_in)
     missing = sorted(set(pool) - set(base.kept))
     if not missing:
@@ -276,61 +282,59 @@ def _frequency_residuals(S_op, H_op):
     return float(np.sqrt(ortho_sq) / c), float(np.sqrt(gram_sq) / c)
 
 
-def radon_complement(side, full_angles, acquired_angles):
-    """Radon rows at the non-acquired angles; an approximate complement."""
+def radon_complement(op, full_angles):
+    """Radon rows at the angles of `full_angles` that the Radon operator op lacks.
+
+    An approximate complement; its residuals come from the dense rows and op.
+    """
+    radon = _unscaled(op, RadonOperator, "radon_complement")
     full = [float(a) for a in full_angles]
-    acq = {float(a) for a in acquired_angles}
+    acq = set(radon.angles_deg)
     if not acq <= set(full):
         raise NullPriorError("acquired angles must be a subset of the full set")
     missing = [a for a in full if a not in acq]
     if not missing:
         raise EmptyComplementError("all angles acquired")
-    S = RadonOperator(side, missing).to_dense()
-    acquired_op = RadonOperator(side, sorted(acq))
-    ortho, gram = _residuals(S, op=acquired_op)
+    S = RadonOperator(radon.side, missing).to_dense()
+    ortho, gram = _residuals(S, op=radon)
     return NullSpaceBasis(S, "radon-complement", ortho, gram)
 
 
-def _complement_circulant(kernel, shape, anchor, method, measured_fraction):
-    """Circulant complement of a kernel, with its residuals in closed form.
+def _complement_circulant(H, conv, method):
+    """Circulant complement of H's convolution `conv`, with residuals in closed form.
 
     S and the blur share the DFT: S has response S^ = 1 - K^, and H is the
     convolution with response K^, decimated for SR.  Over the FFT bins
-    ||S H'||_F^2 = measured_fraction * sum |S^ K^|^2 and
-    ||S S' - I||_F^2 = sum (|S^|^2 - 1)^2.  Every column of a circulant has
-    the same norm, and a decimation keeps m / n of the columns of S H', so
-    `measured_fraction` is m / n (1 without decimation).
+    ||S H'||_F^2 = (m / n) sum |S^ K^|^2 and ||S S' - I||_F^2 =
+    sum (|S^|^2 - 1)^2: every column of a circulant has the same norm, and
+    a decimation keeps m / n of the columns of S H'.
     """
-    kernel = np.asarray(kernel, dtype=float)
+    kernel = conv.kernel_full
     if np.any(kernel < 0) or not np.isclose(kernel.sum(), 1.0):
         raise NullPriorError("kernel must be nonnegative and sum to 1")
-    full = embed_kernel(kernel, shape, anchor)
-    gen = -full
+    gen = -kernel
     gen.reshape(-1)[0] += 1.0  # complement response 1 - K(w) at every bin
-    S_op = CirculantConvOperator(shape, gen, anchor="start")
+    S_op = CirculantConvOperator(conv.shape_in, gen)
     s_sq = np.abs(S_op.response) ** 2
-    ortho = np.sqrt(measured_fraction * np.sum(s_sq * np.abs(scipy.fft.fftn(full)) ** 2))
+    ortho = np.sqrt(H.m_eff / H.n * np.sum(s_sq * np.abs(conv.response) ** 2))
     gram = np.sqrt(np.sum((s_sq - 1.0) ** 2))
     return NullSpaceBasis(S_op, method, float(ortho), float(gram))
 
 
-def toeplitz_complement(kernel, shape, anchor="center"):
-    """Circulant complement of a blur kernel: frequency response 1 - K at every bin.
+def toeplitz_complement(op):
+    """Circulant complement of a blur op: frequency response 1 - K at every bin.
 
     Rows follow the blur's shift structure but pass what the kernel attenuates,
     so they concentrate on the high frequencies the measurements lose.
     """
-    return _complement_circulant(kernel, shape, anchor, "toeplitz-complement", 1.0)
+    blur = _unscaled(op, CirculantConvOperator, "toeplitz_complement")
+    return _complement_circulant(blur, blur, "toeplitz-complement")
 
 
-def sr_complement(kernel, factor, shape, anchor="center"):
-    """Complement for decimated convolution, built from the low-pass kernel alone."""
-    shape_t = _as_shape(shape)
-    factor = int(factor)
-    if factor < 1 or any(s % factor for s in shape_t):
-        raise DimensionMismatchError(f"factor {factor} must divide every axis of {shape_t}")
-    return _complement_circulant(kernel, shape_t, anchor, "sr-complement",
-                                 1.0 / factor ** len(shape_t))
+def sr_complement(op):
+    """Complement of a decimated convolution op, built from its low-pass kernel alone."""
+    sr = _unscaled(op, DecimatedConvOperator, "sr_complement")
+    return _complement_circulant(sr, sr.conv, "sr-complement")
 
 
 def pseudoinverse(A):

@@ -324,14 +324,14 @@ class CirculantConvOperator(LinearOperator):
 
 
 class DecimatedConvOperator(LinearOperator):
-    """Low-pass circular convolution followed by factor-d decimation on every axis."""
+    """Low-pass circular convolution `conv` followed by factor-d decimation on every axis."""
 
     def __init__(self, shape, kernel, factor, anchor="center"):
         shape = _as_shape(shape)
         factor = int(factor)
         if factor < 1 or any(s % factor for s in shape):
             raise DimensionMismatchError(f"decimation factor {factor} must divide every axis of {shape}")
-        self._conv = CirculantConvOperator(shape, kernel, anchor)
+        self.conv = CirculantConvOperator(shape, kernel, anchor)
         self.shape_in = shape
         self.factor = factor
         self.shape_out = tuple(s // factor for s in shape)
@@ -340,14 +340,14 @@ class DecimatedConvOperator(LinearOperator):
 
     def _apply(self, x):
         batch = x.shape[:-1]
-        blurred = self._conv._apply(x).reshape(batch + self.shape_in)
+        blurred = self.conv._apply(x).reshape(batch + self.shape_in)
         return blurred[self._grid].reshape(batch + (self.m_eff,))
 
     def _apply_adjoint(self, u):
         batch = u.shape[:-1]
         up = np.zeros(batch + self.shape_in)
         up[self._grid] = u.reshape(batch + self.shape_out)
-        return self._conv._apply_adjoint(up.reshape(batch + (self.n,)))
+        return self.conv._apply_adjoint(up.reshape(batch + (self.n,)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +503,15 @@ def lowpass_mask(shape, count, transform="dct"):
     return pool[np.lexsort((pool, dist))][:count].tolist()
 
 
-def random_mask(shape, count, seed, transform="dct", include_dc=True):
-    """Random frequency subset; the DC term is kept by default so means are observed."""
+def random_mask(shape, count, seed, transform="dct"):
+    """Random frequency subset that always keeps the DC term, so means are observed."""
     shape = _as_shape(shape)
     pool = (list(range(int(np.prod(shape)))) if transform == "dct"
             else all_representatives(shape))
     rng = np.random.default_rng(seed)
     chosen = list(rng.choice(len(pool), size=count, replace=False))
     picked = sorted(pool[i] for i in chosen)
-    if include_dc and 0 not in picked:
+    if 0 not in picked:
         picked = [0] + picked[:-1]
     return sorted(set(picked))
 

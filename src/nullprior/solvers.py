@@ -296,17 +296,15 @@ def solve_red_fista(op, y, denoiser, config, basis=None, prior=None):
     return _fista_solve(op, y, config, basis, prior, extra, prox)
 
 
-def solve_fista_sparsity(op, y, config, basis=None, prior=None, tau=None,
-                         transform="dct"):
+def solve_fista_sparsity(op, y, config, basis=None, prior=None, transform="dct"):
     """FISTA with soft-thresholding in an orthonormal transform domain.
 
-    transform="dct" penalizes tau * ||DCT x||_1; transform="identity"
-    penalizes tau * ||x||_1.  The threshold is alpha * tau, the exact
-    proximal step at step size alpha; tau defaults to config.lam.
+    With tau = config.lam, transform="dct" penalizes tau * ||DCT x||_1 and
+    transform="identity" penalizes tau * ||x||_1.  The threshold is
+    alpha * tau, the exact proximal step at step size alpha.
     """
     shape = op.shape_in
-    tau = config.lam if tau is None else tau
-    thresh = config.alpha * tau
+    thresh = config.alpha * config.lam
     if transform not in ("dct", "identity"):
         raise NullPriorError(f"unknown transform {transform!r}")
 
@@ -383,7 +381,7 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
     return x, rec.finish()
 
 
-def default_alpha(op, basis=None, gamma=0.0, safety=0.9):
+def default_alpha(op, basis=None, gamma=0.0):
     """0.9 over the largest eigenvalue of H'H + gamma S'S (`diagnostics.lambda_max`).
 
     With gamma = 0 the basis is left out, as the solvers leave out the
@@ -392,7 +390,7 @@ def default_alpha(op, basis=None, gamma=0.0, safety=0.9):
     lam = lambda_max(op, basis if gamma > 0 else None, gamma)
     if lam == 0.0:
         raise NullPriorError("operator is zero; cannot pick a step size")
-    return safety / lam
+    return 0.9 / lam
 
 
 def stacked_pinv_solution(H_dense, S, y, g):

@@ -275,20 +275,20 @@ def _improvement_case(problem, seed):
     if problem == "blur":
         kernel = gaussian_kernel(2.0, radius=5, ndim=2)
         op = CirculantConvOperator((16, 16), kernel, "center")
-        basis = toeplitz_complement(kernel, (16, 16))
+        basis = toeplitz_complement(op)
         x = bumps(16, 5, seed + 7).reshape(-1)
         return op, basis, x, 0.5, dn.GaussianSmooth(0.4)
     if problem == "sr":
         kernel = bilinear_kernel(4, ndim=2)
         op = DecimatedConvOperator((16, 16), kernel, 4)
-        basis = sr_complement(kernel, 4, (16, 16))
+        basis = sr_complement(op)
         x = bumps(16, 5, seed + 7).reshape(-1)
         return op, basis, x, 0.5, dn.GaussianSmooth(0.4)
     if problem == "ct":
         full = [180.0 * i / 15 for i in range(15)]
         acquired = full[:5]
         op = RadonOperator(16, acquired)
-        basis = radon_complement(16, full, acquired)
+        basis = radon_complement(op, full)
         x = (shepp_logan(16) if seed == 0 else bumps(16, 5, seed + 7)).reshape(-1)
         return op, basis, x, 1.0, dn.GaussianSmooth(0.4)
     raise AssertionError(problem)
@@ -344,7 +344,7 @@ def test_criterion_8_monotone_degradation():
     side = 16
     kernel = gaussian_kernel(2.0, radius=6, ndim=2)
     op = CirculantConvOperator((side, side), kernel, "center")
-    basis = toeplitz_complement(kernel, (side, side))
+    basis = toeplitz_complement(op)
     x_star = bumps(side, 4, seed=3).reshape(-1)
     y = op.forward(x_star)
     s_norm = np.linalg.norm(basis.project(x_star))

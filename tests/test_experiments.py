@@ -56,6 +56,24 @@ def theory_config(**overrides):
     return cfg
 
 
+# a small operator section for each problem
+OPERATORS = {
+    "cs": {"n": 40, "m": 8, "dist": "gaussian", "normalize": True},
+    "mri": {"shape": [8, 8], "transform": "dct", "mask": {"kind": "lowpass", "count": 16}},
+    "blur": {"shape": [8, 8], "kernel": {"kind": "gaussian", "sigma": 1.0, "radius": 2}},
+    "sr": {"shape": [8, 8], "factor": 2},
+    "ct": {"side": 8, "full_angles": 12, "acquired": 4},
+}
+FITTING_METHOD = {"cs": "qr", "mri": "fourier", "blur": "toeplitz", "sr": "sr", "ct": "radon"}
+
+
+def problem_config(problem, method, **overrides):
+    basis = {"method": method, "p": 4} if method == "qr" else {"method": method}
+    return cs_config(problem=problem, operator=OPERATORS[problem], basis=basis,
+                     signal=None if problem == "cs" else {"kind": "bumps", "count": 3},
+                     **overrides)
+
+
 class TestValidation:
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="unknown top level"):
@@ -76,6 +94,42 @@ class TestValidation:
         cfg["solver"]["gamma"] = -1
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("problem", sorted(OPERATORS))
+    def test_basis_method_must_fit_problem(self, problem):
+        for method in ("qr", "fourier", "toeplitz", "sr", "radon"):
+            cfg = problem_config(problem, method)
+            if method in ("qr", FITTING_METHOD[problem]):
+                assert validate_config(cfg) is cfg
+            else:
+                with pytest.raises(ConfigError, match="does not fit"):
+                    validate_config(cfg)
+
+    @pytest.mark.parametrize("problem", sorted(OPERATORS))
+    def test_fitting_basis_builds_from_the_operator(self, problem):
+        pb = build_problem(problem_config(problem, FITTING_METHOD[problem]))
+        assert pb["basis"].n == pb["op"].n
+        assert "op_info" not in pb
+
+    @pytest.mark.parametrize("section,value,key", [
+        ("denoiser", {"kind": "gaussian", "sigma": 0.4, "window": 7}, "window"),
+        ("denoiser", {"window": 7}, "window"),  # the default kind is identity
+        ("denoiser", {"kind": "tv", "sigma": 0.4}, "sigma"),
+        ("basis", {"method": "fourier", "p": 5}, "p"),
+        ("basis", {"p": 5}, "p"),  # the default method of mri is fourier
+        ("prior", {"kind": "net", "error": {"kind": "zero"}}, "error"),
+        ("prior", {"kind": "oracle", "hidden": 8}, "hidden"),
+        ("prior", {"hidden": 8}, "hidden"),  # the default kind is oracle
+    ])
+    def test_keys_the_kind_never_reads(self, section, value, key):
+        with pytest.raises(ConfigError, match=key):
+            validate_config(theory_config(**{section: value}))
+
+    def test_unknown_kinds(self):
+        for section, value in [("denoiser", {"kind": "bm3d"}), ("basis", {"method": "pca"}),
+                               ("prior", {"kind": "gan"})]:
+            with pytest.raises(ConfigError, match="unknown"):
+                validate_config(theory_config(**{section: value}))
 
     def test_operator_param_error_names_config_path(self):
         cfg = cs_config()
@@ -321,6 +375,11 @@ class TestSweep:
         out = apply_sweep_value(cfg, "af", 4.0)
         assert out["operator"]["mask"]["count"] == 16
 
+    def test_every_point_checked_before_any_runs(self, tmp_path):
+        with pytest.raises(ConfigError, match="gamma"):
+            sweep(cs_config(), "gamma", [0.5, -1.0], out_dir=str(tmp_path / "sw"))
+        assert not list(tmp_path.glob("sw/point_*"))
+
     def test_unknown_param(self, tmp_path):
         with pytest.raises(ConfigError):
             sweep(cs_config(), "epsilon", [1.0], out_dir=str(tmp_path))
@@ -463,6 +522,28 @@ class TestCli:
         path2 = self._write(tmp_path, bad)
         assert cli_main(["theory-check", "--config", path2,
                          "--out", str(tmp_path / "t2")]) == 2
+
+    def test_basis_method_that_does_not_fit_exit_three(self, tmp_path, capsys):
+        path = self._write(tmp_path, theory_config(basis={"method": "radon"}))
+        assert cli_main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert "does not fit" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("case", ["p-fourier", "eps-net", "af-ct", "sigma_blur-mri"])
+    def test_sweep_parameter_that_does_not_apply_exit_three(self, case, tmp_path, capsys):
+        param, grid, cfg = {
+            "p-fourier": ("p", "5,50,150", theory_config()),
+            "eps-net": ("eps", "1e-3,1e-2", problem_config(
+                "cs", "qr", prior={"kind": "net", "hidden": 4, "epochs": 2, "train_count": 10})),
+            "af-ct": ("af", "2,4", problem_config("ct", "radon")),
+            "sigma_blur-mri": ("sigma_blur", "1,2", theory_config()),
+        }[case]
+        path = self._write(tmp_path, cfg)
+        code = cli_main(["sweep", "--config", path, "--param", param, "--grid", grid,
+                         "--out", str(tmp_path / "sw")])
+        assert code == 3
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sw/point_*"))
 
     def test_sweep_cli(self, tmp_path, capsys):
         path = self._write(tmp_path, cs_config())

@@ -11,6 +11,7 @@ from nullprior.errors import (
     DimensionMismatchError,
     EmptyComplementError,
     InfeasibleDimensionError,
+    NullPriorError,
     RankDeficientError,
     SizeCapError,
 )
@@ -126,24 +127,24 @@ class TestFourierComplement:
 
 class TestRadonComplement:
     def test_set_complement(self):
-        basis = radon_complement(8, [0.0, 90.0], [0.0])
+        basis = radon_complement(RadonOperator(8, [0.0]), [0.0, 90.0])
         ref = RadonOperator(8, [90.0]).to_dense()
         np.testing.assert_allclose(basis.matrix, ref, atol=1e-12)
 
     def test_angle_counts(self):
         full = [float(a) for a in range(0, 180, 12)]  # 15 angles
         acquired = full[:5]
-        basis = radon_complement(8, full, acquired)
+        basis = radon_complement(RadonOperator(8, acquired), full)
         assert basis.p == 10 * 8
 
     def test_sixty_of_180_views(self):
         # 180 angles spaced 1 degree, 60 acquired: 120 x detector_count rows
         full = [float(a) for a in range(180)]
-        basis = radon_complement(8, full, full[:60])
+        basis = radon_complement(RadonOperator(8, full[:60]), full)
         assert basis.p == 120 * 8
 
     def test_residual_reported_nonzero(self):
-        basis = radon_complement(8, [0.0, 90.0], [0.0])
+        basis = radon_complement(RadonOperator(8, [0.0]), [0.0, 90.0])
         assert basis.ortho_to_H_residual > 0.0
 
     @pytest.mark.parametrize("side,count,acquired", [(8, 15, 5), (16, 30, 10)])
@@ -151,9 +152,9 @@ class TestRadonComplement:
         # the row-by-row forward and explicit identity the residuals used
         # before they were summed over blocks of rows
         full = [180.0 * k / count for k in range(count)]
-        basis = radon_complement(side, full, full[:acquired])
-        S = basis.matrix
         op = RadonOperator(side, full[:acquired])
+        basis = radon_complement(op, full)
+        S = basis.matrix
         ortho = np.linalg.norm(np.array([op.forward(row) for row in S]))
         gram = np.linalg.norm(S @ S.T - np.eye(S.shape[0]))
         assert basis.row_gram_residual == pytest.approx(gram, rel=1e-12, abs=0.0)
@@ -161,7 +162,20 @@ class TestRadonComplement:
 
     def test_empty(self):
         with pytest.raises(EmptyComplementError):
-            radon_complement(8, [0.0], [0.0])
+            radon_complement(RadonOperator(8, [0.0]), [0.0])
+
+    def test_acquired_angles_must_be_in_full_set(self):
+        with pytest.raises(NullPriorError, match="subset"):
+            radon_complement(RadonOperator(8, [0.0, 30.0]), [0.0, 90.0])
+
+    def test_scaled_operator_gives_the_unscaled_complement(self):
+        full = [180.0 * k / 12 for k in range(12)]
+        op = RadonOperator(8, full[:4])
+        ref = radon_complement(op, full)
+        basis = radon_complement(ScaledOperator(op, 3.0), full)
+        assert same_bits(basis.matrix, ref.matrix)
+        assert (basis.ortho_to_H_residual, basis.row_gram_residual) == \
+            (ref.ortho_to_H_residual, ref.row_gram_residual)
 
 
 def _dense_residuals(S, H):
@@ -176,8 +190,8 @@ def _dense_basis_case(name):
     rng = np.random.default_rng(11)
     if name == "radon":
         full = [180.0 * k / 30 for k in range(30)]
-        return (radon_complement(16, full, full[:10]),
-                RadonOperator(16, full[:10]).to_dense())
+        op = RadonOperator(16, full[:10])
+        return radon_complement(op, full), op.to_dense()
     H = rng.standard_normal((20, 200)) / np.sqrt(200)
     if name == "qr":
         return qr_nullspace(H, p=150, seed=3), H
@@ -219,8 +233,8 @@ class TestBlockedResiduals:
         # the ct-admm-sweep pair: side 32, 20 of 60 angles acquired, p = 1280,
         # m = 640; the whole-matrix form held a 1280 x 1280 gram and S H'
         full = [180.0 * k / 60 for k in range(60)]
-        S = radon_complement(32, full, full[:20]).matrix
         op = RadonOperator(32, full[:20])
+        S = radon_complement(op, full).matrix
         assert S.shape == (1280, 1024)
         tracemalloc.start()
         try:
@@ -236,30 +250,78 @@ class TestCirculantComplements:
         # DFT of S's generating row equals 1 - DFT(kernel) at every bin
         n = 64
         kernel = gaussian_kernel(2.0, ndim=1)
-        basis = toeplitz_complement(kernel, n)
-        from nullprior.operators import embed_kernel
-
+        basis = toeplitz_complement(CirculantConvOperator(n, kernel, "center"))
         gen = basis.matrix[0]  # row 0 = correlation taps at offsets j: gen[j]
         resp_s = np.fft.fft(gen)
         resp_h = np.fft.fft(embed_kernel(kernel, n, anchor="center"))
         np.testing.assert_allclose(resp_s, 1.0 - resp_h, atol=1e-10)
 
     def test_identity_kernel_gives_zero_complement(self):
-        basis = toeplitz_complement(np.array([1.0]), 8, anchor="start")
+        basis = toeplitz_complement(CirculantConvOperator(8, np.array([1.0]), "start"))
         np.testing.assert_allclose(basis.matrix, 0.0, atol=1e-12)
-        assert basis.row_gram_residual == pytest.approx(np.sqrt(8), rel=1e-12)
+        assert basis.row_gram_residual == pytest.approx(np.sqrt(8), rel=1e-12, abs=0)
 
     def test_sr_built_from_kernel_alone(self):
         kernel = bilinear_kernel(4, ndim=1)
-        basis = sr_complement(kernel, 4, 32)
-        ref = toeplitz_complement(kernel, 32)
+        basis = sr_complement(DecimatedConvOperator(32, kernel, 4))
+        ref = toeplitz_complement(CirculantConvOperator(32, kernel, "center"))
         np.testing.assert_allclose(basis.matrix, ref.matrix, atol=1e-12)
         assert basis.method == "sr-complement"
         assert basis.p == 32
 
     def test_kernel_validation(self):
-        with pytest.raises(Exception):
-            toeplitz_complement(np.array([0.5, -0.5, 1.0]), 8)
+        with pytest.raises(NullPriorError, match="nonnegative"):
+            toeplitz_complement(CirculantConvOperator(8, np.array([0.5, -0.5, 1.0])))
+        with pytest.raises(NullPriorError, match="sum to 1"):
+            toeplitz_complement(CirculantConvOperator(8, np.array([0.5, 0.6])))
+
+    # a kernel with no symmetry, so the two anchors give different operators
+    SKEWED = {1: np.array([0.5, 0.3, 0.15, 0.05]),
+              2: np.outer([0.6, 0.3, 0.1], [0.2, 0.5, 0.3])}
+
+    @pytest.mark.parametrize("anchor", ["start", "center"])
+    @pytest.mark.parametrize("shape", [(12,), (6, 8)])
+    def test_complement_of_the_operators_own_kernel(self, shape, anchor):
+        op = CirculantConvOperator(shape, self.SKEWED[len(shape)], anchor)
+        basis = toeplitz_complement(op)
+        gen = -op.kernel_full
+        gen.reshape(-1)[0] += 1.0
+        # S is the correlation with delta - K on the operator's own grid, bit for bit
+        assert same_bits(basis.operator.kernel_full, gen)
+        assert same_bits(basis.operator.response, scipy.fft.fftn(gen))
+        # so its response is 1 - K to rounding: the transform of delta - K
+        # and 1 minus the transform of K differ in the last bits
+        assert np.max(np.abs(basis.operator.response - (1.0 - op.response))) <= 4 * np.finfo(float).eps
+        # and S + H = I as matrices, whatever the anchor
+        np.testing.assert_allclose(basis.matrix + op.to_dense(), np.eye(op.n), rtol=0, atol=1e-15)
+        ortho, gram = nullspace._residuals(basis.matrix, H_dense=op.to_dense())
+        assert basis.ortho_to_H_residual == pytest.approx(ortho, rel=1e-12, abs=0)
+        assert basis.row_gram_residual == pytest.approx(gram, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["toeplitz", "sr"])
+    def test_scaled_operator_gives_the_unscaled_complement(self, kind):
+        if kind == "toeplitz":
+            op = CirculantConvOperator((8, 8), self.SKEWED[2], "center")
+            build = toeplitz_complement
+        else:
+            op = DecimatedConvOperator((8, 8), bilinear_kernel(2, ndim=2), 2)
+            build = sr_complement
+        ref, scaled = build(op), build(ScaledOperator(op, 2.5))
+        assert same_bits(scaled.operator.response, ref.operator.response)
+        assert (scaled.ortho_to_H_residual, scaled.row_gram_residual) == \
+            (ref.ortho_to_H_residual, ref.row_gram_residual)
+
+    def test_wrong_operator_type_rejected(self):
+        blur = CirculantConvOperator(16, bilinear_kernel(2), "center")
+        decimated = DecimatedConvOperator(16, bilinear_kernel(2), 2)
+        mask = MaskedFrequencyOperator(16, range(8), "dct")
+        for build, op in [(toeplitz_complement, decimated), (toeplitz_complement, mask),
+                          (sr_complement, blur), (sr_complement, ScaledOperator(blur, 2.0)),
+                          (fourier_complement, blur)]:
+            with pytest.raises(NullPriorError, match="requires"):
+                build(op)
+        with pytest.raises(NullPriorError, match="requires a RadonOperator"):
+            radon_complement(blur, [0.0, 90.0])
 
 
 class TestOrthogonalityReport:
@@ -278,7 +340,7 @@ class TestOrthogonalityReport:
         H = rng.standard_normal((3, 8))
         rep = orthogonality_report(H, H, rng.standard_normal((5, 8)))
         assert rep.rank_of_stack == 3
-        assert rep.ortho_residual == pytest.approx(np.linalg.norm(H @ H.T), rel=1e-12)
+        assert rep.ortho_residual == pytest.approx(np.linalg.norm(H @ H.T), rel=1e-12, abs=0)
 
     def test_loss_matches_svd_projector_oracle(self):
         rng = np.random.default_rng(7)
@@ -292,7 +354,7 @@ class TestOrthogonalityReport:
         outside = samples - samples @ V.T @ V
         expected = np.mean(np.sum(outside ** 2, axis=1))
         rep = orthogonality_report(basis, H, samples)
-        assert rep.invertibility_loss == pytest.approx(expected, rel=1e-10)
+        assert rep.invertibility_loss == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_full_qr_complement_invertibility(self):
         rng = np.random.default_rng(9)
@@ -495,7 +557,7 @@ class TestFourierComplementOperator:
             for col in ("err_sq", "proj_err_sq", "phi", "data_res_sq", "psnr", "ratio"):
                 np.testing.assert_allclose(getattr(a, col), getattr(b, col),
                                            rtol=1e-12, atol=0)
-        assert fast["theory"].rho == pytest.approx(dense["theory"].rho, rel=1e-12)
+        assert fast["theory"].rho == pytest.approx(dense["theory"].rho, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +574,15 @@ PAIR_CASES = [(shape, transform, scale) for shape in [(64, 64), (15, 16), (9,)]
 
 def fallback_case(kind):
     if kind == "blur":
-        kernel = gaussian_kernel(1.5, ndim=2)
-        return (CirculantConvOperator((16, 16), kernel, "center"),
-                toeplitz_complement(kernel, (16, 16)))
+        op = CirculantConvOperator((16, 16), gaussian_kernel(1.5, ndim=2), "center")
+        return op, toeplitz_complement(op)
     if kind == "sr":
-        kernel = bilinear_kernel(2, ndim=2)
-        return (ScaledOperator(DecimatedConvOperator((16, 16), kernel, 2), 0.37),
-                sr_complement(kernel, 2, (16, 16)))
+        op = ScaledOperator(DecimatedConvOperator((16, 16), bilinear_kernel(2, ndim=2), 2), 0.37)
+        return op, sr_complement(op)
     if kind == "radon":
         full = np.linspace(0.0, 180.0, 12, endpoint=False)
-        return RadonOperator(8, full[:4]), radon_complement(8, full, full[:4])
+        op = RadonOperator(8, full[:4])
+        return op, radon_complement(op, full)
     H = np.random.default_rng(3).standard_normal((6, 24))
     return DenseOperator(H), qr_nullspace(H, p=10, seed=3)
 
@@ -593,7 +654,7 @@ class TestOperatorPair:
 
 class TestDenseBackedBases:
     def test_apply_is_the_dense_product(self):
-        basis = radon_complement(8, [0.0, 45.0, 90.0, 135.0], [0.0, 90.0])
+        basis = radon_complement(RadonOperator(8, [0.0, 90.0]), [0.0, 45.0, 90.0, 135.0])
         assert isinstance(basis.operator, DenseOperator)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(basis.n)
@@ -624,15 +685,15 @@ def circulant_case(kind, shape, factor):
     shape = tuple(shape)
     if kind == "toeplitz":
         kernel = gaussian_kernel(1.5, ndim=len(shape))
-        basis = toeplitz_complement(kernel, shape)
-        H = CirculantConvOperator(shape, kernel, "center").to_dense()
+        op = CirculantConvOperator(shape, kernel, "center")
+        basis = toeplitz_complement(op)
     else:
         kernel = bilinear_kernel(factor, ndim=len(shape))
-        basis = sr_complement(kernel, factor, shape)
-        H = DecimatedConvOperator(shape, kernel, factor).to_dense()
+        op = DecimatedConvOperator(shape, kernel, factor)
+        basis = sr_complement(op)
     gen = -embed_kernel(kernel, shape, "center")
     gen.reshape(-1)[0] += 1.0
-    return basis, circulant_rows(gen), H
+    return basis, circulant_rows(gen), op.to_dense()
 
 
 CIRCULANT_CASES = [("toeplitz", (48,), 1), ("toeplitz", (16, 16), 1),
@@ -657,18 +718,18 @@ class TestCirculantComplementOperators:
     def test_residuals_match_dense_formulas(self, kind, shape, factor):
         basis, S_ref, H = circulant_case(kind, shape, factor)
         ortho, gram = nullspace._residuals(S_ref, H_dense=H)
-        assert basis.ortho_to_H_residual == pytest.approx(ortho, rel=1e-12)
-        assert basis.row_gram_residual == pytest.approx(gram, rel=1e-12)
+        assert basis.ortho_to_H_residual == pytest.approx(ortho, rel=1e-12, abs=0)
+        assert basis.row_gram_residual == pytest.approx(gram, rel=1e-12, abs=0)
 
     def test_sr_factor_must_be_positive(self):
         with pytest.raises(DimensionMismatchError):
-            sr_complement(bilinear_kernel(2), -2, 16)
+            sr_complement(DecimatedConvOperator(16, bilinear_kernel(2), -2))
 
     def test_past_dense_cap(self):
         kernel = gaussian_kernel(1.5, ndim=2)
-        basis = toeplitz_complement(kernel, (128, 128))
-        x = np.random.default_rng(3).standard_normal(basis.n)
         H = CirculantConvOperator((128, 128), kernel, "center")
+        basis = toeplitz_complement(H)
+        x = np.random.default_rng(3).standard_normal(basis.n)
         # S + H' = I: the complement's response is 1 - K at every bin
         np.testing.assert_allclose(basis.project(x) + H.adjoint(x), x, rtol=0, atol=1e-12)
         with pytest.raises(SizeCapError):

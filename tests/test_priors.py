@@ -311,7 +311,7 @@ def test_holdout_error_batched_matches_per_sample():
     ok = np.arange(20) != 3
     expected = np.mean(np.linalg.norm(preds[ok] - T[ok], axis=1)
                        / np.linalg.norm(T[ok], axis=1))
-    assert _holdout_error(net, Y, T) == pytest.approx(expected, rel=1e-12)
+    assert _holdout_error(net, Y, T) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_adam_step_matches_allocating_formula():

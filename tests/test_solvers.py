@@ -160,7 +160,7 @@ class TestDefaultAlpha:
         # the ct-admm-sweep pair: Radon with its approximate complement, by Lanczos
         side, full = 32, [180.0 * i / 60 for i in range(60)]
         op = RadonOperator(side, full[:20])
-        basis = radon_complement(side, full, full[:20])
+        basis = radon_complement(op, full)
         alpha = default_alpha(op, basis, gamma=gamma)
         assert alpha == pytest.approx(_dense_alpha(op, basis, gamma), rel=1e-13, abs=0)
 
@@ -203,7 +203,7 @@ class TestDefaultAlpha:
             npr.default_alpha(mri, npr.fourier_complement(mri), gamma=0.5)
             kernel = npr.operators.gaussian_kernel(1.5, radius=3, ndim=2)
             blur = npr.CirculantConvOperator((16, 16), kernel, "center")
-            npr.default_alpha(blur, npr.toeplitz_complement(kernel, (16, 16)), gamma=0.5)
+            npr.default_alpha(blur, npr.toeplitz_complement(blur), gamma=0.5)
             npr.default_alpha(blur)
             loaded = [m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules]
             assert not loaded, loaded
@@ -226,11 +226,11 @@ class TestDefaultAlpha:
         if problem == "blur":
             kernel = gaussian_kernel(2.0, radius=5, ndim=2)
             op = CirculantConvOperator((16, 16), kernel, "center")
-            basis = toeplitz_complement(kernel, (16, 16))
+            basis = toeplitz_complement(op)
         else:
             kernel = bilinear_kernel(4, ndim=2)
             op = DecimatedConvOperator((16, 16), kernel, 4)
-            basis = sr_complement(kernel, 4, (16, 16))
+            basis = sr_complement(op)
 
         H, S = op.to_dense(), basis.matrix
 
@@ -244,7 +244,7 @@ class TestDefaultAlpha:
             warnings.simplefilter("error")
             alpha = default_alpha(op, basis, gamma=gamma)
         lam = np.linalg.eigvalsh(H.T @ H + gamma * S.T @ S)[-1]
-        assert alpha == pytest.approx(0.9 / lam, rel=1e-13)
+        assert alpha == pytest.approx(0.9 / lam, rel=1e-13, abs=0)
 
 
 class TestPnpFista:
@@ -495,7 +495,7 @@ class TestPnpAdmm:
         side = 16
         kernel = gaussian_kernel(2.0, radius=5, ndim=2)
         op = CirculantConvOperator((side, side), kernel, "center")
-        basis = toeplitz_complement(kernel, (side, side))
+        basis = toeplitz_complement(op)
         x_star = bumps(side, 5, seed=21).reshape(-1)
         y = add_measurement_noise(op.forward(x_star), 15.0, seed=22)
         s_norm = np.linalg.norm(basis.project(x_star))
@@ -593,11 +593,11 @@ def _carry_problem(kind):
     elif kind == "blur":
         kernel = gaussian_kernel(1.5, ndim=2)
         op = CirculantConvOperator(shape, kernel, "center")
-        basis = toeplitz_complement(kernel, shape)
+        basis = toeplitz_complement(op)
     elif kind == "sr":
         kernel = bilinear_kernel(2, ndim=2)
         op = DecimatedConvOperator(shape, kernel, 2)
-        basis = sr_complement(kernel, 2, shape)
+        basis = sr_complement(op)
     else:
         op, basis, _, _ = cs_problem(n=36, m=12, seed=9)
         shape = op.shape_in
@@ -612,7 +612,7 @@ def _carry_solve(variant, op, y, config, basis, prior):
         return solve_red_fista(op, y, TVChambolle(0.05), replace(config, lam=0.2),
                                basis, prior)
     if variant == "sparsity":
-        return solve_fista_sparsity(op, y, config, basis, prior, tau=1e-3)
+        return solve_fista_sparsity(op, y, replace(config, lam=1e-3), basis, prior)
     config = {"none": replace(config, momentum="none"),
               "restart": replace(config, restart="fista-momentum")}.get(variant, config)
     return solve_pnp_fista(op, y, GaussianSmooth(0.5), config, basis, prior)
