@@ -80,13 +80,11 @@ from .solvers import (
     SolverConfig,
     SolverTrace,
     default_alpha,
-    grad_fidelity,
     solve_fista_sparsity,
     solve_pnp_admm,
     solve_pnp_fista,
     solve_red_fista,
     stacked_pinv_solution,
-    subspace_grad,
 )
 
 __version__ = "0.1.0"

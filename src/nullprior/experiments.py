@@ -8,13 +8,14 @@ parameter grid, `theory_check` verifies the contraction and penalty-decay
 bounds on an assumption-certified configuration, and `run_toy3d` reproduces
 the three-dimensional geometry experiment.
 
-Configs are strict: unknown keys raise ConfigError.  Every run is
-deterministic for a fixed (config, seed) pair, and identical runs produce
-byte-identical CSV files.
+Configs are strict: `SCHEMA` lists the keys and defaults of each section's
+kinds, and an unknown kind or key, or a missing required key, raises
+ConfigError.  Every run is deterministic for a fixed (config, seed) pair,
+and identical runs produce byte-identical CSV files.
 """
 
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import yaml
@@ -42,7 +43,7 @@ from .nullspace import (
     sr_complement,
     toeplitz_complement,
 )
-from .operators import DENSE_CAP, DenseOperator, make_operator
+from .operators import DENSE_CAP, DenseOperator, _reject_extra, _required, make_operator
 from .phantoms import generate, toy_plane_disk
 from .priors import (
     OraclePrior,
@@ -62,22 +63,87 @@ from .solvers import (
 
 OUTPUT_ENV_VAR = "NULLPRIOR_OUT"
 
-_TOP_KEYS = {"problem", "seed", "output", "signal", "operator", "basis",
-             "prior", "denoiser", "solver", "noise", "toy3d"}
-_SOLVER_KEYS = {"kind", "alpha", "gamma", "lam", "iters", "momentum", "restart",
-                "rho", "cg_tol", "cg_maxiter", "transform", "peak"}
-# the keys each kind of a section reads
-_PRIOR_KEYS = {"oracle": {"kind", "error"},
-               "net": {"kind", "hidden", "epochs", "lr", "batch", "lambda1", "lambda2", "activation",
-                       "train_count", "train_seed", "holdout", "normalize", "noise_std", "init_scale"}}
-_BASIS_KEYS = {m: {"method", "scale"} for m in ("fourier", "toeplitz", "sr", "radon")}
-_BASIS_KEYS["qr"] = {"method", "p", "scale"}
-_DENOISER_KEYS = {"identity": {"kind"}, "gaussian": {"kind", "sigma"},
-                  "dct_soft": {"kind", "tau"}, "tv": {"kind", "weight", "iters"},
-                  "median": {"kind", "window"}}
-_NOISE_KEYS = {"snr_db"}
-_TOY_KEYS = {"count", "radius", "hidden", "epochs", "lr", "grid_lo", "grid_hi",
-             "grid_points", "gamma", "iters", "init_scale"}
+_SOLVERS = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista,
+            "pnp_admm": solve_pnp_admm, "fista_sparsity": solve_fista_sparsity}
+
+# marks a key that has no default; a default of None means no value, which
+# the builders read as "from the operator or the seed" where one is needed
+REQUIRED = object()
+
+_COMPONENTS = {"seed": 0, "output": None, "signal": None, "operator": REQUIRED,
+               "basis": None, "prior": None, "denoiser": None,
+               "solver": REQUIRED, "noise": None}
+# every solver reads SolverConfig's fields; x_star is the run's own signal
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.name != "x_star"}
+_SOLVER_DEFAULTS.update(alpha="auto", transform="dct")
+
+# section: (the key naming its kind, the default kind, {kind: {key: default}})
+SCHEMA = {
+    "top level": ("problem", None, {
+        **dict.fromkeys(("cs", "mri", "blur", "sr", "ct"), _COMPONENTS),
+        "toy3d": {"seed": 0, "output": None, "toy3d": None}}),
+    "signal": ("kind", None, {
+        "sparse": {"n": None, "k": 8}, "piecewise": {"n": None, "segments": REQUIRED},
+        "shepp_logan": {"side": None}, "bumps": {"side": None, "count": 5}}),
+    "prior": ("kind", "oracle", {
+        "oracle": {"error": None},
+        "net": {"hidden": 64, "epochs": 300, "lr": 1e-3, "batch": None,
+                "lambda1": 0.0, "lambda2": 0.0, "activation": "tanh",
+                "train_count": 300, "train_seed": None, "holdout": 0.2,
+                "normalize": True, "noise_std": 0.0, "init_scale": 1.0}}),
+    # the oracle prior's error spec
+    "error": ("kind", "zero", {
+        "zero": {}, "gaussian": {"eps": REQUIRED, "seed": None},
+        "lipschitz": {"eps": REQUIRED, "K": 1.0, "seed": None}}),
+    "basis": ("method", None, {
+        "qr": {"p": None, "scale": 1.0},
+        **{m: {"scale": 1.0} for m in ("fourier", "toeplitz", "sr", "radon")}}),
+    "denoiser": ("kind", "identity", {
+        "identity": {}, "gaussian": {"sigma": 1.0}, "dct_soft": {"tau": 0.1},
+        "tv": {"weight": 0.1, "iters": 20}, "median": {"window": 3}}),
+    "solver": ("kind", "pnp_fista", dict.fromkeys(_SOLVERS, _SOLVER_DEFAULTS)),
+    "noise": (None, None, {None: {"snr_db": None}}),
+    "toy3d": (None, None, {None: {
+        "count": 500, "radius": 1.0, "hidden": 50, "epochs": 4000, "lr": 5e-3,
+        "grid_lo": 2.0, "grid_hi": 4.0, "grid_points": 5, "gamma": 1.0,
+        "iters": 200, "init_scale": 0.1}}),
+}
+
+# the default signal kind and basis method of each problem; a complement
+# basis fits only the problem it is the default of, qr fits any
+_PROBLEM_KINDS = {"cs": ("sparse", "qr"), "mri": ("bumps", "fourier"),
+                  "blur": ("bumps", "toeplitz"), "sr": ("bumps", "sr"),
+                  "ct": ("shepp_logan", "radon")}
+
+
+def resolve(where, section, kind=None):
+    """A config section's values, with the defaults of its kind filled in.
+
+    `kind` replaces the schema's default kind (signal and basis default by
+    problem).  Raises ConfigError for an unknown kind, an unknown key or a
+    missing required key.
+    """
+    kind_key, default_kind, kinds = SCHEMA[where]
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} section must be a mapping")
+    if kind_key is not None:
+        kind = section.get(kind_key, kind or default_kind)
+        if kind not in kinds:
+            raise ConfigError(f"unknown {where} {kind_key} {kind!r}")
+    defaults = kinds[kind]
+    keys = f"{where} key(s)" + (f" for {kind_key} {kind!r}" if kind_key else "")
+    unknown = set(section) - set(defaults) - {kind_key}
+    if unknown:
+        raise ConfigError(f"unknown {keys}: {sorted(unknown, key=str)}")
+    missing = [key for key, value in defaults.items()
+               if value is REQUIRED and section.get(key) is None]
+    if missing:
+        raise ConfigError(f"missing required {keys}: {missing}")
+    values = {**defaults, **section}
+    if kind_key is not None:
+        values[kind_key] = kind
+    return values
 
 
 def load_config(path):
@@ -89,50 +155,24 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    _check_keys(cfg, _TOP_KEYS, "top level")
-    problem = cfg.get("problem")
-    if problem not in ("cs", "mri", "blur", "sr", "ct", "toy3d"):
-        raise ConfigError(f"unknown problem {problem!r}")
-    if problem == "toy3d":
-        _check_keys(cfg.get("toy3d", {}), _TOY_KEYS, "toy3d")
+    """Resolve every section of cfg against SCHEMA; returns cfg itself."""
+    top = resolve("top level", cfg)
+    if top["problem"] == "toy3d":
+        resolve("toy3d", top["toy3d"])
         return cfg
-    for key in ("operator", "solver"):
-        if key not in cfg:
-            raise ConfigError(f"missing required section {key!r}")
-    _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
-    _check_kind_keys(cfg.get("prior"), "kind", "oracle", _PRIOR_KEYS, "prior")
-    method = _check_kind_keys(cfg.get("basis"), "method",
-                              _DEFAULT_BASIS_METHOD[problem], _BASIS_KEYS, "basis")
-    # a complement fits the one problem it is the default of; qr fits any
-    if method != "qr" and _DEFAULT_BASIS_METHOD[problem] != method:
-        raise ConfigError(f"basis method {method!r} does not fit problem {problem!r}")
-    _check_kind_keys(cfg.get("denoiser"), "kind", "identity", _DENOISER_KEYS, "denoiser")
-    _check_keys(cfg.get("noise", {}), _NOISE_KEYS, "noise")
-    solver_kind = cfg["solver"].get("kind", "pnp_fista")
-    if solver_kind not in ("pnp_fista", "red_fista", "pnp_admm", "fista_sparsity"):
-        raise ConfigError(f"unknown solver kind {solver_kind!r}")
-    if float(cfg["solver"].get("gamma", 0.0)) < 0:
+    signal_kind, basis_method = _PROBLEM_KINDS[top["problem"]]
+    resolve("signal", top["signal"], signal_kind)
+    prior = resolve("prior", top["prior"])
+    if prior["kind"] == "oracle":
+        resolve("error", prior["error"])
+    method = resolve("basis", top["basis"], basis_method)["method"]
+    if method not in ("qr", basis_method):
+        raise ConfigError(f"basis method {method!r} does not fit problem {top['problem']!r}")
+    resolve("denoiser", top["denoiser"])
+    resolve("noise", top["noise"])
+    if float(resolve("solver", top["solver"])["gamma"]) < 0:
         raise ConfigError("solver.gamma must be nonnegative")
     return cfg
-
-
-def _check_keys(section, allowed, where):
-    if section is None:
-        return
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} section must be a mapping")
-    extra = set(section) - allowed
-    if extra:
-        raise ConfigError(f"unknown {where} key(s): {sorted(extra)}")
-
-
-def _check_kind_keys(section, kind_key, default, keys_by_kind, where):
-    """Check a section against the keys its kind reads; returns the kind."""
-    kind = section.get(kind_key, default) if isinstance(section, dict) else default
-    if kind not in keys_by_kind:
-        raise ConfigError(f"unknown {where} {kind_key} {kind!r}")
-    _check_keys(section, keys_by_kind[kind], f"{kind!r} {where}")
-    return kind
 
 
 def _seeds(seed, count):
@@ -143,27 +183,14 @@ def _seeds(seed, count):
 # component builders
 # ---------------------------------------------------------------------------
 
-_DEFAULT_SIGNALS = {
-    "cs": {"kind": "sparse", "k": 8},
-    "mri": {"kind": "bumps", "count": 5},
-    "blur": {"kind": "bumps", "count": 5},
-    "sr": {"kind": "bumps", "count": 5},
-    "ct": {"kind": "shepp_logan"},
-}
-
-_DEFAULT_BASIS_METHOD = {"cs": "qr", "mri": "fourier", "blur": "toeplitz",
-                         "sr": "sr", "ct": "radon"}
-
-
 def _build_operator(problem, op_cfg, seed):
     if problem != "ct":
         return make_operator(problem, op_cfg, seed)
     op_cfg = dict(op_cfg)
-    side = int(op_cfg.pop("side"))
-    full_angles = _full_angles(op_cfg.pop("full_angles"))
-    acquired = op_cfg.pop("acquired")
-    if op_cfg:
-        raise ConfigError(f"unknown ct operator key(s): {sorted(op_cfg)}")
+    side = int(_required(op_cfg, "side", "ct"))
+    full_angles = _full_angles(_required(op_cfg, "full_angles", "ct"))
+    acquired = _required(op_cfg, "acquired", "ct")
+    _reject_extra(op_cfg, "ct")
     acq_angles = (full_angles[: int(acquired)] if np.isscalar(acquired)
                   else [float(a) for a in acquired])
     return make_operator("ct", {"side": side, "angles": acq_angles}, seed)
@@ -176,35 +203,36 @@ def _full_angles(full):
 
 
 def _build_signal(problem, signal_cfg, op, seed):
-    spec = dict(signal_cfg) if signal_cfg else dict(_DEFAULT_SIGNALS[problem])
-    kind = spec.get("kind")
-    if kind in ("shepp_logan", "bumps"):
-        spec.setdefault("side", op.shape_in[0])
+    spec = resolve("signal", signal_cfg, _PROBLEM_KINDS[problem][0])
+    if "side" in spec:  # a 2-D phantom
+        if spec["side"] is None:
+            spec["side"] = op.shape_in[0]
         if op.shape_in != (spec["side"], spec["side"]):
             raise ConfigError("2-D phantom side must match the operator shape")
-    elif kind in ("sparse", "piecewise"):
-        spec.setdefault("n", op.n)
+    else:
+        if spec["n"] is None:
+            spec["n"] = op.n
         if int(spec["n"]) != op.n:
             raise ConfigError("signal length must match the operator")
     x = generate(spec, seed=seed)
     return np.asarray(x, dtype=float).reshape(-1)
 
 
-def _build_basis(cfg, op, seed):
-    basis_cfg = cfg.get("basis") or {}
-    method = basis_cfg.get("method", _DEFAULT_BASIS_METHOD[cfg["problem"]])
-    scale = float(basis_cfg.get("scale", 1.0))
+def _build_basis(problem, basis_cfg, op_cfg, op, seed):
+    basis_cfg = resolve("basis", basis_cfg, _PROBLEM_KINDS[problem][1])
+    method = basis_cfg["method"]
+    scale = float(basis_cfg["scale"])
     if method == "qr":
         if op.n > DENSE_CAP:
             raise ConfigError("qr basis needs n <= 4096")
-        p = basis_cfg.get("p")
+        p = basis_cfg["p"]
         if p is None:
             p = op.n - op.m_eff
         basis = qr_nullspace(op.to_dense(), int(p), seed=seed)
     elif method == "fourier":
         basis = fourier_complement(op)
     elif method == "radon":
-        basis = radon_complement(op, _full_angles(cfg["operator"]["full_angles"]))
+        basis = radon_complement(op, _full_angles(op_cfg["full_angles"]))
     elif method == "toeplitz":
         basis = toeplitz_complement(op)
     else:
@@ -215,67 +243,51 @@ def _build_basis(cfg, op, seed):
 
 
 def _build_denoiser(den_cfg):
-    den_cfg = den_cfg or {}
-    kind = den_cfg.get("kind", "identity")
+    den_cfg = resolve("denoiser", den_cfg)
+    kind = den_cfg["kind"]
     if kind == "gaussian":
-        return dn.GaussianSmooth(float(den_cfg.get("sigma", 1.0)))
+        return dn.GaussianSmooth(float(den_cfg["sigma"]))
     if kind == "dct_soft":
-        return dn.TransformSoftThreshold(float(den_cfg.get("tau", 0.1)))
+        return dn.TransformSoftThreshold(float(den_cfg["tau"]))
     if kind == "tv":
-        return dn.TVChambolle(float(den_cfg.get("weight", 0.1)),
-                              int(den_cfg.get("iters", 20)))
+        return dn.TVChambolle(float(den_cfg["weight"]), int(den_cfg["iters"]))
     if kind == "median":
-        return dn.Median(int(den_cfg.get("window", 3)))
+        return dn.Median(int(den_cfg["window"]))
     return dn.Identity()
 
 
 def _build_prior(prior_cfg, problem, signal_cfg, op, basis, x_star, seed):
     """Returns (predict_fn, error_norm_fn, info dict)."""
-    prior_cfg = dict(prior_cfg) if prior_cfg else {"kind": "oracle",
-                                                   "error": {"kind": "zero"}}
-    kind = prior_cfg.get("kind", "oracle")
-    if kind == "oracle":
-        err_spec = dict(prior_cfg.get("error", {"kind": "zero"}))
-        err_spec.setdefault("seed", seed)
+    prior_cfg = resolve("prior", prior_cfg)
+    if prior_cfg["kind"] == "oracle":
+        err_spec = resolve("error", prior_cfg["error"])
+        if err_spec.get("seed") is None:  # zero has no seed; the others default to the prior's
+            err_spec["seed"] = seed
         error = realize_error(err_spec, basis.p, op.m_eff, seed=seed)
         oracle = OraclePrior(basis, error)
         info = {"kind": "oracle", "K": getattr(error, "lipschitz", 0.0),
-                "error_kind": err_spec.get("kind", "zero"), "oracle": oracle}
+                "error_kind": err_spec["kind"], "oracle": oracle}
         return (lambda y: oracle.predict(y, x_star),
                 lambda y: oracle.error_norm(y), info)
 
-    hidden = int(prior_cfg.get("hidden", 64))
-    epochs = int(prior_cfg.get("epochs", 300))
-    lr = float(prior_cfg.get("lr", 1e-3))
-    batch = prior_cfg.get("batch")
-    lam1 = float(prior_cfg.get("lambda1", 0.0))
-    lam2 = float(prior_cfg.get("lambda2", 0.0))
-    activation = prior_cfg.get("activation", "tanh")
-    train_count = int(prior_cfg.get("train_count", 300))
-    holdout = float(prior_cfg.get("holdout", 0.2))
-    normalize = bool(prior_cfg.get("normalize", True))
-    noise_std = float(prior_cfg.get("noise_std", 0.0))
-    init_scale = float(prior_cfg.get("init_scale", 1.0))
-    train_seed = int(prior_cfg.get("train_seed", seed + 1))
-
+    train_seed = seed + 1 if prior_cfg["train_seed"] is None else int(prior_cfg["train_seed"])
     xs = np.array([_build_signal(problem, signal_cfg, op, s)
-                   for s in _seeds(train_seed, train_count)])
-    net = TwoLayerNet(op.m_eff, basis.p, hidden, activation, seed=train_seed,
-                      init_scale=init_scale)
+                   for s in _seeds(train_seed, int(prior_cfg["train_count"]))])
+    net = TwoLayerNet(op.m_eff, basis.p, int(prior_cfg["hidden"]), prior_cfg["activation"],
+                      seed=train_seed, init_scale=float(prior_cfg["init_scale"]))
+    training = {"epochs": int(prior_cfg["epochs"]), "lr": float(prior_cfg["lr"]),
+                "batch_size": prior_cfg["batch"], "seed": train_seed,
+                "holdout_frac": float(prior_cfg["holdout"]),
+                "normalize": bool(prior_cfg["normalize"]),
+                "noise_std": float(prior_cfg["noise_std"])}
+    lam1, lam2 = float(prior_cfg["lambda1"]), float(prior_cfg["lambda2"])
     if lam1 > 0 or lam2 > 0:
         if op.n > DENSE_CAP:
             raise ConfigError("joint training needs n <= 4096")
-        net, basis, report = train_joint(net, basis, xs, op.to_dense(),
-                                         lam1, lam2, epochs=epochs, lr=lr,
-                                         batch_size=batch, seed=train_seed,
-                                         holdout_frac=holdout,
-                                         normalize=normalize,
-                                         noise_std=noise_std)
+        net, basis, report = train_joint(net, basis, xs, op.to_dense(), lam1, lam2,
+                                         **training)
     else:
-        report = train_mmse(net, xs, op, basis, epochs=epochs, lr=lr,
-                            batch_size=batch, seed=train_seed,
-                            holdout_frac=holdout, normalize=normalize,
-                            noise_std=noise_std)
+        report = train_mmse(net, xs, op, basis, **training)
     info = {"kind": "net", "K": np.nan, "net": net, "train_report": report,
             "basis": basis}
 
@@ -285,29 +297,24 @@ def _build_prior(prior_cfg, problem, signal_cfg, op, basis, x_star, seed):
     return net.predict, error_norm, info
 
 
-_SOLVERS = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista,
-            "pnp_admm": solve_pnp_admm, "fista_sparsity": solve_fista_sparsity}
-
-
 def _build_solver(solver_cfg, op, basis, x_star):
-    solver_cfg = dict(solver_cfg)
-    kind = solver_cfg.pop("kind", "pnp_fista")
-    gamma = float(solver_cfg.pop("gamma", 0.0))
-    alpha = solver_cfg.pop("alpha", "auto")
-    transform = solver_cfg.pop("transform", "dct")
+    solver_cfg = resolve("solver", solver_cfg)
+    gamma = float(solver_cfg["gamma"])
+    alpha = solver_cfg["alpha"]
     if alpha == "auto":
         alpha = default_alpha(op, basis, gamma=gamma)
+    # float() and int() also read the strings PyYAML makes of 1e-8
     config = SolverConfig(alpha=float(alpha), gamma=gamma,
-                          lam=float(solver_cfg.pop("lam", 0.0)),
-                          iters=int(solver_cfg.pop("iters", 100)),
-                          momentum=solver_cfg.pop("momentum", "fista"),
-                          restart=solver_cfg.pop("restart", "none"),
-                          rho=float(solver_cfg.pop("rho", 1.0)),
-                          cg_tol=float(solver_cfg.pop("cg_tol", 1e-8)),
-                          cg_maxiter=int(solver_cfg.pop("cg_maxiter", 200)),
+                          lam=float(solver_cfg["lam"]),
+                          iters=int(solver_cfg["iters"]),
+                          momentum=solver_cfg["momentum"],
+                          restart=solver_cfg["restart"],
+                          rho=float(solver_cfg["rho"]),
+                          cg_tol=float(solver_cfg["cg_tol"]),
+                          cg_maxiter=int(solver_cfg["cg_maxiter"]),
                           x_star=x_star,
-                          peak=float(solver_cfg.pop("peak", 1.0)))
-    return kind, config, transform
+                          peak=float(solver_cfg["peak"]))
+    return solver_cfg["kind"], config, solver_cfg["transform"]
 
 
 def _solve(kind, op, y, denoiser, config, basis, prior_fn, transform):
@@ -329,24 +336,22 @@ def add_measurement_noise(y, snr_db, seed):
 
 def build_problem(cfg, seed=None):
     """Instantiate every component a run needs; deterministic per seed."""
-    cfg = validate_config(dict(cfg))
+    cfg = resolve("top level", validate_config(dict(cfg)))
     problem = cfg["problem"]
     if problem == "toy3d":
         raise ConfigError("toy3d has its own runner: use run_toy3d "
                           "(CLI subcommand `toy3d`)")
-    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+    seed = int(cfg["seed"]) if seed is None else int(seed)
     op_seed, sig_seed, basis_seed, prior_seed, noise_seed = _seeds(seed, 5)
     op = _build_operator(problem, cfg["operator"], op_seed)
-    x_star = _build_signal(problem, cfg.get("signal"), op, sig_seed)
-    basis = _build_basis(cfg, op, basis_seed)
+    x_star = _build_signal(problem, cfg["signal"], op, sig_seed)
+    basis = _build_basis(problem, cfg["basis"], cfg["operator"], op, basis_seed)
     prior_fn, error_norm_fn, prior_info = _build_prior(
-        cfg.get("prior"), problem, cfg.get("signal"), op, basis, x_star,
-        prior_seed)
+        cfg["prior"], problem, cfg["signal"], op, basis, x_star, prior_seed)
     if prior_info["kind"] == "net":
         basis = prior_info["basis"]  # joint training may have refined it
-    denoiser = _build_denoiser(cfg.get("denoiser"))
-    kind, solver_config, transform = _build_solver(dict(cfg["solver"]), op,
-                                                   basis, x_star)
+    denoiser = _build_denoiser(cfg["denoiser"])
+    kind, solver_config, transform = _build_solver(cfg["solver"], op, basis, x_star)
     return {
         "problem": problem, "seed": seed, "op": op,
         "x_star": x_star, "basis": basis, "denoiser": denoiser,
@@ -354,7 +359,7 @@ def build_problem(cfg, seed=None):
         "prior_info": prior_info, "solver_kind": kind,
         "solver_config": solver_config, "transform": transform,
         "noise_seed": noise_seed,
-        "snr_db": (cfg.get("noise") or {}).get("snr_db"),
+        "snr_db": resolve("noise", cfg["noise"])["snr_db"],
     }
 
 
@@ -512,29 +517,28 @@ def apply_sweep_value(cfg, param, value):
         cfg.setdefault("basis", {})["p"] = int(value)
     elif param == "eps":
         prior = cfg.setdefault("prior", {"kind": "oracle"})
-        error = dict(prior.get("error", {"kind": "gaussian"}))
-        if error.get("kind", "zero") == "zero":
+        error = dict(prior.get("error") or {}, eps=float(value))
+        if error.get("kind") in (None, "zero"):  # eps makes a zero error gaussian
             error["kind"] = "gaussian"
-        error["eps"] = float(value)
         prior["error"] = error
-        cfg["prior"] = prior
     elif param == "af":
         op = cfg["operator"]
-        if cfg["problem"] != "mri" or not isinstance(op.get("mask", {}), dict):
+        mask = op.get("mask")
+        if cfg["problem"] != "mri" or not isinstance(mask, dict):
             raise ConfigError("sweep parameter 'af' needs an mri problem with a mask spec")
+        if float(value) <= 0:
+            raise ConfigError("sweep parameter 'af' must be positive")
         shape = op.get("shape")
         n = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
-        mask = dict(op.get("mask", {"kind": "lowpass"}))
-        mask["count"] = max(1, int(round(n / float(value))))
-        op["mask"] = mask
+        op["mask"] = dict(mask, count=max(1, int(round(n / float(value)))))
     elif param == "sigma_blur":
-        kernel = cfg["operator"].get("kernel", {"kind": "gaussian"})
+        # an sr operator without a kernel is bilinear, which has no sigma
+        kernel = cfg["operator"].get("kernel")
         if cfg["problem"] not in ("blur", "sr") or not (
                 isinstance(kernel, dict) and kernel.get("kind") == "gaussian"):
             raise ConfigError("sweep parameter 'sigma_blur' needs a blur or sr "
                               "problem with a gaussian kernel")
-        kernel = dict(kernel, sigma=float(value))
-        cfg["operator"]["kernel"] = kernel
+        cfg["operator"]["kernel"] = dict(kernel, sigma=float(value))
     else:
         raise ConfigError(f"unknown sweep parameter {param!r} "
                           f"(choose from {SWEEP_PARAMS})")
@@ -589,15 +593,15 @@ def theory_check(cfg, out_dir=None, seed=None):
     The solve runs without momentum: the bounds govern the plain
     gradient-plus-denoiser map, and acceleration would overshoot it.
     """
-    cfg = validate_config(dict(cfg))
-    if cfg.get("prior", {}).get("kind", "oracle") != "oracle":
+    cfg = resolve("top level", validate_config(dict(cfg)))
+    if cfg["problem"] == "toy3d":
+        raise ConfigError("theory check does not apply to toy3d")
+    if resolve("prior", cfg["prior"])["kind"] != "oracle":
         raise ConfigError("theory check requires an oracle prior")
-    method = cfg.get("basis", {}).get("method",
-                                      _DEFAULT_BASIS_METHOD.get(cfg["problem"]))
+    method = resolve("basis", cfg["basis"], _PROBLEM_KINDS[cfg["problem"]][1])["method"]
     if method not in ("qr", "fourier"):
         raise ConfigError("theory check requires an exact (qr/fourier) basis")
-    cfg["solver"] = dict(cfg.get("solver", {}))
-    cfg["solver"]["momentum"] = "none"
+    cfg["solver"] = dict(cfg["solver"], momentum="none")
 
     pb = build_problem(cfg, seed=seed)
     op, x_star = pb["op"], pb["x_star"]
@@ -677,27 +681,20 @@ def run_toy3d(cfg, out_dir=None, seed=None):
     projection errors on the training disk and on an out-of-distribution
     grid; finally solves the inverse problem with the trained prior.
     """
-    cfg = validate_config(dict(cfg))
-    toy = dict(cfg.get("toy3d") or {})
-    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
-    count = int(toy.get("count", 500))
-    radius = float(toy.get("radius", 1.0))
-    hidden = int(toy.get("hidden", 50))
-    epochs = int(toy.get("epochs", 4000))
-    lr = float(toy.get("lr", 5e-3))
-    grid_lo = float(toy.get("grid_lo", 2.0))
-    grid_hi = float(toy.get("grid_hi", 4.0))
-    grid_points = int(toy.get("grid_points", 5))
-    gamma = float(toy.get("gamma", 1.0))
-    iters = int(toy.get("iters", 200))
-    init_scale = float(toy.get("init_scale", 0.1))
+    cfg = resolve("top level", validate_config(dict(cfg)))
+    if cfg["problem"] != "toy3d":
+        raise ConfigError("run_toy3d needs problem: toy3d")
+    toy = resolve("toy3d", cfg["toy3d"])
+    seed = int(cfg["seed"]) if seed is None else int(seed)
+    hidden, epochs, lr = int(toy["hidden"]), int(toy["epochs"]), float(toy["lr"])
+    gamma, init_scale = float(toy["gamma"]), float(toy["init_scale"])
 
     op_seed, data_seed, net_seed = _seeds(seed, 3)
     rng = np.random.default_rng(op_seed)
     H = rng.standard_normal((2, 3))
     basis = qr_nullspace(H, p=1, seed=op_seed)
     op = DenseOperator(H)
-    points, plane = toy_plane_disk(count, radius, seed=data_seed)
+    points, plane = toy_plane_disk(int(toy["count"]), float(toy["radius"]), seed=data_seed)
 
     proj_net = TwoLayerNet(2, 1, hidden, "tanh", seed=net_seed,
                            init_scale=init_scale)
@@ -711,7 +708,7 @@ def run_toy3d(cfg, out_dir=None, seed=None):
                             epochs=epochs, lr=lr, seed=net_seed + 1,
                             holdout_frac=0.2, normalize=False)
 
-    axis = np.linspace(grid_lo, grid_hi, grid_points)
+    axis = np.linspace(float(toy["grid_lo"]), float(toy["grid_hi"]), int(toy["grid_points"]))
     cc1, cc2 = np.meshgrid(axis, axis, indexing="ij")
     ood = np.stack([cc1.reshape(-1), cc2.reshape(-1)], axis=1) @ plane
 
@@ -731,7 +728,7 @@ def run_toy3d(cfg, out_dir=None, seed=None):
     x_star = points[0]
     y = op.forward(x_star)
     alpha = default_alpha(op, basis, gamma=gamma)
-    config = SolverConfig(alpha=alpha, gamma=gamma, iters=iters, x_star=x_star,
+    config = SolverConfig(alpha=alpha, gamma=gamma, iters=int(toy["iters"]), x_star=x_star,
                           restart="fista-momentum")
     x_npn, _ = solve_pnp_fista(op, y, dn.Identity(), config, basis,
                                proj_net.predict)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from .errors import DimensionMismatchError, NullPriorError, SizeCapError
+from .errors import ConfigError, DimensionMismatchError, NullPriorError, SizeCapError
 
 DENSE_CAP = 4096
 
@@ -526,8 +526,8 @@ def make_operator(problem, params, seed=0):
     scale = float(params.pop("scale", 1.0))
 
     if problem == "cs":
-        n = int(params.pop("n"))
-        m = int(params.pop("m"))
+        n = int(_required(params, "n", "cs"))
+        m = int(_required(params, "m", "cs"))
         dist = params.pop("dist", "gaussian")
         normalize = bool(params.pop("normalize", False))
         _reject_extra(params, "cs")
@@ -539,20 +539,20 @@ def make_operator(problem, params, seed=0):
         elif dist == "gaussian":
             mat = rng.standard_normal((m, n))
         else:
-            raise NullPriorError(f"unknown cs dist {dist!r}")
+            raise ConfigError(f"unknown cs dist {dist!r}")
         if normalize:
             mat /= np.sqrt(n)
         op = DenseOperator(scale * mat)
 
     elif problem == "mri":
-        shape = params.pop("shape")
+        shape = _required(params, "shape", "mri")
         transform = params.pop("transform", "dct")
-        mask = params.pop("mask")
+        mask = _required(params, "mask", "mri")
         _reject_extra(params, "mri")
         if isinstance(mask, dict):
             mask = dict(mask)
-            kind = mask.pop("kind")
-            count = int(mask.pop("count"))
+            kind = _required(mask, "kind", "mri mask")
+            count = int(_required(mask, "count", "mri mask"))
             mseed = mask.pop("seed", seed)
             _reject_extra(mask, "mri mask")
             if kind == "lowpass":
@@ -560,24 +560,24 @@ def make_operator(problem, params, seed=0):
             elif kind == "random":
                 kept = random_mask(shape, count, mseed, transform)
             else:
-                raise NullPriorError(f"unknown mask kind {kind!r}")
+                raise ConfigError(f"unknown mask kind {kind!r}")
         else:
             kept = list(mask)
         op = MaskedFrequencyOperator(shape, kept, transform)
         op = _maybe_scale(op, scale)
 
     elif problem == "blur":
-        shape = params.pop("shape")
+        shape = _required(params, "shape", "blur")
         ndim = 1 if np.isscalar(shape) else len(shape)
-        kernel = _kernel_from_params(params.pop("kernel"), ndim, shape)
+        kernel = _kernel_from_params(_required(params, "kernel", "blur"), ndim, shape)
         anchor = params.pop("anchor", "center")
         _reject_extra(params, "blur")
         op = CirculantConvOperator(shape, kernel, anchor)
         op = _maybe_scale(op, scale)
 
     elif problem == "sr":
-        shape = params.pop("shape")
-        factor = int(params.pop("factor"))
+        shape = _required(params, "shape", "sr")
+        factor = int(_required(params, "factor", "sr"))
         ndim = 1 if np.isscalar(shape) else len(shape)
         kernel_spec = params.pop("kernel", {"kind": "bilinear"})
         anchor = params.pop("anchor", "center")
@@ -590,8 +590,8 @@ def make_operator(problem, params, seed=0):
         op = _maybe_scale(op, scale)
 
     elif problem == "ct":
-        side = int(params.pop("side"))
-        angles = params.pop("angles")
+        side = int(_required(params, "side", "ct"))
+        angles = _required(params, "angles", "ct")
         _reject_extra(params, "ct")
         op = RadonOperator(side, angles)
         op = _maybe_scale(op, scale)
@@ -604,17 +604,17 @@ def make_operator(problem, params, seed=0):
 def _kernel_from_params(spec, ndim, shape):
     if isinstance(spec, dict):
         spec = dict(spec)
-        kind = spec.pop("kind")
+        kind = _required(spec, "kind", "kernel")
         if kind == "gaussian":
-            sigma = float(spec.pop("sigma"))
+            sigma = float(_required(spec, "sigma", "kernel"))
             radius = spec.pop("radius", None)
             _reject_extra(spec, "kernel")
             return gaussian_kernel(sigma, radius, ndim)
         if kind == "bilinear":
-            factor = int(spec.pop("factor"))
+            factor = int(_required(spec, "factor", "kernel"))
             _reject_extra(spec, "kernel")
             return bilinear_kernel(factor, ndim)
-        raise NullPriorError(f"unknown kernel kind {kind!r}")
+        raise ConfigError(f"unknown kernel kind {kind!r}")
     return np.asarray(spec, dtype=float)
 
 
@@ -639,9 +639,15 @@ def _maybe_scale(op, scale):
     return op if scale == 1.0 else ScaledOperator(op, scale)
 
 
+def _required(params, key, where):
+    if key not in params:
+        raise ConfigError(f"missing required {where} parameter {key!r}")
+    return params.pop(key)
+
+
 def _reject_extra(params, where):
     if params:
-        raise NullPriorError(f"unknown {where} parameter(s): {sorted(params)}")
+        raise ConfigError(f"unknown {where} parameter(s): {sorted(params, key=str)}")
 
 
 def dot_test(op, trials=5, seed=0):

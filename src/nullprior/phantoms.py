@@ -102,7 +102,7 @@ def toy_plane_disk(count, radius=1.0, seed=0):
 
 
 def generate(spec, seed=0):
-    """Dispatch on a phantom spec dict: {"kind": ..., size/count params}."""
+    """Dispatch on a phantom spec dict: {"kind": ..., and every size/count parameter}."""
     spec = dict(spec)
     kind = spec.pop("kind")
     if kind == "sparse":
@@ -112,7 +112,5 @@ def generate(spec, seed=0):
     if kind == "shepp_logan":
         return shepp_logan(int(spec.pop("side")))
     if kind == "bumps":
-        return bumps(int(spec.pop("side")), int(spec.pop("count", 5)), seed)
-    if kind == "toy3d_disk":
-        return toy_plane_disk(int(spec.pop("count")), float(spec.pop("radius", 1.0)), seed)
+        return bumps(int(spec.pop("side")), int(spec.pop("count")), seed)
     raise NullPriorError(f"unknown phantom kind {kind!r}")

@@ -87,16 +87,16 @@ class LipschitzError:
 
 
 def realize_error(spec, p, dim_in, seed=0):
-    """Build an error term from a spec dict {"kind": zero|gaussian|lipschitz, ...}."""
+    """Build an error term from {"kind": zero | gaussian{eps} | lipschitz{eps, K}, "seed"?}."""
     spec = dict(spec)
-    kind = spec.pop("kind", "zero")
+    kind = spec.pop("kind")
     if kind == "zero":
         return ZeroError()
     if kind == "gaussian":
         return GaussianError(p, float(spec.pop("eps")), int(spec.pop("seed", seed)))
     if kind == "lipschitz":
         return LipschitzError(p, dim_in, float(spec.pop("eps")),
-                              float(spec.pop("K", 1.0)), int(spec.pop("seed", seed)))
+                              float(spec.pop("K")), int(spec.pop("seed", seed)))
     raise NullPriorError(f"unknown error kind {kind!r}")
 
 

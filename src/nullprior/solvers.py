@@ -38,7 +38,7 @@ import scipy.fft
 
 from .denoisers import denoise
 from .diagnostics import lambda_max, psnr_from_err_sq
-from .errors import NullPriorError
+from .errors import ConfigError, NullPriorError
 from .nullspace import as_basis
 
 DIVERGENCE_GUARD = 1e12
@@ -70,9 +70,9 @@ class SolverConfig:
         if self.iters < 1:
             raise NullPriorError("iters must be >= 1")
         if self.momentum not in ("fista", "none"):
-            raise NullPriorError(f"unknown momentum {self.momentum!r}")
+            raise ConfigError(f"unknown momentum {self.momentum!r}")
         if self.restart not in ("none", "fista-momentum"):
-            raise NullPriorError(f"unknown restart {self.restart!r}")
+            raise ConfigError(f"unknown restart {self.restart!r}")
 
 
 @dataclass
@@ -110,17 +110,6 @@ class SolverTrace:
                                                 self.psnr[i], self.ratio[i])]
                 cells.append(f"{int(self.in_ciz[i])}")
                 fh.write(",".join(cells) + "\n")
-
-
-def grad_fidelity(op, x, y):
-    """Gradient direction of the data fit: H'(H x - y)."""
-    return op.adjoint(op.forward(x) - y)
-
-
-def subspace_grad(S, x, g):
-    """Gradient direction of the projection penalty: S'(S x - g)."""
-    basis = as_basis(S)
-    return basis.backproject(basis.project(x) - g)
 
 
 class _Recorder:

@@ -1,6 +1,7 @@
 """Experiment runner: config validation, run artifacts, sweeps, theory checks, CLI."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +75,71 @@ def problem_config(problem, method, **overrides):
                      **overrides)
 
 
+def _replace(cfg, **sections):
+    """cfg with some sections replaced; a section given as None is removed."""
+    cfg = dict(cfg, **sections)
+    return {key: value for key, value in cfg.items() if value is not None}
+
+
+MRI_OPERATOR = theory_config()["operator"]
+BLUR = problem_config("blur", "toeplitz")
+CT = problem_config("ct", "radon")
+
+# one mistake per case: an unknown key, an unknown kind or a missing required
+# key; TestValidation and test_config_error_exit_three cover the top level and
+# the prior, basis and denoiser sections
+CONFIG_MISTAKES = {
+    "top-missing-solver": _replace(theory_config(), solver=None),
+    "top-null-operator": theory_config(operator=None),
+    "signal-unknown-key": theory_config(signal={"kind": "bumps", "count": 4, "foo": 1}),
+    "signal-unknown-kind": theory_config(signal={"kind": "spiral"}),
+    "signal-missing-segments": theory_config(signal={"kind": "piecewise"}),
+    "error-unknown-key": theory_config(prior={"kind": "oracle",
+                                              "error": {"kind": "zero", "eps": 5.0}}),
+    "error-unknown-kind": theory_config(prior={"kind": "oracle", "error": {"kind": "laplace"}}),
+    "error-missing-eps": theory_config(prior={"kind": "oracle", "error": {"kind": "gaussian"}}),
+    "solver-unknown-kind": theory_config(solver={"kind": "newton"}),
+    "solver-unknown-momentum": theory_config(solver={"kind": "pnp_fista", "momentum": "nesterov"}),
+    "solver-unknown-restart": theory_config(solver={"kind": "pnp_fista", "restart": "often"}),
+    "noise-unknown-key": theory_config(noise={"snr": 20.0}),
+    "operator-unknown-key": theory_config(operator=dict(MRI_OPERATOR, foo=1)),
+    "operator-missing-mask": theory_config(operator={"shape": [8, 8]}),
+    "mask-unknown-key": theory_config(operator=dict(
+        MRI_OPERATOR, mask={"kind": "lowpass", "count": 16, "foo": 1})),
+    "mask-unknown-kind": theory_config(operator=dict(
+        MRI_OPERATOR, mask={"kind": "spiral", "count": 16})),
+    "mask-missing-count": theory_config(operator=dict(MRI_OPERATOR, mask={"kind": "lowpass"})),
+    "kernel-unknown-key": _replace(BLUR, operator=dict(
+        BLUR["operator"], kernel={"kind": "gaussian", "sigma": 1.0, "foo": 1})),
+    "kernel-unknown-kind": _replace(BLUR, operator=dict(BLUR["operator"], kernel={"kind": "box"})),
+    "kernel-missing-sigma": _replace(BLUR, operator=dict(BLUR["operator"],
+                                                         kernel={"kind": "gaussian"})),
+    "cs-operator-unknown-dist": cs_config(operator={"n": 40, "m": 8, "dist": "cauchy"}),
+    "cs-operator-missing-m": cs_config(operator={"n": 40}),
+    "ct-operator-unknown-key": _replace(CT, operator=dict(CT["operator"], foo=1)),
+    "ct-operator-missing-acquired": _replace(CT, operator={"side": 8, "full_angles": 12}),
+    "toy3d-unknown-key": {"problem": "toy3d", "toy3d": {"epochs": 10, "foo": 1}},
+    "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
+}
+
+
 class TestValidation:
+    def test_readme_config_schema_example_builds(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config schema", 1)[1]
+        example = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+        assert validate_config(example) is example
+        pb = build_problem(example)
+        assert pb["op"].shape_in == tuple(example["operator"]["shape"])
+        assert pb["basis"].p == pb["op"].n - pb["op"].m_eff
+
+    def test_defaults_fill_every_key_of_the_kind(self):
+        assert experiments.resolve("signal", None, "sparse") == {"kind": "sparse", "n": None,
+                                                                 "k": 8}
+        solver = experiments.resolve("solver", {"gamma": 0.5})
+        assert solver["kind"] == "pnp_fista" and solver["alpha"] == "auto"
+        assert solver["gamma"] == 0.5 and solver["cg_tol"] == 1e-8
+
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="unknown top level"):
             validate_config(cs_config(bogus=1))
@@ -529,7 +594,8 @@ class TestCli:
         assert "does not fit" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.csv").exists()
 
-    @pytest.mark.parametrize("case", ["p-fourier", "eps-net", "af-ct", "sigma_blur-mri"])
+    @pytest.mark.parametrize("case", ["p-fourier", "eps-net", "af-ct", "sigma_blur-mri",
+                                      "sigma_blur-sr-bilinear", "af-zero", "af-negative"])
     def test_sweep_parameter_that_does_not_apply_exit_three(self, case, tmp_path, capsys):
         param, grid, cfg = {
             "p-fourier": ("p", "5,50,150", theory_config()),
@@ -537,6 +603,10 @@ class TestCli:
                 "cs", "qr", prior={"kind": "net", "hidden": 4, "epochs": 2, "train_count": 10})),
             "af-ct": ("af", "2,4", problem_config("ct", "radon")),
             "sigma_blur-mri": ("sigma_blur", "1,2", theory_config()),
+            # an sr operator without a kernel is bilinear
+            "sigma_blur-sr-bilinear": ("sigma_blur", "1,2", problem_config("sr", "sr")),
+            "af-zero": ("af", "0", theory_config()),
+            "af-negative": ("af", "4,-2", theory_config()),
         }[case]
         path = self._write(tmp_path, cfg)
         code = cli_main(["sweep", "--config", path, "--param", param, "--grid", grid,
@@ -544,6 +614,15 @@ class TestCli:
         assert code == 3
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("sw/point_*"))
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_MISTAKES))
+    def test_config_mistake_exit_three(self, case, tmp_path, capsys):
+        cfg = CONFIG_MISTAKES[case]
+        command = "toy3d" if cfg.get("problem") == "toy3d" else "run"
+        path = self._write(tmp_path, cfg)
+        assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_cli(self, tmp_path, capsys):
         path = self._write(tmp_path, cs_config())

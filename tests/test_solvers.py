@@ -41,13 +41,11 @@ from nullprior.priors import OraclePrior, ZeroError
 from nullprior.solvers import (
     SolverConfig,
     default_alpha,
-    grad_fidelity,
     solve_fista_sparsity,
     solve_pnp_admm,
     solve_pnp_fista,
     solve_red_fista,
     stacked_pinv_solution,
-    subspace_grad,
 )
 
 
@@ -59,44 +57,6 @@ def cs_problem(n=24, m=6, seed=0, p=None):
     x_star = sparse_signal(n, 5, seed=seed + 1)
     y = op.forward(x_star)
     return op, basis, x_star, y
-
-
-class TestGradientPieces:
-    def test_fidelity_zero_at_solution(self):
-        op, _, x_star, y = cs_problem()
-        np.testing.assert_allclose(grad_fidelity(op, x_star, y), 0.0, atol=1e-14)
-
-    def test_fidelity_identity_operator(self):
-        op = DenseOperator(np.eye(4))
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        y = np.array([0.5, 0.5, 0.5, 0.5])
-        np.testing.assert_array_equal(grad_fidelity(op, x, y), x - y)
-
-    def test_fidelity_matches_dense_arithmetic(self):
-        rng = np.random.default_rng(3)
-        H = rng.standard_normal((4, 10))
-        op = DenseOperator(H)
-        x = rng.standard_normal(10)
-        y = rng.standard_normal(4)
-        expected = H.T @ (H @ x - y)
-        np.testing.assert_allclose(grad_fidelity(op, x, y), expected, atol=1e-12)
-
-    def test_subspace_grad_zero_when_matched(self):
-        rng = np.random.default_rng(4)
-        S = rng.standard_normal((3, 8))
-        x = rng.standard_normal(8)
-        np.testing.assert_allclose(subspace_grad(S, x, S @ x), 0.0, atol=1e-14)
-
-    def test_subspace_grad_identity(self):
-        x = np.arange(5.0)
-        np.testing.assert_array_equal(subspace_grad(np.eye(5), x, np.zeros(5)), x)
-
-    def test_subspace_grad_dense_oracle(self):
-        rng = np.random.default_rng(5)
-        S = rng.standard_normal((3, 8))
-        x = rng.standard_normal(8)
-        g = rng.standard_normal(3)
-        np.testing.assert_allclose(subspace_grad(S, x, g), S.T @ (S @ x - g), atol=1e-12)
 
 
 class _Diagonal(LinearOperator):
@@ -561,7 +521,7 @@ def _applying_fista_solve(op, y, config, basis, prior, gradient_extra, prox):
     t = 1.0
     rec.add(0, x_prev, *rec.products(x_prev))
     for ell in range(1, config.iters + 1):
-        grad = grad_fidelity(op, z, y)
+        grad = op.adjoint(op.forward(z) - y)
         if active:
             grad = grad + config.gamma * basis.backproject(basis.project(z) - g)
         v = z - config.alpha * grad
