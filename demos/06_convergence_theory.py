@@ -3,17 +3,17 @@
 A scaled orthonormal-row operator plus its scaled exact complement makes the
 penalized gradient map contract uniformly, so the rate bound, the
 improvement zone, and the penalty-decay bound can all be certified
-empirically.
+empirically.  The constants are measured while the solve runs: a
+`CloudConstants` observer sees each iterate once, so no iterate is stored.
 """
 
 import numpy as np
 
 from nullprior import denoisers as dn
 from nullprior.diagnostics import (
+    CloudConstants,
     compute_rho,
     detect_ciz,
-    estimate_ric,
-    iterate_cloud_pairs,
     penalty_decay_bound,
 )
 from nullprior.experiments import theory_check
@@ -35,13 +35,16 @@ alpha = 50.0
 
 config = SolverConfig(alpha=alpha, gamma=1.0, iters=40, x_star=x_star,
                       momentum="none")
-_, trace = solve_pnp_fista(op, y, dn.Identity(), config, basis,
-                           lambda yy: prior.predict(yy, x_star))
+denoiser = dn.Identity()
+# the isometry constants of S (weighted by sqrt(gamma) = 1) and H, and the
+# denoiser expansion, on each iterate against the last one and against x*
+cloud = CloudConstants(op, basis, 1.0, denoiser, x_star,
+                       dn.denoise(denoiser, x_star, op.shape_in))
+_, trace = solve_pnp_fista(op, y, denoiser, config, basis,
+                           lambda yy: prior.predict(yy, x_star), observer=cloud)
 
-pairs = iterate_cloud_pairs(trace.iterates, x_star)
-ric_s = estimate_ric(basis.matrix, pairs)
-ric_h = estimate_ric(op.to_dense(), pairs)
-delta = dn.estimate_delta(dn.Identity(), pairs)
+ric_s, ric_h = cloud.ric
+delta = cloud.delta_hat
 est = compute_rho(delta, alpha, op, basis, 1.0, ric_s)
 ciz = detect_ciz(trace.proj_err_sq, prior.error_norm(y))
 xn = np.linalg.norm(x_star)

@@ -16,6 +16,7 @@ from .denoisers import (
     estimate_delta,
 )
 from .diagnostics import (
+    CloudConstants,
     TheoryReport,
     compute_rho,
     detect_ciz,

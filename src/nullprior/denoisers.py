@@ -11,7 +11,7 @@ import numpy as np
 import scipy.fft
 import scipy.ndimage
 
-from .diagnostics import resolution_floor
+from .diagnostics import _DeltaMax
 from .errors import NullPriorError
 
 
@@ -148,25 +148,11 @@ def estimate_delta(denoiser, pairs):
     images already made (`iterate_cloud_images`).  Pairs are read one at a
     time, so a generator holds only the pairs it has not yet yielded.
     """
-    worst = 0.0
-    seen = used = 0
+    worst = _DeltaMax(denoiser)
     for pair in pairs:
-        seen += 1
-        x = np.asarray(pair[0], dtype=float)
-        z = np.asarray(pair[1], dtype=float)
-        dist = np.linalg.norm(x - z)
-        if dist <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
-            continue
-        dxz = dist ** 2
-        dx, dz = pair[2:] if len(pair) == 4 else (denoiser(x), denoiser(z))
-        dd = np.linalg.norm(np.asarray(dx) - np.asarray(dz)) ** 2
-        worst = max(worst, dd / dxz - 1.0)
-        used += 1
-    if seen == 0:
-        raise NullPriorError("need at least one pair")
-    if used == 0:
-        raise NullPriorError("all pairs coincide to float resolution")
-    return max(worst, 0.0)
+        worst.add(np.asarray(pair[0], dtype=float), np.asarray(pair[1], dtype=float),
+                  *pair[2:])
+    return worst.value()
 
 
 def iterate_cloud_images(denoiser, iterates, x_star, x_star_image, shape):

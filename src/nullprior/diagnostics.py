@@ -12,8 +12,9 @@ both read it from `normal_spectrum` (one FFT or one batched block
 `eigvalsh`).  Every other pair takes the norms from a dense n x n P, and
 lambda_max from residuals or Lanczos.  The restricted-isometry constants Delta
 are measured on a supplied sample cloud, the denoiser expansion delta on
-sample pairs, and the improvement zone is the set of iterations whose
-projected error still dominates the prior's error norm.  Two constant
+sample pairs; `CloudConstants` measures both on a solve's iterates while it
+runs, so no iterate is stored.  The improvement zone is the set of
+iterations whose projected error still dominates the prior's error norm.  Two constant
 pairs are in circulation for the penalty-decay bound; both are computed,
 with the first as the primary.
 """
@@ -64,6 +65,72 @@ def resolution_floor(*norms):
     return 100.0 * np.finfo(float).eps * max(*norms, 1.0)
 
 
+class _RicMax:
+    """Running max of | ||M d||^2 / ||d||^2 - 1 | over pairs (x, z), d = x - z.
+
+    The per-pair step of `estimate_ric` and `CloudConstants`.  Pairs that
+    coincide to float resolution (`resolution_floor`) are skipped.  The
+    maximum starts at 0, so a nan ratio never enters it, and it does not
+    depend on the order of the pairs.
+    """
+
+    def __init__(self, apply_M):
+        self.apply_M = apply_M
+        self.worst = None
+        self.several = False
+
+    def add(self, x, z):
+        d = x - z
+        dd = float(d @ d)
+        if np.sqrt(dd) <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
+            return
+        md = self.apply_M(d)
+        self.several = isinstance(md, tuple)
+        images = md if self.several else (md,)
+        if self.worst is None:
+            self.worst = [0.0] * len(images)
+        self.worst = [max(w, abs(float(v @ v) / dd - 1.0))
+                      for w, v in zip(self.worst, images)]
+
+    def value(self):
+        if self.worst is None:
+            raise NullPriorError("all sample pairs coincide to float resolution")
+        return tuple(self.worst) if self.several else self.worst[0]
+
+
+class _DeltaMax:
+    """Running max of ||D(x) - D(z)||^2 / ||x - z||^2 - 1 over pairs (x, z).
+
+    The per-pair step of `denoisers.estimate_delta` and `CloudConstants`.
+    Pairs that coincide to float resolution are skipped; D(x) and D(z) are
+    made by `denoiser` when not given, and only for a pair that is used.
+    """
+
+    def __init__(self, denoiser=None):
+        self.denoiser = denoiser
+        self.worst = 0.0
+        self.seen = self.used = 0
+
+    def add(self, x, z, dx=None, dz=None):
+        self.seen += 1
+        dist = np.linalg.norm(x - z)
+        if dist <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
+            return
+        dxz = dist ** 2
+        if dx is None:
+            dx, dz = self.denoiser(x), self.denoiser(z)
+        dd = np.linalg.norm(np.asarray(dx) - np.asarray(dz)) ** 2
+        self.worst = max(self.worst, dd / dxz - 1.0)
+        self.used += 1
+
+    def value(self):
+        if self.seen == 0:
+            raise NullPriorError("need at least one pair")
+        if self.used == 0:
+            raise NullPriorError("all pairs coincide to float resolution")
+        return max(self.worst, 0.0)
+
+
 def estimate_ric(M, pairs):
     """Restricted-isometry constant of M on the given sample pairs.
 
@@ -75,22 +142,11 @@ def estimate_ric(M, pairs):
     returned.
     """
     apply_M = M if callable(M) else (lambda v, _M=np.asarray(M, float): _M @ v)
-    worst = None
+    worst = _RicMax(apply_M)
     for x, z in pairs:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        z = np.asarray(z, dtype=float).reshape(-1)
-        d = x - z
-        dd = float(d @ d)
-        if np.sqrt(dd) <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
-            continue
-        md = apply_M(d)
-        images = md if isinstance(md, tuple) else (md,)
-        if worst is None:
-            worst = [0.0] * len(images)
-        worst = [max(w, abs(float(v @ v) / dd - 1.0)) for w, v in zip(worst, images)]
-    if worst is None:
-        raise NullPriorError("all sample pairs coincide to float resolution")
-    return tuple(worst) if isinstance(md, tuple) else worst[0]
+        worst.add(np.asarray(x, dtype=float).reshape(-1),
+                  np.asarray(z, dtype=float).reshape(-1))
+    return worst.value()
 
 
 def iterate_cloud_pairs(iterates, x_star=None):
@@ -106,6 +162,58 @@ def iterate_cloud_pairs(iterates, x_star=None):
         for a in iterates:
             pairs.append((a, x_star))
     return pairs
+
+
+class CloudConstants:
+    """ric_s, ric_h and delta_hat on a solve's iterate cloud, measured as it runs.
+
+    A per-solve observer: the solvers call it with each recorded iterate.
+    It forms the pairs of `iterate_cloud_pairs` and
+    `denoisers.iterate_cloud_images` as the iterates arrive, each iterate
+    against the one before it, then against x*, and keeps only the previous
+    iterate and its denoised image.  ric_s and ric_h take sqrt(gamma) S d
+    and H d from one `OperatorPair` application per difference d, and
+    delta_hat denoises each iterate once; `x_star_image` is D(x*), flat.
+    The maxima are those of `estimate_ric` and `denoisers.estimate_delta`
+    on the stored cloud, bit for bit.
+    """
+
+    def __init__(self, op, basis, gamma, denoiser, x_star, x_star_image):
+        pair = basis.pair(op)
+        weight = np.sqrt(gamma)
+
+        def images(v):
+            h, s = pair.forward(v)
+            return weight * s, h
+
+        self._ric = _RicMax(images)
+        self._delta = _DeltaMax()
+        self._denoiser = denoiser
+        self._shape = op.shape_in
+        self._x_star = np.asarray(x_star, dtype=float).reshape(-1)
+        self._star = self._x_star.reshape(self._shape)
+        self.x_star_image = x_star_image
+        self._star_image = np.asarray(x_star_image).reshape(self._shape)
+        self._prev = self._prev_image = None
+
+    def __call__(self, x):
+        a = x.reshape(self._shape)
+        image = np.asarray(self._denoiser(a))
+        if self._prev is not None:
+            self._ric.add(self._prev, x)
+            self._delta.add(self._prev.reshape(self._shape), a, self._prev_image, image)
+        self._ric.add(x, self._x_star)
+        self._delta.add(a, self._star, image, self._star_image)
+        self._prev, self._prev_image = x, image
+
+    @property
+    def ric(self):
+        """(ric_s, ric_h)."""
+        return self._ric.value()
+
+    @property
+    def delta_hat(self):
+        return self._delta.value()
 
 
 @dataclass

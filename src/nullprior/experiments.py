@@ -22,14 +22,14 @@ import yaml
 
 from . import denoisers as dn
 from .diagnostics import (
+    CloudConstants,
     TheoryReport,
     compute_rho,
     decay_constants,
     decay_constants_statement_variant,
     detect_ciz,
     detect_ciz_rip_variant,
-    estimate_ric,
-    iterate_cloud_pairs,
+    estimate_ric,  # unread here; bench/tracer.py wraps it under this name
     penalty_decay_bound,
     psnr,
     resolution_floor,
@@ -43,7 +43,15 @@ from .nullspace import (
     sr_complement,
     toeplitz_complement,
 )
-from .operators import DENSE_CAP, DenseOperator, _reject_extra, _required, make_operator
+from .operators import (
+    ANCHORS,
+    DENSE_CAP,
+    TRANSFORMS,
+    DenseOperator,
+    _reject_extra,
+    _required,
+    make_operator,
+)
 from .phantoms import generate, toy_plane_disk
 from .priors import (
     OraclePrior,
@@ -53,6 +61,7 @@ from .priors import (
     train_mmse,
 )
 from .solvers import (
+    SPARSITY_TRANSFORMS,
     SolverConfig,
     default_alpha,
     solve_fista_sparsity,
@@ -170,9 +179,23 @@ def validate_config(cfg):
         raise ConfigError(f"basis method {method!r} does not fit problem {top['problem']!r}")
     resolve("denoiser", top["denoiser"])
     resolve("noise", top["noise"])
-    if float(resolve("solver", top["solver"])["gamma"]) < 0:
+    solver = resolve("solver", top["solver"])
+    if float(solver["gamma"]) < 0:
         raise ConfigError("solver.gamma must be nonnegative")
+    if solver["kind"] == "fista_sparsity":
+        _check_choice("solver transform", solver["transform"], SPARSITY_TRANSFORMS)
+    op_cfg = top["operator"]
+    if isinstance(op_cfg, dict):
+        if top["problem"] == "mri" and "transform" in op_cfg:
+            _check_choice("mri transform", op_cfg["transform"], TRANSFORMS)
+        if top["problem"] in ("blur", "sr") and "anchor" in op_cfg:
+            _check_choice(f"{top['problem']} anchor", op_cfg["anchor"], ANCHORS)
     return cfg
+
+
+def _check_choice(what, value, choices):
+    if value not in choices:
+        raise ConfigError(f"unknown {what} {value!r} (choose from {choices})")
 
 
 def _seeds(seed, count):
@@ -265,8 +288,7 @@ def _build_prior(prior_cfg, problem, signal_cfg, op, basis, x_star, seed):
             err_spec["seed"] = seed
         error = realize_error(err_spec, basis.p, op.m_eff, seed=seed)
         oracle = OraclePrior(basis, error)
-        info = {"kind": "oracle", "K": getattr(error, "lipschitz", 0.0),
-                "error_kind": err_spec["kind"], "oracle": oracle}
+        info = {"kind": "oracle", "K": getattr(error, "lipschitz", 0.0)}
         return (lambda y: oracle.predict(y, x_star),
                 lambda y: oracle.error_norm(y), info)
 
@@ -288,8 +310,7 @@ def _build_prior(prior_cfg, problem, signal_cfg, op, basis, x_star, seed):
                                          **training)
     else:
         report = train_mmse(net, xs, op, basis, **training)
-    info = {"kind": "net", "K": np.nan, "net": net, "train_report": report,
-            "basis": basis}
+    info = {"kind": "net", "K": np.nan, "train_report": report, "basis": basis}
 
     def error_norm(y, _net=net, _basis=basis, _x=x_star):
         return float(np.linalg.norm(_net.predict(y) - _basis.project(_x)))
@@ -317,11 +338,11 @@ def _build_solver(solver_cfg, op, basis, x_star):
     return solver_cfg["kind"], config, solver_cfg["transform"]
 
 
-def _solve(kind, op, y, denoiser, config, basis, prior_fn, transform):
+def _solve(kind, op, y, denoiser, config, basis, prior_fn, transform, observer=None):
     if kind == "fista_sparsity":
         return solve_fista_sparsity(op, y, config, basis, prior_fn,
-                                    transform=transform)
-    return _SOLVERS[kind](op, y, denoiser, config, basis, prior_fn)
+                                    transform=transform, observer=observer)
+    return _SOLVERS[kind](op, y, denoiser, config, basis, prior_fn, observer=observer)
 
 
 def add_measurement_noise(y, snr_db, seed):
@@ -363,10 +384,36 @@ def build_problem(cfg, seed=None):
     }
 
 
-def _theory_report(pb, trace, y):
-    """Measure every theory constant on the run's own iterate cloud.
+def _gamma_eff(config):
+    """The weight of S'S in the theory report: gamma, or 1 at gamma = 0.
 
-    y is the noisy measurement the solve was given.
+    The penalty weights S by sqrt(gamma), so ric_s and ||sqrt(gamma) S||
+    are measured on sqrt(gamma) S.
+    """
+    return config.gamma if config.gamma > 0 else 1.0
+
+
+def _penalized_solve(pb, y):
+    """The penalized solve of `pb` on y; returns (x, trace, CloudConstants).
+
+    The theory constants are measured on the iterates as the solve makes
+    them (`diagnostics.CloudConstants`), so no iterate is stored.
+    """
+    op, x_star, denoiser = pb["op"], pb["x_star"], pb["denoiser"]
+    config = pb["solver_config"]
+    # D(x*) serves the report's fixed-point check and the x* pairs of delta
+    cloud = CloudConstants(op, pb["basis"], _gamma_eff(config), denoiser, x_star,
+                           dn.denoise(denoiser, x_star, op.shape_in))
+    x, trace = _solve(pb["solver_kind"], op, y, denoiser, config, pb["basis"],
+                      pb["prior_fn"], pb["transform"], observer=cloud)
+    return x, trace, cloud
+
+
+def _theory_report(pb, trace, cloud, y):
+    """Every theory constant of the penalized solve that made `trace`.
+
+    `cloud` holds the constants measured on that solve's iterates
+    (`_penalized_solve`); y is the noisy measurement the solve was given.
     """
     op = pb["op"]
     basis = pb["basis"]
@@ -374,21 +421,10 @@ def _theory_report(pb, trace, y):
     x_star = pb["x_star"]
     notes = []
     certified = True
-    # the penalty weights S by sqrt(gamma) (by 1 at gamma = 0)
-    gamma_eff = config.gamma if config.gamma > 0 else 1.0
-    weight = np.sqrt(gamma_eff)
-    # S d and H d from one pair application per difference
-    pair = basis.pair(op)
-
-    def images(v):
-        h, s = pair.forward(v)
-        return weight * s, h
-    ric_s, ric_h = estimate_ric(images, iterate_cloud_pairs(trace.iterates, x_star))
-    # D(x*) serves the fixed-point check below and the x* pairs of delta
-    denoiser = pb["denoiser"]
-    dx = dn.denoise(denoiser, x_star, op.shape_in)
-    delta_hat = dn.estimate_delta(denoiser, dn.iterate_cloud_images(
-        denoiser, trace.iterates, x_star, dx, op.shape_in))
+    gamma_eff = _gamma_eff(config)
+    ric_s, ric_h = cloud.ric
+    delta_hat = cloud.delta_hat
+    dx = cloud.x_star_image
     err_norm = pb["error_norm_fn"](y)
     K = pb["prior_info"]["K"]
     xn = float(np.linalg.norm(x_star))
@@ -466,9 +502,7 @@ def run(cfg, out_dir=None, seed=None):
     x_base, tr_base = _solve(pb["solver_kind"], op, y, pb["denoiser"],
                              config_base, pb["basis"], pb["prior_fn"],
                              pb["transform"])
-    x_npn, tr_npn = _solve(pb["solver_kind"], op, y, pb["denoiser"],
-                           config_npn, pb["basis"], pb["prior_fn"],
-                           pb["transform"])
+    x_npn, tr_npn, cloud = _penalized_solve(pb, y)
 
     err_norm = pb["error_norm_fn"](y)
     tr_base.set_ciz(detect_ciz(tr_base.proj_err_sq, err_norm))
@@ -476,7 +510,7 @@ def run(cfg, out_dir=None, seed=None):
     tr_base.to_csv(os.path.join(out_dir, "trace_baseline.csv"))
     tr_npn.to_csv(os.path.join(out_dir, "trace_npn.csv"))
 
-    report = _theory_report(pb, tr_npn, y)
+    report = _theory_report(pb, tr_npn, cloud, y)
     report.save(os.path.join(out_dir, "theory.txt"))
     if pb["prior_info"]["kind"] == "net":
         pb["prior_info"]["train_report"].save_history_csv(
@@ -570,8 +604,9 @@ def sweep(cfg, param, grid, out_dir=None, seed=None):
         row = {param: value, "error": ""}
         try:
             os.makedirs(point_dir, exist_ok=True)
-            result = run(point_cfg, out_dir=point_dir, seed=seed)
-            row.update(result["summary"])
+            # only the summary is kept: a point's traces and reconstructions
+            # are freed before the next point runs
+            row.update(run(point_cfg, out_dir=point_dir, seed=seed)["summary"])
         except Exception as exc:  # record and continue
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
@@ -606,10 +641,8 @@ def theory_check(cfg, out_dir=None, seed=None):
     pb = build_problem(cfg, seed=seed)
     op, x_star = pb["op"], pb["x_star"]
     y = add_measurement_noise(op.forward(x_star), pb["snr_db"], pb["noise_seed"])
-    x_hat, trace = _solve(pb["solver_kind"], op, y, pb["denoiser"],
-                          pb["solver_config"], pb["basis"], pb["prior_fn"],
-                          pb["transform"])
-    report = _theory_report(pb, trace, y)
+    _, trace, cloud = _penalized_solve(pb, y)
+    report = _theory_report(pb, trace, cloud, y)
     trace.set_ciz(report.ciz)
 
     details = {"report": report, "trace": trace, "checks": {}}

@@ -156,6 +156,9 @@ def dft_real_rows(shape, representatives):
     return np.array(rows)
 
 
+TRANSFORMS = ("dct", "dft")  # the orthonormal transforms a frequency mask selects from
+
+
 class MaskedFrequencyOperator(LinearOperator):
     """Rows of an orthonormal transform restricted to a kept frequency set.
 
@@ -174,7 +177,7 @@ class MaskedFrequencyOperator(LinearOperator):
             raise DimensionMismatchError("mask must keep at least one frequency")
         if any(k < 0 or k >= n for k in kept):
             raise DimensionMismatchError("mask index out of range")
-        if transform not in ("dct", "dft"):
+        if transform not in TRANSFORMS:
             raise NullPriorError(f"unknown transform {transform!r}")
         self.transform = transform
         if transform == "dct":
@@ -272,6 +275,9 @@ class MaskedFrequencyOperator(LinearOperator):
 # convolution operators
 # ---------------------------------------------------------------------------
 
+ANCHORS = ("start", "center")  # where a convolution kernel's taps start
+
+
 def embed_kernel(kernel, shape, anchor="start"):
     """Place a (possibly short) kernel into a full-size circular array.
 
@@ -290,7 +296,7 @@ def embed_kernel(kernel, shape, anchor="start"):
     if anchor == "center":
         full = np.roll(full, [-(ks // 2) for ks in kernel.shape],
                        axis=tuple(range(len(shape))))
-    elif anchor != "start":
+    elif anchor not in ANCHORS:
         raise NullPriorError(f"unknown anchor {anchor!r}")
     return full
 

@@ -12,7 +12,12 @@ prior) the extra term is skipped entirely, so baseline runs are bit-identical
 to the dedicated no-penalty path.
 
 Each solve records a full per-iteration trace (squared errors, projected
-errors, penalty value, data residual, PSNR, per-step contraction ratio).
+errors, penalty value, data residual, PSNR, per-step contraction ratio,
+squared step).  It stores no iterates: the recorder keeps only the previous
+one, for the step, and hands each recorded iterate to an optional per-solve
+`observer(x)`.  `experiments` passes `diagnostics.CloudConstants`, which
+measures the theory report's constants on the iterates as they arrive, so
+a solve holds O(n) memory whatever its iteration count.
 
 The FISTA loop applies H and S once to each new iterate x and shares H x
 and S x with the trace.  The momentum point z = x + beta (x - x_prev) is
@@ -42,6 +47,7 @@ from .errors import ConfigError, NullPriorError
 from .nullspace import as_basis
 
 DIVERGENCE_GUARD = 1e12
+SPARSITY_TRANSFORMS = ("dct", "identity")  # the domains of `solve_fista_sparsity`
 
 
 @dataclass
@@ -88,7 +94,6 @@ class SolverTrace:
     ratio: np.ndarray
     in_ciz: np.ndarray
     step_sq: np.ndarray = None          # ||x^l - x^{l+1}||^2, nan on last row
-    iterates: list = field(default_factory=list, repr=False)
     diverged: bool = False
     flags: list = field(default_factory=list)
 
@@ -119,20 +124,25 @@ class _Recorder:
     present), once per iterate; the loops reuse both.  H and S go through
     one `OperatorPair`, built here once per solve, which takes both from
     one transform for a masked frequency operator and its complement.
-    `add` also decides when the solve stops: once an iterate leaves the
-    divergence guard it flags the iteration and returns True.  The loops
-    append their own flags (CG convergence) to `flags`.
+    `add` keeps only the previous iterate, for the squared step, and hands
+    each iterate to `observer` when one is given; the loops make a new
+    array for every iterate, so neither copies it.  `add` also decides
+    when the solve stops: once an iterate leaves the divergence guard it
+    flags the iteration and returns True.  The loops append their own flags
+    (CG convergence) to `flags`.
     """
 
-    def __init__(self, op, y, config, basis, g):
+    def __init__(self, op, y, config, basis, g, observer=None):
         self.op = op
         self.y = y
         self.config = config
         self.basis = basis
         self.g = g
         self.pair = basis.pair(op) if basis is not None and g is not None else None
+        self.observer = observer
         self.rows = []
-        self.iterates = []
+        self.steps = []
+        self.prev = None
         self.flags = []
         self.diverged = False
 
@@ -173,7 +183,12 @@ class _Recorder:
             phi = np.nan
         res = h - self.y
         self.rows.append((ell, err_sq, proj_err_sq, phi, float(res @ res), psnr))
-        self.iterates.append(x.copy())
+        if self.prev is not None:
+            d = x - self.prev
+            self.steps.append(float(d @ d))
+        self.prev = x
+        if self.observer is not None:
+            self.observer(x)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
             self.diverged = True
             self.flags.append(f"diverged at iteration {ell}")
@@ -183,16 +198,14 @@ class _Recorder:
         rows = np.array(self.rows)
         count = rows.shape[0]
         ratio = np.full(count, np.nan)
-        step_sq = np.full(count, np.nan)
         for i in range(count - 1):
             if rows[i, 1] > 0:
                 ratio[i] = rows[i + 1, 1] / rows[i, 1]
-            d = self.iterates[i + 1] - self.iterates[i]
-            step_sq[i] = float(d @ d)
+        step_sq = np.append(self.steps, np.nan)
         return SolverTrace(rows[:, 0].astype(int), rows[:, 1], rows[:, 2],
                            rows[:, 3], rows[:, 4], rows[:, 5], ratio,
                            np.zeros(count, dtype=int), step_sq,
-                           self.iterates, self.diverged, self.flags)
+                           self.diverged, self.flags)
 
 
 def _prepare_prior(basis, prior, y, gamma):
@@ -213,7 +226,7 @@ def _prepare_prior(basis, prior, y, gamma):
     return basis, g, True
 
 
-def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
+def _fista_solve(op, y, config, basis, prior, gradient_extra, prox, observer):
     """Shared accelerated loop.
 
     gradient_extra(v, z) may add further update terms to the post-gradient
@@ -221,7 +234,7 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     basis, g, active = _prepare_prior(basis, prior, y, config.gamma)
-    rec = _Recorder(op, y, config, basis, g)
+    rec = _Recorder(op, y, config, basis, g, observer)
     x_prev, h_prev, s_prev = rec.start()
     # z, H z and S z; the momentum point is affine in the iterates, so
     # H z and S z follow from the H x and S x the trace records
@@ -256,7 +269,7 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox):
     return x_prev, rec.finish()
 
 
-def solve_pnp_fista(op, y, denoiser, config, basis=None, prior=None):
+def solve_pnp_fista(op, y, denoiser, config, basis=None, prior=None, observer=None):
     """Gradient step on the fit (plus the subspace penalty), then the denoiser."""
     shape = op.shape_in
 
@@ -266,10 +279,10 @@ def solve_pnp_fista(op, y, denoiser, config, basis=None, prior=None):
     def prox(v):
         return denoise(denoiser, v, shape)
 
-    return _fista_solve(op, y, config, basis, prior, extra, prox)
+    return _fista_solve(op, y, config, basis, prior, extra, prox, observer)
 
 
-def solve_red_fista(op, y, denoiser, config, basis=None, prior=None):
+def solve_red_fista(op, y, denoiser, config, basis=None, prior=None, observer=None):
     """Gradient step plus the denoiser-residual term lam * (z - D(z)); no prox."""
     shape = op.shape_in
     lam = config.lam
@@ -282,10 +295,11 @@ def solve_red_fista(op, y, denoiser, config, basis=None, prior=None):
     def prox(v):
         return v
 
-    return _fista_solve(op, y, config, basis, prior, extra, prox)
+    return _fista_solve(op, y, config, basis, prior, extra, prox, observer)
 
 
-def solve_fista_sparsity(op, y, config, basis=None, prior=None, transform="dct"):
+def solve_fista_sparsity(op, y, config, basis=None, prior=None, transform="dct",
+                         observer=None):
     """FISTA with soft-thresholding in an orthonormal transform domain.
 
     With tau = config.lam, transform="dct" penalizes tau * ||DCT x||_1 and
@@ -294,7 +308,7 @@ def solve_fista_sparsity(op, y, config, basis=None, prior=None, transform="dct")
     """
     shape = op.shape_in
     thresh = config.alpha * config.lam
-    if transform not in ("dct", "identity"):
+    if transform not in SPARSITY_TRANSFORMS:
         raise NullPriorError(f"unknown transform {transform!r}")
 
     def extra(v, z):
@@ -309,7 +323,7 @@ def solve_fista_sparsity(op, y, config, basis=None, prior=None, transform="dct")
         c = np.sign(c) * np.maximum(np.abs(c) - thresh, 0.0)
         return scipy.fft.idctn(c, type=2, norm="ortho").reshape(-1)
 
-    return _fista_solve(op, y, config, basis, prior, extra, prox)
+    return _fista_solve(op, y, config, basis, prior, extra, prox, observer)
 
 
 def _conjugate_gradient(apply_A, b, x0, tol, maxiter):
@@ -332,7 +346,7 @@ def _conjugate_gradient(apply_A, b, x0, tol, maxiter):
     return x, np.sqrt(rs) <= tol * b_norm
 
 
-def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
+def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None, observer=None):
     """ADMM splitting with the denoiser as the prior proximal surrogate.
 
     The x-subproblem (H'H + gamma S'S + rho I) x = H'y + gamma S'g + rho (v - u)
@@ -340,7 +354,7 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None):
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     basis, g, active = _prepare_prior(basis, prior, y, config.gamma)
-    rec = _Recorder(op, y, config, basis, g)
+    rec = _Recorder(op, y, config, basis, g, observer)
     shape = op.shape_in
     rho = config.rho
 

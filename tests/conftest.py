@@ -1,0 +1,24 @@
+"""Shared fixtures."""
+
+import pytest
+
+from nullprior import experiments
+from nullprior.diagnostics import CloudConstants
+
+
+@pytest.fixture
+def run_iterates(monkeypatch):
+    """The iterates of every penalized solve `experiments` runs, as its observer saw them.
+
+    A run stores no iterates; this records each one its `CloudConstants`
+    observer is handed, in order, before measuring it.
+    """
+    iterates = []
+
+    class Recording(CloudConstants):
+        def __call__(self, x):
+            iterates.append(x.copy())
+            super().__call__(x)
+
+    monkeypatch.setattr(experiments, "CloudConstants", Recording)
+    return iterates

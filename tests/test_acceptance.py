@@ -181,14 +181,16 @@ def test_criterion_4_contraction_rate():
     alpha = 50.0  # uniform spectrum 0.01 => gradient-map contraction 0.5
     cfg_npn = SolverConfig(alpha=alpha, gamma=1.0, iters=25, x_star=x_star,
                            momentum="none")
+    iterates = []
     x_hat, tr_npn = solve_pnp_fista(op, y, dn.Identity(), cfg_npn, basis,
-                                    lambda yy: prior.predict(yy, x_star))
+                                    lambda yy: prior.predict(yy, x_star),
+                                    observer=lambda x: iterates.append(x.copy()))
     _, tr_base = solve_pnp_fista(op, y, dn.Identity(),
                                  SolverConfig(alpha=alpha, gamma=0.0, iters=25,
                                               x_star=x_star, momentum="none"),
                                  basis)
 
-    pairs = iterate_cloud_pairs(tr_npn.iterates, x_star)
+    pairs = iterate_cloud_pairs(iterates, x_star)
     delta_hat = dn.estimate_delta(dn.Identity(), pairs)
     ric_s = estimate_ric(basis.matrix, pairs)
     assert delta_hat == 0.0
@@ -422,11 +424,15 @@ def test_criterion_10_reduction_and_reproducibility(tmp_path):
     y = op.forward(x_star)
     prior = OraclePrior(basis, ZeroError())
     config = SolverConfig(alpha=0.5, gamma=0.0, iters=50, x_star=x_star)
-    x_with, tr_with = solve_pnp_fista(op, y, dn.GaussianSmooth(0.5), config,
-                                      basis, lambda yy: prior.predict(yy, x_star))
-    x_without, tr_without = solve_pnp_fista(op, y, dn.GaussianSmooth(0.5), config)
+    its_with, its_without = [], []
+    x_with, _ = solve_pnp_fista(op, y, dn.GaussianSmooth(0.5), config,
+                                basis, lambda yy: prior.predict(yy, x_star),
+                                observer=lambda x: its_with.append(x.copy()))
+    x_without, _ = solve_pnp_fista(op, y, dn.GaussianSmooth(0.5), config,
+                                   observer=lambda x: its_without.append(x.copy()))
     np.testing.assert_array_equal(x_with, x_without)
-    for a, b in zip(tr_with.iterates, tr_without.iterates):
+    assert len(its_with) == len(its_without) == config.iters + 1
+    for a, b in zip(its_with, its_without):
         np.testing.assert_array_equal(a, b)
 
     # identical config + seed reproduces byte-identical CSV artifacts

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from nullprior import experiments
-from nullprior.denoisers import Identity, estimate_delta
+from nullprior.denoisers import (
+    GaussianSmooth,
+    Identity,
+    TVChambolle,
+    denoise,
+    estimate_delta,
+    iterate_cloud_images,
+)
 from nullprior.diagnostics import (
+    CloudConstants,
     _diagonal_gram,
     compute_rho,
     detect_ciz,
@@ -49,7 +57,18 @@ from nullprior.operators import (
 )
 from nullprior.phantoms import bumps
 from nullprior.priors import LipschitzError, OraclePrior, ZeroError
-from nullprior.solvers import SolverConfig, solve_pnp_admm, solve_pnp_fista
+from nullprior.solvers import (
+    SolverConfig,
+    solve_pnp_admm,
+    solve_pnp_fista,
+    solve_red_fista,
+)
+
+
+def collector():
+    """A list and a solver observer that appends each iterate to it."""
+    iterates = []
+    return iterates, lambda x: iterates.append(x.copy())
 
 
 def scaled_frequency_setup(side=8, kept=16, scale=0.1, seed=0):
@@ -170,9 +189,10 @@ class TestComputeRho:
         prior = OraclePrior(basis, ZeroError())
         config = SolverConfig(alpha=alpha, gamma=1.0, iters=40, x_star=x_star,
                               momentum="none")
+        iterates, observer = collector()
         _, trace = solve_pnp_fista(op, y, Identity(), config, basis,
-                                   lambda yy: prior.predict(yy, x_star))
-        pairs = iterate_cloud_pairs(trace.iterates, x_star)
+                                   lambda yy: prior.predict(yy, x_star), observer=observer)
+        pairs = iterate_cloud_pairs(iterates, x_star)
         ric_s = estimate_ric(basis.matrix, pairs)
         assert ric_s < 1.0
         est = compute_rho(0.0, alpha, op, basis, 1.0, ric_s)
@@ -284,10 +304,9 @@ class TestDenseRhoBuffer:
         op = pb["op"]
         y = add_measurement_noise(op.forward(pb["x_star"]), pb["snr_db"],
                                   pb["noise_seed"])
-        _, trace = solve_pnp_admm(op, y, pb["denoiser"], pb["solver_config"],
-                                  pb["basis"], pb["prior_fn"])
+        _, trace, cloud = experiments._penalized_solve(pb, y)
         assert normal_spectrum(op, pb["basis"]) is None
-        assert _peak_bytes(lambda: experiments._theory_report(pb, trace, y)) <= 16e6
+        assert _peak_bytes(lambda: experiments._theory_report(pb, trace, cloud, y)) <= 16e6
 
 
 def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
@@ -376,6 +395,90 @@ def _pair_configs():
             "radon": _approximate_configs()["radon"]}
 
 
+def _cloud_problem(kind):
+    """A solver, its problem and a denoiser the observer measures."""
+    if kind == "diverging":
+        # the expanding denoiser drives ADMM past the divergence guard
+        rng = np.random.default_rng(16)
+        H = rng.standard_normal((6, 20)) / np.sqrt(20)
+        op = DenseOperator(H)
+        basis = qr_nullspace(H, 14, seed=16)
+        x_star = rng.standard_normal(20)
+        return solve_pnp_admm, op, basis, x_star, lambda x: 1e4 * x, 50
+    shape = (16, 16)
+    op = CirculantConvOperator(shape, gaussian_kernel(1.5, ndim=2), "center")
+    basis = toeplitz_complement(op)
+    x_star = bumps(16, 4, seed=8).reshape(-1)
+    solve = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista,
+             "pnp_admm": solve_pnp_admm}[kind]
+    denoiser = TVChambolle(0.05, 10) if kind == "red_fista" else GaussianSmooth(0.6)
+    return solve, op, basis, x_star, denoiser, 40
+
+
+class TestCloudConstants:
+    @pytest.mark.parametrize("kind", ["pnp_fista", "red_fista", "pnp_admm", "diverging"])
+    def test_online_constants_equal_stored_cloud(self, kind):
+        solve, op, basis, x_star, denoiser, iters = _cloud_problem(kind)
+        rng = np.random.default_rng(3)
+        y = op.forward(x_star) + 0.01 * rng.standard_normal(op.m_eff)
+        g = basis.project(x_star) + 0.01 * rng.standard_normal(basis.p)
+        gamma = 0.7
+        config = SolverConfig(alpha=0.5, gamma=gamma, lam=0.2, iters=iters, x_star=x_star)
+        shape = op.shape_in
+        x_star_image = denoise(denoiser, x_star, shape)
+        cloud = CloudConstants(op, basis, gamma, denoiser, x_star, x_star_image)
+        iterates = []
+
+        def observer(x):
+            iterates.append(x.copy())
+            cloud(x)
+
+        _, trace = solve(op, y, denoiser, config, basis, lambda yy: g, observer=observer)
+        assert trace.diverged == (kind == "diverging")
+        assert len(iterates) == len(trace.iters)
+        # the list-based reference on the stored cloud, bit for bit
+        pair = basis.pair(op)
+
+        def images(v):
+            h, s = pair.forward(v)
+            return np.sqrt(gamma) * s, h
+
+        assert cloud.ric == estimate_ric(images, iterate_cloud_pairs(iterates, x_star))
+        assert cloud.delta_hat == estimate_delta(denoiser, iterate_cloud_images(
+            denoiser, iterates, x_star, x_star_image, shape))
+        steps = [float((b - a) @ (b - a)) for a, b in zip(iterates[:-1], iterates[1:])]
+        np.testing.assert_array_equal(trace.step_sq, steps + [np.nan])
+
+    def test_solve_memory_does_not_grow_with_iterations(self):
+        # a stored iterate costs 8 n bytes (32 kB here); the observed solve
+        # holds the previous iterate and its image, whatever the count
+        shape = (64, 64)
+        op = CirculantConvOperator(shape, gaussian_kernel(1.5, ndim=2), "center")
+        basis = toeplitz_complement(op)
+        x_star = bumps(64, 5, seed=2).reshape(-1)
+        denoiser = GaussianSmooth(0.6)
+        y = op.forward(x_star)
+
+        def peak(iters):
+            config = SolverConfig(alpha=0.5, gamma=1.0, iters=iters, x_star=x_star)
+            cloud = CloudConstants(op, basis, 1.0, denoiser, x_star,
+                                   denoise(denoiser, x_star, shape))
+            return _peak_bytes(lambda: solve_pnp_fista(
+                op, y, denoiser, config, basis, lambda yy: basis.project(x_star),
+                observer=cloud))
+
+        assert peak(200) - peak(20) < 20 * 8 * op.n
+
+    def test_no_pair_resolved_raises(self):
+        op, basis, x_star = scaled_frequency_setup()
+        cloud = CloudConstants(op, basis, 1.0, Identity(), x_star, x_star)
+        cloud(x_star.copy())
+        with pytest.raises(NullPriorError, match="coincide"):
+            cloud.ric
+        with pytest.raises(NullPriorError, match="coincide"):
+            cloud.delta_hat
+
+
 class TestTheoryReportRho:
     @pytest.mark.parametrize("name", sorted(_approximate_configs()))
     def test_approximate_bases_keep_dense_rho(self, name, tmp_path):
@@ -393,7 +496,7 @@ class TestTheoryReportRho:
         assert report.rho_squared_form == expected.rho_squared_form
 
     @pytest.mark.parametrize("name", sorted(_structured_configs()))
-    def test_structured_bases_match_dense_rho(self, name, tmp_path):
+    def test_structured_bases_match_dense_rho(self, name, tmp_path, run_iterates):
         cfg = _structured_configs()[name]
         result = run(cfg, out_dir=str(tmp_path))
         report = result["theory"]
@@ -405,7 +508,7 @@ class TestTheoryReportRho:
             assert getattr(report, field) == pytest.approx(getattr(dense, field),
                                                            rel=1e-12, abs=0.0)
         # the constants measured through the operators match the dense products
-        pairs = iterate_cloud_pairs(result["trace_npn"].iterates, pb["x_star"])
+        pairs = iterate_cloud_pairs(run_iterates, pb["x_star"])
         weight = np.sqrt(report.gamma)
         assert report.ric_s == pytest.approx(
             estimate_ric(weight * pb["basis"].matrix, pairs), rel=1e-12)
@@ -413,13 +516,12 @@ class TestTheoryReportRho:
                                              rel=1e-12)
 
     @pytest.mark.parametrize("name", ["mri-dct", "mri-dft-scaled", "toeplitz", "radon"])
-    def test_ric_pair_bit_identical_to_separate_calls(self, name, tmp_path):
+    def test_ric_pair_bit_identical_to_separate_calls(self, name, tmp_path, run_iterates):
         cfg = _pair_configs()[name]
-        result = run(cfg, out_dir=str(tmp_path))
-        report = result["theory"]
+        report = run(cfg, out_dir=str(tmp_path))["theory"]
         pb = build_problem(cfg)
         op, basis = pb["op"], pb["basis"]
-        pairs = iterate_cloud_pairs(result["trace_npn"].iterates, pb["x_star"])
+        pairs = iterate_cloud_pairs(run_iterates, pb["x_star"])
         weight = np.sqrt(report.gamma)
         # the two calls the report made before it took both images from one pair
         ric_s = estimate_ric(lambda v: weight * basis.project(v), pairs)
@@ -431,8 +533,6 @@ class TestTheoryReportRho:
         pb = build_problem(_pair_configs()[name])
         op = pb["op"]
         y = add_measurement_noise(op.forward(pb["x_star"]), pb["snr_db"], pb["noise_seed"])
-        _, trace = solve_pnp_fista(op, y, pb["denoiser"], pb["solver_config"],
-                                   pb["basis"], pb["prior_fn"])
 
         def densified(*args):
             raise AssertionError("the theory report densified H or S")
@@ -440,7 +540,9 @@ class TestTheoryReportRho:
         for cls in (LinearOperator, DenseOperator, RadonOperator):
             monkeypatch.setattr(cls, "to_dense", densified)
         monkeypatch.setattr(NullSpaceBasis, "matrix", property(densified))
-        report = experiments._theory_report(pb, trace, y)
+        # the constants measured during the solve densify nothing either
+        _, trace, cloud = experiments._penalized_solve(pb, y)
+        report = experiments._theory_report(pb, trace, cloud, y)
         assert np.isfinite(report.rho)
 
     def test_exact_basis_uses_closed_form(self, tmp_path):
@@ -460,7 +562,6 @@ class TestTheoryReportRho:
         # the label says Fourier complement, but a loaded dump is a dense
         # matrix: its pair has no structural spectrum
         cfg = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
-        result = run(cfg, out_dir=str(tmp_path))
         pb = build_problem(cfg)
         save_basis(pb["basis"], tmp_path / "basis.csv")
         pb["basis"] = load_basis(tmp_path / "basis.csv")
@@ -468,7 +569,8 @@ class TestTheoryReportRho:
         assert normal_spectrum(pb["op"], pb["basis"]) is None
         y = add_measurement_noise(pb["op"].forward(pb["x_star"]), pb["snr_db"],
                                   pb["noise_seed"])
-        report = experiments._theory_report(pb, result["trace_npn"], y)
+        _, trace, cloud = experiments._penalized_solve(pb, y)
+        report = experiments._theory_report(pb, trace, cloud, y)
         dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
                            report.gamma, report.ric_s)
         assert report.rho == dense.rho
@@ -605,9 +707,10 @@ class TestPenaltyDecayBound:
         alpha = 50.0
         config = SolverConfig(alpha=alpha, gamma=1.0, iters=60, x_star=x_star,
                               momentum="none")
+        iterates, observer = collector()
         _, trace = solve_pnp_fista(op, y, Identity(), config, basis,
-                                   lambda yy: prior.predict(yy, x_star))
-        pairs = iterate_cloud_pairs(trace.iterates, x_star)
+                                   lambda yy: prior.predict(yy, x_star), observer=observer)
+        pairs = iterate_cloud_pairs(iterates, x_star)
         ric_s = estimate_ric(basis.matrix, pairs)
         ric_h = estimate_ric(op.to_dense(), pairs)
         xn = np.linalg.norm(x_star)

@@ -1,6 +1,9 @@
 """Experiment runner: config validation, run artifacts, sweeps, theory checks, CLI."""
 
+import gc
 import os
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +12,8 @@ import yaml
 
 from nullprior import experiments
 from nullprior.cli import main as cli_main
-from nullprior.denoisers import estimate_delta
-from nullprior.diagnostics import iterate_cloud_pairs
+from nullprior.denoisers import denoise, estimate_delta
+from nullprior.diagnostics import CloudConstants, iterate_cloud_pairs
 from nullprior.errors import ConfigError
 from nullprior.experiments import (
     add_measurement_noise,
@@ -85,7 +88,7 @@ MRI_OPERATOR = theory_config()["operator"]
 BLUR = problem_config("blur", "toeplitz")
 CT = problem_config("ct", "radon")
 
-# one mistake per case: an unknown key, an unknown kind or a missing required
+# one mistake per case: an unknown key, kind or value, or a missing required
 # key; TestValidation and test_config_error_exit_three cover the top level and
 # the prior, basis and denoiser sections
 CONFIG_MISTAKES = {
@@ -118,6 +121,15 @@ CONFIG_MISTAKES = {
     "cs-operator-missing-m": cs_config(operator={"n": 40}),
     "ct-operator-unknown-key": _replace(CT, operator=dict(CT["operator"], foo=1)),
     "ct-operator-missing-acquired": _replace(CT, operator={"side": 8, "full_angles": 12}),
+    # values the operator or solver would reject only once it is built
+    "mri-operator-unknown-transform": theory_config(operator=dict(MRI_OPERATOR,
+                                                                  transform="fft")),
+    "blur-operator-unknown-anchor": _replace(BLUR, operator=dict(BLUR["operator"],
+                                                                 anchor="corner")),
+    "sr-operator-unknown-anchor": _replace(problem_config("sr", "sr"), operator=dict(
+        OPERATORS["sr"], anchor="corner")),
+    "sparsity-solver-unknown-transform": theory_config(
+        solver={"kind": "fista_sparsity", "transform": "wavelet"}),
     "toy3d-unknown-key": {"problem": "toy3d", "toy3d": {"epochs": 10, "foo": 1}},
     "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
 }
@@ -233,25 +245,53 @@ class TestRun:
     @pytest.mark.parametrize("denoiser", [{"kind": "median", "window": 3},
                                           {"kind": "tv", "weight": 0.05, "iters": 10}])
     def test_theory_delta_denoises_each_point_once(self, denoiser, tmp_path,
-                                                   monkeypatch):
+                                                   run_iterates):
         cfg = theory_config(denoiser=denoiser)
         result = run(cfg, out_dir=str(tmp_path))
         pb = build_problem(cfg)
-        trace, shape = result["trace_npn"], pb["op"].shape_in
-        pairs = iterate_cloud_pairs(trace.iterates, pb["x_star"])
+        shape = pb["op"].shape_in
+        assert len(run_iterates) == cfg["solver"]["iters"] + 1
+        pairs = iterate_cloud_pairs(run_iterates, pb["x_star"])
         reference = estimate_delta(pb["denoiser"], [(a.reshape(shape), b.reshape(shape))
                                                     for a, b in pairs])
         assert result["theory"].delta_hat == reference
-        cls = type(pb["denoiser"])
+        # the observer denoises each iterate once, and x* once for the
+        # fixed-point check and delta
         calls = []
-        original = cls.__call__
-        monkeypatch.setattr(cls, "__call__",
-                            lambda self, x: calls.append(1) or original(self, x))
-        y = add_measurement_noise(pb["op"].forward(pb["x_star"]), pb["snr_db"],
-                                  pb["noise_seed"])
-        assert experiments._theory_report(pb, trace, y).delta_hat == reference
-        # each iterate once, and x* once for the fixed-point check and delta
-        assert len(calls) == len(trace.iterates) + 1
+
+        def counted(x):
+            calls.append(1)
+            return pb["denoiser"](x)
+
+        cloud = CloudConstants(pb["op"], pb["basis"], 1.0, counted, pb["x_star"],
+                               denoise(counted, pb["x_star"], shape))
+        for x in run_iterates:
+            cloud(x)
+        assert cloud.delta_hat == reference
+        assert len(calls) == len(run_iterates) + 1
+
+    def test_mri_64_run_memory(self, tmp_path):
+        # 64x64 MRI, 1024 of 4096 DCT coefficients kept, 120 iterations: one
+        # stored iterate takes 32 kB, and keeping 121 per solve took 8 MB
+        cfg = {"problem": "mri", "seed": 4, "signal": {"kind": "bumps", "count": 5},
+               "operator": {"shape": [64, 64], "transform": "dct",
+                            "mask": {"kind": "lowpass", "count": 1024}},
+               "basis": {"method": "fourier"},
+               "prior": {"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}},
+               "denoiser": {"kind": "gaussian", "sigma": 0.4},
+               "solver": {"kind": "pnp_fista", "alpha": "auto", "gamma": 1.0,
+                          "iters": 120},
+               "noise": {"snr_db": 20.0}}
+        run(cfg, out_dir=str(tmp_path / "warm"))  # first-call caches and imports
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            run(cfg, out_dir=str(tmp_path / "measured"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # build (the complement's probe blocks) plus both solves and the report
+        assert peak - start < 4e6
 
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -448,6 +488,31 @@ class TestSweep:
     def test_unknown_param(self, tmp_path):
         with pytest.raises(ConfigError):
             sweep(cs_config(), "epsilon", [1.0], out_dir=str(tmp_path))
+
+    def test_unknown_solver_transform_stops_before_any_point(self, tmp_path):
+        cfg = theory_config(solver={"kind": "fista_sparsity", "transform": "wavelet"})
+        with pytest.raises(ConfigError, match="wavelet"):
+            sweep(cfg, "gamma", [0.5, 1.0], out_dir=str(tmp_path / "sw"))
+        assert not list(tmp_path.glob("sw/point_*"))
+
+    def test_finished_point_freed_before_next_runs(self, tmp_path, monkeypatch):
+        # a sweep keeps each point's summary row only: its traces (and what
+        # they could reach) are garbage before the next point starts
+        finished = []
+        alive_at_start = []
+
+        def tracked_run(*args, **kwargs):
+            gc.collect()
+            alive_at_start.append([ref() is not None for ref in finished])
+            result = run(*args, **kwargs)
+            finished.extend(weakref.ref(result[key])
+                            for key in ("trace_baseline", "trace_npn", "theory"))
+            return result
+
+        monkeypatch.setattr(experiments, "run", tracked_run)
+        rows = sweep(cs_config(), "gamma", [0.3, 1.0, 3.0], out_dir=str(tmp_path))
+        assert [row["error"] for row in rows] == ["", "", ""]
+        assert alive_at_start == [[], [False] * 3, [False] * 6]
 
     def test_sigma_blur_sweep(self, tmp_path):
         cfg = {

@@ -501,7 +501,7 @@ class TestFourierComplementOperator:
         assert gram < 1e-13
 
     @pytest.mark.parametrize("shape,count", [((8, 8), 16), ((64, 64), 1024)])
-    def test_two_round_trips_whatever_p(self, shape, count, monkeypatch):
+    def test_eight_round_trips_whatever_p(self, shape, count, monkeypatch):
         op = MaskedFrequencyOperator(shape, lowpass_mask(shape, count), "dct")
         calls = []
         spectrum = MaskedFrequencyOperator._spectrum
@@ -513,7 +513,18 @@ class TestFourierComplementOperator:
         monkeypatch.setattr(MaskedFrequencyOperator, "_spectrum", spy)
         basis = fourier_complement(op)
         assert basis.p == op.n - count  # 48 and 3072
-        assert calls == [(64, basis.n), (64, basis.n)]
+        assert calls == [(16, basis.n)] * 8
+
+    @pytest.mark.parametrize("transform", ["dct", "dft"])
+    def test_probe_block_moves_only_rounding(self, transform, monkeypatch):
+        # the blocks draw one seeded stream; only the order of the sums changes
+        op, _, _ = complement_case((15, 16), transform, 1.0)
+        S_op = fourier_complement(op).operator
+        small = nullspace._frequency_residuals(S_op, op)
+        monkeypatch.setattr(nullspace, "_PROBE_BLOCK", nullspace.RESIDUAL_PROBES)
+        whole = nullspace._frequency_residuals(S_op, op)
+        for a, b in zip(small, whole):
+            assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_residuals_repeat_exactly(self):
         op, _, _ = complement_case((15, 16), "dft", 1.0)

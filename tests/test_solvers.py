@@ -49,6 +49,12 @@ from nullprior.solvers import (
 )
 
 
+def collector():
+    """A list and a solver observer that appends each iterate to it."""
+    iterates = []
+    return iterates, lambda x: iterates.append(x.copy())
+
+
 def cs_problem(n=24, m=6, seed=0, p=None):
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((m, n)) / np.sqrt(n)
@@ -217,8 +223,9 @@ class TestPnpFista:
         x_star = rng.standard_normal(10)
         y = op.forward(x_star)
         config = SolverConfig(alpha=1.0, gamma=0.0, iters=5, x_star=x_star)
-        x_hat, trace = solve_pnp_fista(op, y, Identity(), config)
-        np.testing.assert_allclose(trace.iterates[1], H.T @ y, atol=1e-12)
+        iterates, observer = collector()
+        solve_pnp_fista(op, y, Identity(), config, observer=observer)
+        np.testing.assert_allclose(iterates[1], H.T @ y, atol=1e-12)
 
     def test_exact_recovery_with_perfect_prior(self):
         op, basis, x_star, y = cs_problem(n=30, m=6, seed=1)
@@ -248,11 +255,15 @@ class TestPnpFista:
         op, basis, x_star, y = cs_problem(n=20, m=5, seed=3)
         prior = OraclePrior(basis, ZeroError())
         config = SolverConfig(alpha=0.5, gamma=0.0, iters=30, x_star=x_star)
-        x_a, tr_a = solve_pnp_fista(op, y, GaussianSmooth(0.7), config,
-                                    basis, lambda yy: prior.predict(yy, x_star))
-        x_b, tr_b = solve_pnp_fista(op, y, GaussianSmooth(0.7), config)
+        its_a, obs_a = collector()
+        its_b, obs_b = collector()
+        x_a, _ = solve_pnp_fista(op, y, GaussianSmooth(0.7), config,
+                                 basis, lambda yy: prior.predict(yy, x_star),
+                                 observer=obs_a)
+        x_b, _ = solve_pnp_fista(op, y, GaussianSmooth(0.7), config, observer=obs_b)
         np.testing.assert_array_equal(x_a, x_b)
-        for ita, itb in zip(tr_a.iterates, tr_b.iterates):
+        assert len(its_a) == len(its_b) == config.iters + 1
+        for ita, itb in zip(its_a, its_b):
             np.testing.assert_array_equal(ita, itb)
 
     def test_divergence_flagged(self):
@@ -274,18 +285,24 @@ class TestRedFista:
     def test_lam_zero_equals_gradient_fista(self):
         op, basis, x_star, y = cs_problem(n=20, m=5, seed=4)
         cfg = SolverConfig(alpha=0.5, gamma=0.0, lam=0.0, iters=40, x_star=x_star)
-        _, tr_red = solve_red_fista(op, y, TVChambolle(0.1), cfg)
-        _, tr_plain = solve_red_fista(op, y, Identity(), cfg)
-        for a, b in zip(tr_red.iterates, tr_plain.iterates):
+        its_red, obs_red = collector()
+        its_plain, obs_plain = collector()
+        solve_red_fista(op, y, TVChambolle(0.1), cfg, observer=obs_red)
+        solve_red_fista(op, y, Identity(), cfg, observer=obs_plain)
+        assert len(its_red) == len(its_plain) == cfg.iters + 1
+        for a, b in zip(its_red, its_plain):
             np.testing.assert_array_equal(a, b)
 
     def test_identity_denoiser_term_vanishes(self):
         op, basis, x_star, y = cs_problem(n=20, m=5, seed=5)
         cfg_on = SolverConfig(alpha=0.5, gamma=0.0, lam=0.4, iters=40, x_star=x_star)
         cfg_off = SolverConfig(alpha=0.5, gamma=0.0, lam=0.0, iters=40, x_star=x_star)
-        _, tr_on = solve_red_fista(op, y, Identity(), cfg_on)
-        _, tr_off = solve_red_fista(op, y, Identity(), cfg_off)
-        for a, b in zip(tr_on.iterates, tr_off.iterates):
+        its_on, obs_on = collector()
+        its_off, obs_off = collector()
+        solve_red_fista(op, y, Identity(), cfg_on, observer=obs_on)
+        solve_red_fista(op, y, Identity(), cfg_off, observer=obs_off)
+        assert len(its_on) == len(its_off) == cfg_on.iters + 1
+        for a, b in zip(its_on, its_off):
             np.testing.assert_array_equal(a, b)
 
     def test_tv_red_helps_on_piecewise_phantom(self):
@@ -433,12 +450,13 @@ class TestPnpAdmm:
         # a denoiser that expands its input drives the iterates past the guard
         op, basis, x_star, y = cs_problem(n=20, m=6, seed=16)
         cfg = SolverConfig(alpha=1.0, gamma=0.0, rho=1.0, iters=50, x_star=x_star)
-        _, trace = solve_pnp_admm(op, y, lambda x: 1e4 * x, cfg)
+        iterates, observer = collector()
+        _, trace = solve_pnp_admm(op, y, lambda x: 1e4 * x, cfg, observer=observer)
         assert trace.diverged
         last = int(trace.iters[-1])
         assert 0 < last < cfg.iters
         assert trace.flags == [f"diverged at iteration {last}"]
-        norms = [np.linalg.norm(x) for x in trace.iterates]
+        norms = [np.linalg.norm(x) for x in iterates]
         assert len(norms) == last + 1
         assert all(v <= solvers.DIVERGENCE_GUARD for v in norms[:-1])
         assert not norms[-1] <= solvers.DIVERGENCE_GUARD
@@ -473,6 +491,27 @@ class TestPnpAdmm:
 
 
 class TestTraceInvariants:
+    @pytest.mark.parametrize("kind", ["pnp_fista", "red_fista", "pnp_admm", "sparsity"])
+    def test_step_sq_from_observed_iterates(self, kind):
+        # step_sq is formed as the solve runs, from the previous iterate only;
+        # it equals the steps of the whole sequence, bit for bit
+        op, basis, x_star, y = cs_problem(n=30, m=8, seed=21)
+        prior = OraclePrior(basis, ZeroError())
+        cfg = SolverConfig(alpha=0.5, gamma=0.5, lam=0.1, iters=25, x_star=x_star)
+        iterates, observer = collector()
+        args = (basis, lambda yy: prior.predict(yy, x_star))
+        if kind == "sparsity":
+            _, trace = solve_fista_sparsity(op, y, cfg, *args, observer=observer)
+        else:
+            solve = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista,
+                     "pnp_admm": solve_pnp_admm}[kind]
+            _, trace = solve(op, y, GaussianSmooth(0.6), cfg, *args, observer=observer)
+        assert len(iterates) == len(trace.iters) == cfg.iters + 1
+        np.testing.assert_array_equal(iterates[0], np.zeros(op.n))
+        steps = [float((b - a) @ (b - a)) for a, b in zip(iterates[:-1], iterates[1:])]
+        np.testing.assert_array_equal(trace.step_sq, steps + [np.nan])
+        assert not hasattr(trace, "iterates")
+
     def test_row_count_and_columns(self):
         op, basis, x_star, y = cs_problem(n=20, m=5, seed=15)
         cfg = SolverConfig(alpha=0.5, iters=25, x_star=x_star)
@@ -510,12 +549,12 @@ class TestTraceInvariants:
 # carried H z and S z against the loop that applied H and S to every z
 # ---------------------------------------------------------------------------
 
-def _applying_fista_solve(op, y, config, basis, prior, gradient_extra, prox):
+def _applying_fista_solve(op, y, config, basis, prior, gradient_extra, prox, observer):
     # the loop before H z and S z were carried: H and S applied to every
     # momentum point, and H x, S x applied again for the trace
     y = np.asarray(y, dtype=float).reshape(-1)
     basis, g, active = solvers._prepare_prior(basis, prior, y, config.gamma)
-    rec = solvers._Recorder(op, y, config, basis, g)
+    rec = solvers._Recorder(op, y, config, basis, g, observer)
     x_prev = np.zeros(op.n)
     z = np.zeros(op.n)
     t = 1.0
@@ -567,15 +606,17 @@ def _carry_problem(kind):
     return op, basis, x_star, y, lambda yy: g
 
 
-def _carry_solve(variant, op, y, config, basis, prior):
+def _carry_solve(variant, op, y, config, basis, prior, observer=None):
     if variant == "red":
         return solve_red_fista(op, y, TVChambolle(0.05), replace(config, lam=0.2),
-                               basis, prior)
+                               basis, prior, observer=observer)
     if variant == "sparsity":
-        return solve_fista_sparsity(op, y, replace(config, lam=1e-3), basis, prior)
+        return solve_fista_sparsity(op, y, replace(config, lam=1e-3), basis, prior,
+                                    observer=observer)
     config = {"none": replace(config, momentum="none"),
               "restart": replace(config, restart="fista-momentum")}.get(variant, config)
-    return solve_pnp_fista(op, y, GaussianSmooth(0.5), config, basis, prior)
+    return solve_pnp_fista(op, y, GaussianSmooth(0.5), config, basis, prior,
+                           observer=observer)
 
 
 def _max_rel_gap(a, b):
@@ -598,11 +639,14 @@ class TestCarriedImages:
         op, basis, x_star, y, prior = _carry_problem(kind)
         config = SolverConfig(alpha=default_alpha(op, basis, gamma), gamma=gamma,
                               iters=60, x_star=x_star)
-        x_new, tr_new = _carry_solve(variant, op, y, config, basis, prior)
+        its_new, obs_new = collector()
+        its_ref, obs_ref = collector()
+        x_new, tr_new = _carry_solve(variant, op, y, config, basis, prior, obs_new)
         monkeypatch.setattr(solvers, "_fista_solve", _applying_fista_solve)
-        x_ref, tr_ref = _carry_solve(variant, op, y, config, basis, prior)
+        x_ref, tr_ref = _carry_solve(variant, op, y, config, basis, prior, obs_ref)
         assert np.linalg.norm(x_new - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-        for a, b in zip(tr_new.iterates, tr_ref.iterates):
+        assert len(its_new) == len(its_ref) == config.iters + 1
+        for a, b in zip(its_new, its_ref):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(x_ref)
         for column in TRACE_COLUMNS:
             assert _max_rel_gap(getattr(tr_new, column), getattr(tr_ref, column)) <= 1e-12
