@@ -7,6 +7,7 @@ norm.
 
 import numpy as np
 
+from nullprior import make_operator
 from nullprior.operators import (
     CirculantConvOperator,
     DecimatedConvOperator,
@@ -15,7 +16,6 @@ from nullprior.operators import (
     bilinear_kernel,
     dot_test,
     gaussian_kernel,
-    make_operator,
     random_mask,
 )
 

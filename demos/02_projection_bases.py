@@ -10,6 +10,7 @@ import tempfile
 
 import numpy as np
 
+from nullprior import make_operator
 from nullprior.nullspace import (
     fourier_complement,
     load_basis,
@@ -25,7 +26,6 @@ from nullprior.operators import (
     RadonOperator,
     gaussian_kernel,
     lowpass_mask,
-    make_operator,
 )
 
 rng = np.random.default_rng(0)

@@ -7,8 +7,8 @@ also refines the projection matrix (fit + invertibility + orthogonality).
 
 import numpy as np
 
+from nullprior import make_operator
 from nullprior.nullspace import qr_nullspace
-from nullprior.operators import make_operator
 from nullprior.priors import (
     GaussianError,
     LipschitzError,

@@ -37,6 +37,7 @@ from .errors import (
 from .experiments import (
     build_problem,
     load_config,
+    make_operator,
     run,
     run_toy3d,
     sweep,
@@ -63,7 +64,6 @@ from .operators import (
     RadonOperator,
     dot_test,
     lowpass_mask,
-    make_operator,
     random_mask,
 )
 from .phantoms import generate

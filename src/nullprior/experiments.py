@@ -9,9 +9,12 @@ bounds on an assumption-certified configuration, and `run_toy3d` reproduces
 the three-dimensional geometry experiment.
 
 Configs are strict: `SCHEMA` lists the keys and defaults of each section's
-kinds, and an unknown kind or key, or a missing required key, raises
-ConfigError.  Every run is deterministic for a fixed (config, seed) pair,
-and identical runs produce byte-identical CSV files.
+kinds, the operator's (one kind per problem) and its mask and kernel specs
+included, and an unknown kind or key, or a missing required key, raises
+ConfigError.  `validate_config` checks a whole config before anything is
+built; `make_operator` builds the sensing operator from its resolved
+`operator` section.  Every run is deterministic for a fixed (config, seed)
+pair, and identical runs produce byte-identical CSV files.
 """
 
 import os
@@ -34,7 +37,7 @@ from .diagnostics import (
     psnr,
     resolution_floor,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .nullspace import (
     NullSpaceBasis,
     fourier_complement,
@@ -47,10 +50,17 @@ from .operators import (
     ANCHORS,
     DENSE_CAP,
     TRANSFORMS,
+    CirculantConvOperator,
+    DecimatedConvOperator,
     DenseOperator,
-    _reject_extra,
-    _required,
-    make_operator,
+    MaskedFrequencyOperator,
+    RadonOperator,
+    ScaledOperator,
+    bilinear_kernel,
+    gaussian_kernel,
+    lowpass_mask,
+    mask_pool,
+    random_mask,
 )
 from .phantoms import generate, toy_plane_disk
 from .priors import (
@@ -71,6 +81,8 @@ from .solvers import (
 )
 
 OUTPUT_ENV_VAR = "NULLPRIOR_OUT"
+
+CS_DISTS = ("gaussian", "binary")  # the entries of a cs operator's random matrix
 
 _SOLVERS = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista,
             "pnp_admm": solve_pnp_admm, "fista_sparsity": solve_fista_sparsity}
@@ -111,6 +123,22 @@ SCHEMA = {
         "identity": {}, "gaussian": {"sigma": 1.0}, "dct_soft": {"tau": 0.1},
         "tv": {"weight": 0.1, "iters": 20}, "median": {"window": 3}}),
     "solver": ("kind", "pnp_fista", dict.fromkeys(_SOLVERS, _SOLVER_DEFAULTS)),
+    # an operator's kind is its problem; ct's angles are a count of
+    # equispaced angles in [0, 180) or a list, and acquired a count or list
+    "operator": (None, None, {
+        "cs": {"n": REQUIRED, "m": REQUIRED, "dist": "gaussian", "normalize": False,
+               "scale": 1.0},
+        "mri": {"shape": REQUIRED, "transform": "dct", "mask": REQUIRED, "scale": 1.0},
+        "blur": {"shape": REQUIRED, "kernel": REQUIRED, "anchor": "center", "scale": 1.0},
+        "sr": {"shape": REQUIRED, "factor": REQUIRED, "kernel": {"kind": "bilinear"},
+               "anchor": "center", "scale": 1.0},
+        "ct": {"side": REQUIRED, "full_angles": REQUIRED, "acquired": REQUIRED}}),
+    # an mri operator's mask spec (a list of indices is used as given)
+    "mask": ("kind", None, {
+        "lowpass": {"count": REQUIRED}, "random": {"count": REQUIRED, "seed": None}}),
+    # a blur or sr operator's kernel spec (a list of taps is used as given)
+    "kernel": ("kind", None, {
+        "gaussian": {"sigma": REQUIRED, "radius": None}, "bilinear": {"factor": None}}),
     "noise": (None, None, {None: {"snr_db": None}}),
     "toy3d": (None, None, {None: {
         "count": 500, "radius": 1.0, "hidden": 50, "epochs": 4000, "lr": 5e-3,
@@ -138,8 +166,8 @@ def resolve(where, section, kind=None):
         raise ConfigError(f"{where} section must be a mapping")
     if kind_key is not None:
         kind = section.get(kind_key, kind or default_kind)
-        if kind not in kinds:
-            raise ConfigError(f"unknown {where} {kind_key} {kind!r}")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {where} {kind_key or 'kind'} {kind!r}")
     defaults = kinds[kind]
     keys = f"{where} key(s)" + (f" for {kind_key} {kind!r}" if kind_key else "")
     unknown = set(section) - set(defaults) - {kind_key}
@@ -184,13 +212,36 @@ def validate_config(cfg):
         raise ConfigError("solver.gamma must be nonnegative")
     if solver["kind"] == "fista_sparsity":
         _check_choice("solver transform", solver["transform"], SPARSITY_TRANSFORMS)
-    op_cfg = top["operator"]
-    if isinstance(op_cfg, dict):
-        if top["problem"] == "mri" and "transform" in op_cfg:
-            _check_choice("mri transform", op_cfg["transform"], TRANSFORMS)
-        if top["problem"] in ("blur", "sr") and "anchor" in op_cfg:
-            _check_choice(f"{top['problem']} anchor", op_cfg["anchor"], ANCHORS)
+    _resolve_operator(top["problem"], top["operator"])
     return cfg
+
+
+def _resolve_operator(problem, section):
+    """The operator section of `problem`, its mask or kernel spec resolved too.
+
+    Also rejects the values an operator would reject only once built, and
+    a mask count outside [1, the number of frequencies it chooses from].
+    """
+    op = resolve("operator", section, problem)
+    if problem == "cs":
+        _check_choice("cs dist", op["dist"], CS_DISTS)
+    elif problem == "mri":
+        _check_choice("mri transform", op["transform"], TRANSFORMS)
+        if isinstance(op["mask"], dict):
+            op["mask"] = mask = resolve("mask", op["mask"])
+            pool = len(mask_pool(op["shape"], op["transform"]))
+            if not 1 <= int(mask["count"]) <= pool:
+                raise ConfigError(f"mri mask count {mask['count']} is outside "
+                                  f"[1, {pool}], the frequencies it chooses from")
+    elif problem in ("blur", "sr"):
+        _check_choice(f"{problem} anchor", op["anchor"], ANCHORS)
+        if isinstance(op["kernel"], dict):
+            op["kernel"] = kernel = resolve("kernel", op["kernel"])
+            if kernel["kind"] == "bilinear" and kernel["factor"] is None:
+                if problem == "blur":
+                    raise ConfigError("a blur operator's bilinear kernel needs a factor")
+                kernel["factor"] = op["factor"]
+    return op
 
 
 def _check_choice(what, value, choices):
@@ -206,17 +257,51 @@ def _seeds(seed, count):
 # component builders
 # ---------------------------------------------------------------------------
 
-def _build_operator(problem, op_cfg, seed):
-    if problem != "ct":
-        return make_operator(problem, op_cfg, seed)
-    op_cfg = dict(op_cfg)
-    side = int(_required(op_cfg, "side", "ct"))
-    full_angles = _full_angles(_required(op_cfg, "full_angles", "ct"))
-    acquired = _required(op_cfg, "acquired", "ct")
-    _reject_extra(op_cfg, "ct")
-    acq_angles = (full_angles[: int(acquired)] if np.isscalar(acquired)
-                  else [float(a) for a in acquired])
-    return make_operator("ct", {"side": side, "angles": acq_angles}, seed)
+def make_operator(problem, params, seed=0):
+    """Build the sensing operator of one of the five inverse problems.
+
+    problem: "cs" | "mri" | "blur" | "sr" | "ct"; params is its `operator`
+    config section (keys and defaults in SCHEMA).  A random mask without a
+    seed and a cs matrix draw from `seed`.
+    """
+    op = _resolve_operator(problem, params)
+    if problem == "cs":
+        n, m = int(op["n"]), int(op["m"])
+        if m > n:
+            raise DimensionMismatchError(f"m={m} exceeds n={n}")
+        rng = np.random.default_rng(seed)
+        if op["dist"] == "binary":
+            mat = rng.integers(0, 2, size=(m, n)).astype(float)
+        else:
+            mat = rng.standard_normal((m, n))
+        if op["normalize"]:
+            mat /= np.sqrt(n)
+        return DenseOperator(float(op["scale"]) * mat)
+    if problem == "ct":
+        angles = op["acquired"]
+        if np.isscalar(angles):  # a count: the first of the full angles
+            angles = _full_angles(op["full_angles"])[: int(angles)]
+        return RadonOperator(op["side"], angles)
+    shape = op["shape"]
+    if problem == "mri":
+        mask = op["mask"]
+        if isinstance(mask, dict) and mask["kind"] == "lowpass":
+            mask = lowpass_mask(shape, int(mask["count"]), op["transform"])
+        elif isinstance(mask, dict):
+            mask_seed = seed if mask["seed"] is None else mask["seed"]
+            mask = random_mask(shape, int(mask["count"]), mask_seed, op["transform"])
+        base = MaskedFrequencyOperator(shape, mask, op["transform"])
+    else:
+        ndim = 1 if np.isscalar(shape) else len(shape)
+        kernel = op["kernel"]
+        if isinstance(kernel, dict) and kernel["kind"] == "gaussian":
+            kernel = gaussian_kernel(float(kernel["sigma"]), kernel["radius"], ndim)
+        elif isinstance(kernel, dict):
+            kernel = bilinear_kernel(kernel["factor"], ndim)
+        base = (CirculantConvOperator(shape, kernel, op["anchor"]) if problem == "blur"
+                else DecimatedConvOperator(shape, kernel, op["factor"], op["anchor"]))
+    scale = float(op["scale"])
+    return base if scale == 1.0 else ScaledOperator(base, scale)
 
 
 def _full_angles(full):
@@ -364,7 +449,7 @@ def build_problem(cfg, seed=None):
                           "(CLI subcommand `toy3d`)")
     seed = int(cfg["seed"]) if seed is None else int(seed)
     op_seed, sig_seed, basis_seed, prior_seed, noise_seed = _seeds(seed, 5)
-    op = _build_operator(problem, cfg["operator"], op_seed)
+    op = make_operator(problem, cfg["operator"], op_seed)
     x_star = _build_signal(problem, cfg["signal"], op, sig_seed)
     basis = _build_basis(problem, cfg["basis"], cfg["operator"], op, basis_seed)
     prior_fn, error_norm_fn, prior_info = _build_prior(

@@ -6,7 +6,9 @@ circular convolution (deblurring), decimated convolution (super-resolution),
 and a parallel-beam Radon subset (limited-angle CT).  Every operator maps a
 flat real vector of length n to a flat real measurement vector and exposes
 an exact adjoint and a dense materialization (n <= 4096).  Spectral
-quantities of an operator and its basis live in `diagnostics`.
+quantities of an operator and its basis live in `diagnostics`.  The classes
+take built values (index lists, kernel taps, angles); the config layer,
+`experiments.make_operator`, builds them from an `operator` config section.
 
 All operators are immutable after construction; forward/adjoint are pure.
 """
@@ -16,7 +18,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigError, DimensionMismatchError, NullPriorError, SizeCapError
+from .errors import DimensionMismatchError, NullPriorError, SizeCapError
 
 DENSE_CAP = 4096
 
@@ -461,7 +463,7 @@ def _csr_in_order(rows, cols, data, shape):
 
 
 # ---------------------------------------------------------------------------
-# kernels, masks, factory
+# kernels and masks
 # ---------------------------------------------------------------------------
 
 def gaussian_kernel(sigma, radius=None, ndim=1):
@@ -497,131 +499,34 @@ def _freq_distances(shape, wrapped):
     return np.sqrt(np.sum(idx ** 2, axis=0))
 
 
+def mask_pool(shape, transform="dct"):
+    """The frequencies a mask chooses from: each flat DCT index, or each DFT representative."""
+    shape = _as_shape(shape)
+    if transform == "dct":
+        return np.arange(math.prod(shape))
+    return np.array(all_representatives(shape))
+
+
 def lowpass_mask(shape, count, transform="dct"):
     """Indices of the `count` lowest frequencies (DCT) or representatives (DFT).
 
     Ordered by distance from DC, ties by index.
     """
     shape = _as_shape(shape)
-    wrapped = transform != "dct"
-    pool = np.array(all_representatives(shape)) if wrapped else np.arange(math.prod(shape))
-    dist = _freq_distances(shape, wrapped)[pool]
+    pool = mask_pool(shape, transform)
+    dist = _freq_distances(shape, transform != "dct")[pool]
     return pool[np.lexsort((pool, dist))][:count].tolist()
 
 
 def random_mask(shape, count, seed, transform="dct"):
     """Random frequency subset that always keeps the DC term, so means are observed."""
-    shape = _as_shape(shape)
-    pool = (list(range(int(np.prod(shape)))) if transform == "dct"
-            else all_representatives(shape))
+    pool = mask_pool(shape, transform).tolist()
     rng = np.random.default_rng(seed)
     chosen = list(rng.choice(len(pool), size=count, replace=False))
     picked = sorted(pool[i] for i in chosen)
     if 0 not in picked:
         picked = [0] + picked[:-1]
     return sorted(set(picked))
-
-
-def make_operator(problem, params, seed=0):
-    """Build the sensing operator for one of the five inverse problems.
-
-    problem: "cs" | "mri" | "blur" | "sr" | "ct".  params is a dict; see each
-    branch for the accepted keys.  Construction is reproducible per seed.
-    """
-    params = dict(params)
-    scale = float(params.pop("scale", 1.0))
-
-    if problem == "cs":
-        n = int(_required(params, "n", "cs"))
-        m = int(_required(params, "m", "cs"))
-        dist = params.pop("dist", "gaussian")
-        normalize = bool(params.pop("normalize", False))
-        _reject_extra(params, "cs")
-        if m > n:
-            raise DimensionMismatchError(f"m={m} exceeds n={n}")
-        rng = np.random.default_rng(seed)
-        if dist == "binary":
-            mat = rng.integers(0, 2, size=(m, n)).astype(float)
-        elif dist == "gaussian":
-            mat = rng.standard_normal((m, n))
-        else:
-            raise ConfigError(f"unknown cs dist {dist!r}")
-        if normalize:
-            mat /= np.sqrt(n)
-        op = DenseOperator(scale * mat)
-
-    elif problem == "mri":
-        shape = _required(params, "shape", "mri")
-        transform = params.pop("transform", "dct")
-        mask = _required(params, "mask", "mri")
-        _reject_extra(params, "mri")
-        if isinstance(mask, dict):
-            mask = dict(mask)
-            kind = _required(mask, "kind", "mri mask")
-            count = int(_required(mask, "count", "mri mask"))
-            mseed = mask.pop("seed", seed)
-            _reject_extra(mask, "mri mask")
-            if kind == "lowpass":
-                kept = lowpass_mask(shape, count, transform)
-            elif kind == "random":
-                kept = random_mask(shape, count, mseed, transform)
-            else:
-                raise ConfigError(f"unknown mask kind {kind!r}")
-        else:
-            kept = list(mask)
-        op = MaskedFrequencyOperator(shape, kept, transform)
-        op = _maybe_scale(op, scale)
-
-    elif problem == "blur":
-        shape = _required(params, "shape", "blur")
-        ndim = 1 if np.isscalar(shape) else len(shape)
-        kernel = _kernel_from_params(_required(params, "kernel", "blur"), ndim, shape)
-        anchor = params.pop("anchor", "center")
-        _reject_extra(params, "blur")
-        op = CirculantConvOperator(shape, kernel, anchor)
-        op = _maybe_scale(op, scale)
-
-    elif problem == "sr":
-        shape = _required(params, "shape", "sr")
-        factor = int(_required(params, "factor", "sr"))
-        ndim = 1 if np.isscalar(shape) else len(shape)
-        kernel_spec = params.pop("kernel", {"kind": "bilinear"})
-        anchor = params.pop("anchor", "center")
-        _reject_extra(params, "sr")
-        if isinstance(kernel_spec, dict) and kernel_spec.get("kind") == "bilinear":
-            kernel = bilinear_kernel(factor, ndim)
-        else:
-            kernel = _kernel_from_params(kernel_spec, ndim, shape)
-        op = DecimatedConvOperator(shape, kernel, factor, anchor)
-        op = _maybe_scale(op, scale)
-
-    elif problem == "ct":
-        side = int(_required(params, "side", "ct"))
-        angles = _required(params, "angles", "ct")
-        _reject_extra(params, "ct")
-        op = RadonOperator(side, angles)
-        op = _maybe_scale(op, scale)
-
-    else:
-        raise NullPriorError(f"unknown problem {problem!r}")
-    return op
-
-
-def _kernel_from_params(spec, ndim, shape):
-    if isinstance(spec, dict):
-        spec = dict(spec)
-        kind = _required(spec, "kind", "kernel")
-        if kind == "gaussian":
-            sigma = float(_required(spec, "sigma", "kernel"))
-            radius = spec.pop("radius", None)
-            _reject_extra(spec, "kernel")
-            return gaussian_kernel(sigma, radius, ndim)
-        if kind == "bilinear":
-            factor = int(_required(spec, "factor", "kernel"))
-            _reject_extra(spec, "kernel")
-            return bilinear_kernel(factor, ndim)
-        raise ConfigError(f"unknown kernel kind {kind!r}")
-    return np.asarray(spec, dtype=float)
 
 
 class ScaledOperator(LinearOperator):
@@ -639,21 +544,6 @@ class ScaledOperator(LinearOperator):
 
     def _apply_adjoint(self, u):
         return self.scale * self.base._apply_adjoint(u)
-
-
-def _maybe_scale(op, scale):
-    return op if scale == 1.0 else ScaledOperator(op, scale)
-
-
-def _required(params, key, where):
-    if key not in params:
-        raise ConfigError(f"missing required {where} parameter {key!r}")
-    return params.pop(key)
-
-
-def _reject_extra(params, where):
-    if params:
-        raise ConfigError(f"unknown {where} parameter(s): {sorted(params, key=str)}")
 
 
 def dot_test(op, trials=5, seed=0):

@@ -11,6 +11,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from nullprior import denoisers as dn
+from nullprior import make_operator
 from nullprior.diagnostics import (
     detect_ciz,
     estimate_ric,
@@ -37,7 +38,6 @@ from nullprior.operators import (
     bilinear_kernel,
     gaussian_kernel,
     lowpass_mask,
-    make_operator,
     random_mask,
 )
 from nullprior.phantoms import bumps, shepp_logan, sparse_signal

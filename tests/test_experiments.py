@@ -119,6 +119,23 @@ CONFIG_MISTAKES = {
                                                          kernel={"kind": "gaussian"})),
     "cs-operator-unknown-dist": cs_config(operator={"n": 40, "m": 8, "dist": "cauchy"}),
     "cs-operator-missing-m": cs_config(operator={"n": 40}),
+    "mask-unknown-key-typo": theory_config(operator=dict(
+        MRI_OPERATOR, mask={"kind": "random", "count": 16, "sed": 3})),
+    "mask-lowpass-unknown-seed": theory_config(operator=dict(
+        MRI_OPERATOR, mask={"kind": "lowpass", "count": 16, "seed": 3})),
+    # a mask count outside [1, n] (dct) or [1, representatives] (dft: 34 at 8x8)
+    "mask-random-count-above-pool": theory_config(operator=dict(
+        MRI_OPERATOR, mask={"kind": "random", "count": 65})),
+    "mask-random-count-zero": theory_config(operator=dict(
+        MRI_OPERATOR, mask={"kind": "random", "count": 0})),
+    "mask-lowpass-count-above-pool": theory_config(operator=dict(
+        MRI_OPERATOR, mask={"kind": "lowpass", "count": 65})),
+    "mask-dft-count-above-pool": theory_config(operator=dict(
+        MRI_OPERATOR, transform="dft", mask={"kind": "lowpass", "count": 35})),
+    "kernel-bilinear-unknown-key": _replace(problem_config("sr", "sr"), operator=dict(
+        OPERATORS["sr"], kernel={"kind": "bilinear", "factor": 3, "junk": 7})),
+    "kernel-blur-bilinear-missing-factor": _replace(BLUR, operator=dict(
+        BLUR["operator"], kernel={"kind": "bilinear"})),
     "ct-operator-unknown-key": _replace(CT, operator=dict(CT["operator"], foo=1)),
     "ct-operator-missing-acquired": _replace(CT, operator={"side": 8, "full_angles": 12}),
     # values the operator or solver would reject only once it is built
@@ -680,14 +697,22 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("sw/point_*"))
 
-    @pytest.mark.parametrize("case", sorted(CONFIG_MISTAKES))
-    def test_config_mistake_exit_three(self, case, tmp_path, capsys):
+    # every case runs; an operator mistake also sweeps, which must stop
+    # before it writes any point
+    @pytest.mark.parametrize("command,case", [
+        *(pytest.param("run", case, id=case) for case in sorted(CONFIG_MISTAKES)),
+        *(pytest.param("sweep", case, id=f"sweep-{case}") for case in sorted(CONFIG_MISTAKES)
+          if "operator-" in case or case.startswith(("mask-", "kernel-")))])
+    def test_config_mistake_exit_three(self, command, case, tmp_path, capsys):
         cfg = CONFIG_MISTAKES[case]
-        command = "toy3d" if cfg.get("problem") == "toy3d" else "run"
-        path = self._write(tmp_path, cfg)
-        assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 3
+        args = ["--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        if cfg.get("problem") == "toy3d":
+            command = "toy3d"
+        if command == "sweep":
+            args += ["--param", "gamma", "--grid", "0.5,1"]
+        assert cli_main([command, *args]) == 3
         assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o").exists()  # so no point_* directory either
 
     def test_sweep_cli(self, tmp_path, capsys):
         path = self._write(tmp_path, cs_config())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from nullprior import make_operator
 from nullprior.errors import DimensionMismatchError, NullPriorError, SizeCapError
 from nullprior.operators import (
     CirculantConvOperator,
@@ -25,7 +26,7 @@ from nullprior.operators import (
     embed_kernel,
     gaussian_kernel,
     lowpass_mask,
-    make_operator,
+    mask_pool,
     random_mask,
 )
 
@@ -189,6 +190,36 @@ class TestFactory:
                                     "kernel": {"kind": "gaussian", "sigma": 2.0}})
         H = op.to_dense()
         np.testing.assert_allclose(H.sum(axis=1), 1.0, atol=1e-10)
+
+    def test_random_mask_null_seed_is_the_operators_seed(self):
+        spec = {"kind": "random", "count": 10}
+        omitted = make_operator("mri", {"shape": (8, 8), "mask": spec}, seed=0)
+        for _ in range(2):
+            null = make_operator("mri", {"shape": (8, 8), "mask": dict(spec, seed=None)}, seed=0)
+            assert null.kept == omitted.kept
+
+    @pytest.mark.parametrize("transform", ["dct", "dft"])
+    def test_mask_may_keep_its_whole_pool(self, transform):
+        pool = len(mask_pool((8, 8), transform))
+        assert pool == {"dct": 64, "dft": 34}[transform]
+        for kind in ("lowpass", "random"):
+            op = make_operator("mri", {"shape": (8, 8), "transform": transform,
+                                       "mask": {"kind": kind, "count": pool}})
+            assert op.m_eff == op.n
+
+    def test_sr_bilinear_kernel_reads_its_factor(self):
+        def sr_kernel(params):
+            op = make_operator("sr", {"shape": (16, 16), "factor": 2, **params})
+            return op.conv.kernel_full
+
+        def bilinear(factor):
+            return embed_kernel(bilinear_kernel(factor, ndim=2), (16, 16), "center")
+
+        np.testing.assert_array_equal(
+            sr_kernel({"kernel": {"kind": "bilinear", "factor": 3}}), bilinear(3))
+        # without a factor it is the operator's, as without a kernel
+        np.testing.assert_array_equal(sr_kernel({"kernel": {"kind": "bilinear"}}), bilinear(2))
+        np.testing.assert_array_equal(sr_kernel({}), bilinear(2))
 
     def test_invalid_params(self):
         with pytest.raises(DimensionMismatchError):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from nullprior import solvers
+from nullprior import make_operator, solvers
 from nullprior.denoisers import GaussianSmooth, Identity, TVChambolle
 from nullprior.errors import NullPriorError
 from nullprior.nullspace import (
@@ -34,7 +34,6 @@ from nullprior.operators import (
     bilinear_kernel,
     gaussian_kernel,
     lowpass_mask,
-    make_operator,
 )
 from nullprior.phantoms import piecewise_signal, sparse_signal
 from nullprior.priors import OraclePrior, ZeroError
