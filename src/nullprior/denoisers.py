@@ -76,9 +76,9 @@ class TVChambolle(Denoiser):
     """
 
     def __init__(self, weight, inner_iters=20):
-        if weight <= 0:
-            raise NullPriorError("TV weight must be positive")
         self.weight = float(weight)
+        if self.weight <= 0:
+            raise NullPriorError("TV weight must be positive")
         self.inner_iters = int(inner_iters)
 
     def __call__(self, x):

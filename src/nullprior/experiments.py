@@ -10,11 +10,14 @@ the three-dimensional geometry experiment.
 
 Configs are strict: `SCHEMA` lists the keys and defaults of each section's
 kinds, the operator's (one kind per problem) and its mask and kernel specs
-included, and an unknown kind or key, or a missing required key, raises
-ConfigError.  `validate_config` checks a whole config before anything is
-built; `make_operator` builds the sensing operator from its resolved
-`operator` section.  Every run is deterministic for a fixed (config, seed)
-pair, and identical runs produce byte-identical CSV files.
+included.  A config is resolved against it once, before anything is built:
+an unknown kind or key, or a missing required key, raises ConfigError, and
+a key given as null takes its default.  `build_problem` then builds one
+chain of stages (operator, signal, measurement, basis, prior, denoiser,
+solver), each from its section, its seed and the stages before it, so a
+sweep point rebuilds only from the first stage its value changes.  Every
+run is deterministic for a fixed (config, seed) pair, and identical runs
+produce byte-identical CSV files.
 """
 
 import os
@@ -157,8 +160,8 @@ def resolve(where, section, kind=None):
     """A config section's values, with the defaults of its kind filled in.
 
     `kind` replaces the schema's default kind (signal and basis default by
-    problem).  Raises ConfigError for an unknown kind, an unknown key or a
-    missing required key.
+    problem), and a key given as null takes its default.  Raises ConfigError
+    for an unknown kind, an unknown key or a missing (or null) required key.
     """
     kind_key, default_kind, kinds = SCHEMA[where]
     section = {} if section is None else section
@@ -177,7 +180,7 @@ def resolve(where, section, kind=None):
                if value is REQUIRED and section.get(key) is None]
     if missing:
         raise ConfigError(f"missing required {keys}: {missing}")
-    values = {**defaults, **section}
+    values = {**defaults, **{key: v for key, v in section.items() if v is not None}}
     if kind_key is not None:
         values[kind_key] = kind
     return values
@@ -192,28 +195,35 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    """Resolve every section of cfg against SCHEMA; returns cfg itself."""
+    """Check every section of cfg against SCHEMA; returns cfg itself."""
+    _resolve_config(cfg)
+    return cfg
+
+
+def _resolve_config(cfg):
+    """cfg with every section resolved against SCHEMA; cfg itself is unchanged."""
     top = resolve("top level", cfg)
     if top["problem"] == "toy3d":
-        resolve("toy3d", top["toy3d"])
-        return cfg
+        top["toy3d"] = resolve("toy3d", top["toy3d"])
+        return top
     signal_kind, basis_method = _PROBLEM_KINDS[top["problem"]]
-    resolve("signal", top["signal"], signal_kind)
-    prior = resolve("prior", top["prior"])
+    top["signal"] = resolve("signal", top["signal"], signal_kind)
+    prior = top["prior"] = resolve("prior", top["prior"])
     if prior["kind"] == "oracle":
-        resolve("error", prior["error"])
-    method = resolve("basis", top["basis"], basis_method)["method"]
-    if method not in ("qr", basis_method):
-        raise ConfigError(f"basis method {method!r} does not fit problem {top['problem']!r}")
-    resolve("denoiser", top["denoiser"])
-    resolve("noise", top["noise"])
-    solver = resolve("solver", top["solver"])
+        prior["error"] = resolve("error", prior["error"])
+    basis = top["basis"] = resolve("basis", top["basis"], basis_method)
+    if basis["method"] not in ("qr", basis_method):
+        raise ConfigError(f"basis method {basis['method']!r} does not fit problem "
+                          f"{top['problem']!r}")
+    top["denoiser"] = resolve("denoiser", top["denoiser"])
+    top["noise"] = resolve("noise", top["noise"])
+    solver = top["solver"] = resolve("solver", top["solver"])
     if float(solver["gamma"]) < 0:
         raise ConfigError("solver.gamma must be nonnegative")
     if solver["kind"] == "fista_sparsity":
         _check_choice("solver transform", solver["transform"], SPARSITY_TRANSFORMS)
-    _resolve_operator(top["problem"], top["operator"])
-    return cfg
+    top["operator"] = _resolve_operator(top["problem"], top["operator"])
+    return top
 
 
 def _resolve_operator(problem, section):
@@ -310,75 +320,53 @@ def _full_angles(full):
             if np.isscalar(full) else [float(a) for a in full])
 
 
-def _build_signal(problem, signal_cfg, op, seed):
-    spec = resolve("signal", signal_cfg, _PROBLEM_KINDS[problem][0])
+def _build_signal(spec, op, seed):
+    """A signal of the resolved `signal` spec; an unset size is the operator's."""
     if "side" in spec:  # a 2-D phantom
-        if spec["side"] is None:
-            spec["side"] = op.shape_in[0]
+        spec = dict(spec, side=op.shape_in[0] if spec["side"] is None else spec["side"])
         if op.shape_in != (spec["side"], spec["side"]):
             raise ConfigError("2-D phantom side must match the operator shape")
     else:
-        if spec["n"] is None:
-            spec["n"] = op.n
+        spec = dict(spec, n=op.n if spec["n"] is None else spec["n"])
         if int(spec["n"]) != op.n:
             raise ConfigError("signal length must match the operator")
-    x = generate(spec, seed=seed)
-    return np.asarray(x, dtype=float).reshape(-1)
+    return np.asarray(generate(spec, seed=seed), dtype=float).reshape(-1)
 
 
-def _build_basis(problem, basis_cfg, op_cfg, op, seed):
-    basis_cfg = resolve("basis", basis_cfg, _PROBLEM_KINDS[problem][1])
-    method = basis_cfg["method"]
-    scale = float(basis_cfg["scale"])
+def _build_basis(basis_cfg, op_cfg, op, seed):
+    method, scale = basis_cfg["method"], float(basis_cfg["scale"])
     if method == "qr":
         if op.n > DENSE_CAP:
             raise ConfigError("qr basis needs n <= 4096")
-        p = basis_cfg["p"]
-        if p is None:
-            p = op.n - op.m_eff
-        basis = qr_nullspace(op.to_dense(), int(p), seed=seed)
-    elif method == "fourier":
-        basis = fourier_complement(op)
+        p = op.n - op.m_eff if basis_cfg["p"] is None else int(basis_cfg["p"])
+        basis = qr_nullspace(op.to_dense(), p, seed=seed)
     elif method == "radon":
         basis = radon_complement(op, _full_angles(op_cfg["full_angles"]))
-    elif method == "toeplitz":
-        basis = toeplitz_complement(op)
-    else:
-        basis = sr_complement(op)
-    if scale != 1.0:
-        basis = basis.scaled(scale)
-    return basis
+    else:  # the other complements are built from the operator alone
+        basis = {"fourier": fourier_complement, "toeplitz": toeplitz_complement,
+                 "sr": sr_complement}[method](op)
+    return basis if scale == 1.0 else basis.scaled(scale)
 
 
 def _build_denoiser(den_cfg):
-    den_cfg = resolve("denoiser", den_cfg)
-    kind = den_cfg["kind"]
-    if kind == "gaussian":
-        return dn.GaussianSmooth(float(den_cfg["sigma"]))
-    if kind == "dct_soft":
-        return dn.TransformSoftThreshold(float(den_cfg["tau"]))
-    if kind == "tv":
-        return dn.TVChambolle(float(den_cfg["weight"]), int(den_cfg["iters"]))
-    if kind == "median":
-        return dn.Median(int(den_cfg["window"]))
-    return dn.Identity()
+    # a kind's keys, in SCHEMA order, are its class's arguments
+    cls = {"identity": dn.Identity, "gaussian": dn.GaussianSmooth, "tv": dn.TVChambolle,
+           "dct_soft": dn.TransformSoftThreshold, "median": dn.Median}[den_cfg["kind"]]
+    return cls(*(value for key, value in den_cfg.items() if key != "kind"))
 
 
-def _build_prior(prior_cfg, problem, signal_cfg, op, basis, x_star, seed):
-    """Returns (predict_fn, error_norm_fn, info dict)."""
-    prior_cfg = resolve("prior", prior_cfg)
+def _build_prior(prior_cfg, signal_cfg, op, basis, x_star, seed):
+    """The prior's entries of a problem; a jointly trained one refines its basis."""
     if prior_cfg["kind"] == "oracle":
-        err_spec = resolve("error", prior_cfg["error"])
-        if err_spec.get("seed") is None:  # zero has no seed; the others default to the prior's
-            err_spec["seed"] = seed
-        error = realize_error(err_spec, basis.p, op.m_eff, seed=seed)
-        oracle = OraclePrior(basis, error)
-        info = {"kind": "oracle", "K": getattr(error, "lipschitz", 0.0)}
-        return (lambda y: oracle.predict(y, x_star),
-                lambda y: oracle.error_norm(y), info)
+        error = prior_cfg["error"]  # zero has no seed; the others default to the prior's
+        error = dict(error, seed=seed if error.get("seed") is None else error["seed"])
+        oracle = OraclePrior(basis, realize_error(error, basis.p, op.m_eff, seed=seed))
+        return {"prior_fn": lambda y: oracle.predict(y, x_star),
+                "error_norm_fn": oracle.error_norm,
+                "prior_info": {"kind": "oracle", "K": getattr(oracle.error, "lipschitz", 0.0)}}
 
     train_seed = seed + 1 if prior_cfg["train_seed"] is None else int(prior_cfg["train_seed"])
-    xs = np.array([_build_signal(problem, signal_cfg, op, s)
+    xs = np.array([_build_signal(signal_cfg, op, s)
                    for s in _seeds(train_seed, int(prior_cfg["train_count"]))])
     net = TwoLayerNet(op.m_eff, basis.p, int(prior_cfg["hidden"]), prior_cfg["activation"],
                       seed=train_seed, init_scale=float(prior_cfg["init_scale"]))
@@ -395,32 +383,21 @@ def _build_prior(prior_cfg, problem, signal_cfg, op, basis, x_star, seed):
                                          **training)
     else:
         report = train_mmse(net, xs, op, basis, **training)
-    info = {"kind": "net", "K": np.nan, "train_report": report, "basis": basis}
-
-    def error_norm(y, _net=net, _basis=basis, _x=x_star):
-        return float(np.linalg.norm(_net.predict(y) - _basis.project(_x)))
-
-    return net.predict, error_norm, info
+    return {"prior_fn": net.predict, "basis": basis,
+            "error_norm_fn": lambda y: float(np.linalg.norm(net.predict(y)
+                                                            - basis.project(x_star))),
+            "prior_info": {"kind": "net", "K": np.nan, "train_report": report}}
 
 
 def _build_solver(solver_cfg, op, basis, x_star):
-    solver_cfg = resolve("solver", solver_cfg)
-    gamma = float(solver_cfg["gamma"])
+    # each field's type also reads the strings PyYAML makes of 1e-8
+    values = {f.name: f.type(solver_cfg[f.name]) for f in fields(SolverConfig)
+              if f.name not in ("alpha", "x_star")}
     alpha = solver_cfg["alpha"]
     if alpha == "auto":
-        alpha = default_alpha(op, basis, gamma=gamma)
-    # float() and int() also read the strings PyYAML makes of 1e-8
-    config = SolverConfig(alpha=float(alpha), gamma=gamma,
-                          lam=float(solver_cfg["lam"]),
-                          iters=int(solver_cfg["iters"]),
-                          momentum=solver_cfg["momentum"],
-                          restart=solver_cfg["restart"],
-                          rho=float(solver_cfg["rho"]),
-                          cg_tol=float(solver_cfg["cg_tol"]),
-                          cg_maxiter=int(solver_cfg["cg_maxiter"]),
-                          x_star=x_star,
-                          peak=float(solver_cfg["peak"]))
-    return solver_cfg["kind"], config, solver_cfg["transform"]
+        alpha = default_alpha(op, basis, gamma=values["gamma"])
+    return {"solver_kind": solver_cfg["kind"], "transform": solver_cfg["transform"],
+            "solver_config": SolverConfig(alpha=float(alpha), x_star=x_star, **values)}
 
 
 def _solve(kind, op, y, denoiser, config, basis, prior_fn, transform, observer=None):
@@ -440,33 +417,61 @@ def add_measurement_noise(y, snr_db, seed):
     return y + sigma * rng.standard_normal(y.size)
 
 
-def build_problem(cfg, seed=None):
-    """Instantiate every component a run needs; deterministic per seed."""
-    cfg = resolve("top level", validate_config(dict(cfg)))
+def build_problem(cfg, seed=None, reuse=None):
+    """Instantiate every component a run needs; deterministic per seed.
+
+    One chain of stages (operator, signal, measurement y, basis, prior,
+    denoiser, solver), each built from its resolved section, its spawned
+    seed and the stages before it.  `reuse`, an earlier build (a sweep's
+    previous point), lends its stages up to the first whose section or seed
+    differs; it is then emptied, so what it does not share is freed before
+    the rest are rebuilt.  The result equals a build without it.
+    """
+    cfg = _resolve_config(cfg)
     problem = cfg["problem"]
     if problem == "toy3d":
-        raise ConfigError("toy3d has its own runner: use run_toy3d "
-                          "(CLI subcommand `toy3d`)")
+        raise ConfigError("toy3d has its own runner: use run_toy3d (CLI subcommand `toy3d`)")
     seed = int(cfg["seed"]) if seed is None else int(seed)
     op_seed, sig_seed, basis_seed, prior_seed, noise_seed = _seeds(seed, 5)
-    op = make_operator(problem, cfg["operator"], op_seed)
-    x_star = _build_signal(problem, cfg["signal"], op, sig_seed)
-    basis = _build_basis(problem, cfg["basis"], cfg["operator"], op, basis_seed)
-    prior_fn, error_norm_fn, prior_info = _build_prior(
-        cfg["prior"], problem, cfg["signal"], op, basis, x_star, prior_seed)
-    if prior_info["kind"] == "net":
-        basis = prior_info["basis"]  # joint training may have refined it
-    denoiser = _build_denoiser(cfg["denoiser"])
-    kind, solver_config, transform = _build_solver(cfg["solver"], op, basis, x_star)
-    return {
-        "problem": problem, "seed": seed, "op": op,
-        "x_star": x_star, "basis": basis, "denoiser": denoiser,
-        "prior_fn": prior_fn, "error_norm_fn": error_norm_fn,
-        "prior_info": prior_info, "solver_kind": kind,
-        "solver_config": solver_config, "transform": transform,
-        "noise_seed": noise_seed,
-        "snr_db": resolve("noise", cfg["noise"])["snr_db"],
-    }
+    pb = {"problem": problem, "seed": seed, "snr_db": cfg["noise"]["snr_db"], "stages": {}}
+    chain = (  # (stage, what it reads besides earlier stages, its builder)
+        ("operator", (problem, cfg["operator"], op_seed),
+         lambda: {"op": make_operator(problem, cfg["operator"], op_seed)}),
+        ("signal", (cfg["signal"], sig_seed),
+         lambda: {"x_star": _build_signal(cfg["signal"], pb["op"], sig_seed)}),
+        ("measurement", (pb["snr_db"], noise_seed),
+         lambda: {"y": add_measurement_noise(pb["op"].forward(pb["x_star"]),
+                                             pb["snr_db"], noise_seed)}),
+        ("basis", (cfg["basis"], basis_seed),
+         lambda: {"basis": _build_basis(cfg["basis"], cfg["operator"], pb["op"], basis_seed)}),
+        ("prior", (cfg["prior"], prior_seed),
+         lambda: _build_prior(cfg["prior"], cfg["signal"], pb["op"], pb["basis"],
+                              pb["x_star"], prior_seed)),
+        ("denoiser", cfg["denoiser"], lambda: {"denoiser": _build_denoiser(cfg["denoiser"])}),
+        ("solver", cfg["solver"],
+         lambda: _build_solver(cfg["solver"], pb["op"], pb["basis"], pb["x_star"])),
+    )
+    built = reuse["stages"] if reuse else {}
+    key = ()
+    for stage, reads, build in chain:
+        key += (reads,)  # a stage is kept only if every stage before it is
+        if stage in built and _same(built[stage][0], key):
+            parts = built[stage][1]
+        else:  # what the earlier build does not share is freed before this stage is made
+            built = {}
+            if reuse:
+                reuse.clear()
+            parts = build()
+        pb["stages"][stage] = (key, parts)
+        pb.update(parts)
+    return pb
+
+
+def _same(a, b):
+    try:  # a stage key that holds an array (a mask or kernel given as one) never is
+        return bool(a == b)
+    except ValueError:
+        return False
 
 
 def _gamma_eff(config):
@@ -478,39 +483,35 @@ def _gamma_eff(config):
     return config.gamma if config.gamma > 0 else 1.0
 
 
-def _penalized_solve(pb, y):
-    """The penalized solve of `pb` on y; returns (x, trace, CloudConstants).
+def _penalized_solve(pb):
+    """The penalized solve of `pb` on its y; returns (x, trace, CloudConstants).
 
     The theory constants are measured on the iterates as the solve makes
     them (`diagnostics.CloudConstants`), so no iterate is stored.
     """
-    op, x_star, denoiser = pb["op"], pb["x_star"], pb["denoiser"]
-    config = pb["solver_config"]
+    op, x_star, denoiser, config = (pb[k] for k in ("op", "x_star", "denoiser", "solver_config"))
     # D(x*) serves the report's fixed-point check and the x* pairs of delta
     cloud = CloudConstants(op, pb["basis"], _gamma_eff(config), denoiser, x_star,
                            dn.denoise(denoiser, x_star, op.shape_in))
-    x, trace = _solve(pb["solver_kind"], op, y, denoiser, config, pb["basis"],
+    x, trace = _solve(pb["solver_kind"], op, pb["y"], denoiser, config, pb["basis"],
                       pb["prior_fn"], pb["transform"], observer=cloud)
     return x, trace, cloud
 
 
-def _theory_report(pb, trace, cloud, y):
+def _theory_report(pb, trace, cloud):
     """Every theory constant of the penalized solve that made `trace`.
 
     `cloud` holds the constants measured on that solve's iterates
-    (`_penalized_solve`); y is the noisy measurement the solve was given.
+    (`_penalized_solve`).
     """
-    op = pb["op"]
-    basis = pb["basis"]
-    config = pb["solver_config"]
-    x_star = pb["x_star"]
+    op, basis, config, x_star = (pb[k] for k in ("op", "basis", "solver_config", "x_star"))
     notes = []
     certified = True
     gamma_eff = _gamma_eff(config)
     ric_s, ric_h = cloud.ric
     delta_hat = cloud.delta_hat
     dx = cloud.x_star_image
-    err_norm = pb["error_norm_fn"](y)
+    err_norm = pb["error_norm_fn"](pb["y"])
     K = pb["prior_info"]["K"]
     xn = float(np.linalg.norm(x_star))
     if ric_s >= 1.0:
@@ -574,28 +575,27 @@ def write_summary_csv(path, rows, fields=SUMMARY_FIELDS):
             fh.write(",".join(_format_cell(row.get(f)) for f in fields) + "\n")
 
 
-def run(cfg, out_dir=None, seed=None):
-    """Paired baseline / penalized solve; writes traces, theory report, summary."""
-    cfg = validate_config(dict(cfg))
-    pb = build_problem(cfg, seed=seed)
+def run(cfg, out_dir=None, seed=None, reuse=None):
+    """Paired baseline / penalized solve; writes traces, theory report, summary.
+
+    `reuse` is an earlier problem the build may take stages from
+    (`build_problem`); the result holds this run's under "problem".
+    """
+    pb = build_problem(cfg, seed=seed, reuse=reuse)
     out_dir = resolve_output_dir(cfg, out_dir)
-    op, x_star = pb["op"], pb["x_star"]
-    y = add_measurement_noise(op.forward(x_star), pb["snr_db"], pb["noise_seed"])
-
-    config_npn = pb["solver_config"]
-    config_base = replace(config_npn, gamma=0.0)
-    x_base, tr_base = _solve(pb["solver_kind"], op, y, pb["denoiser"],
-                             config_base, pb["basis"], pb["prior_fn"],
+    x_star, config_npn = pb["x_star"], pb["solver_config"]
+    x_base, tr_base = _solve(pb["solver_kind"], pb["op"], pb["y"], pb["denoiser"],
+                             replace(config_npn, gamma=0.0), pb["basis"], pb["prior_fn"],
                              pb["transform"])
-    x_npn, tr_npn, cloud = _penalized_solve(pb, y)
+    x_npn, tr_npn, cloud = _penalized_solve(pb)
 
-    err_norm = pb["error_norm_fn"](y)
+    err_norm = pb["error_norm_fn"](pb["y"])
     tr_base.set_ciz(detect_ciz(tr_base.proj_err_sq, err_norm))
     tr_npn.set_ciz(detect_ciz(tr_npn.proj_err_sq, err_norm))
     tr_base.to_csv(os.path.join(out_dir, "trace_baseline.csv"))
     tr_npn.to_csv(os.path.join(out_dir, "trace_npn.csv"))
 
-    report = _theory_report(pb, tr_npn, cloud, y)
+    report = _theory_report(pb, tr_npn, cloud)
     report.save(os.path.join(out_dir, "theory.txt"))
     if pb["prior_info"]["kind"] == "net":
         pb["prior_info"]["train_report"].save_history_csv(
@@ -617,7 +617,7 @@ def run(cfg, out_dir=None, seed=None):
     }
     write_summary_csv(os.path.join(out_dir, "summary.csv"), [summary])
     return {"x_baseline": x_base, "x_npn": x_npn, "trace_baseline": tr_base,
-            "trace_npn": tr_npn, "theory": report, "summary": summary}
+            "trace_npn": tr_npn, "theory": report, "summary": summary, "problem": pb}
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +647,9 @@ def apply_sweep_value(cfg, param, value):
             raise ConfigError("sweep parameter 'af' needs an mri problem with a mask spec")
         if float(value) <= 0:
             raise ConfigError("sweep parameter 'af' must be positive")
-        shape = op.get("shape")
-        n = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
-        op["mask"] = dict(mask, count=max(1, int(round(n / float(value)))))
+        mri = resolve("operator", op, "mri")  # a DFT mask counts representatives, not n
+        pool = len(mask_pool(mri["shape"], mri["transform"]))
+        op["mask"] = dict(mask, count=max(1, int(round(pool / float(value)))))
     elif param == "sigma_blur":
         # an sr operator without a kernel is bilinear, which has no sigma
         kernel = cfg["operator"].get("kernel")
@@ -669,13 +669,13 @@ def sweep(cfg, param, grid, out_dir=None, seed=None):
 
     Every point's config is checked before any point runs, so a parameter
     that does not apply raises ConfigError and writes nothing.  Points run
-    one after another, in grid order.  Threads were slower on the
+    one after another, in grid order, and each keeps the stages of the last
+    built problem that its value leaves unchanged (`build_problem`): a
+    gamma sweep trains a net prior once.  Threads were slower on the
     limited-angle CT sweep: the points contend for the interpreter lock and
     for the cores BLAS already uses.
     """
-    cfg = validate_config(dict(cfg))
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}")
+    cfg = validate_config(cfg)
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep grid is empty")
@@ -683,15 +683,18 @@ def sweep(cfg, param, grid, out_dir=None, seed=None):
     out_dir = resolve_output_dir(cfg, out_dir)
     fields = (param,) + SUMMARY_FIELDS + ("error",)
 
-    rows = []
+    rows, pb = [], None
     for i, (value, point_cfg) in enumerate(zip(grid, point_cfgs)):
         point_dir = os.path.join(out_dir, f"point_{i:03d}")
         row = {param: value, "error": ""}
         try:
             os.makedirs(point_dir, exist_ok=True)
-            # only the summary is kept: a point's traces and reconstructions
-            # are freed before the next point runs
-            row.update(run(point_cfg, out_dir=point_dir, seed=seed)["summary"])
+            result = run(point_cfg, out_dir=point_dir, seed=seed, reuse=pb)
+            row.update(result["summary"])
+            pb = result["problem"]
+            # only the summary and the problem are kept: a point's traces and
+            # reconstructions are freed before the next point runs
+            del result
         except Exception as exc:  # record and continue
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
@@ -713,21 +716,18 @@ def theory_check(cfg, out_dir=None, seed=None):
     The solve runs without momentum: the bounds govern the plain
     gradient-plus-denoiser map, and acceleration would overshoot it.
     """
-    cfg = resolve("top level", validate_config(dict(cfg)))
+    cfg = _resolve_config(cfg)
     if cfg["problem"] == "toy3d":
         raise ConfigError("theory check does not apply to toy3d")
-    if resolve("prior", cfg["prior"])["kind"] != "oracle":
+    if cfg["prior"]["kind"] != "oracle":
         raise ConfigError("theory check requires an oracle prior")
-    method = resolve("basis", cfg["basis"], _PROBLEM_KINDS[cfg["problem"]][1])["method"]
-    if method not in ("qr", "fourier"):
+    if cfg["basis"]["method"] not in ("qr", "fourier"):
         raise ConfigError("theory check requires an exact (qr/fourier) basis")
     cfg["solver"] = dict(cfg["solver"], momentum="none")
 
     pb = build_problem(cfg, seed=seed)
-    op, x_star = pb["op"], pb["x_star"]
-    y = add_measurement_noise(op.forward(x_star), pb["snr_db"], pb["noise_seed"])
-    _, trace, cloud = _penalized_solve(pb, y)
-    report = _theory_report(pb, trace, cloud, y)
+    _, trace, cloud = _penalized_solve(pb)
+    report = _theory_report(pb, trace, cloud)
     trace.set_ciz(report.ciz)
 
     details = {"report": report, "trace": trace, "checks": {}}
@@ -799,10 +799,10 @@ def run_toy3d(cfg, out_dir=None, seed=None):
     projection errors on the training disk and on an out-of-distribution
     grid; finally solves the inverse problem with the trained prior.
     """
-    cfg = resolve("top level", validate_config(dict(cfg)))
+    cfg = _resolve_config(cfg)
     if cfg["problem"] != "toy3d":
         raise ConfigError("run_toy3d needs problem: toy3d")
-    toy = resolve("toy3d", cfg["toy3d"])
+    toy = cfg["toy3d"]
     seed = int(cfg["seed"]) if seed is None else int(seed)
     hidden, epochs, lr = int(toy["hidden"]), int(toy["epochs"]), float(toy["lr"])
     gamma, init_scale = float(toy["gamma"]), float(toy["init_scale"])

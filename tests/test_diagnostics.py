@@ -31,7 +31,7 @@ from nullprior.diagnostics import (
     decay_constants_statement_variant,
 )
 from nullprior.errors import NullPriorError
-from nullprior.experiments import add_measurement_noise, build_problem, run
+from nullprior.experiments import build_problem, run
 from nullprior.nullspace import (
     NullSpaceBasis,
     fourier_complement,
@@ -301,12 +301,9 @@ class TestDenseRhoBuffer:
     def test_theory_report_memory_on_benchmark_ct_pair(self, bench_ct):
         # the report densifies H (5.2 MB) and holds one n x n buffer (8.4 MB)
         pb = bench_ct
-        op = pb["op"]
-        y = add_measurement_noise(op.forward(pb["x_star"]), pb["snr_db"],
-                                  pb["noise_seed"])
-        _, trace, cloud = experiments._penalized_solve(pb, y)
-        assert normal_spectrum(op, pb["basis"]) is None
-        assert _peak_bytes(lambda: experiments._theory_report(pb, trace, cloud, y)) <= 16e6
+        _, trace, cloud = experiments._penalized_solve(pb)
+        assert normal_spectrum(pb["op"], pb["basis"]) is None
+        assert _peak_bytes(lambda: experiments._theory_report(pb, trace, cloud)) <= 16e6
 
 
 def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
@@ -531,8 +528,6 @@ class TestTheoryReportRho:
     @pytest.mark.parametrize("name", ["mri-dct", "mri-dft-scaled", "toeplitz", "sr"])
     def test_structured_report_densifies_nothing(self, name, monkeypatch):
         pb = build_problem(_pair_configs()[name])
-        op = pb["op"]
-        y = add_measurement_noise(op.forward(pb["x_star"]), pb["snr_db"], pb["noise_seed"])
 
         def densified(*args):
             raise AssertionError("the theory report densified H or S")
@@ -541,8 +536,8 @@ class TestTheoryReportRho:
             monkeypatch.setattr(cls, "to_dense", densified)
         monkeypatch.setattr(NullSpaceBasis, "matrix", property(densified))
         # the constants measured during the solve densify nothing either
-        _, trace, cloud = experiments._penalized_solve(pb, y)
-        report = experiments._theory_report(pb, trace, cloud, y)
+        _, trace, cloud = experiments._penalized_solve(pb)
+        report = experiments._theory_report(pb, trace, cloud)
         assert np.isfinite(report.rho)
 
     def test_exact_basis_uses_closed_form(self, tmp_path):
@@ -567,10 +562,8 @@ class TestTheoryReportRho:
         pb["basis"] = load_basis(tmp_path / "basis.csv")
         assert pb["basis"].method == "fourier-complement"
         assert normal_spectrum(pb["op"], pb["basis"]) is None
-        y = add_measurement_noise(pb["op"].forward(pb["x_star"]), pb["snr_db"],
-                                  pb["noise_seed"])
-        _, trace, cloud = experiments._penalized_solve(pb, y)
-        report = experiments._theory_report(pb, trace, cloud, y)
+        _, trace, cloud = experiments._penalized_solve(pb)
+        report = experiments._theory_report(pb, trace, cloud)
         dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
                            report.gamma, report.ric_s)
         assert report.rho == dense.rho

@@ -119,6 +119,7 @@ CONFIG_MISTAKES = {
                                                          kernel={"kind": "gaussian"})),
     "cs-operator-unknown-dist": cs_config(operator={"n": 40, "m": 8, "dist": "cauchy"}),
     "cs-operator-missing-m": cs_config(operator={"n": 40}),
+    "cs-operator-null-m": cs_config(operator={"n": 40, "m": None}),
     "mask-unknown-key-typo": theory_config(operator=dict(
         MRI_OPERATOR, mask={"kind": "random", "count": 16, "sed": 3})),
     "mask-lowpass-unknown-seed": theory_config(operator=dict(
@@ -168,6 +169,15 @@ class TestValidation:
         solver = experiments.resolve("solver", {"gamma": 0.5})
         assert solver["kind"] == "pnp_fista" and solver["alpha"] == "auto"
         assert solver["gamma"] == 0.5 and solver["cg_tol"] == 1e-8
+
+    @pytest.mark.parametrize("problem,key", [("cs", "scale"), ("sr", "kernel")])
+    def test_null_takes_the_default(self, problem, key):
+        cfg = problem_config(problem, FITTING_METHOD[problem])
+        omitted = build_problem(cfg)
+        cfg["operator"] = dict(cfg["operator"], **{key: None})
+        nulled = build_problem(cfg)
+        np.testing.assert_array_equal(nulled["op"].to_dense(), omitted["op"].to_dense())
+        np.testing.assert_array_equal(nulled["y"], omitted["y"])
 
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="unknown top level"):
@@ -467,6 +477,31 @@ class TestRun:
         assert result["summary"]["improvement_db"] > 3.0
 
 
+def _files(directory):
+    """Every file of a run directory, by name, as bytes."""
+    return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+
+
+NET_BLUR = {
+    "problem": "blur", "seed": 1,
+    "operator": {"shape": [16, 16], "kernel": {"kind": "gaussian", "sigma": 1.5}},
+    "signal": {"kind": "bumps", "count": 4},
+    "prior": {"kind": "net", "hidden": 8, "epochs": 20, "train_count": 24, "batch": 8},
+    "denoiser": {"kind": "gaussian", "sigma": 0.4},
+    "solver": {"kind": "pnp_fista", "gamma": 0.1, "iters": 15},
+    "noise": {"snr_db": 20.0},
+}
+# (param, grid, config) of a sweep over each parameter
+SWEEP_CASES = {
+    "gamma-net": ("gamma", [0.1, 1.0], NET_BLUR),
+    "eps": ("eps", [1e-3, 1e-1], cs_config()),
+    "p": ("p", [4, 12], cs_config()),
+    "af": ("af", [2.0, 4.0], theory_config(operator=dict(
+        MRI_OPERATOR, transform="dft", mask={"kind": "random", "count": 8}))),
+    "sigma_blur": ("sigma_blur", [1.0, 2.0], _replace(BLUR, noise={"snr_db": 20.0})),
+}
+
+
 class TestSweep:
     def test_gamma_zero_row_matches_fresh_baseline(self, tmp_path):
         cfg = cs_config()
@@ -478,10 +513,41 @@ class TestSweep:
 
     def test_partial_failure_recorded(self, tmp_path):
         cfg = cs_config()
-        rows = sweep(cfg, "p", [4, 4000], out_dir=str(tmp_path))
+        rows = sweep(cfg, "p", [4, 4000, 6], out_dir=str(tmp_path))
         assert rows[0]["error"] == ""
         assert "Error" in rows[1]["error"] or "error" in rows[1]["error"]
         assert (tmp_path / "summary.csv").exists()
+        # the point after the failed one still builds, as a standalone run would
+        assert rows[2]["error"] == ""
+        run(apply_sweep_value(cfg, "p", 6), out_dir=str(tmp_path / "alone"))
+        assert _files(tmp_path / "point_002") == _files(tmp_path / "alone")
+
+    @pytest.mark.parametrize("param,grid,cfg", SWEEP_CASES.values(), ids=list(SWEEP_CASES))
+    def test_points_match_standalone_runs(self, param, grid, cfg, tmp_path):
+        sweep(cfg, param, grid, out_dir=str(tmp_path / "sw"), seed=5)
+        for i, value in enumerate(grid):
+            alone = tmp_path / f"alone_{i}"
+            run(apply_sweep_value(cfg, param, value), out_dir=str(alone), seed=5)
+            assert _files(tmp_path / "sw" / f"point_{i:03d}") == _files(alone)
+
+    @pytest.mark.parametrize("param,grid,cfg,builder,builds", [
+        ("gamma", [0.03, 0.1, 0.3], NET_BLUR, "train_mmse", 1),
+        ("p", [4, 8, 12], cs_config(), "make_operator", 1),
+        ("eps", [1e-3, 1e-2, 1e-1], cs_config(), "qr_nullspace", 1),
+    ], ids=["gamma-trains-once", "p-one-operator", "eps-one-basis"])
+    def test_points_rebuild_from_the_stage_they_change(self, param, grid, cfg, builder,
+                                                       builds, tmp_path, monkeypatch):
+        calls = []
+        real = getattr(experiments, builder)
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, builder, spy)
+        rows = sweep(cfg, param, grid, out_dir=str(tmp_path))
+        assert [row["error"] for row in rows] == [""] * len(grid)
+        assert len(calls) == builds
 
     def test_eps_sweep_monotone_psnr(self, tmp_path):
         cfg = cs_config()
@@ -496,6 +562,14 @@ class TestSweep:
                "solver": {"kind": "pnp_fista"}}
         out = apply_sweep_value(cfg, "af", 4.0)
         assert out["operator"]["mask"]["count"] == 16
+
+    @pytest.mark.parametrize("shape,af", [([8, 8], 4.0), ([16, 16], 2.0), ([9, 12], 8.0)])
+    def test_apply_sweep_value_af_dft_keeps_n_over_af_measurements(self, shape, af):
+        # a DFT mask counts conjugate-pair representatives, each about two rows
+        cfg = {"problem": "mri", "operator": {"shape": shape, "transform": "dft",
+                                              "mask": {"kind": "lowpass", "count": 1}}}
+        op = experiments.make_operator("mri", apply_sweep_value(cfg, "af", af)["operator"])
+        assert abs(op.m_eff - op.n / af) <= 2
 
     def test_every_point_checked_before_any_runs(self, tmp_path):
         with pytest.raises(ConfigError, match="gamma"):
@@ -530,6 +604,22 @@ class TestSweep:
         rows = sweep(cs_config(), "gamma", [0.3, 1.0, 3.0], out_dir=str(tmp_path))
         assert [row["error"] for row in rows] == ["", "", ""]
         assert alive_at_start == [[], [False] * 3, [False] * 6]
+
+    def test_unshared_stage_freed_before_it_is_rebuilt(self, tmp_path, monkeypatch):
+        # a p sweep rebuilds the basis, and the last point's is garbage by then
+        bases, alive = [], []
+        real = experiments.qr_nullspace
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in bases])
+            bases.append(weakref.ref(basis := real(*args, **kwargs)))
+            return basis
+
+        monkeypatch.setattr(experiments, "qr_nullspace", tracked)
+        rows = sweep(cs_config(), "p", [4, 8, 12], out_dir=str(tmp_path))
+        assert [row["error"] for row in rows] == ["", "", ""]
+        assert alive == [[], [False], [False, False]]
 
     def test_sigma_blur_sweep(self, tmp_path):
         cfg = {
