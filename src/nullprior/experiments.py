@@ -67,6 +67,7 @@ from .operators import (
 )
 from .phantoms import generate, toy_plane_disk
 from .priors import (
+    ACTIVATIONS,
     OraclePrior,
     TwoLayerNet,
     realize_error,
@@ -74,6 +75,8 @@ from .priors import (
     train_mmse,
 )
 from .solvers import (
+    MOMENTA,
+    RESTARTS,
     SPARSITY_TRANSFORMS,
     SolverConfig,
     default_alpha,
@@ -211,6 +214,9 @@ def _resolve_config(cfg):
     prior = top["prior"] = resolve("prior", top["prior"])
     if prior["kind"] == "oracle":
         prior["error"] = resolve("error", prior["error"])
+    else:
+        _check_choice("net prior activation", prior["activation"], ACTIVATIONS)
+        _check_number("prior epochs", prior["epochs"], 1, int)
     basis = top["basis"] = resolve("basis", top["basis"], basis_method)
     if basis["method"] not in ("qr", basis_method):
         raise ConfigError(f"basis method {basis['method']!r} does not fit problem "
@@ -218,8 +224,12 @@ def _resolve_config(cfg):
     top["denoiser"] = resolve("denoiser", top["denoiser"])
     top["noise"] = resolve("noise", top["noise"])
     solver = top["solver"] = resolve("solver", top["solver"])
-    if float(solver["gamma"]) < 0:
-        raise ConfigError("solver.gamma must be nonnegative")
+    _check_choice("solver momentum", solver["momentum"], MOMENTA)
+    _check_choice("solver restart", solver["restart"], RESTARTS)
+    _check_number("solver gamma", solver["gamma"], 0)
+    _check_number("solver iters", solver["iters"], 1, int)
+    if solver["alpha"] != "auto":
+        _check_number("solver alpha", solver["alpha"], 0, strict=True)
     if solver["kind"] == "fista_sparsity":
         _check_choice("solver transform", solver["transform"], SPARSITY_TRANSFORMS)
     top["operator"] = _resolve_operator(top["problem"], top["operator"])
@@ -257,6 +267,16 @@ def _resolve_operator(problem, section):
 def _check_choice(what, value, choices):
     if value not in choices:
         raise ConfigError(f"unknown {what} {value!r} (choose from {choices})")
+
+
+def _check_number(what, value, low, cast=float, strict=False):
+    """ConfigError unless value, cast as its builder casts it, is >= low (> if strict)."""
+    try:
+        ok = cast(value) > low if strict else cast(value) >= low
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what} must be {'>' if strict else '>='} {low}, not {value!r}")
 
 
 def _seeds(seed, count):
@@ -425,7 +445,9 @@ def build_problem(cfg, seed=None, reuse=None):
     seed and the stages before it.  `reuse`, an earlier build (a sweep's
     previous point), lends its stages up to the first whose section or seed
     differs; it is then emptied, so what it does not share is freed before
-    the rest are rebuilt.  The result equals a build without it.
+    the rest are rebuilt, and takes this build's stages as each is made: a
+    failed build leaves the next the stages it finished.  The result equals
+    a build without it.
     """
     cfg = _resolve_config(cfg)
     problem = cfg["problem"]
@@ -458,9 +480,10 @@ def build_problem(cfg, seed=None, reuse=None):
         if stage in built and _same(built[stage][0], key):
             parts = built[stage][1]
         else:  # what the earlier build does not share is freed before this stage is made
-            built = {}
-            if reuse:
+            if built:
                 reuse.clear()
+                reuse["stages"] = pb["stages"]
+                built = {}
             parts = build()
         pb["stages"][stage] = (key, parts)
         pb.update(parts)

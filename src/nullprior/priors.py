@@ -6,7 +6,9 @@ quality), and a trainable two-layer network V phi(W y).  Training minimizes
 the mean-squared projection error, optionally augmented with an invertibility
 penalty on the stacked system ||x - A^+ A x||^2 and an orthogonality penalty
 ||A^T A - I||_F^2, where A stacks the sensing rows over the projection rows.
-Gradients are analytic; the optimizer is Adam.
+Gradients are analytic.  `train_mmse` and `train_joint` only form the
+measurements; one Adam loop, `_train`, does the rest and forms the targets
+xs @ S.T in one place.
 """
 
 import warnings
@@ -16,6 +18,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NullPriorError, TrainingDivergedError
 from .nullspace import NullSpaceBasis, _residuals, as_basis, pseudoinverse
+
+ACTIVATIONS = ("tanh", "relu")  # the hidden nonlinearities of `TwoLayerNet`
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +130,11 @@ class OraclePrior:
 # ---------------------------------------------------------------------------
 
 def _activation(name):
+    if name not in ACTIVATIONS:
+        raise NullPriorError(f"unknown activation {name!r} (choose from {ACTIVATIONS})")
     if name == "tanh":
         return np.tanh, lambda z: 1.0 - np.tanh(z) ** 2
-    if name == "relu":
-        return (lambda z: np.maximum(z, 0.0)), (lambda z: (z > 0).astype(float))
-    raise NullPriorError(f"unknown activation {name!r}")
+    return (lambda z: np.maximum(z, 0.0)), (lambda z: (z > 0).astype(float))
 
 
 class TwoLayerNet:
@@ -265,20 +269,86 @@ def _holdout_error(net, Y, targets):
     return float(np.mean(num[ok] / den[ok]))
 
 
-def _standardize(net, Y, normalize):
-    if normalize:
-        net.mu = Y.mean(axis=0)
-        sd = Y.std(axis=0)
-        net.sd = np.where(sd > 1e-12, sd, 1.0)
-    return (Y - net.mu) / net.sd
+def _check_loss(loss, epoch, lr):
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(f"loss became {loss} at epoch {epoch} (lr={lr})")
 
 
-def _split(xs, holdout_frac, seed):
-    n = xs.shape[0]
-    n_hold = int(round(holdout_frac * n))
+def _penalties(H, S, Xb, lam1, lam2, dS):
+    """Invertibility and gram losses of a batch (A^+ frozen); adds lam * grad to dS."""
+    A = np.vstack([H, S])
+    l1 = l2 = 0.0
+    if lam2 > 0:
+        E = A.T @ A - np.eye(A.shape[1])
+        l2 = float(np.sum(E ** 2))
+        dS += lam2 * 4.0 * S @ E
+    if lam1 > 0:
+        Adag = pseudoinverse(A)
+        Rx = Xb - (Xb @ A.T) @ Adag.T
+        l1 = float(np.mean(np.sum(Rx ** 2, axis=1)))
+        dA = -2.0 * Adag.T @ (Rx.T @ Xb) / Xb.shape[0]
+        dS += lam1 * dA[H.shape[0]:]
+    return l1, l2
+
+
+def _train(net, xs, Y, S, H=None, lam1=0.0, lam2=0.0, fit_weight=1.0, *, epochs, lr,
+           batch_size, seed, holdout_frac, normalize, noise_std):
+    """Fit net(Y) to xs @ S.T with Adam; S is trained too when lam1 or lam2 > 0.
+
+    Y holds the clean measurements of xs.  Fixed targets are formed once,
+    learned ones per batch.  History columns are epoch means, each batch
+    weighted by its size; the holdout error falls back to the training set.
+    """
+    if len(xs) == 0:
+        raise NullPriorError("dataset is empty")
+    if epochs < 1:
+        raise NullPriorError("epochs must be >= 1")
+    learn_S = lam1 > 0 or lam2 > 0
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    return order[n_hold:], order[:n_hold]
+    if noise_std > 0:
+        Y = Y + noise_std * rng.standard_normal(Y.shape)
+    T = xs @ S.T
+    hold_idx, train_idx = np.split(np.random.default_rng(seed).permutation(len(xs)),
+                                   [int(round(holdout_frac * len(xs)))])
+    Yn = Y[train_idx]
+    if normalize:  # standardize the inputs by the training set's statistics
+        sd = Yn.std(axis=0)
+        net.mu, net.sd = Yn.mean(axis=0), np.where(sd > 1e-12, sd, 1.0)
+    Yn = (Yn - net.mu) / net.sd
+
+    params = [net.W, net.V, S] if learn_S else [net.W, net.V]
+    opt = Adam(params, lr=lr)
+    history = []
+    nb = max(1, len(train_idx) // batch_size) if batch_size else 1
+    for epoch in range(epochs):
+        order = rng.permutation(len(train_idx)) if batch_size else np.arange(len(train_idx))
+        sums = np.zeros(3)  # fit, invertibility, gram, each times its batch size
+        for chunk in np.array_split(order, nb):
+            Yb, Xb = Yn[chunk], xs[train_idx[chunk]] if learn_S else None
+            fit, Z, Hh, R = _net_forward(net, Yb, Xb @ S.T if learn_S else T[train_idx[chunk]])
+            _check_loss(fit, epoch, lr)
+            grads = list(_net_backward(net, Yb, Z, Hh, R))
+            if learn_S:
+                # fit residual also drives S: d mean||G - Sx||^2 / dS = -2/N R^T X
+                grads.append(-2.0 * R.T @ Xb / Xb.shape[0])
+            if fit_weight != 1.0:
+                for g in grads:
+                    g *= fit_weight
+                fit *= fit_weight
+            l1, l2 = _penalties(H, S, Xb, lam1, lam2, grads[2]) if learn_S else (0.0, 0.0)
+            _check_loss(fit + lam1 * l1 + lam2 * l2, epoch, lr)
+            opt.step(params, grads)
+            sums += np.array((fit, l1, l2)) * len(chunk)
+        fit, l1, l2 = (float(v) for v in sums / len(train_idx))
+        if epoch % max(1, epochs // 50) == 0 or epoch == epochs - 1:
+            if learn_S:  # S moved: form the targets again
+                T = xs @ S.T
+            hold = (_holdout_error(net, Y[hold_idx], T[hold_idx])
+                    if len(hold_idx) else np.nan)
+            history.append((epoch, fit, l1, l2, hold))
+    idx = hold_idx if len(hold_idx) else train_idx
+    return TrainReport(fit + lam1 * l1 + lam2 * l2, fit, l1, l2, epochs,
+                       _holdout_error(net, Y[idx], T[idx]), history)
 
 
 def train_mmse(net, xs, operator, basis, epochs=200, lr=1e-3, batch_size=None,
@@ -290,44 +360,13 @@ def train_mmse(net, xs, operator, basis, epochs=200, lr=1e-3, batch_size=None,
     TrainReport with the held-out relative projection error.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.shape[0] == 0:
-        raise NullPriorError("dataset is empty")
     # targets come from the dense S (n <= 4096) even for an operator-backed
     # basis: Adam amplifies last-bit changes in the targets over many steps
     S = as_basis(basis).matrix
     Y = np.array([operator.forward(x) for x in xs])
-    rng = np.random.default_rng(seed)
-    if noise_std > 0:
-        Y = Y + noise_std * rng.standard_normal(Y.shape)
-    T = xs @ S.T
-    train_idx, hold_idx = _split(xs, holdout_frac, seed)
-    Yn = _standardize(net, Y[train_idx], normalize)
-    Tn = T[train_idx]
-
-    if epochs < 1:
-        raise NullPriorError("epochs must be >= 1")
-    opt = Adam([net.W, net.V], lr=lr)
-    history = []
-    epoch_loss = np.nan
-    nb = max(1, len(train_idx) // batch_size) if batch_size else 1
-    for epoch in range(epochs):
-        order = rng.permutation(len(train_idx)) if batch_size else np.arange(len(train_idx))
-        epoch_loss = 0.0
-        for chunk in np.array_split(order, nb):
-            loss, *pieces = _net_forward(net, Yn[chunk], Tn[chunk])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"loss became {loss} at epoch {epoch} (lr={lr})")
-            opt.step([net.W, net.V], _net_backward(net, Yn[chunk], *pieces))
-            epoch_loss += loss * len(chunk)
-        epoch_loss /= len(train_idx)
-        if epoch % max(1, epochs // 50) == 0 or epoch == epochs - 1:
-            hold = (_holdout_error(net, Y[hold_idx], T[hold_idx])
-                    if len(hold_idx) else np.nan)
-            history.append((epoch, epoch_loss, 0.0, 0.0, hold))
-    holdout = (_holdout_error(net, Y[hold_idx], T[hold_idx])
-               if len(hold_idx) else _holdout_error(net, Y[train_idx], Tn))
-    return TrainReport(epoch_loss, epoch_loss, 0.0, 0.0, epochs, holdout, history)
+    return _train(net, xs, Y, S, epochs=epochs, lr=lr, batch_size=batch_size,
+                  seed=seed, holdout_frac=holdout_frac, normalize=normalize,
+                  noise_std=noise_std)
 
 
 def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
@@ -336,87 +375,22 @@ def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
     """Jointly optimize the network and the projection matrix.
 
     Adds lam1 * mean ||x - A^+ A x||^2 (A^+ frozen per step) and
-    lam2 * ||A^T A - I||_F^2 to the fit loss, with A = [H; S].  With
-    lam1 = lam2 = 0 the projection matrix is held fixed and this reduces to
-    train_mmse.  Returns (net, learned basis, report).
+    lam2 * ||A^T A - I||_F^2 to fit_weight times the fit loss, with
+    A = [H; S] and measurements xs @ H.T.  With lam1 = lam2 = 0 the
+    projection matrix is held fixed.  Returns (net, learned basis, report).
     """
     if lam1 < 0 or lam2 < 0:
         raise NullPriorError("penalty weights must be nonnegative")
     H = np.asarray(H_dense, dtype=float)
     S = np.array(as_basis(S_init).matrix, dtype=float)
     m, n = H.shape
-    p = S.shape[0]
     if S.shape[1] != n:
         raise DimensionMismatchError("S and H must share the signal dimension")
-    if lam2 > 0 and m + p > n:
+    if lam2 > 0 and m + S.shape[0] > n:
         warnings.warn("m + p > n: exact orthonormality of [H; S] is unreachable",
                       RuntimeWarning)
-
-    if lam1 == 0.0 and lam2 == 0.0:
-        from .operators import DenseOperator
-        basis = S_init if isinstance(S_init, NullSpaceBasis) else \
-            NullSpaceBasis(S, "learned", *_residuals(S, H_dense=H))
-        report = train_mmse(net, xs, DenseOperator(H), basis, epochs=epochs,
-                            lr=lr, batch_size=batch_size, seed=seed,
-                            holdout_frac=holdout_frac, normalize=normalize,
-                            noise_std=noise_std)
-        return net, basis, report
-
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    rng = np.random.default_rng(seed)
-    Y = xs @ H.T
-    if noise_std > 0:
-        Y = Y + noise_std * rng.standard_normal(Y.shape)
-    train_idx, hold_idx = _split(xs, holdout_frac, seed)
-    Yn = _standardize(net, Y[train_idx], normalize)
-    Xt = xs[train_idx]
-
-    opt = Adam([net.W, net.V, S], lr=lr)
-    history = []
-    fit = l1 = l2 = 0.0
-    nb = max(1, len(train_idx) // batch_size) if batch_size else 1
-    for epoch in range(epochs):
-        order = rng.permutation(len(train_idx)) if batch_size else np.arange(len(train_idx))
-        for chunk in np.array_split(order, nb):
-            Yb, Xb = Yn[chunk], Xt[chunk]
-            Tb = Xb @ S.T
-            fit, Z, Hh, R = _net_forward(net, Yb, Tb)
-            if not np.isfinite(fit):
-                raise TrainingDivergedError(
-                    f"loss became {fit} at epoch {epoch} (lr={lr})")
-            dW, dV = _net_backward(net, Yb, Z, Hh, R)
-            # fit residual also drives S: d mean||G - Sx||^2 / dS = -2/N R^T X
-            dS = -2.0 * R.T @ Xb / Xb.shape[0]
-            dW *= fit_weight
-            dV *= fit_weight
-            dS *= fit_weight
-            fit *= fit_weight
-
-            A = np.vstack([H, S])
-            l1 = l2 = 0.0
-            if lam2 > 0:
-                E = A.T @ A - np.eye(n)
-                l2 = float(np.sum(E ** 2))
-                dS += lam2 * 4.0 * S @ E
-            if lam1 > 0:
-                Adag = pseudoinverse(A)  # frozen within the step
-                Rx = Xb - (Xb @ A.T) @ Adag.T
-                l1 = float(np.mean(np.sum(Rx ** 2, axis=1)))
-                dA = -2.0 * Adag.T @ (Rx.T @ Xb) / Xb.shape[0]
-                dS += lam1 * dA[m:]
-            total = fit + lam1 * l1 + lam2 * l2
-            if not np.isfinite(total):
-                raise TrainingDivergedError(
-                    f"loss became {total} at epoch {epoch} (lr={lr})")
-            opt.step([net.W, net.V, S], [dW, dV, dS])
-        if epoch % max(1, epochs // 50) == 0 or epoch == epochs - 1:
-            hold = (_holdout_error(net, Y[hold_idx], xs[hold_idx] @ S.T)
-                    if len(hold_idx) else np.nan)
-            history.append((epoch, fit, l1, l2, hold))
-
-    basis = NullSpaceBasis(S, "learned", *_residuals(S, H_dense=H))
-    holdout = (_holdout_error(net, Y[hold_idx], xs[hold_idx] @ S.T)
-               if len(hold_idx) else np.nan)
-    report = TrainReport(fit + lam1 * l1 + lam2 * l2, fit, l1, l2, epochs,
-                         holdout, history)
-    return net, basis, report
+    report = _train(net, xs, xs @ H.T, S, H, lam1, lam2, fit_weight, epochs=epochs, lr=lr,
+                    batch_size=batch_size, seed=seed, holdout_frac=holdout_frac,
+                    normalize=normalize, noise_std=noise_std)
+    return net, NullSpaceBasis(S, "learned", *_residuals(S, H_dense=H)), report

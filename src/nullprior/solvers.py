@@ -48,6 +48,8 @@ from .nullspace import as_basis
 
 DIVERGENCE_GUARD = 1e12
 SPARSITY_TRANSFORMS = ("dct", "identity")  # the domains of `solve_fista_sparsity`
+MOMENTA = ("fista", "none")  # FISTA, or plain proximal gradient
+RESTARTS = ("none", "fista-momentum")  # no restart, or adaptive restart
 
 
 @dataclass
@@ -75,9 +77,9 @@ class SolverConfig:
             raise NullPriorError("gamma must be nonnegative")
         if self.iters < 1:
             raise NullPriorError("iters must be >= 1")
-        if self.momentum not in ("fista", "none"):
+        if self.momentum not in MOMENTA:
             raise ConfigError(f"unknown momentum {self.momentum!r}")
-        if self.restart not in ("none", "fista-momentum"):
+        if self.restart not in RESTARTS:
             raise ConfigError(f"unknown restart {self.restart!r}")
 
 

@@ -148,6 +148,11 @@ CONFIG_MISTAKES = {
         OPERATORS["sr"], anchor="corner")),
     "sparsity-solver-unknown-transform": theory_config(
         solver={"kind": "fista_sparsity", "transform": "wavelet"}),
+    "solver-iters-zero": theory_config(solver={"kind": "pnp_fista", "iters": 0}),
+    "solver-alpha-negative": theory_config(solver={"kind": "pnp_fista", "alpha": -1}),
+    "solver-alpha-not-a-number": theory_config(solver={"kind": "pnp_fista", "alpha": "fast"}),
+    "prior-unknown-activation": cs_config(prior={"kind": "net", "activation": "softplus"}),
+    "prior-epochs-zero": cs_config(prior={"kind": "net", "lambda2": 0.1, "epochs": 0}),
     "toy3d-unknown-key": {"problem": "toy3d", "toy3d": {"epochs": 10, "foo": 1}},
     "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
 }
@@ -522,6 +527,21 @@ class TestSweep:
         run(apply_sweep_value(cfg, "p", 6), out_dir=str(tmp_path / "alone"))
         assert _files(tmp_path / "point_002") == _files(tmp_path / "alone")
 
+    def test_failed_point_leaves_its_finished_stages(self, tmp_path, monkeypatch):
+        # p = 4000 fails in the basis stage, after the operator, signal and
+        # measurement stages it shares; the p = 6 point takes them from it
+        calls = []
+        real = experiments.make_operator
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "make_operator", spy)
+        rows = sweep(cs_config(), "p", [4, 4000, 6], out_dir=str(tmp_path))
+        assert [row["error"] == "" for row in rows] == [True, False, True]
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("param,grid,cfg", SWEEP_CASES.values(), ids=list(SWEEP_CASES))
     def test_points_match_standalone_runs(self, param, grid, cfg, tmp_path):
         sweep(cfg, param, grid, out_dir=str(tmp_path / "sw"), seed=5)
@@ -792,7 +812,7 @@ class TestCli:
     @pytest.mark.parametrize("command,case", [
         *(pytest.param("run", case, id=case) for case in sorted(CONFIG_MISTAKES)),
         *(pytest.param("sweep", case, id=f"sweep-{case}") for case in sorted(CONFIG_MISTAKES)
-          if "operator-" in case or case.startswith(("mask-", "kernel-")))])
+          if "operator-" in case or case.startswith(("mask-", "kernel-", "solver-", "prior-")))])
     def test_config_mistake_exit_three(self, command, case, tmp_path, capsys):
         cfg = CONFIG_MISTAKES[case]
         args = ["--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "o")]

@@ -1,11 +1,14 @@
 """Prior maps: oracle error models, analytic gradients, MMSE and joint training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from nullprior import priors
 from nullprior.errors import NullPriorError, TrainingDivergedError
-from nullprior.nullspace import NullSpaceBasis, qr_nullspace
-from nullprior.operators import DenseOperator
+from nullprior.nullspace import NullSpaceBasis, qr_nullspace, toeplitz_complement
+from nullprior.operators import CirculantConvOperator, DenseOperator, gaussian_kernel
 from nullprior.priors import (
     Adam,
     GaussianError,
@@ -217,6 +220,132 @@ class TestTrainJoint:
         first_quarter = np.mean(gram_series[: len(gram_series) // 4])
         last_quarter = np.mean(gram_series[-len(gram_series) // 4:])
         assert last_quarter <= first_quarter + 1e-9
+
+
+def _digest(*values):
+    h = hashlib.sha256()
+    for v in values:
+        h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _trained_dense_full_batch():
+    rng = np.random.default_rng(21)
+    H = rng.standard_normal((5, 12))
+    basis = qr_nullspace(H, p=4, seed=21)
+    xs = rng.standard_normal((40, 12))
+    net = TwoLayerNet(5, 4, hidden=8, seed=22)
+    report = train_mmse(net, xs, DenseOperator(H), basis, epochs=60, lr=1e-2, seed=23,
+                        noise_std=0.05)
+    return _digest(net.W, net.V, net.mu, net.sd, report.history,
+                   report.holdout_projection_error)
+
+
+def _trained_blur_mini_batch():
+    op = CirculantConvOperator((8, 8), gaussian_kernel(1.0, 2, 2))
+    basis = toeplitz_complement(op)
+    xs = np.random.default_rng(24).standard_normal((50, 64))
+    net = TwoLayerNet(op.m_eff, basis.p, hidden=8, seed=25)
+    report = train_mmse(net, xs, op, basis, epochs=12, lr=3e-3, batch_size=8, seed=26)
+    return _digest(net.W, net.V, net.mu, net.sd, report.history,
+                   report.holdout_projection_error)
+
+
+def _trained_joint_full_batch():
+    rng = np.random.default_rng(31)
+    H = rng.standard_normal((4, 12)) / np.sqrt(12)
+    S0 = rng.standard_normal((5, 12)) / np.sqrt(12)
+    xs = rng.standard_normal((30, 12))
+    net = TwoLayerNet(4, 5, hidden=8, seed=32)
+    _, basis, _ = train_joint(net, S0, xs, H, lam1=0.05, lam2=0.1, epochs=40, lr=5e-3,
+                              seed=33)
+    return _digest(net.W, net.V, basis.matrix)
+
+
+class TestOneTrainingLoop:
+    """`train_mmse` and `train_joint` share one Adam loop.
+
+    The digests were taken when each function had a loop of its own, on
+    numpy 2.4.6 with its bundled OpenBLAS: the fixed-S path does the same
+    arithmetic step for step, and full-batch penalized training learns the
+    same W, V and S.  Another BLAS build may move the last bits.
+    """
+
+    @pytest.mark.parametrize("train,digest", [
+        (_trained_dense_full_batch,
+         "c659837d8be7f06744b22cfd2d53a7b4dbbdd93cab08b024ad6e32c27a085176"),
+        (_trained_blur_mini_batch,
+         "d48760b31918dd5428acdbe599eb5e3be78950d18ec52f56dd95adc83a58e97a"),
+        (_trained_joint_full_batch,
+         "71c94b28061ca5b57b09e4cb74a16b350362001223a2d02d52ac4b4a945c1044"),
+    ], ids=["mmse-dense-full-batch", "mmse-blur-mini-batch", "joint-full-batch"])
+    def test_golden_digest(self, train, digest):
+        assert train() == digest
+
+    def test_zero_penalties_honour_fit_weight(self):
+        # with no fit term and no penalty nothing drives W or V
+        H, basis = small_basis(15)
+        xs = np.random.default_rng(16).standard_normal((30, 10))
+        net = TwoLayerNet(4, 3, hidden=8, seed=17)
+        W, V = net.W.copy(), net.V.copy()
+        train_joint(net, basis, xs, H, epochs=20, lr=1e-2, seed=18, fit_weight=0.0)
+        np.testing.assert_array_equal(net.W, W)
+        np.testing.assert_array_equal(net.V, V)
+
+    def test_mini_batch_history_is_the_epoch_mean(self, monkeypatch):
+        # 26 signals in batches of 8 make three batches of 9, 9 and 8 rows,
+        # so the weights matter
+        fits, penalties = [], []
+        real_forward, real_penalties = priors._net_forward, priors._penalties
+
+        def forward(net, Y, targets):
+            out = real_forward(net, Y, targets)
+            fits.append((out[0], Y.shape[0]))
+            return out
+
+        def penalties_spy(H, S, Xb, lam1, lam2, dS):
+            out = real_penalties(H, S, Xb, lam1, lam2, dS)
+            penalties.append(out)
+            return out
+
+        monkeypatch.setattr(priors, "_net_forward", forward)
+        monkeypatch.setattr(priors, "_penalties", penalties_spy)
+        rng = np.random.default_rng(19)
+        H = rng.standard_normal((4, 12)) / np.sqrt(12)
+        S0 = rng.standard_normal((5, 12)) / np.sqrt(12)
+        xs = rng.standard_normal((26, 12))
+        net = TwoLayerNet(4, 5, hidden=8, seed=20)
+        _, _, report = train_joint(net, S0, xs, H, lam1=0.05, lam2=0.1, epochs=2,
+                                   lr=5e-3, batch_size=8, seed=21, holdout_frac=0.0)
+        sizes = [size for _, size in fits]
+        assert sizes == [9, 9, 8, 9, 9, 8]
+        for epoch, row in enumerate(report.history):
+            batches = slice(3 * epoch, 3 * epoch + 3)
+            for column, losses in ((1, [fit for fit, _ in fits[batches]]),
+                                   (2, [l1 for l1, _ in penalties[batches]]),
+                                   (3, [l2 for _, l2 in penalties[batches]])):
+                mean = sum(loss * size for loss, size in zip(losses, sizes[batches])) / 26
+                assert row[column] == pytest.approx(mean, rel=1e-14)
+            assert len({round(fit, 12) for fit, _ in fits[batches]}) == 3
+
+    def test_no_holdout_reports_the_training_error(self):
+        rng = np.random.default_rng(22)
+        H = rng.standard_normal((4, 12)) / np.sqrt(12)
+        S0 = rng.standard_normal((5, 12)) / np.sqrt(12)
+        xs = rng.standard_normal((20, 12))
+        net = TwoLayerNet(4, 5, hidden=8, seed=23)
+        _, basis, report = train_joint(net, S0, xs, H, lam2=0.1, epochs=5, lr=5e-3,
+                                       seed=24, holdout_frac=0.0)
+        expected = priors._holdout_error(net, xs @ H.T, xs @ basis.matrix.T)
+        assert report.holdout_projection_error == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lam2", [0.0, 0.1])
+    def test_zero_epochs_rejected(self, lam2):
+        H, basis = small_basis(25)
+        xs = np.random.default_rng(26).standard_normal((10, 10))
+        with pytest.raises(NullPriorError, match="epochs"):
+            train_joint(TwoLayerNet(4, 3, hidden=4, seed=0), basis, xs, H, lam2=lam2,
+                        epochs=0)
 
 
 class TestSubspacePlacement:
