@@ -22,8 +22,6 @@ with the first as the primary.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dsyrk
 
 from .errors import NullPriorError
 from .nullspace import as_basis
@@ -231,6 +229,10 @@ def gram_lower(A, weight=1.0, out=None, beta=0.0):
     returned.  The upper triangle is not written, so read the result with
     `lower_eigvalsh`.
     """
+    # imported here: only dense pairs need it, and loading scipy.linalg adds
+    # about 6 MB to the peak memory of every process that imports nullprior
+    from scipy.linalg.blas import dsyrk
+
     # A' of a C-ordered A is Fortran-ordered, so BLAS reads it uncopied
     At = np.asarray(A, dtype=float).T
     if out is None:
@@ -244,6 +246,8 @@ def lower_eigvalsh(M):
     LAPACK syevd, the routine `np.linalg.eigvalsh` calls, run on M itself:
     M is overwritten, and no copy is made when M is Fortran-ordered.
     """
+    import scipy.linalg  # imported here, as in `gram_lower`
+
     return scipy.linalg.eigvalsh(M, lower=True, overwrite_a=True,
                                  check_finite=False, driver="evd")
 

@@ -217,6 +217,14 @@ def _resolve_config(cfg):
     else:
         _check_choice("net prior activation", prior["activation"], ACTIVATIONS)
         _check_number("prior epochs", prior["epochs"], 1, int)
+        _check_number("prior lambda1", prior["lambda1"], 0)
+        _check_number("prior lambda2", prior["lambda2"], 0)
+        _check_number("prior train_count", prior["train_count"], 1, int)
+        _check_number("prior holdout", prior["holdout"], 0)
+        count = int(prior["train_count"])
+        if round(float(prior["holdout"]) * count) >= count:  # `priors._train`'s split
+            raise ConfigError(f"prior holdout {prior['holdout']!r} leaves none of the "
+                              f"{count} training signals to train on")
     basis = top["basis"] = resolve("basis", top["basis"], basis_method)
     if basis["method"] not in ("qr", basis_method):
         raise ConfigError(f"basis method {basis['method']!r} does not fit problem "

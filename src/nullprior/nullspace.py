@@ -19,7 +19,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -27,10 +26,8 @@ from .errors import (
     InfeasibleDimensionError,
     NullPriorError,
     RankDeficientError,
-    SizeCapError,
 )
 from .operators import (
-    DENSE_CAP,
     CirculantConvOperator,
     DecimatedConvOperator,
     DenseOperator,
@@ -39,6 +36,7 @@ from .operators import (
     RadonOperator,
     ScaledOperator,
     _as_flat,
+    _check_dense_cap,
     all_representatives,
 )
 
@@ -210,10 +208,13 @@ def qr_nullspace(H_dense, p, seed=0):
     a seeded Gaussian matrix, orthonormalized by a second QR, selects the
     subspace.  Requires rank(H) = m and p <= n - m.
     """
+    # imported here: only dense bases need it, and loading scipy.linalg adds
+    # about 6 MB to the peak memory of every process that imports nullprior
+    import scipy.linalg
+
     H = np.asarray(H_dense, dtype=float)
     m, n = H.shape
-    if n > DENSE_CAP:
-        raise SizeCapError(f"n={n} exceeds dense cap {DENSE_CAP}")
+    _check_dense_cap(n)
     svals = np.linalg.svd(H, compute_uv=False)
     rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
     if rank < m:
@@ -288,8 +289,10 @@ def radon_complement(op, full_angles):
     """Radon rows at the angles of `full_angles` that the Radon operator op lacks.
 
     An approximate complement; its residuals come from the dense rows and op.
+    The dense cap is checked before the missing-angle operator is built.
     """
     radon = _unscaled(op, RadonOperator, "radon_complement")
+    _check_dense_cap(radon.n)
     full = [float(a) for a in full_angles]
     acq = set(radon.angles_deg)
     if not acq <= set(full):

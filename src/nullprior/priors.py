@@ -207,17 +207,21 @@ def _net_backward(net, Y, Z, Hh, R):
 class Adam:
     """Standard Adam updates over a list of parameter arrays.
 
-    The moments are updated in place and the step goes through two work
-    buffers per parameter, so a step allocates no arrays; the result is bit
-    for bit that of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    p -= lr mhat / (sqrt(vhat) + eps).
+    The moments are updated in place and the step goes through two flat work
+    buffers shared by all parameters, each as large as the largest one and
+    viewed in each parameter's shape, so a step allocates no arrays; the
+    result is bit for bit that of m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g^2, p -= lr mhat / (sqrt(vhat) + eps).
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self._work = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        size = max(p.size for p in params)
+        a, b = np.empty(size), np.empty(size)
+        self._work = [(a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
+                      for p in params]
         self.t = 0
 
     def step(self, params, grads):
@@ -296,20 +300,26 @@ def _train(net, xs, Y, S, H=None, lam1=0.0, lam2=0.0, fit_weight=1.0, *, epochs,
     """Fit net(Y) to xs @ S.T with Adam; S is trained too when lam1 or lam2 > 0.
 
     Y holds the clean measurements of xs.  Fixed targets are formed once,
-    learned ones per batch.  History columns are epoch means, each batch
-    weighted by its size; the holdout error falls back to the training set.
+    and S is dropped then, so the Adam loop holds no p x n array (the
+    caller keeps no name for S); learned targets are formed per batch.
+    History columns are epoch means, each batch weighted by its size; the
+    holdout error falls back to the training set.
     """
     if len(xs) == 0:
         raise NullPriorError("dataset is empty")
     if epochs < 1:
         raise NullPriorError("epochs must be >= 1")
+    hold_idx, train_idx = np.split(np.random.default_rng(seed).permutation(len(xs)),
+                                   [int(round(holdout_frac * len(xs)))])
+    if len(train_idx) == 0:
+        raise NullPriorError(f"holdout_frac={holdout_frac} leaves no signal to train on")
     learn_S = lam1 > 0 or lam2 > 0
     rng = np.random.default_rng(seed)
     if noise_std > 0:
         Y = Y + noise_std * rng.standard_normal(Y.shape)
     T = xs @ S.T
-    hold_idx, train_idx = np.split(np.random.default_rng(seed).permutation(len(xs)),
-                                   [int(round(holdout_frac * len(xs)))])
+    if not learn_S:
+        del S
     Yn = Y[train_idx]
     if normalize:  # standardize the inputs by the training set's statistics
         sd = Yn.std(axis=0)
@@ -360,13 +370,15 @@ def train_mmse(net, xs, operator, basis, epochs=200, lr=1e-3, batch_size=None,
     TrainReport with the held-out relative projection error.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    Y = np.empty((len(xs), operator.m_eff))
+    for i, x in enumerate(xs):
+        Y[i] = operator.forward(x)
     # targets come from the dense S (n <= 4096) even for an operator-backed
-    # basis: Adam amplifies last-bit changes in the targets over many steps
-    S = as_basis(basis).matrix
-    Y = np.array([operator.forward(x) for x in xs])
-    return _train(net, xs, Y, S, epochs=epochs, lr=lr, batch_size=batch_size,
-                  seed=seed, holdout_frac=holdout_frac, normalize=normalize,
-                  noise_std=noise_std)
+    # basis: Adam amplifies last-bit changes in the targets over many steps.
+    # S is passed unnamed, so `_train` can free it once the targets exist
+    return _train(net, xs, Y, as_basis(basis).matrix, epochs=epochs, lr=lr,
+                  batch_size=batch_size, seed=seed, holdout_frac=holdout_frac,
+                  normalize=normalize, noise_std=noise_std)
 
 
 def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,

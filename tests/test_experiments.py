@@ -153,6 +153,16 @@ CONFIG_MISTAKES = {
     "solver-alpha-not-a-number": theory_config(solver={"kind": "pnp_fista", "alpha": "fast"}),
     "prior-unknown-activation": cs_config(prior={"kind": "net", "activation": "softplus"}),
     "prior-epochs-zero": cs_config(prior={"kind": "net", "lambda2": 0.1, "epochs": 0}),
+    # a negative penalty weight trained as 0 (lambda1 alone) or failed late
+    "prior-lambda1-negative": cs_config(prior={"kind": "net", "lambda1": -0.1}),
+    "prior-lambda2-negative": cs_config(prior={"kind": "net", "lambda1": 0.1,
+                                               "lambda2": -0.1}),
+    # a holdout of the whole set left training nothing and diverged to nan
+    "prior-holdout-whole-set": cs_config(prior={"kind": "net", "holdout": 1.0}),
+    "prior-holdout-rounds-to-whole-set": cs_config(prior={"kind": "net", "holdout": 0.99,
+                                                          "train_count": 20}),
+    "prior-holdout-negative": cs_config(prior={"kind": "net", "holdout": -0.2}),
+    "prior-train-count-zero": cs_config(prior={"kind": "net", "train_count": 0}),
     "toy3d-unknown-key": {"problem": "toy3d", "toy3d": {"epochs": 10, "foo": 1}},
     "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
 }

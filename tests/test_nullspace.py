@@ -164,6 +164,18 @@ class TestRadonComplement:
         with pytest.raises(EmptyComplementError):
             radon_complement(RadonOperator(8, [0.0]), [0.0])
 
+    def test_cap_checked_before_the_missing_angles_are_built(self, monkeypatch):
+        # past the cap the missing-angle operator was built (865 MB RSS at
+        # side 256) before its densification raised
+        op = RadonOperator(65, [0.0])  # n = 4225 > 4096
+
+        def build(*args):
+            raise AssertionError("built the missing-angle operator")
+
+        monkeypatch.setattr(RadonOperator, "__init__", build)
+        with pytest.raises(SizeCapError, match="dense cap"):
+            radon_complement(op, [0.0, 45.0, 90.0, 135.0])
+
     def test_acquired_angles_must_be_in_full_set(self):
         with pytest.raises(NullPriorError, match="subset"):
             radon_complement(RadonOperator(8, [0.0, 30.0]), [0.0, 90.0])

@@ -1,6 +1,7 @@
 """Prior maps: oracle error models, analytic gradients, MMSE and joint training."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,42 @@ class TestOneTrainingLoop:
         assert report.holdout_projection_error == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("lam2", [0.0, 0.1])
+    def test_holdout_of_the_whole_set_rejected(self, lam2):
+        # an empty training split used to diverge to nan in the first epoch
+        H, basis = small_basis(27)
+        xs = np.random.default_rng(28).standard_normal((10, 10))
+        net = TwoLayerNet(4, 3, hidden=4, seed=0)
+        with pytest.raises(NullPriorError, match="no signal to train on"):
+            train_joint(net, basis, xs, H, lam2=lam2, epochs=2, holdout_frac=1.0)
+        with pytest.raises(NullPriorError, match="no signal to train on"):
+            train_mmse(net, xs, DenseOperator(H), basis, epochs=2, holdout_frac=0.96)
+
+    def test_adam_loop_holds_no_dense_s(self, monkeypatch):
+        # a 32 x 32 Toeplitz basis densifies to an 8 MB S for the targets;
+        # the loop reads only the targets, so S is freed before it starts
+        op = CirculantConvOperator((32, 32), gaussian_kernel(1.5, 4, 2))
+        basis = toeplitz_complement(op)
+        xs = np.random.default_rng(29).standard_normal((20, op.n))
+        net = TwoLayerNet(op.m_eff, basis.p, hidden=8, seed=30)
+        held = []
+        real_step = priors.Adam.step
+
+        def step(self, params, grads):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+            return real_step(self, params, grads)
+
+        monkeypatch.setattr(priors.Adam, "step", step)
+        tracemalloc.start()
+        try:
+            train_mmse(net, xs, op, basis, epochs=1, seed=31)
+        finally:
+            tracemalloc.stop()
+        dense_s = basis.p * basis.n * 8
+        assert dense_s > 8e6
+        assert held[0] < dense_s, (held[0], dense_s)
+
+    @pytest.mark.parametrize("lam2", [0.0, 0.1])
     def test_zero_epochs_rejected(self, lam2):
         H, basis = small_basis(25)
         xs = np.random.default_rng(26).standard_normal((10, 10))
@@ -444,8 +481,9 @@ def test_holdout_error_batched_matches_per_sample():
 
 
 def test_adam_step_matches_allocating_formula():
+    # the parameters share work buffers sized to the largest, (5, 3)
     rng = np.random.default_rng(6)
-    params = [rng.standard_normal((5, 3)), rng.standard_normal(4)]
+    params = [rng.standard_normal(4), rng.standard_normal((5, 3)), rng.standard_normal(())]
     ref = [p.copy() for p in params]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]

@@ -88,6 +88,15 @@ def _dense_alpha(op, basis=None, gamma=0.0):
     return 0.9 / np.linalg.eigvalsh(P)[-1]
 
 
+def _run_fresh(code):
+    """Run `code` in a new interpreter that imports this checkout's nullprior."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 class TestDefaultAlpha:
     def test_clustered_top_past_cap_exact(self):
         # top eigenvalues 1 and 0.9998^2 past the dense cap, where 300
@@ -173,11 +182,39 @@ class TestDefaultAlpha:
             loaded = [m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules]
             assert not loaded, loaded
         """)
-        src = os.path.dirname(os.path.dirname(solvers.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
+        _run_fresh(code)
+
+    def test_structured_pairs_leave_dense_linalg_unloaded(self):
+        # only dense pairs (QR bases, Radon, CS, learned) import scipy.linalg:
+        # loading it adds about 6 MB to the peak memory of an MRI or blur run
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import nullprior as npr
+            assert "scipy.linalg" not in sys.modules
+            mri = npr.MaskedFrequencyOperator(
+                (16, 16), npr.lowpass_mask((16, 16), 64, "dct"), "dct")
+            kernel = npr.operators.gaussian_kernel(1.5, radius=3, ndim=2)
+            blur = npr.CirculantConvOperator((16, 16), kernel, "center")
+            for op, basis in ((mri, npr.fourier_complement(mri)),
+                              (blur, npr.toeplitz_complement(blur))):
+                alpha = npr.default_alpha(op, basis, gamma=0.5)
+                npr.compute_rho(0.0, alpha, op, basis, 0.5, 0.0)
+            xs = np.random.default_rng(0).standard_normal((20, blur.n))
+            net = npr.TwoLayerNet(blur.m_eff, blur.n, hidden=4, seed=1)
+            npr.train_mmse(net, xs, blur, npr.toeplitz_complement(blur), epochs=2)
+            assert "scipy.linalg" not in sys.modules
+            # the dense pairs import it when they need it
+            H = np.random.default_rng(2).standard_normal((6, 16))
+            qr = npr.DenseOperator(H)
+            npr.compute_rho(0.0, 0.1, qr, npr.qr_nullspace(H, 4, seed=3), 0.5, 0.0)
+            ct = npr.RadonOperator(8, [0.0, 45.0])
+            basis = npr.radon_complement(ct, [0.0, 45.0, 90.0, 135.0])
+            rho = npr.compute_rho(0.0, 0.01, ct, basis, 0.5, 0.0)
+            assert np.isfinite(rho.rho) and rho.s_spectral_norm > 0
+            assert "scipy.linalg" in sys.modules
+        """)
+        _run_fresh(code)
 
     def test_zero_operator_rejected(self):
         with pytest.raises(NullPriorError, match="operator is zero"):
