@@ -15,9 +15,10 @@ an unknown kind or key, or a missing required key, raises ConfigError, and
 a key given as null takes its default.  `build_problem` then builds one
 chain of stages (operator, signal, measurement, basis, prior, denoiser,
 solver), each from its section, its seed and the stages before it, so a
-sweep point rebuilds only from the first stage its value changes.  Every
-run is deterministic for a fixed (config, seed) pair, and identical runs
-produce byte-identical CSV files.
+sweep point rebuilds only from the first stage its value changes, and
+solves its baseline only when the baseline reads something the last
+point's did not.  Every run is deterministic for a fixed (config, seed)
+pair, and identical runs produce byte-identical CSV files.
 """
 
 import os
@@ -92,6 +93,9 @@ CS_DISTS = ("gaussian", "binary")  # the entries of a cs operator's random matri
 
 _SOLVERS = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista,
             "pnp_admm": solve_pnp_admm, "fista_sparsity": solve_fista_sparsity}
+# the kinds whose iteration steps by alpha; pnp_admm's x-update is a CG solve
+# of H'H + gamma S'S + rho I, so its alpha feeds only the theory report
+_STEPPED_KINDS = ("pnp_fista", "red_fista", "fista_sparsity")
 
 # marks a key that has no default; a default of None means no value, which
 # the builders read as "from the operator or the seed" where one is needed
@@ -100,7 +104,9 @@ REQUIRED = object()
 _COMPONENTS = {"seed": 0, "output": None, "signal": None, "operator": REQUIRED,
                "basis": None, "prior": None, "denoiser": None,
                "solver": REQUIRED, "noise": None}
-# every solver reads SolverConfig's fields; x_star is the run's own signal
+# every solver kind takes SolverConfig's fields but reads only some: the
+# _STEPPED_KINDS read alpha, momentum and restart, pnp_admm rho and the cg_
+# keys, red_fista and fista_sparsity lam; x_star is the run's own signal
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.name != "x_star"}
 _SOLVER_DEFAULTS.update(alpha="auto", transform="dct")
 
@@ -241,7 +247,24 @@ def _resolve_config(cfg):
     if solver["kind"] == "fista_sparsity":
         _check_choice("solver transform", solver["transform"], SPARSITY_TRANSFORMS)
     top["operator"] = _resolve_operator(top["problem"], top["operator"])
+    # a qr or radon basis and joint training hold dense matrices of n columns:
+    # past the cap they are refused before anything is built
+    dense = {"a qr basis": basis["method"] == "qr", "a radon basis": basis["method"] == "radon",
+             "joint training": prior["kind"] == "net" and (float(prior["lambda1"]) > 0
+                                                           or float(prior["lambda2"]) > 0)}
+    for what, needed in dense.items():
+        if needed and (n := _signal_length(top["problem"], top["operator"])) > DENSE_CAP:
+            raise ConfigError(f"{what} needs n <= {DENSE_CAP}, not n = {n}")
     return top
+
+
+def _signal_length(problem, op):
+    """n of the operator a resolved operator section builds."""
+    if problem == "cs":
+        return int(op["n"])
+    if problem == "ct":
+        return int(op["side"]) ** 2
+    return int(np.prod(op["shape"]))
 
 
 def _resolve_operator(problem, section):
@@ -364,8 +387,6 @@ def _build_signal(spec, op, seed):
 def _build_basis(basis_cfg, op_cfg, op, seed):
     method, scale = basis_cfg["method"], float(basis_cfg["scale"])
     if method == "qr":
-        if op.n > DENSE_CAP:
-            raise ConfigError("qr basis needs n <= 4096")
         p = op.n - op.m_eff if basis_cfg["p"] is None else int(basis_cfg["p"])
         basis = qr_nullspace(op.to_dense(), p, seed=seed)
     elif method == "radon":
@@ -405,8 +426,6 @@ def _build_prior(prior_cfg, signal_cfg, op, basis, x_star, seed):
                 "noise_std": float(prior_cfg["noise_std"])}
     lam1, lam2 = float(prior_cfg["lambda1"]), float(prior_cfg["lambda2"])
     if lam1 > 0 or lam2 > 0:
-        if op.n > DENSE_CAP:
-            raise ConfigError("joint training needs n <= 4096")
         net, basis, report = train_joint(net, basis, xs, op.to_dense(), lam1, lam2,
                                          **training)
     else:
@@ -606,18 +625,45 @@ def write_summary_csv(path, rows, fields=SUMMARY_FIELDS):
             fh.write(",".join(_format_cell(row.get(f)) for f in fields) + "\n")
 
 
+def _baseline_key(pb):
+    """What the baseline solve of `pb` reads.
+
+    Every stage through the denoiser, the solver section but gamma and
+    alpha, and the resolved step for the kinds that step by it: the baseline
+    is the penalized solve's config at gamma = 0, step included.
+    """
+    *stages, section = pb["stages"]["solver"][0]
+    section = {k: v for k, v in section.items() if k not in ("gamma", "alpha")}
+    step = pb["solver_config"].alpha if pb["solver_kind"] in _STEPPED_KINDS else None
+    return tuple(stages), section, step
+
+
 def run(cfg, out_dir=None, seed=None, reuse=None):
     """Paired baseline / penalized solve; writes traces, theory report, summary.
 
     `reuse` is an earlier problem the build may take stages from
-    (`build_problem`); the result holds this run's under "problem".
+    (`build_problem`), and its baseline solve, kept under "baseline" with
+    what it read (`_baseline_key`): a point that reads the same takes it
+    unsolved.  In a gamma sweep that is every point of a pnp_admm solver,
+    which never reads its step, and for the stepped kinds each point whose
+    step equals the last one's (with an exact complement, every gamma up to
+    lambda_max(H'H) when alpha is auto).  The result holds this run's
+    problem, its baseline included, under "problem".
     """
+    held = reuse.pop("baseline", None) if reuse else None  # build_problem empties reuse
     pb = build_problem(cfg, seed=seed, reuse=reuse)
     out_dir = resolve_output_dir(cfg, out_dir)
     x_star, config_npn = pb["x_star"], pb["solver_config"]
-    x_base, tr_base = _solve(pb["solver_kind"], pb["op"], pb["y"], pb["denoiser"],
-                             replace(config_npn, gamma=0.0), pb["basis"], pb["prior_fn"],
-                             pb["transform"])
+    key = _baseline_key(pb)
+    if held is None or not _same(held[0], key):
+        held = None  # freed before the new baseline is solved
+        held = key, _solve(pb["solver_kind"], pb["op"], pb["y"], pb["denoiser"],
+                           replace(config_npn, gamma=0.0), pb["basis"], pb["prior_fn"],
+                           pb["transform"])
+    pb["baseline"] = held
+    if reuse is not None:  # a point that fails from here on passes it on
+        reuse["baseline"] = held
+    x_base, tr_base = held[1]
     x_npn, tr_npn, cloud = _penalized_solve(pb)
 
     err_norm = pb["error_norm_fn"](pb["y"])
@@ -702,7 +748,9 @@ def sweep(cfg, param, grid, out_dir=None, seed=None):
     that does not apply raises ConfigError and writes nothing.  Points run
     one after another, in grid order, and each keeps the stages of the last
     built problem that its value leaves unchanged (`build_problem`): a
-    gamma sweep trains a net prior once.  Threads were slower on the
+    gamma sweep trains a net prior once.  It also keeps the last baseline
+    solve, which a point takes when it reads the same (`run`): a gamma
+    sweep of pnp_admm solves its baseline once.  Threads were slower on the
     limited-angle CT sweep: the points contend for the interpreter lock and
     for the cores BLAS already uses.
     """

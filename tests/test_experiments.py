@@ -4,6 +4,7 @@ import gc
 import os
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,12 @@ CONFIG_MISTAKES = {
                                                           "train_count": 20}),
     "prior-holdout-negative": cs_config(prior={"kind": "net", "holdout": -0.2}),
     "prior-train-count-zero": cs_config(prior={"kind": "net", "train_count": 0}),
+    # dense matrices of n columns past the cap: refused before the operator is built
+    "basis-radon-past-cap": _replace(CT, operator={"side": 65, "full_angles": 12,
+                                                   "acquired": 4}),
+    "basis-qr-past-cap": cs_config(operator={"n": 4097, "m": 8}),
+    "prior-joint-training-past-cap": theory_config(
+        operator=dict(MRI_OPERATOR, shape=[65, 65]), prior={"kind": "net", "lambda1": 0.1}),
     "toy3d-unknown-key": {"problem": "toy3d", "toy3d": {"epochs": 10, "foo": 1}},
     "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
 }
@@ -213,6 +220,21 @@ class TestValidation:
         cfg["solver"]["gamma"] = -1
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("case", ["basis-radon-past-cap", "basis-qr-past-cap",
+                                      "prior-joint-training-past-cap"])
+    def test_dense_cap_checked_before_any_build(self, case, tmp_path, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the operator was built")
+
+        monkeypatch.setattr(experiments, "make_operator", built)
+        with pytest.raises(ConfigError, match="needs n <= 4096, not n = 4"):
+            run(CONFIG_MISTAKES[case], out_dir=str(tmp_path))
+        # one size smaller is at the cap, and the config is valid
+        at_cap = dict(CONFIG_MISTAKES[case])
+        at_cap["operator"] = {key: {"side": 64, "n": 4096, "shape": [64, 64]}.get(key, value)
+                              for key, value in at_cap["operator"].items()}
+        validate_config(at_cap)
 
     @pytest.mark.parametrize("problem", sorted(OPERATORS))
     def test_basis_method_must_fit_problem(self, problem):
@@ -506,9 +528,18 @@ NET_BLUR = {
     "solver": {"kind": "pnp_fista", "gamma": 0.1, "iters": 15},
     "noise": {"snr_db": 20.0},
 }
+ADMM_CT = _replace(CT, prior={"kind": "oracle", "error": {"kind": "gaussian", "eps": 1e-3}},
+                   denoiser={"kind": "tv", "weight": 0.05, "iters": 5},
+                   solver={"kind": "pnp_admm", "gamma": 1.0, "iters": 10},
+                   noise={"snr_db": 20.0})
 # (param, grid, config) of a sweep over each parameter
 SWEEP_CASES = {
     "gamma-net": ("gamma", [0.1, 1.0], NET_BLUR),
+    # every point takes the first's baseline
+    "gamma-admm": ("gamma", [0.3, 3.0], ADMM_CT),
+    # lambda_max(H'H) = 2.02: the second point takes the first's baseline,
+    # whose step the third's no longer is
+    "gamma-fista-step": ("gamma", [0.3, 1.0, 30.0], cs_config()),
     "eps": ("eps", [1e-3, 1e-1], cs_config()),
     "p": ("p", [4, 12], cs_config()),
     "af": ("af", [2.0, 4.0], theory_config(operator=dict(
@@ -560,11 +591,17 @@ class TestSweep:
             run(apply_sweep_value(cfg, param, value), out_dir=str(alone), seed=5)
             assert _files(tmp_path / "sw" / f"point_{i:03d}") == _files(alone)
 
+    # `_solve` runs a point's penalized solve and, unless the point takes the
+    # last one's, its baseline: pnp_admm never reads its step, and the cs
+    # config's auto step moves once gamma passes lambda_max(H'H) = 2.02
     @pytest.mark.parametrize("param,grid,cfg,builder,builds", [
         ("gamma", [0.03, 0.1, 0.3], NET_BLUR, "train_mmse", 1),
         ("p", [4, 8, 12], cs_config(), "make_operator", 1),
         ("eps", [1e-3, 1e-2, 1e-1], cs_config(), "qr_nullspace", 1),
-    ], ids=["gamma-trains-once", "p-one-operator", "eps-one-basis"])
+        ("gamma", [0.3, 1.0, 3.0], ADMM_CT, "_solve", 3 + 1),
+        ("gamma", [0.3, 1.0, 3.0], cs_config(), "_solve", 3 + 2),
+    ], ids=["gamma-trains-once", "p-one-operator", "eps-one-basis",
+            "gamma-admm-one-baseline", "gamma-fista-baseline-per-step"])
     def test_points_rebuild_from_the_stage_they_change(self, param, grid, cfg, builder,
                                                        builds, tmp_path, monkeypatch):
         calls = []
@@ -617,23 +654,44 @@ class TestSweep:
         assert not list(tmp_path.glob("sw/point_*"))
 
     def test_finished_point_freed_before_next_runs(self, tmp_path, monkeypatch):
-        # a sweep keeps each point's summary row only: its traces (and what
-        # they could reach) are garbage before the next point starts
-        finished = []
+        # a sweep keeps each point's summary row and the last baseline solve
+        # only: a point's penalized trace and theory report (and what they
+        # could reach) are garbage before the next point starts, and so is
+        # every baseline trace but the last; the grid solves three
+        # baselines, the second point taking the first's (steps 0.45, 0.45,
+        # 0.3, 0.03)
+        finished, baselines = [], []
         alive_at_start = []
 
         def tracked_run(*args, **kwargs):
             gc.collect()
-            alive_at_start.append([ref() is not None for ref in finished])
+            alive_at_start.append(([ref() is not None for ref in finished],
+                                   len({id(ref()) for ref in baselines if ref() is not None})))
             result = run(*args, **kwargs)
-            finished.extend(weakref.ref(result[key])
-                            for key in ("trace_baseline", "trace_npn", "theory"))
+            finished.extend(weakref.ref(result[key]) for key in ("trace_npn", "theory"))
+            baselines.append(weakref.ref(result["trace_baseline"]))
             return result
 
         monkeypatch.setattr(experiments, "run", tracked_run)
-        rows = sweep(cs_config(), "gamma", [0.3, 1.0, 3.0], out_dir=str(tmp_path))
-        assert [row["error"] for row in rows] == ["", "", ""]
-        assert alive_at_start == [[], [False] * 3, [False] * 6]
+        rows = sweep(cs_config(), "gamma", [0.3, 1.0, 3.0, 30.0], out_dir=str(tmp_path))
+        assert [row["error"] for row in rows] == [""] * 4
+        assert alive_at_start == [([], 0), ([False] * 2, 1), ([False] * 4, 1), ([False] * 6, 1)]
+
+    @pytest.mark.parametrize("kind", sorted(experiments._SOLVERS))
+    def test_only_stepped_kinds_read_alpha(self, kind):
+        # the baseline key leaves alpha out for the other kinds, so a kind
+        # that starts reading it must join _STEPPED_KINDS
+        pb = build_problem(cs_config(solver={"kind": kind, "gamma": 0.5, "iters": 10,
+                                             "lam": 0.01}))
+        solves = [experiments._solve(kind, pb["op"], pb["y"], pb["denoiser"],
+                                     replace(pb["solver_config"], alpha=alpha), pb["basis"],
+                                     pb["prior_fn"], pb["transform"])
+                  for alpha in (0.2, 0.3)]
+        (x_a, trace_a), (x_b, trace_b) = solves
+        same = all(np.array_equal(a, b) for a, b in [
+            (x_a, x_b), (trace_a.err_sq, trace_b.err_sq), (trace_a.phi, trace_b.phi),
+            (trace_a.data_res_sq, trace_b.data_res_sq)])
+        assert same == (kind not in experiments._STEPPED_KINDS)
 
     def test_unshared_stage_freed_before_it_is_rebuilt(self, tmp_path, monkeypatch):
         # a p sweep rebuilds the basis, and the last point's is garbage by then
@@ -822,7 +880,8 @@ class TestCli:
     @pytest.mark.parametrize("command,case", [
         *(pytest.param("run", case, id=case) for case in sorted(CONFIG_MISTAKES)),
         *(pytest.param("sweep", case, id=f"sweep-{case}") for case in sorted(CONFIG_MISTAKES)
-          if "operator-" in case or case.startswith(("mask-", "kernel-", "solver-", "prior-")))])
+          if "operator-" in case
+          or case.startswith(("mask-", "kernel-", "solver-", "prior-", "basis-")))])
     def test_config_mistake_exit_three(self, command, case, tmp_path, capsys):
         cfg = CONFIG_MISTAKES[case]
         args = ["--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "o")]
