@@ -9,8 +9,9 @@ rate and `lambda_max` the largest eigenvalue behind the default step.
 Where the operator and basis share a transform (masked DCT/DFT with its
 Fourier complement, blur and SR with their complements, scaled or not),
 both read it from `normal_spectrum` (one FFT or one batched block
-`eigvalsh`).  Every other pair takes the norms from a dense n x n P, and
-lambda_max from residuals or Lanczos.  The restricted-isometry constants Delta
+`eigvalsh`).  Every other pair takes ||I - alpha P|| from a dense n x n P,
+||S|| from the basis (`NullSpaceBasis.norm_sq`, measured once per basis),
+and lambda_max from residuals or Lanczos.  The restricted-isometry constants Delta
 are measured on a supplied sample cloud, the denoiser expansion delta on
 sample pairs; `CloudConstants` measures both on a solve's iterates while it
 runs, so no iterate is stored.  The improvement zone is the set of
@@ -314,6 +315,19 @@ def _diagonal_gram(op):
     return None
 
 
+def norm_sq(op):
+    """||A||^2, the largest eigenvalue of A'A, for an operator A.
+
+    max d of a diagonal A'A (`_diagonal_gram`), else the top syevd
+    eigenvalue of one dense n x n A'A (n <= 4096), clipped at 0.
+    """
+    gram = _diagonal_gram(op)
+    if gram is not None:
+        return float(np.max(gram[1]))
+    A = op.matrix if isinstance(op, DenseOperator) else op.to_dense()
+    return float(max(lower_eigvalsh(gram_lower(A))[-1], 0.0))
+
+
 def _alias_spectrum(op, scale_sq, s_term):
     """Eigenvalues of scale_sq H'H + diag(s_term) for a decimated convolution H."""
     f, shape = op.factor, op.shape_in
@@ -382,20 +396,24 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
     """Contraction rate of the penalized gradient map, unsquared-norm form.
 
     The penalty weights S by sqrt(gamma): the rate takes ||I - alpha P|| with
-    P = H'H + gamma S'S and ||sqrt(gamma) S||; a squared-norm variant is
-    returned alongside.  `basis` may be a plain matrix.  With a structural
-    spectrum (`normal_spectrum`) both norms are exact, max |1 - alpha lambda|
-    and sqrt(gamma max d_S), and no n x n array is formed.  Any other pair
-    (n <= 4096) reads them from symmetric eigenvalues of one n x n buffer:
-    P = gamma S'S + H'H by BLAS syrk (a dense operator's matrix read
-    uncopied), shifted in place to I - alpha P for LAPACK's syevd, then
-    refilled with gamma S'S: beyond the dense H and S, 8 n^2 bytes.
+    P = H'H + gamma S'S and ||sqrt(gamma) S|| = sqrt(gamma ||S||^2); a
+    squared-norm variant is returned alongside.  `basis` may be a plain
+    matrix.  ||S||^2 is the basis's own `norm_sq`, measured on its first
+    read and kept with the basis, so the points of a sweep that share a
+    basis measure it once.  With a structural spectrum (`normal_spectrum`)
+    both norms are exact, max |1 - alpha lambda| and sqrt(gamma max d_S),
+    and no n x n array is formed.  Any other pair (n <= 4096) reads
+    ||I - alpha P|| from symmetric eigenvalues of one n x n buffer: P =
+    gamma S'S + H'H by BLAS syrk (a dense operator's matrix read uncopied),
+    shifted in place to I - alpha P for LAPACK's syevd.  A first read of
+    ||S||^2 fills and frees its own n x n S'S before that buffer is made,
+    so beyond the dense H and S one n x n buffer (8 n^2 bytes) is held.
     """
     basis = as_basis(basis)
+    s_norm = float(np.sqrt(gamma * basis.norm_sq))
     eig = normal_spectrum(op, basis, gamma)
     if eig is not None:
         op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
-        s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
     else:
         S = basis.matrix
         H = op.matrix if isinstance(op, DenseOperator) else op.to_dense()
@@ -404,8 +422,6 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
         M.flat[::op.n + 1] += 1.0
         eig = lower_eigvalsh(M)
         op_norm = float(max(abs(eig[0]), abs(eig[-1])))
-        gram_lower(S, gamma, M)
-        s_norm = float(np.sqrt(max(lower_eigvalsh(M)[-1], 0.0)))
     rho = (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm)
     rho_sq = (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2)
     return RhoEstimate(rho, rho_sq, op_norm, s_norm)

@@ -582,13 +582,12 @@ def _theory_report(pb, trace, cloud):
         certified = False
         notes.append("ground truth is not a fixed point of the denoiser")
     est = compute_rho(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
-    K_eff = 0.0 if np.isnan(K) else K
-    C1, C2 = decay_constants(config.alpha, K_eff, ric_s, ric_h, xn)
-    C1v, C2v = decay_constants_statement_variant(config.alpha, K_eff, ric_s,
-                                                 ric_h, xn)
+    # a trained prior's K is unknown (nan), and so are the C1 that read it
+    C1, C2 = decay_constants(config.alpha, K, ric_s, ric_h, xn)
+    C1v, C2v = decay_constants_statement_variant(config.alpha, K, ric_s, ric_h, xn)
     ciz = detect_ciz(trace.proj_err_sq, err_norm)
     ciz_rip = detect_ciz_rip_variant(trace.err_sq, ric_s, err_norm)
-    return TheoryReport(delta_hat, ric_s, ric_h, K_eff, err_norm, est.rho,
+    return TheoryReport(delta_hat, ric_s, ric_h, K, err_norm, est.rho,
                         est.rho_squared_form, est.gradient_op_norm,
                         est.s_spectral_norm, C1, C2, C1v, C2v, config.alpha,
                         config.gamma, xn, ciz, ciz_rip, certified, notes)

@@ -11,12 +11,17 @@ round trip and forms no p x n array.  QR complements (of a dense H),
 learned bases and Radon complements hold a dense matrix.  The Radon and
 convolution rows are not exactly in Null(H), so their orthogonality
 residuals are recorded rather than forced to zero: in closed form over the
-FFT bins for the convolutions, from the dense rows for Radon.  `.matrix`
-densifies an operator-backed basis on request, within the dense cap.
+FFT bins for the convolutions, from the dense rows for Radon.  Residuals
+that need no more than the basis and a matrix-free operator (Fourier and
+Radon complements) are measured the first time either is read; QR and
+learned bases measure theirs from the dense H at build, so that nothing
+keeps H alive.  `.matrix` densifies an operator-backed basis on request,
+within the dense cap.
 """
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,11 +55,15 @@ _PROBE_BLOCK = 16  # probes per transform round trip
 _RESIDUAL_ROWS = 128  # rows of a dense basis per residual block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NullSpaceBasis:
     """Projection rows S (p x n) as a linear operator, with provenance and residuals.
 
-    A plain matrix passed as `operator` is wrapped in a DenseOperator.
+    A plain matrix passed as `operator` is wrapped in a DenseOperator.  The
+    residuals are given as numbers, or as `measure`, a function returning
+    both that runs the first time either is read and is then dropped: a
+    run that never reads them never measures them.  Equality and repr read
+    them like any field.
     """
 
     operator: LinearOperator
@@ -62,9 +71,40 @@ class NullSpaceBasis:
     ortho_to_H_residual: float
     row_gram_residual: float
 
-    def __post_init__(self):
-        if not isinstance(self.operator, LinearOperator):
-            object.__setattr__(self, "operator", DenseOperator(self.operator))
+    def __init__(self, operator, method, ortho_to_H_residual=None, row_gram_residual=None,
+                 *, measure=None):
+        if measure is None and (ortho_to_H_residual is None or row_gram_residual is None):
+            raise TypeError("NullSpaceBasis needs both residuals or a measure")
+        if not isinstance(operator, LinearOperator):
+            operator = DenseOperator(operator)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "_measure", measure)
+        if measure is None:
+            object.__setattr__(self, "ortho_to_H_residual", ortho_to_H_residual)
+            object.__setattr__(self, "row_gram_residual", row_gram_residual)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the residuals
+        # of a basis given `measure`, until their first read
+        measure = self.__dict__.get("_measure")
+        if measure is None or name not in ("ortho_to_H_residual", "row_gram_residual"):
+            raise AttributeError(name)
+        ortho, gram = measure()
+        object.__setattr__(self, "ortho_to_H_residual", ortho)
+        object.__setattr__(self, "row_gram_residual", gram)
+        object.__setattr__(self, "_measure", None)
+        return self.__dict__[name]
+
+    @cached_property
+    def norm_sq(self):
+        """||S||^2, the largest eigenvalue of S'S, measured on first read.
+
+        Exact from a diagonal S'S (a Fourier, Toeplitz or SR complement),
+        else from one dense n x n S'S (n <= 4096): `diagnostics.norm_sq`.
+        """
+        from . import diagnostics  # imported here: diagnostics imports this module
+        return diagnostics.norm_sq(self.operator)
 
     @property
     def p(self):
@@ -242,7 +282,9 @@ def fourier_complement(op):
     are probabilistic upper bounds measured through the operators from
     128 seeded Gaussian probes, without forming S: each holds with
     probability >= 1 - 1e-6, both together with probability >= 1 - 2e-6
-    (`_frequency_residuals`).
+    (`_frequency_residuals`).  They are measured the first time either is
+    read, which no run, sweep or theory check does: the pair's spectrum
+    gives lambda_max and rho without them.
     """
     base = _unscaled(op, MaskedFrequencyOperator, "fourier_complement")
     pool = range(base.n) if base.transform == "dct" else all_representatives(base.shape_in)
@@ -250,8 +292,8 @@ def fourier_complement(op):
     if not missing:
         raise EmptyComplementError("mask keeps every frequency")
     S_op = MaskedFrequencyOperator(base.shape_in, missing, base.transform)
-    ortho, gram = _frequency_residuals(S_op, base)
-    return NullSpaceBasis(S_op, "fourier-complement", ortho, gram)
+    return NullSpaceBasis(S_op, "fourier-complement",
+                          measure=lambda: _frequency_residuals(S_op, base))
 
 
 def _frequency_residuals(S_op, H_op):
@@ -288,8 +330,10 @@ def _frequency_residuals(S_op, H_op):
 def radon_complement(op, full_angles):
     """Radon rows at the angles of `full_angles` that the Radon operator op lacks.
 
-    An approximate complement; its residuals come from the dense rows and op.
-    The dense cap is checked before the missing-angle operator is built.
+    An approximate complement; its residuals come from the dense rows and op,
+    measured the first time either is read (`lambda_max` reads them when
+    alpha is auto).  The dense cap is checked before the missing-angle
+    operator is built.
     """
     radon = _unscaled(op, RadonOperator, "radon_complement")
     _check_dense_cap(radon.n)
@@ -301,8 +345,7 @@ def radon_complement(op, full_angles):
     if not missing:
         raise EmptyComplementError("all angles acquired")
     S = RadonOperator(radon.side, missing).to_dense()
-    ortho, gram = _residuals(S, op=radon)
-    return NullSpaceBasis(S, "radon-complement", ortho, gram)
+    return NullSpaceBasis(S, "radon-complement", measure=lambda: _residuals(S, op=radon))
 
 
 def _complement_circulant(H, conv, method):

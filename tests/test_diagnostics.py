@@ -325,6 +325,14 @@ def _old_dense_rho(delta, alpha, H, S, ric_s, gamma):
     return _rho_fields(delta, op_norm, s_norm, ric_s)
 
 
+def _dense_formula_rho(delta, alpha, H, S, ric_s, gamma):
+    # the dense-matrix rate with ||S||^2 from S'S rather than gamma S'S:
+    # the basis measures it once, whatever gamma
+    fields = _old_dense_rho(delta, alpha, H, S, ric_s, gamma)
+    s_norm = float(np.sqrt(gamma * max(lower_eigvalsh(gram_lower(S))[-1], 0.0)))
+    return _rho_fields(delta, fields["gradient_op_norm"], s_norm, ric_s)
+
+
 def _old_spectral_rho(delta, alpha, op, basis, gamma, ric_s):
     # the structural-spectrum rate before compute_rho chose its path itself
     eig = normal_spectrum(op, basis, gamma)
@@ -671,8 +679,14 @@ class TestNormalSpectrum:
         op, basis, alpha = pb["op"], pb["basis"], pb["solver_config"].alpha
         assert normal_spectrum(op, basis, 1.0) is None
         for gamma in (0.5, 3.0):
-            assert vars(compute_rho(0.1, alpha, op, basis, gamma, 0.2)) == \
-                _old_dense_rho(0.1, alpha, op.to_dense(), basis.matrix, 0.2, gamma)
+            rho = vars(compute_rho(0.1, alpha, op, basis, gamma, 0.2))
+            assert rho == _dense_formula_rho(0.1, alpha, op.to_dense(), basis.matrix,
+                                             0.2, gamma)
+            # taking gamma out of the eigenvalue problem moves only rounding
+            old = _old_dense_rho(0.1, alpha, op.to_dense(), basis.matrix, 0.2, gamma)
+            assert rho["gradient_op_norm"] == old["gradient_op_norm"]
+            for field, value in old.items():
+                assert rho[field] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 class TestPenaltyDecayBound:

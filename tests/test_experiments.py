@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nullprior import experiments
+from nullprior import diagnostics, experiments, nullspace
 from nullprior.cli import main as cli_main
 from nullprior.denoisers import denoise, estimate_delta
 from nullprior.diagnostics import CloudConstants, iterate_cloud_pairs
@@ -411,6 +411,18 @@ class TestRun:
         history = (tmp_path / "training_history.csv").read_text().splitlines()
         assert history[0] == "epoch,fit,invertibility,gram,holdout_error"
 
+    def test_net_prior_theory_states_no_k(self, tmp_path):
+        # a trained prior declares no Lipschitz constant: K and the C1 that
+        # read it are unknown, C2 does not read K
+        run(NET_BLUR, out_dir=str(tmp_path))
+        lines = (tmp_path / "theory.txt").read_text().splitlines()
+        report = dict(line.split(" = ", 1) for line in lines if not line.startswith("note"))
+        assert [report[k] for k in ("K", "C1", "C1_statement_variant")] == ["nan"] * 3
+        assert np.isfinite(float(report["C2"]))
+        assert np.isfinite(float(report["C2_statement_variant"]))
+        assert report["certified"] == "False"
+        assert "note = no declared Lipschitz constant for a trained prior" in lines
+
     def test_toy3d_rejected_by_run(self):
         with pytest.raises(ConfigError, match="toy3d"):
             run({"problem": "toy3d"}, out_dir="/tmp/never")
@@ -726,6 +738,51 @@ class TestSweep:
         rows = sweep(cfg, "sigma_blur", [1.0, 3.0], out_dir=str(tmp_path))
         assert all(r["error"] == "" for r in rows)
         assert all(r["improvement_db"] > 0 for r in rows)
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+def _counting(monkeypatch, module, name):
+    """Calls of module.name, counted into the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestMeasuredOnFirstRead:
+    def test_mri_runs_measure_no_residuals(self, tmp_path, monkeypatch):
+        # the masked-Fourier pair's spectrum gives the step and rho, so no
+        # build, run or sweep point reads the probe bounds
+        calls = _counting(monkeypatch, nullspace, "_frequency_residuals")
+        cfg = experiments.load_config(BENCH_CONFIGS / "mri-dct-64.yaml")
+        pb = build_problem(cfg, seed=4)
+        run(cfg, out_dir=str(tmp_path / "run"), seed=4)
+        rows = sweep(cfg, "gamma", [1.0, 3.0, 1.0], out_dir=str(tmp_path / "sw"), seed=4)
+        assert [row["error"] for row in rows] == [""] * 3
+        assert calls == []
+        basis = pb["basis"]
+        ortho = basis.ortho_to_H_residual
+        assert len(calls) == 1
+        gram = basis.row_gram_residual
+        assert len(calls) == 1
+        assert (ortho, gram) == nullspace._frequency_residuals(basis.operator, pb["op"])
+
+    def test_ct_sweep_measures_radon_residuals_and_norm_once(self, tmp_path, monkeypatch):
+        # both gamma points keep the basis stage: the auto step's Weyl test
+        # reads the residuals and rho reads ||S||^2, each measured once
+        residuals = _counting(monkeypatch, nullspace, "_residuals")
+        norms = _counting(monkeypatch, diagnostics, "norm_sq")
+        cfg = experiments.load_config(BENCH_CONFIGS / "ct-admm-sweep.yaml")
+        rows = sweep(cfg, "gamma", [0.3, 3.0], out_dir=str(tmp_path), seed=4)
+        assert [row["error"] for row in rows] == ["", ""]
+        assert (len(residuals), len(norms)) == (1, 1)
 
 
 class TestTheoryCheck:

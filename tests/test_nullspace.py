@@ -143,6 +143,22 @@ class TestRadonComplement:
         basis = radon_complement(RadonOperator(8, full[:60]), full)
         assert basis.p == 120 * 8
 
+    def test_residuals_measured_on_first_read(self, monkeypatch):
+        calls = []
+        real = nullspace._residuals
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nullspace, "_residuals", spy)
+        op = RadonOperator(8, [0.0, 45.0])
+        basis = radon_complement(op, [0.0, 45.0, 90.0, 135.0])
+        assert calls == []
+        residuals = (basis.ortho_to_H_residual, basis.row_gram_residual)
+        assert residuals == real(basis.matrix, op=op)
+        assert len(calls) == 1
+
     def test_residual_reported_nonzero(self):
         basis = radon_complement(RadonOperator(8, [0.0]), [0.0, 90.0])
         assert basis.ortho_to_H_residual > 0.0
@@ -525,6 +541,7 @@ class TestFourierComplementOperator:
         monkeypatch.setattr(MaskedFrequencyOperator, "_spectrum", spy)
         basis = fourier_complement(op)
         assert basis.p == op.n - count  # 48 and 3072
+        basis.row_gram_residual  # the residuals are measured on first read
         assert calls == [(16, basis.n)] * 8
 
     @pytest.mark.parametrize("transform", ["dct", "dft"])
@@ -543,6 +560,33 @@ class TestFourierComplementOperator:
         a, b = fourier_complement(op), fourier_complement(op)
         assert (a.ortho_to_H_residual, a.row_gram_residual) == \
             (b.ortho_to_H_residual, b.row_gram_residual)
+
+    def test_residuals_measured_once_on_first_read(self, monkeypatch):
+        op = MaskedFrequencyOperator((16, 16), lowpass_mask((16, 16), 64), "dct")
+        calls = []
+        real = nullspace._frequency_residuals
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(nullspace, "_frequency_residuals", spy)
+        basis = fourier_complement(op)
+        assert calls == []
+        residuals = (basis.ortho_to_H_residual, basis.row_gram_residual)
+        assert len(calls) == 1
+        assert residuals == real(basis.operator, op)
+
+    def test_lazy_basis_reads_like_a_measured_one(self):
+        op, _, _ = complement_case((8, 8), "dct", 0.3)
+        lazy = fourier_complement(op)
+        measured = NullSpaceBasis(lazy.operator, lazy.method,
+                                  *nullspace._frequency_residuals(lazy.operator, op.base))
+        assert repr(lazy) == repr(measured)
+        assert lazy == measured
+        assert same_bits(lazy.scaled(0.5).matrix, measured.scaled(0.5).matrix)
+        with pytest.raises(AttributeError):
+            lazy.no_such_attribute
 
     def test_past_dense_cap_applies_without_densifying(self):
         op = MaskedFrequencyOperator((65, 64), lowpass_mask((65, 64), 1000), "dct")
@@ -684,6 +728,18 @@ class TestDenseBackedBases:
         c = rng.standard_normal(basis.p)
         assert basis.project(x).tobytes() == (basis.matrix @ x).tobytes()
         assert basis.backproject(c).tobytes() == (basis.matrix.T @ c).tobytes()
+
+    def test_residuals_or_a_measure_required(self):
+        with pytest.raises(TypeError, match="residuals"):
+            NullSpaceBasis(np.eye(2), "given", 0.0)
+
+    @pytest.mark.parametrize("kind", ["blur", "sr", "radon", "qr"])
+    def test_norm_sq_is_the_top_eigenvalue_of_the_gram(self, kind):
+        _, basis = fallback_case(kind)
+        S = basis.matrix
+        assert basis.norm_sq == pytest.approx(np.linalg.eigvalsh(S.T @ S)[-1],
+                                              rel=1e-12, abs=1e-15)
+        assert "norm_sq" in vars(basis)  # kept for the next read
 
     def test_plain_matrix_is_wrapped(self):
         S = np.arange(6.0).reshape(2, 3)
