@@ -360,6 +360,14 @@ def lambda_max(op, basis=None, gamma=0.0):
     + gamma ||S S' - I||_F by 1e-13 lambda_max: the step at gamma <=
     lambda_max(H'H) is then the step at gamma = 0 bit for bit.  `basis` may
     be a plain matrix, whose residuals are nan.
+
+    Reading the residuals may measure them, so one probe rules the test out
+    first: for a fixed u, ||S H'u|| / ||u|| <= ||S H'||_2 <= ||S H'||_F, so
+    when 2 sqrt(gamma) times that ratio exceeds twice the threshold (the
+    factor covers rounding in either figure) the test cannot pass and
+    lambda_max is the Lanczos value, with no residual read.  An approximate
+    complement (Radon) fails by orders of magnitude; an exact one (QR)
+    gives a ratio at rounding level and goes on to its residuals.
     """
     basis = None if basis is None else as_basis(basis)
     eig = normal_spectrum(op, basis, gamma)
@@ -369,6 +377,10 @@ def lambda_max(op, basis=None, gamma=0.0):
         return _lanczos_max(op.n, lambda v: op.adjoint(op.forward(v)))
     pair = basis.pair(op)
     lam = _lanczos_max(op.n, lambda v: pair.adjoint(*pair.forward(v), gamma))
+    u = np.random.default_rng(1992).standard_normal(op.m_eff)
+    lower = np.linalg.norm(basis.project(op.adjoint(u))) / np.linalg.norm(u)
+    if 2.0 * np.sqrt(gamma) * lower > 2e-13 * lam:
+        return lam
     weyl = (2.0 * np.sqrt(gamma) * basis.ortho_to_H_residual
             + gamma * basis.row_gram_residual)
     if weyl <= 1e-13 * lam:

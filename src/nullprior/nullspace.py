@@ -331,9 +331,11 @@ def radon_complement(op, full_angles):
     """Radon rows at the angles of `full_angles` that the Radon operator op lacks.
 
     An approximate complement; its residuals come from the dense rows and op,
-    measured the first time either is read (`lambda_max` reads them when
-    alpha is auto).  The dense cap is checked before the missing-angle
-    operator is built.
+    measured the first time either is read.  `save_basis`, `inspect-basis`
+    and `scaled()` read them; `lambda_max` rules its Weyl test out with one
+    probe first and does not.  The dense cap is checked before the
+    missing-angle operator is built, and that operator is only densified,
+    so it never builds the transpose an adjoint would need.
     """
     radon = _unscaled(op, RadonOperator, "radon_complement")
     _check_dense_cap(radon.n)

@@ -14,6 +14,7 @@ All operators are immutable after construction; forward/adjoint are pure.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -373,7 +374,9 @@ class RadonOperator(LinearOperator):
     both in scatter order: each row keeps its interpolation weights in the
     order in which a per-angle scatter of the sample points would add them,
     duplicates included, so forward, adjoint and the dense matrix are
-    bit-identical to that scatter.
+    bit-identical to that scatter.  The transpose is built from the same
+    samples the first time an adjoint is applied, so an operator that is
+    only applied forward or densified never holds it.
     """
 
     def __init__(self, side, angles_deg):
@@ -387,15 +390,25 @@ class RadonOperator(LinearOperator):
         self.angles_deg = tuple(angles)
         self.shape_in = (side, side)
         self.m = self.m_eff = side * len(angles)
+        rows, cols, wts = self._triplets()
+        self._A = _csr_in_order(rows, cols, wts, (self.m_eff, self.n))
+
+    @cached_property
+    def _At(self):
+        # the samples are drawn again rather than kept: holding them until a
+        # first adjoint would cost more memory than the transpose itself
+        rows, cols, wts = self._triplets()
+        return _csr_in_order(cols, rows, wts, (self.n, self.m_eff))
+
+    def _triplets(self):
+        """(row, column, weight) of every sample, angle by angle in scatter order."""
         rows, cols, wts = [], [], []
-        for a, angle in enumerate(angles):
-            pix, w, dets = _radon_samples(side, angle)
-            rows.append(a * side + dets)
+        for a, angle in enumerate(self.angles_deg):
+            pix, w, dets = _radon_samples(self.side, angle)
+            rows.append(a * self.side + dets)
             cols.append(pix)
             wts.append(w)
-        rows, cols, wts = (np.concatenate(v) for v in (rows, cols, wts))
-        self._A = _csr_in_order(rows, cols, wts, (self.m_eff, self.n))
-        self._At = _csr_in_order(cols, rows, wts, (self.n, self.m_eff))
+        return tuple(np.concatenate(v) for v in (rows, cols, wts))
 
     def _apply(self, x):
         return (self._A @ x.T).T
@@ -456,10 +469,13 @@ def _csr_in_order(rows, cols, data, shape):
     # about 1.5 MB to the peak memory of every process that imports nullprior
     import scipy.sparse
 
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    # a stable sort is one permutation whatever the key's width, and numpy
+    # radix-sorts keys of 16 bits or fewer
+    order = np.argsort(rows.astype(np.min_scalar_type(shape[0] - 1)), kind="stable")
+    index = np.int32 if max(max(shape), len(data)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return scipy.sparse.csr_array((data[order], cols[order], indptr), shape=shape)
+    return scipy.sparse.csr_array((data[order], cols[order].astype(index), indptr), shape=shape)
 
 
 # ---------------------------------------------------------------------------

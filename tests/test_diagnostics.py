@@ -1,11 +1,12 @@
 """Theory measurements: isometry constants, contraction rate, penalty bound, improvement zone."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nullprior import experiments
+from nullprior import experiments, nullspace
 from nullprior.denoisers import (
     GaussianSmooth,
     Identity,
@@ -17,12 +18,14 @@ from nullprior.denoisers import (
 from nullprior.diagnostics import (
     CloudConstants,
     _diagonal_gram,
+    _lanczos_max,
     compute_rho,
     detect_ciz,
     detect_ciz_rip_variant,
     estimate_ric,
     gram_lower,
     iterate_cloud_pairs,
+    lambda_max,
     lower_eigvalsh,
     normal_spectrum,
     psnr,
@@ -34,6 +37,7 @@ from nullprior.errors import NullPriorError
 from nullprior.experiments import build_problem, run
 from nullprior.nullspace import (
     NullSpaceBasis,
+    as_basis,
     fourier_complement,
     load_basis,
     qr_nullspace,
@@ -611,6 +615,74 @@ def _dense_normal_eigs(op, basis, gamma):
     if basis is not None:
         P += gamma * basis.matrix.T @ basis.matrix
     return np.linalg.eigvalsh(P)
+
+
+def _lanczos_lambda(op, basis, gamma):
+    """lambda_max of H'H + gamma S'S by Lanczos on the pair, as lambda_max runs it."""
+    pair = as_basis(basis).pair(op)
+    return _lanczos_max(op.n, lambda v: pair.adjoint(*pair.forward(v), gamma))
+
+
+def _counted(S, residuals, calls):
+    """A basis of rows S whose residuals come from `residuals()`, each call counted."""
+    def measure():
+        calls.append(1)
+        return residuals()
+    return NullSpaceBasis(S, "counted", measure=measure)
+
+
+class TestLambdaMaxProbe:
+    """One probe ||S H'u|| / ||u|| rules out the Weyl test before residuals are read."""
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_complement_reads_its_residuals(self, gamma, seed):
+        # S H' vanishes to rounding, so the probe cannot rule the test out:
+        # the residuals are read and pass, and the step is max(lambda(H'H), gamma)
+        op = experiments.make_operator("cs", {"n": 60, "m": 12, "normalize": True}, seed)
+        calls = []
+        qr = qr_nullspace(op.to_dense(), 30, seed=seed)
+        basis = _counted(qr.operator, lambda: (qr.ortho_to_H_residual, qr.row_gram_residual),
+                         calls)
+        lam = lambda_max(op, basis, gamma)
+        assert calls == [1]
+        assert lam == max(lambda_max(op), gamma)
+
+    @pytest.mark.parametrize("gamma", [0.3, 3.0])
+    def test_bench_ct_reads_no_residuals(self, gamma, monkeypatch):
+        # the Radon complement fails the Weyl test by about 13 orders of
+        # magnitude; the probe says so before the residuals are measured
+        calls = []
+        real = nullspace._residuals
+        monkeypatch.setattr(nullspace, "_residuals",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        path = Path(__file__).resolve().parents[1] / "bench" / "configs" / "ct-admm-sweep.yaml"
+        cfg = experiments.load_config(path)
+        cfg["solver"]["gamma"] = gamma
+        pb = build_problem(cfg, seed=4)
+        op, basis = pb["op"], pb["basis"]
+        lam = lambda_max(op, basis, gamma)
+        assert calls == []
+        assert lam == _lanczos_lambda(op, basis, gamma)
+        assert pb["solver_config"].alpha == 0.9 / lam
+
+    @pytest.mark.parametrize("name", ["ct", "qr"])
+    def test_plain_matrix_takes_lanczos(self, name):
+        # a plain matrix has nan residuals: Lanczos whether or not the probe fires
+        H, S = _dense_pair(name)
+        op = DenseOperator(H)
+        assert lambda_max(op, S, 1.5) == _lanczos_lambda(op, S, 1.5)
+
+    @pytest.mark.parametrize("name", ["ct", "qr"])
+    def test_gamma_zero_reads_residuals(self, name):
+        # at gamma = 0 the probe's bound is zero: finite residuals pass the
+        # test and the step is that of H'H alone
+        H, S = _dense_pair(name)
+        op = DenseOperator(H)
+        calls = []
+        basis = _counted(S, lambda: nullspace._residuals(S, H_dense=H), calls)
+        assert lambda_max(op, basis, 0.0) == lambda_max(op)
+        assert calls == [1]
 
 
 class TestNormalSpectrum:

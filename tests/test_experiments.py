@@ -26,6 +26,7 @@ from nullprior.experiments import (
     theory_check,
     validate_config,
 )
+from nullprior.operators import RadonOperator
 
 
 def cs_config(**overrides):
@@ -774,15 +775,23 @@ class TestMeasuredOnFirstRead:
         assert len(calls) == 1
         assert (ortho, gram) == nullspace._frequency_residuals(basis.operator, pb["op"])
 
-    def test_ct_sweep_measures_radon_residuals_and_norm_once(self, tmp_path, monkeypatch):
-        # both gamma points keep the basis stage: the auto step's Weyl test
-        # reads the residuals and rho reads ||S||^2, each measured once
+    def test_ct_sweep_measures_no_radon_residuals_and_norm_once(self, tmp_path, monkeypatch):
+        # both gamma points keep the basis stage: the auto step's probe rules
+        # the Weyl test out before it reads the residuals, and rho reads
+        # ||S||^2, measured once; the 40 missing angles are only densified,
+        # so their operator builds no transpose
         residuals = _counting(monkeypatch, nullspace, "_residuals")
         norms = _counting(monkeypatch, diagnostics, "norm_sq")
+        densified = []
+        to_dense = RadonOperator.to_dense
+        monkeypatch.setattr(RadonOperator, "to_dense",
+                            lambda op: densified.append(op) or to_dense(op))
         cfg = experiments.load_config(BENCH_CONFIGS / "ct-admm-sweep.yaml")
         rows = sweep(cfg, "gamma", [0.3, 3.0], out_dir=str(tmp_path), seed=4)
         assert [row["error"] for row in rows] == ["", ""]
-        assert (len(residuals), len(norms)) == (1, 1)
+        assert (len(residuals), len(norms)) == (0, 1)
+        assert {(len(op.angles_deg), "_At" in vars(op)) for op in densified} == {
+            (20, True), (40, False)}
 
 
 class TestTheoryCheck:

@@ -159,6 +159,23 @@ class TestRadonComplement:
         assert residuals == real(basis.matrix, op=op)
         assert len(calls) == 1
 
+    def test_missing_angle_operator_builds_no_transpose(self, monkeypatch):
+        # the complement only densifies its operator, so no adjoint's
+        # transpose is ever built for it
+        densified = []
+        real = RadonOperator.to_dense
+
+        def spy(self):
+            densified.append(self)
+            return real(self)
+
+        monkeypatch.setattr(RadonOperator, "to_dense", spy)
+        op = RadonOperator(16, [0.0, 45.0])
+        basis = radon_complement(op, [0.0, 45.0, 90.0, 135.0])
+        basis.ortho_to_H_residual
+        assert [S_op.angles_deg for S_op in densified] == [(90.0, 135.0)]
+        assert "_At" not in vars(densified[0])
+
     def test_residual_reported_nonzero(self):
         basis = radon_complement(RadonOperator(8, [0.0]), [0.0, 90.0])
         assert basis.ortho_to_H_residual > 0.0

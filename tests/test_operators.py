@@ -16,6 +16,7 @@ from nullprior.operators import (
     MaskedFrequencyOperator,
     RadonOperator,
     ScaledOperator,
+    _csr_in_order,
     _radon_samples,
     all_representatives,
     bilinear_kernel,
@@ -436,6 +437,59 @@ class TestRadonMatchesScatter:
         assert same_product(op.forward(x), scatter_radon_forward(op, x))
         with pytest.raises(SizeCapError):
             op.to_dense()
+
+
+def _csr_int64_reference(rows, cols, data, shape):
+    """(data, indices, indptr) of `_csr_in_order` from an int64 stable argsort."""
+    order = np.argsort(rows.astype(np.int64), kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return data[order], cols[order], indptr
+
+
+class TestRadonStorage:
+    def test_transpose_built_on_first_adjoint(self):
+        op = RadonOperator(17, RADON_ANGLES)
+        rng = np.random.default_rng(4)
+        x, u = rng.standard_normal((3, op.n)), rng.standard_normal((3, op.m_eff))
+        op.forward(x[0])
+        op._apply(x)
+        op.to_dense()
+        assert "_At" not in vars(op)
+        rows, cols, wts = op._triplets()
+        eager = _csr_in_order(cols, rows, wts, (op.n, op.m_eff))
+        assert same_bits(op.adjoint(u[0]), eager @ u[0])
+        assert "_At" in vars(op)
+        assert same_bits(op._apply_adjoint(u), (eager @ u.T).T)
+        for name in ("data", "indices", "indptr"):
+            assert same_bits(getattr(op._At, name), getattr(eager, name))
+        for mat in (op._A, op._At):
+            assert (mat.indices.dtype, mat.indptr.dtype) == (np.int32, np.int32)
+
+    # the narrowest key that holds every row index: uint8, uint16 up to
+    # 65,536 rows, uint32 past them
+    @pytest.mark.parametrize("n_rows", [1, 256, 257, 65_536, 65_537, 200_000])
+    def test_same_permutation_as_int64_argsort(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        nnz = 5_000
+        rows = rng.integers(0, n_rows, nnz)
+        rows[:50] = n_rows - 1  # the widest key, repeated
+        cols = rng.integers(0, 300, nnz)
+        data = np.arange(nnz, dtype=float)  # each entry's input position
+        mat = _csr_in_order(rows, cols, data, (n_rows, 300))
+        ref = _csr_int64_reference(rows, cols, data, (n_rows, 300))
+        for got, want in zip((mat.data, mat.indices, mat.indptr), ref):
+            np.testing.assert_array_equal(got, want)
+        assert (mat.indices.dtype, mat.indptr.dtype) == (np.int32, np.int32)
+
+    def test_int64_indices_past_int32(self):
+        # a column count past the int32 range needs int64 indices
+        rows, cols = np.array([2, 0, 2, 1]), np.array([2**31, 5, 0, 2**31 - 1])
+        data = np.array([1.0, 2.0, 3.0, 4.0])
+        mat = _csr_in_order(rows, cols, data, (3, 2**31 + 1))
+        ref = _csr_int64_reference(rows, cols, data, (3, 2**31 + 1))
+        for got, want in zip((mat.data, mat.indices, mat.indptr), ref):
+            np.testing.assert_array_equal(got, want)
+        assert mat.indices.dtype == np.int64
 
 
 class TestDftMatchesLoop:
