@@ -85,7 +85,6 @@ from .solvers import (
     solve_pnp_admm,
     solve_pnp_fista,
     solve_red_fista,
-    stacked_pinv_solution,
 )
 
 __version__ = "0.1.0"

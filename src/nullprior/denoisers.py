@@ -122,14 +122,6 @@ def _div(p):
     return out
 
 
-def total_variation(x):
-    """Anisotropic TV (sum of absolute forward differences)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return float(np.sum(np.abs(np.diff(x))))
-    return float(np.sum(np.abs(np.diff(x, axis=0))) + np.sum(np.abs(np.diff(x, axis=1))))
-
-
 def denoise(denoiser, x, shape=None):
     """Apply a denoiser to a flat vector, reshaping to `shape` when given."""
     x = np.asarray(x, dtype=float)
@@ -145,32 +137,11 @@ def estimate_delta(denoiser, pairs):
     zero; pairs that coincide to float resolution (`resolution_floor`) are
     skipped.  This is a lower bound on the true constant, measured on the
     supplied cloud only.  A pair is (x, z), or (x, z, D(x), D(z)) with both
-    images already made (`iterate_cloud_images`).  Pairs are read one at a
-    time, so a generator holds only the pairs it has not yet yielded.
+    images already made.  Pairs are read one at a time, so a generator
+    holds only the pairs it has not yet yielded.
     """
     worst = _DeltaMax(denoiser)
     for pair in pairs:
         worst.add(np.asarray(pair[0], dtype=float), np.asarray(pair[1], dtype=float),
                   *pair[2:])
     return worst.value()
-
-
-def iterate_cloud_images(denoiser, iterates, x_star, x_star_image, shape):
-    """The pairs of `diagnostics.iterate_cloud_pairs`, each with both images.
-
-    Yields (a, b, D(a), D(b)) with points reshaped to `shape`: each iterate
-    against the one before it, then against x*, whose flat image
-    `x_star_image` the caller supplies.  Every iterate is denoised once,
-    and only the previous iterate's image is held; the order of the pairs
-    does not change a maximum over them.
-    """
-    x_star = np.asarray(x_star, dtype=float).reshape(shape)
-    star_image = np.asarray(x_star_image).reshape(shape)
-    prev = prev_image = None
-    for a in iterates:
-        a = np.asarray(a, dtype=float).reshape(shape)
-        image = np.asarray(denoiser(a))
-        if prev is not None:
-            yield prev, a, prev_image, image
-        yield a, x_star, image, star_image
-        prev, prev_image = a, image

@@ -148,31 +148,16 @@ def estimate_ric(M, pairs):
     return worst.value()
 
 
-def iterate_cloud_pairs(iterates, x_star=None):
-    """Consecutive-iterate pairs plus each iterate against the ground truth.
-
-    These are exactly the differences the contraction and penalty-decay
-    arguments take norms of, so constants measured on them certify the runs.
-    """
-    pairs = []
-    for a, b in zip(iterates[:-1], iterates[1:]):
-        pairs.append((a, b))
-    if x_star is not None:
-        for a in iterates:
-            pairs.append((a, x_star))
-    return pairs
-
-
 class CloudConstants:
     """ric_s, ric_h and delta_hat on a solve's iterate cloud, measured as it runs.
 
     A per-solve observer: the solvers call it with each recorded iterate.
-    It forms the pairs of `iterate_cloud_pairs` and
-    `denoisers.iterate_cloud_images` as the iterates arrive, each iterate
-    against the one before it, then against x*, and keeps only the previous
-    iterate and its denoised image.  ric_s and ric_h take sqrt(gamma) S d
-    and H d from one `OperatorPair` application per difference d, and
-    delta_hat denoises each iterate once; `x_star_image` is D(x*), flat.
+    It forms the pairs the contraction and penalty-decay arguments take
+    norms of as the iterates arrive, each iterate against the one before
+    it, then against x*, and keeps only the previous iterate and its
+    denoised image.  ric_s and ric_h take sqrt(gamma) S d and H d from one
+    `OperatorPair` application per difference d, and delta_hat denoises
+    each iterate once; `x_star_image` is D(x*), flat.
     The maxima are those of `estimate_ric` and `denoisers.estimate_delta`
     on the stored cloud, bit for bit.
     """

@@ -104,11 +104,17 @@ REQUIRED = object()
 _COMPONENTS = {"seed": 0, "output": None, "signal": None, "operator": REQUIRED,
                "basis": None, "prior": None, "denoiser": None,
                "solver": REQUIRED, "noise": None}
-# every solver kind takes SolverConfig's fields but reads only some: the
-# _STEPPED_KINDS read alpha, momentum and restart, pnp_admm rho and the cg_
-# keys, red_fista and fista_sparsity lam; x_star is the run's own signal
-_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.name != "x_star"}
-_SOLVER_DEFAULTS.update(alpha="auto", transform="dct")
+
+
+def _solver_keys(*keys):
+    """Keys of a solver kind, defaulting as SolverConfig's fields (alpha to auto)."""
+    defaults = {f.name: f.default for f in fields(SolverConfig)}
+    defaults.update(alpha="auto", transform="dct")
+    return {key: defaults[key] for key in keys}
+
+
+# the solver keys every one of the _STEPPED_KINDS reads
+_FISTA_KEYS = ("alpha", "gamma", "iters", "momentum", "restart", "peak")
 
 # section: (the key naming its kind, the default kind, {kind: {key: default}})
 SCHEMA = {
@@ -134,7 +140,14 @@ SCHEMA = {
     "denoiser": ("kind", "identity", {
         "identity": {}, "gaussian": {"sigma": 1.0}, "dct_soft": {"tau": 0.1},
         "tv": {"weight": 0.1, "iters": 20}, "median": {"window": 3}}),
-    "solver": ("kind", "pnp_fista", dict.fromkeys(_SOLVERS, _SOLVER_DEFAULTS)),
+    # the SolverConfig fields each kind reads (x_star is the run's own signal);
+    # pnp_admm's alpha feeds only the theory report
+    "solver": ("kind", "pnp_fista", {
+        "pnp_fista": _solver_keys(*_FISTA_KEYS),
+        "red_fista": _solver_keys(*_FISTA_KEYS, "lam"),
+        "fista_sparsity": _solver_keys(*_FISTA_KEYS, "lam", "transform"),
+        "pnp_admm": _solver_keys("alpha", "gamma", "iters", "rho", "cg_tol", "cg_maxiter",
+                                 "peak")}),
     # an operator's kind is its problem; ct's angles are a count of
     # equispaced angles in [0, 180) or a list, and acquired a count or list
     "operator": (None, None, {
@@ -238,14 +251,14 @@ def _resolve_config(cfg):
     top["denoiser"] = resolve("denoiser", top["denoiser"])
     top["noise"] = resolve("noise", top["noise"])
     solver = top["solver"] = resolve("solver", top["solver"])
-    _check_choice("solver momentum", solver["momentum"], MOMENTA)
-    _check_choice("solver restart", solver["restart"], RESTARTS)
+    for key, choices in (("momentum", MOMENTA), ("restart", RESTARTS),
+                         ("transform", SPARSITY_TRANSFORMS)):
+        if key in solver:
+            _check_choice(f"solver {key}", solver[key], choices)
     _check_number("solver gamma", solver["gamma"], 0)
     _check_number("solver iters", solver["iters"], 1, int)
     if solver["alpha"] != "auto":
         _check_number("solver alpha", solver["alpha"], 0, strict=True)
-    if solver["kind"] == "fista_sparsity":
-        _check_choice("solver transform", solver["transform"], SPARSITY_TRANSFORMS)
     top["operator"] = _resolve_operator(top["problem"], top["operator"])
     # a qr or radon basis and joint training hold dense matrices of n columns:
     # past the cap they are refused before anything is built
@@ -437,13 +450,14 @@ def _build_prior(prior_cfg, signal_cfg, op, basis, x_star, seed):
 
 
 def _build_solver(solver_cfg, op, basis, x_star):
-    # each field's type also reads the strings PyYAML makes of 1e-8
+    # each field's type also reads the strings PyYAML makes of 1e-8; a field
+    # the kind does not read keeps SolverConfig's default
     values = {f.name: f.type(solver_cfg[f.name]) for f in fields(SolverConfig)
-              if f.name not in ("alpha", "x_star")}
+              if f.name in solver_cfg and f.name != "alpha"}
     alpha = solver_cfg["alpha"]
     if alpha == "auto":
         alpha = default_alpha(op, basis, gamma=values["gamma"])
-    return {"solver_kind": solver_cfg["kind"], "transform": solver_cfg["transform"],
+    return {"solver_kind": solver_cfg["kind"], "transform": solver_cfg.get("transform"),
             "solver_config": SolverConfig(alpha=float(alpha), x_star=x_star, **values)}
 
 
@@ -801,7 +815,8 @@ def theory_check(cfg, out_dir=None, seed=None):
         raise ConfigError("theory check requires an oracle prior")
     if cfg["basis"]["method"] not in ("qr", "fourier"):
         raise ConfigError("theory check requires an exact (qr/fourier) basis")
-    cfg["solver"] = dict(cfg["solver"], momentum="none")
+    if "momentum" in cfg["solver"]:  # pnp_admm has none
+        cfg["solver"] = dict(cfg["solver"], momentum="none")
 
     pb = build_problem(cfg, seed=seed)
     _, trace, cloud = _penalized_solve(pb)

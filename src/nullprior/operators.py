@@ -402,9 +402,10 @@ class RadonOperator(LinearOperator):
 
     def _triplets(self):
         """(row, column, weight) of every sample, angle by angle in scatter order."""
+        index = _index_type(max(self.m_eff, self.n))
         rows, cols, wts = [], [], []
         for a, angle in enumerate(self.angles_deg):
-            pix, w, dets = _radon_samples(self.side, angle)
+            pix, w, dets = _radon_samples(self.side, angle, index)
             rows.append(a * self.side + dets)
             cols.append(pix)
             wts.append(w)
@@ -421,13 +422,15 @@ class RadonOperator(LinearOperator):
         return self._A.toarray()
 
 
-def _radon_samples(side, angle_deg):
+def _radon_samples(side, angle_deg, index=np.int64):
     """Bilinear sample weights of one projection angle as (pixel, weight, detector).
 
     Sample points are p = center + r*(cos,sin) + tau*(-sin,cos) in (x, y) for
     detector offsets r and unit steps tau along the ray.  Entries come corner
     by corner, each in (detector, step) order, with zero weights and
     off-image corners dropped; a pixel may repeat within one detector.
+    Pixels and detectors are of the integer type `index`, which must hold
+    side**2.
     """
     c = (side - 1) / 2.0
     th = np.deg2rad(angle_deg)
@@ -435,12 +438,12 @@ def _radon_samples(side, angle_deg):
     tau = np.arange(side) - c        # steps along the ray
     px = c + r[:, None] * np.cos(th) - tau[None, :] * np.sin(th)
     py = c + r[:, None] * np.sin(th) + tau[None, :] * np.cos(th)
-    x0 = np.floor(px).astype(int)
-    y0 = np.floor(py).astype(int)
+    x0 = np.floor(px).astype(index)
+    y0 = np.floor(py).astype(index)
     fx = px - x0
     fy = py - y0
     idx, wts, dets = [], [], []
-    det_grid = np.broadcast_to(np.arange(side)[:, None], px.shape)
+    det_grid = np.broadcast_to(np.arange(side, dtype=index)[:, None], px.shape)
     for dx, dy, w in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
                       (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
         xs, ys = x0 + dx, y0 + dy
@@ -472,10 +475,17 @@ def _csr_in_order(rows, cols, data, shape):
     # a stable sort is one permutation whatever the key's width, and numpy
     # radix-sorts keys of 16 bits or fewer
     order = np.argsort(rows.astype(np.min_scalar_type(shape[0] - 1)), kind="stable")
-    index = np.int32 if max(max(shape), len(data)) <= np.iinfo(np.int32).max else np.int64
+    index = _index_type(max(max(shape), len(data)))
     indptr = np.zeros(shape[0] + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return scipy.sparse.csr_array((data[order], cols[order].astype(index), indptr), shape=shape)
+    # narrowed before the gather, so no wide copy of the columns is made
+    indices = cols.astype(index, copy=False)[order]
+    return scipy.sparse.csr_array((data[order], indices, indptr), shape=shape)
+
+
+def _index_type(size):
+    """int32 when every index up to `size` fits it (scipy's CSR default), else int64."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
 
 
 # ---------------------------------------------------------------------------

@@ -396,11 +396,3 @@ def default_alpha(op, basis=None, gamma=0.0):
     if lam == 0.0:
         raise NullPriorError("operator is zero; cannot pick a step size")
     return 0.9 / lam
-
-
-def stacked_pinv_solution(H_dense, S, y, g):
-    """Least-squares oracle for the noiseless complete system [H; S] x = [y; g]."""
-    A = np.vstack([np.asarray(H_dense, dtype=float), as_basis(S).matrix])
-    rhs = np.concatenate([np.asarray(y, dtype=float).reshape(-1),
-                          np.asarray(g, dtype=float).reshape(-1)])
-    return np.linalg.pinv(A, rcond=1e-12) @ rhs

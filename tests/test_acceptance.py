@@ -15,7 +15,6 @@ from nullprior import make_operator
 from nullprior.diagnostics import (
     detect_ciz,
     estimate_ric,
-    iterate_cloud_pairs,
     psnr,
     penalty_decay_bound,
 )
@@ -53,8 +52,9 @@ from nullprior.solvers import (
     SolverConfig,
     default_alpha,
     solve_pnp_fista,
-    stacked_pinv_solution,
 )
+
+from references import iterate_cloud_pairs, stacked_pinv_solution
 
 
 def _report(num, message):

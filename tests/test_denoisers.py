@@ -13,11 +13,10 @@ from nullprior.denoisers import (
     TransformSoftThreshold,
     denoise,
     estimate_delta,
-    iterate_cloud_images,
-    total_variation,
 )
-from nullprior.diagnostics import iterate_cloud_pairs
 from nullprior.errors import NullPriorError
+
+from references import iterate_cloud_images, iterate_cloud_pairs, total_variation
 
 
 def random_pairs(shape, count, seed):

@@ -13,7 +13,6 @@ from nullprior.denoisers import (
     TVChambolle,
     denoise,
     estimate_delta,
-    iterate_cloud_images,
 )
 from nullprior.diagnostics import (
     CloudConstants,
@@ -24,7 +23,6 @@ from nullprior.diagnostics import (
     detect_ciz_rip_variant,
     estimate_ric,
     gram_lower,
-    iterate_cloud_pairs,
     lambda_max,
     lower_eigvalsh,
     normal_spectrum,
@@ -67,6 +65,8 @@ from nullprior.solvers import (
     solve_pnp_fista,
     solve_red_fista,
 )
+
+from references import iterate_cloud_images, iterate_cloud_pairs
 
 
 def collector():

@@ -14,7 +14,7 @@ import yaml
 from nullprior import diagnostics, experiments, nullspace
 from nullprior.cli import main as cli_main
 from nullprior.denoisers import denoise, estimate_delta
-from nullprior.diagnostics import CloudConstants, iterate_cloud_pairs
+from nullprior.diagnostics import CloudConstants
 from nullprior.errors import ConfigError
 from nullprior.experiments import (
     add_measurement_noise,
@@ -27,6 +27,9 @@ from nullprior.experiments import (
     validate_config,
 )
 from nullprior.operators import RadonOperator
+from nullprior.solvers import SolverConfig, default_alpha
+
+from references import iterate_cloud_pairs
 
 
 def cs_config(**overrides):
@@ -175,6 +178,23 @@ CONFIG_MISTAKES = {
     "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
 }
 
+# the keys of each solver kind: the SolverConfig fields it reads, and
+# fista_sparsity's transform; pnp_admm reads alpha only in the theory report
+_FISTA = {"alpha", "gamma", "iters", "momentum", "restart", "peak"}
+SOLVER_KEYS = {"pnp_fista": _FISTA, "red_fista": _FISTA | {"lam"},
+               "fista_sparsity": _FISTA | {"lam", "transform"},
+               "pnp_admm": {"alpha", "gamma", "iters", "rho", "cg_tol", "cg_maxiter", "peak"}}
+# a valid value other than the default for every solver key (cg_tol as the
+# string PyYAML makes of 1e-6)
+SOLVER_VALUES = {"alpha": 0.2, "gamma": 0.5, "iters": 7, "momentum": "none",
+                 "restart": "fista-momentum", "peak": 2.0, "lam": 0.01, "rho": 3.0,
+                 "cg_tol": "1e-6", "cg_maxiter": 50, "transform": "identity"}
+UNREAD_SOLVER_KEYS = [(kind, key) for kind in sorted(SOLVER_KEYS)
+                      for key in sorted(set(SOLVER_VALUES) - SOLVER_KEYS[kind])]
+CONFIG_MISTAKES.update({
+    f"solver-{kind}-unread-{key}": theory_config(solver={"kind": kind, key: SOLVER_VALUES[key]})
+    for kind, key in UNREAD_SOLVER_KEYS})
+
 
 class TestValidation:
     def test_readme_config_schema_example_builds(self):
@@ -191,7 +211,43 @@ class TestValidation:
                                                                  "k": 8}
         solver = experiments.resolve("solver", {"gamma": 0.5})
         assert solver["kind"] == "pnp_fista" and solver["alpha"] == "auto"
-        assert solver["gamma"] == 0.5 and solver["cg_tol"] == 1e-8
+        assert solver["gamma"] == 0.5 and solver["momentum"] == "fista"
+        assert experiments.resolve("solver", {"kind": "pnp_admm"})["cg_tol"] == 1e-8
+
+    @pytest.mark.parametrize("kind", sorted(SOLVER_KEYS))
+    def test_solver_section_holds_the_keys_of_its_kind(self, kind):
+        assert set(experiments.resolve("solver", {"kind": kind})) == SOLVER_KEYS[kind] | {"kind"}
+
+    @pytest.mark.parametrize("kind,key", UNREAD_SOLVER_KEYS)
+    def test_solver_key_the_kind_never_reads(self, kind, key):
+        with pytest.raises(ConfigError, match=rf"for kind '{kind}': \['{key}'\]"):
+            validate_config(theory_config(solver={"kind": kind, key: SOLVER_VALUES[key]}))
+
+    @pytest.mark.parametrize("given", ["defaults", "every key"])
+    @pytest.mark.parametrize("kind", sorted(SOLVER_KEYS))
+    def test_build_solver_fills_only_the_keys_of_its_kind(self, kind, given):
+        # the fields a kind does not read keep SolverConfig's defaults, as
+        # they did when every kind took all of them
+        pb = build_problem(cs_config())
+        values = {} if given == "defaults" else {key: SOLVER_VALUES[key]
+                                                 for key in SOLVER_KEYS[kind]}
+        section = experiments.resolve("solver", {"kind": kind, **values})
+        built = experiments._build_solver(section, pb["op"], pb["basis"], pb["x_star"])
+        alpha = values.get("alpha") or default_alpha(pb["op"], pb["basis"],
+                                                    gamma=values.get("gamma", 0.0))
+        fields = {key: float(value) if key == "cg_tol" else value
+                  for key, value in values.items() if key not in ("alpha", "transform")}
+        expected = SolverConfig(alpha=alpha, x_star=pb["x_star"], **fields)
+
+        def typed(config):
+            return {key: (type(value), value) for key, value in vars(config).items()
+                    if key != "x_star"}
+
+        assert typed(built["solver_config"]) == typed(expected)
+        np.testing.assert_array_equal(built["solver_config"].x_star, pb["x_star"])
+        assert built["solver_kind"] == kind
+        assert built["transform"] == (values.get("transform", "dct")
+                                      if kind == "fista_sparsity" else None)
 
     @pytest.mark.parametrize("problem,key", [("cs", "scale"), ("sr", "kernel")])
     def test_null_takes_the_default(self, problem, key):
@@ -694,8 +750,8 @@ class TestSweep:
     def test_only_stepped_kinds_read_alpha(self, kind):
         # the baseline key leaves alpha out for the other kinds, so a kind
         # that starts reading it must join _STEPPED_KINDS
-        pb = build_problem(cs_config(solver={"kind": kind, "gamma": 0.5, "iters": 10,
-                                             "lam": 0.01}))
+        lam = {"lam": 0.01} if "lam" in SOLVER_KEYS[kind] else {}
+        pb = build_problem(cs_config(solver={"kind": kind, "gamma": 0.5, "iters": 10, **lam}))
         solves = [experiments._solve(kind, pb["op"], pb["y"], pb["denoiser"],
                                      replace(pb["solver_config"], alpha=alpha), pb["basis"],
                                      pb["prior_fn"], pb["transform"])
@@ -801,6 +857,17 @@ class TestTheoryCheck:
         assert details["report"].rho < 1.0
         assert details["checks"]["contraction"] is True
         assert details["checks"]["penalty_bound"] is True
+
+    def test_pnp_admm_runs_without_momentum(self):
+        # pnp_admm has no momentum to turn off; its ratios are not those of
+        # the gradient-plus-denoiser map the contraction bound governs
+        cfg = theory_config(solver={"kind": "pnp_admm", "alpha": 50.0, "gamma": 1.0,
+                                    "iters": 25})
+        status, details = theory_check(cfg)
+        assert status == "fail"
+        assert details["checks"] == {"contraction": False, "penalty_bound": True,
+                                     "ciz_nonempty": True}
+        assert len(details["trace"].err_sq) == 26
 
     def test_huge_error_empty_ciz_still_passes(self):
         cfg = theory_config(prior={"kind": "oracle",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from nullprior import make_operator
+from nullprior import make_operator, operators
 from nullprior.errors import DimensionMismatchError, NullPriorError, SizeCapError
 from nullprior.operators import (
     CirculantConvOperator,
@@ -464,6 +464,23 @@ class TestRadonStorage:
             assert same_bits(getattr(op._At, name), getattr(eager, name))
         for mat in (op._A, op._At):
             assert (mat.indices.dtype, mat.indptr.dtype) == (np.int32, np.int32)
+
+    @pytest.mark.parametrize("side", [17, 32, 64])
+    def test_int32_samples_give_the_arrays_of_int64_ones(self, side, monkeypatch):
+        # the samples are drawn as int32 where the sizes fit, which changes
+        # no index, weight or order of the matrices built from them
+        angles = np.linspace(0.0, 180.0, 60, endpoint=False)[::3]
+        op = RadonOperator(side, angles)
+        op._At  # built before the patch below
+        assert {a.dtype for a in op._triplets()[:2]} == {np.dtype(np.int32)}
+        monkeypatch.setattr(operators, "_index_type", lambda size: np.int64)
+        wide = RadonOperator(side, angles)
+        assert {a.dtype for a in wide._triplets()[:2]} == {np.dtype(np.int64)}
+        for mat, ref in ((op._A, wide._A), (op._At, wide._At)):
+            assert same_bits(mat.data, ref.data)
+            np.testing.assert_array_equal(mat.indices, ref.indices)
+            np.testing.assert_array_equal(mat.indptr, ref.indptr)
+            assert (mat.indices.dtype, ref.indices.dtype) == (np.int32, np.int64)
 
     # the narrowest key that holds every row index: uint8, uint16 up to
     # 65,536 rows, uint32 past them

@@ -44,8 +44,9 @@ from nullprior.solvers import (
     solve_pnp_admm,
     solve_pnp_fista,
     solve_red_fista,
-    stacked_pinv_solution,
 )
+
+from references import stacked_pinv_solution
 
 
 def collector():
