@@ -71,6 +71,7 @@ from .priors import (
     GaussianError,
     LipschitzError,
     OraclePrior,
+    TrainedPrior,
     TwoLayerNet,
     ZeroError,
     realize_error,

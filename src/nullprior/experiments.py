@@ -5,24 +5,27 @@ denoiser, and a solver; `run` executes the baseline (gamma = 0) and the
 penalized solve on the same noise realization, writes both traces as CSV,
 and appends a measured theory report.  `sweep` repeats a run over a
 parameter grid, `theory_check` verifies the contraction and penalty-decay
-bounds on an assumption-certified configuration, and `run_toy3d` reproduces
-the three-dimensional geometry experiment.
+bounds on an assumption-certified configuration of a proximal-gradient
+solver, and `run_toy3d` reproduces the three-dimensional geometry experiment.
 
 Configs are strict: `SCHEMA` lists the keys and defaults of each section's
 kinds, the operator's (one kind per problem) and its mask and kernel specs
 included.  A config is resolved against it once, before anything is built:
-an unknown kind or key, or a missing required key, raises ConfigError, and
-a key given as null takes its default.  `build_problem` then builds one
-chain of stages (operator, signal, measurement, basis, prior, denoiser,
-solver), each from its section, its seed and the stages before it, so a
-sweep point rebuilds only from the first stage its value changes, and
-solves its baseline only when the baseline reads something the last
-point's did not.  Every run is deterministic for a fixed (config, seed)
-pair, and identical runs produce byte-identical CSV files.
+an unknown kind or key, a missing required key or a number out of range
+raises ConfigError, and a key given as null takes its default.
+`build_problem` then builds one chain of stages (operator, signal,
+measurement, basis, prior, denoiser, solver), each from its section, its
+seed and the stages before it; the prior stage holds one prior, which a run
+asks only the four questions every prior answers (`priors`).  A sweep point
+rebuilds only from the first stage its value changes, and solves its
+baseline only when the baseline reads something the last point's did not.
+Every run is deterministic for a fixed (config, seed) pair, and identical
+runs produce byte-identical CSV files.
 """
 
 import os
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import yaml
@@ -70,6 +73,7 @@ from .phantoms import generate, toy_plane_disk
 from .priors import (
     ACTIVATIONS,
     OraclePrior,
+    TrainedPrior,
     TwoLayerNet,
     realize_error,
     train_joint,
@@ -235,11 +239,7 @@ def _resolve_config(cfg):
         prior["error"] = resolve("error", prior["error"])
     else:
         _check_choice("net prior activation", prior["activation"], ACTIVATIONS)
-        _check_number("prior epochs", prior["epochs"], 1, int)
-        _check_number("prior lambda1", prior["lambda1"], 0)
-        _check_number("prior lambda2", prior["lambda2"], 0)
-        _check_number("prior train_count", prior["train_count"], 1, int)
-        _check_number("prior holdout", prior["holdout"], 0)
+        _check_ranges("prior", prior)
         count = int(prior["train_count"])
         if round(float(prior["holdout"]) * count) >= count:  # `priors._train`'s split
             raise ConfigError(f"prior holdout {prior['holdout']!r} leaves none of the "
@@ -248,15 +248,15 @@ def _resolve_config(cfg):
     if basis["method"] not in ("qr", basis_method):
         raise ConfigError(f"basis method {basis['method']!r} does not fit problem "
                           f"{top['problem']!r}")
-    top["denoiser"] = resolve("denoiser", top["denoiser"])
+    denoiser = top["denoiser"] = resolve("denoiser", top["denoiser"])
+    _check_ranges("denoiser", denoiser)
     top["noise"] = resolve("noise", top["noise"])
     solver = top["solver"] = resolve("solver", top["solver"])
     for key, choices in (("momentum", MOMENTA), ("restart", RESTARTS),
                          ("transform", SPARSITY_TRANSFORMS)):
         if key in solver:
             _check_choice(f"solver {key}", solver[key], choices)
-    _check_number("solver gamma", solver["gamma"], 0)
-    _check_number("solver iters", solver["iters"], 1, int)
+    _check_ranges("solver", solver)
     if solver["alpha"] != "auto":
         _check_number("solver alpha", solver["alpha"], 0, strict=True)
     top["operator"] = _resolve_operator(top["problem"], top["operator"])
@@ -311,6 +311,27 @@ def _resolve_operator(problem, section):
 def _check_choice(what, value, choices):
     if value not in choices:
         raise ConfigError(f"unknown {what} {value!r} (choose from {choices})")
+
+
+# the lowest value of each numeric key of the prior, solver and denoiser
+# sections, as (low, cast, strict) for `_check_number`; a key its kind does
+# not have and an unset batch are not checked
+_RANGES = {
+    "prior": {"epochs": (1, int), "lambda1": (0,), "lambda2": (0,), "train_count": (1, int),
+              "holdout": (0,), "lr": (0, float, True), "hidden": (1, int), "batch": (1, int),
+              "noise_std": (0,)},
+    "solver": {"gamma": (0,), "iters": (1, int), "rho": (0, float, True),
+               "cg_tol": (0, float, True), "cg_maxiter": (1, int), "lam": (0,),
+               "peak": (0, float, True)},
+    "denoiser": {"sigma": (0,), "tau": (0,), "weight": (0, float, True), "iters": (1, int),
+                 "window": (1, int)},
+}
+
+
+def _check_ranges(where, values):
+    for key, value in values.items():
+        if key in _RANGES[where] and value is not None:
+            _check_number(f"{where} {key}", value, *_RANGES[where][key])
 
 
 def _check_number(what, value, low, cast=float, strict=False):
@@ -417,15 +438,11 @@ def _build_denoiser(den_cfg):
     return cls(*(value for key, value in den_cfg.items() if key != "kind"))
 
 
-def _build_prior(prior_cfg, signal_cfg, op, basis, x_star, seed):
-    """The prior's entries of a problem; a jointly trained one refines its basis."""
-    if prior_cfg["kind"] == "oracle":
-        error = prior_cfg["error"]  # zero has no seed; the others default to the prior's
-        error = dict(error, seed=seed if error.get("seed") is None else error["seed"])
-        oracle = OraclePrior(basis, realize_error(error, basis.p, op.m_eff, seed=seed))
-        return {"prior_fn": lambda y: oracle.predict(y, x_star),
-                "error_norm_fn": oracle.error_norm,
-                "prior_info": {"kind": "oracle", "K": getattr(oracle.error, "lipschitz", 0.0)}}
+def _build_prior(prior_cfg, signal_cfg, op, basis, seed):
+    """The prior of a problem; a jointly trained one also refines its basis."""
+    if prior_cfg["kind"] == "oracle":  # an error without a seed takes the prior's
+        return {"prior": OraclePrior(basis, realize_error(prior_cfg["error"], basis.p,
+                                                          op.m_eff, seed=seed))}
 
     train_seed = seed + 1 if prior_cfg["train_seed"] is None else int(prior_cfg["train_seed"])
     xs = np.array([_build_signal(signal_cfg, op, s)
@@ -441,12 +458,8 @@ def _build_prior(prior_cfg, signal_cfg, op, basis, x_star, seed):
     if lam1 > 0 or lam2 > 0:
         net, basis, report = train_joint(net, basis, xs, op.to_dense(), lam1, lam2,
                                          **training)
-    else:
-        report = train_mmse(net, xs, op, basis, **training)
-    return {"prior_fn": net.predict, "basis": basis,
-            "error_norm_fn": lambda y: float(np.linalg.norm(net.predict(y)
-                                                            - basis.project(x_star))),
-            "prior_info": {"kind": "net", "K": np.nan, "train_report": report}}
+        return {"prior": TrainedPrior(net, basis, report), "basis": basis}
+    return {"prior": TrainedPrior(net, basis, train_mmse(net, xs, op, basis, **training))}
 
 
 def _build_solver(solver_cfg, op, basis, x_star):
@@ -461,11 +474,14 @@ def _build_solver(solver_cfg, op, basis, x_star):
             "solver_config": SolverConfig(alpha=float(alpha), x_star=x_star, **values)}
 
 
-def _solve(kind, op, y, denoiser, config, basis, prior_fn, transform, observer=None):
-    if kind == "fista_sparsity":
-        return solve_fista_sparsity(op, y, config, basis, prior_fn,
-                                    transform=transform, observer=observer)
-    return _SOLVERS[kind](op, y, denoiser, config, basis, prior_fn, observer=observer)
+def _solve(pb, config, observer=None):
+    op, y, basis = pb["op"], pb["y"], pb["basis"]
+    prior = partial(pb["prior"].predict, x_star=pb["x_star"])
+    if pb["solver_kind"] == "fista_sparsity":
+        return solve_fista_sparsity(op, y, config, basis, prior,
+                                    transform=pb["transform"], observer=observer)
+    return _SOLVERS[pb["solver_kind"]](op, y, pb["denoiser"], config, basis, prior,
+                                       observer=observer)
 
 
 def add_measurement_noise(y, snr_db, seed):
@@ -508,8 +524,7 @@ def build_problem(cfg, seed=None, reuse=None):
         ("basis", (cfg["basis"], basis_seed),
          lambda: {"basis": _build_basis(cfg["basis"], cfg["operator"], pb["op"], basis_seed)}),
         ("prior", (cfg["prior"], prior_seed),
-         lambda: _build_prior(cfg["prior"], cfg["signal"], pb["op"], pb["basis"],
-                              pb["x_star"], prior_seed)),
+         lambda: _build_prior(cfg["prior"], cfg["signal"], pb["op"], pb["basis"], prior_seed)),
         ("denoiser", cfg["denoiser"], lambda: {"denoiser": _build_denoiser(cfg["denoiser"])}),
         ("solver", cfg["solver"],
          lambda: _build_solver(cfg["solver"], pb["op"], pb["basis"], pb["x_star"])),
@@ -557,8 +572,7 @@ def _penalized_solve(pb):
     # D(x*) serves the report's fixed-point check and the x* pairs of delta
     cloud = CloudConstants(op, pb["basis"], _gamma_eff(config), denoiser, x_star,
                            dn.denoise(denoiser, x_star, op.shape_in))
-    x, trace = _solve(pb["solver_kind"], op, pb["y"], denoiser, config, pb["basis"],
-                      pb["prior_fn"], pb["transform"], observer=cloud)
+    x, trace = _solve(pb, config, observer=cloud)
     return x, trace, cloud
 
 
@@ -569,34 +583,28 @@ def _theory_report(pb, trace, cloud):
     (`_penalized_solve`).
     """
     op, basis, config, x_star = (pb[k] for k in ("op", "basis", "solver_config", "x_star"))
-    notes = []
-    certified = True
+    notes = []  # one per assumption the report cannot certify
     gamma_eff = _gamma_eff(config)
     ric_s, ric_h = cloud.ric
     delta_hat = cloud.delta_hat
     dx = cloud.x_star_image
-    err_norm = pb["error_norm_fn"](pb["y"])
-    K = pb["prior_info"]["K"]
+    err_norm = pb["prior"].error_norm(pb["y"], x_star)
+    K = pb["prior"].lipschitz
     xn = float(np.linalg.norm(x_star))
     if ric_s >= 1.0:
-        certified = False
         notes.append("isometry constant of S reached 1 on the iterate cloud")
     if np.isnan(K):
-        certified = False
         notes.append("no declared Lipschitz constant for a trained prior")
     elif K > 0 and err_norm > K * (1.0 + ric_h) * xn:
-        certified = False
         notes.append("realized prior error exceeds K (1 + ric_h) ||x*||")
     elif K == 0.0 and err_norm > 0.0:
-        certified = False
         notes.append("nonzero prior error with K = 0 cannot be certified")
     # the contraction argument treats the truth as a fixed point of the full
     # map, which requires the denoiser to leave it unchanged
     if np.linalg.norm(dx - x_star) > 1e-9 * (1.0 + xn):
-        certified = False
         notes.append("ground truth is not a fixed point of the denoiser")
     est = compute_rho(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
-    # a trained prior's K is unknown (nan), and so are the C1 that read it
+    # a prior that declares no K (nan) leaves the C1 that read it nan
     C1, C2 = decay_constants(config.alpha, K, ric_s, ric_h, xn)
     C1v, C2v = decay_constants_statement_variant(config.alpha, K, ric_s, ric_h, xn)
     ciz = detect_ciz(trace.proj_err_sq, err_norm)
@@ -604,7 +612,7 @@ def _theory_report(pb, trace, cloud):
     return TheoryReport(delta_hat, ric_s, ric_h, K, err_norm, est.rho,
                         est.rho_squared_form, est.gradient_op_norm,
                         est.s_spectral_norm, C1, C2, C1v, C2v, config.alpha,
-                        config.gamma, xn, ciz, ciz_rip, certified, notes)
+                        config.gamma, xn, ciz, ciz_rip, not notes, notes)
 
 
 def resolve_output_dir(cfg, out=None):
@@ -670,26 +678,22 @@ def run(cfg, out_dir=None, seed=None, reuse=None):
     key = _baseline_key(pb)
     if held is None or not _same(held[0], key):
         held = None  # freed before the new baseline is solved
-        held = key, _solve(pb["solver_kind"], pb["op"], pb["y"], pb["denoiser"],
-                           replace(config_npn, gamma=0.0), pb["basis"], pb["prior_fn"],
-                           pb["transform"])
+        held = key, _solve(pb, replace(config_npn, gamma=0.0))
     pb["baseline"] = held
     if reuse is not None:  # a point that fails from here on passes it on
         reuse["baseline"] = held
     x_base, tr_base = held[1]
     x_npn, tr_npn, cloud = _penalized_solve(pb)
 
-    err_norm = pb["error_norm_fn"](pb["y"])
-    tr_base.set_ciz(detect_ciz(tr_base.proj_err_sq, err_norm))
-    tr_npn.set_ciz(detect_ciz(tr_npn.proj_err_sq, err_norm))
+    report = _theory_report(pb, tr_npn, cloud)
+    tr_base.set_ciz(detect_ciz(tr_base.proj_err_sq, report.error_norm))
+    tr_npn.set_ciz(report.ciz)
     tr_base.to_csv(os.path.join(out_dir, "trace_baseline.csv"))
     tr_npn.to_csv(os.path.join(out_dir, "trace_npn.csv"))
-
-    report = _theory_report(pb, tr_npn, cloud)
     report.save(os.path.join(out_dir, "theory.txt"))
-    if pb["prior_info"]["kind"] == "net":
-        pb["prior_info"]["train_report"].save_history_csv(
-            os.path.join(out_dir, "training_history.csv"))
+    training = pb["prior"].report
+    if training is not None:
+        training.save_history_csv(os.path.join(out_dir, "training_history.csv"))
 
     peak = config_npn.peak
     summary = {
@@ -702,8 +706,7 @@ def run(cfg, out_dir=None, seed=None, reuse=None):
         "improvement_db": psnr(x_npn, x_star, peak) - psnr(x_base, x_star, peak),
         "ciz_size": int(np.sum(tr_npn.in_ciz)),
         "rho": report.rho,
-        "holdout_error": (pb["prior_info"]["train_report"].holdout_projection_error
-                          if pb["prior_info"]["kind"] == "net" else np.nan),
+        "holdout_error": np.nan if training is None else training.holdout_projection_error,
     }
     write_summary_csv(os.path.join(out_dir, "summary.csv"), [summary])
     return {"x_baseline": x_base, "x_npn": x_npn, "trace_baseline": tr_base,
@@ -815,8 +818,10 @@ def theory_check(cfg, out_dir=None, seed=None):
         raise ConfigError("theory check requires an oracle prior")
     if cfg["basis"]["method"] not in ("qr", "fourier"):
         raise ConfigError("theory check requires an exact (qr/fourier) basis")
-    if "momentum" in cfg["solver"]:  # pnp_admm has none
-        cfg["solver"] = dict(cfg["solver"], momentum="none")
+    if (kind := cfg["solver"]["kind"]) in ("pnp_admm", "red_fista"):
+        raise ConfigError(f"theory check does not apply to solver {kind!r}: its bounds "
+                          "govern the proximal-gradient map, which it does not iterate")
+    cfg["solver"] = dict(cfg["solver"], momentum="none")
 
     pb = build_problem(cfg, seed=seed)
     _, trace, cloud = _penalized_solve(pb)

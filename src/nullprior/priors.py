@@ -1,8 +1,12 @@
 """Prior maps from measurements to null-space coefficients.
 
-Two families: an oracle that returns the true projection plus a controlled
-error term (for validating the convergence theory independent of training
-quality), and a trainable two-layer network V phi(W y).  Training minimizes
+A prior answers what the convergence theory asks of it: `predict(y, x_star)`
+is G(y) ~ S x* (only an oracle reads x_star), `error_norm(y, x_star)` is
+||G(y) - S x*||, `lipschitz` the declared Lipschitz constant K of that error
+(nan where none is declared) and `report` its TrainReport (or None).  An
+`OraclePrior` returns the true projection plus a controlled error term (for
+validating the convergence theory independent of training quality), and a
+`TrainedPrior` a trained two-layer network V phi(W y).  Training minimizes
 the mean-squared projection error, optionally augmented with an invertibility
 penalty on the stacked system ||x - A^+ A x||^2 and an orthogonality penalty
 ||A^T A - I||_F^2, where A stacks the sensing rows over the projection rows.
@@ -29,7 +33,6 @@ ACTIVATIONS = ("tanh", "relu")  # the hidden nonlinearities of `TwoLayerNet`
 class ZeroError:
     """No mismatch: the oracle returns the exact projection."""
 
-    norm_bound = 0.0
     lipschitz = 0.0
 
     def __call__(self, y):
@@ -44,7 +47,6 @@ class GaussianError:
     def __init__(self, p, eps, seed=0):
         rng = np.random.default_rng(seed)
         self.vector = float(eps) * rng.standard_normal(p)
-        self.norm_bound = float(np.linalg.norm(self.vector))
 
     def __call__(self, y):
         return self.vector
@@ -67,7 +69,6 @@ class LipschitzError:
         if eps > 0:
             B *= K / (eps * np.linalg.norm(B, 2))
         self.B = B
-        self.norm_bound = self.eps * np.sqrt(p)  # tanh saturation
         self.lipschitz = self.K if eps > 0 else 0.0
 
     def __call__(self, y):
@@ -92,37 +93,53 @@ class LipschitzError:
 
 def realize_error(spec, p, dim_in, seed=0):
     """Build an error term from {"kind": zero | gaussian{eps} | lipschitz{eps, K}, "seed"?}."""
-    spec = dict(spec)
-    kind = spec.pop("kind")
+    kind = spec["kind"]
+    seed = int(seed if spec.get("seed") is None else spec["seed"])  # None: the default
     if kind == "zero":
         return ZeroError()
     if kind == "gaussian":
-        return GaussianError(p, float(spec.pop("eps")), int(spec.pop("seed", seed)))
+        return GaussianError(p, float(spec["eps"]), seed)
     if kind == "lipschitz":
-        return LipschitzError(p, dim_in, float(spec.pop("eps")),
-                              float(spec.pop("K")), int(spec.pop("seed", seed)))
+        return LipschitzError(p, dim_in, float(spec["eps"]), float(spec["K"]), seed)
     raise NullPriorError(f"unknown error kind {kind!r}")
 
 
 class OraclePrior:
     """Returns S x* plus the realized error term; needs the ground truth."""
 
+    report = None
+
     def __init__(self, basis, error=None):
         self.basis = basis
         self.error = error if error is not None else ZeroError()
 
     @property
-    def p(self):
-        return self.basis.p
+    def lipschitz(self):
+        return self.error.lipschitz
 
     def predict(self, y, x_star=None):
         if x_star is None:
             raise NullPriorError("oracle prior needs the ground-truth signal")
         return self.basis.project(x_star) + self.error(y)
 
-    def error_norm(self, y):
-        """Exact ||N(y)|| for this realization (the improvement-zone threshold)."""
+    def error_norm(self, y, x_star=None):
+        """Exact ||N(y)|| for this realization, without forming S x*."""
         return float(np.linalg.norm(np.atleast_1d(self.error(y))))
+
+
+class TrainedPrior:
+    """A trained net's prediction, for the basis it was trained against."""
+
+    lipschitz = np.nan  # no bound is declared for a trained net
+
+    def __init__(self, net, basis, report):
+        self.net, self.basis, self.report = net, basis, report
+
+    def predict(self, y, x_star=None):
+        return self.net.predict(y)
+
+    def error_norm(self, y, x_star):
+        return float(np.linalg.norm(self.net.predict(y) - self.basis.project(x_star)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +171,6 @@ class TwoLayerNet:
         self.mu = np.zeros(dim_in)
         self.sd = np.ones(dim_in)
 
-    @property
-    def k(self):
-        return self.W.shape[0]
-
-    @property
-    def p(self):
-        return self.V.shape[0]
-
     def predict(self, y):
         y = np.asarray(y, dtype=float)
         phi, _ = _activation(self.activation)
@@ -171,7 +180,7 @@ class TwoLayerNet:
     def save(self, path):
         np.savez(path, W=self.W, V=self.V, mu=self.mu, sd=self.sd,
                  activation=np.array(self.activation),
-                 k=self.k, m_eff=self.W.shape[1], p=self.p)
+                 k=self.W.shape[0], m_eff=self.W.shape[1], p=self.V.shape[0])
 
     @classmethod
     def load(cls, path):

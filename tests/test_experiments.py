@@ -167,6 +167,23 @@ CONFIG_MISTAKES = {
     "prior-holdout-rounds-to-whole-set": cs_config(prior={"kind": "net", "holdout": 0.99,
                                                           "train_count": 20}),
     "prior-holdout-negative": cs_config(prior={"kind": "net", "holdout": -0.2}),
+    # out-of-range values a builder read silently, or failed on only once built
+    "prior-lr-negative": cs_config(prior={"kind": "net", "lr": -1}),
+    "prior-hidden-zero": cs_config(prior={"kind": "net", "hidden": 0}),
+    "prior-noise-std-negative": cs_config(prior={"kind": "net", "noise_std": -1}),
+    "prior-batch-zero": cs_config(prior={"kind": "net", "batch": 0}),
+    "prior-batch-negative": cs_config(prior={"kind": "net", "batch": -3}),
+    "solver-admm-rho-negative": theory_config(solver={"kind": "pnp_admm", "rho": -1}),
+    "solver-admm-cg-tol-negative": theory_config(solver={"kind": "pnp_admm", "cg_tol": -1}),
+    "solver-admm-cg-maxiter-zero": theory_config(solver={"kind": "pnp_admm", "cg_maxiter": 0}),
+    "solver-admm-peak-negative": theory_config(solver={"kind": "pnp_admm", "peak": -1}),
+    "solver-red-lam-negative": theory_config(solver={"kind": "red_fista", "lam": -1}),
+    "denoiser-median-window-zero": theory_config(denoiser={"kind": "median", "window": 0}),
+    "denoiser-tv-weight-zero": theory_config(denoiser={"kind": "tv", "weight": 0}),
+    "denoiser-tv-iters-zero": theory_config(denoiser={"kind": "tv", "iters": 0}),
+    "denoiser-gaussian-sigma-negative": theory_config(denoiser={"kind": "gaussian",
+                                                                "sigma": -1}),
+    "denoiser-dct-soft-tau-negative": theory_config(denoiser={"kind": "dct_soft", "tau": -1}),
     "prior-train-count-zero": cs_config(prior={"kind": "net", "train_count": 0}),
     # dense matrices of n columns past the cap: refused before the operator is built
     "basis-radon-past-cap": _replace(CT, operator={"side": 65, "full_angles": 12,
@@ -752,9 +769,7 @@ class TestSweep:
         # that starts reading it must join _STEPPED_KINDS
         lam = {"lam": 0.01} if "lam" in SOLVER_KEYS[kind] else {}
         pb = build_problem(cs_config(solver={"kind": kind, "gamma": 0.5, "iters": 10, **lam}))
-        solves = [experiments._solve(kind, pb["op"], pb["y"], pb["denoiser"],
-                                     replace(pb["solver_config"], alpha=alpha), pb["basis"],
-                                     pb["prior_fn"], pb["transform"])
+        solves = [experiments._solve(pb, replace(pb["solver_config"], alpha=alpha))
                   for alpha in (0.2, 0.3)]
         (x_a, trace_a), (x_b, trace_b) = solves
         same = all(np.array_equal(a, b) for a, b in [
@@ -858,16 +873,17 @@ class TestTheoryCheck:
         assert details["checks"]["contraction"] is True
         assert details["checks"]["penalty_bound"] is True
 
-    def test_pnp_admm_runs_without_momentum(self):
-        # pnp_admm has no momentum to turn off; its ratios are not those of
-        # the gradient-plus-denoiser map the contraction bound governs
-        cfg = theory_config(solver={"kind": "pnp_admm", "alpha": 50.0, "gamma": 1.0,
-                                    "iters": 25})
-        status, details = theory_check(cfg)
-        assert status == "fail"
-        assert details["checks"] == {"contraction": False, "penalty_bound": True,
-                                     "ciz_nonempty": True}
-        assert len(details["trace"].err_sq) == 26
+    @pytest.mark.parametrize("kind", ["pnp_admm", "red_fista"])
+    def test_refuses_solver_kind(self, kind, monkeypatch):
+        # neither iterates the gradient-plus-denoiser map the bounds govern:
+        # refused before anything is built
+        def built(*args, **kwargs):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(experiments, "build_problem", built)
+        cfg = theory_config(solver={"kind": kind, "alpha": 50.0, "gamma": 1.0, "iters": 25})
+        with pytest.raises(ConfigError, match=f"solver '{kind}'"):
+            theory_check(cfg)
 
     def test_huge_error_empty_ciz_still_passes(self):
         cfg = theory_config(prior={"kind": "oracle",
@@ -981,6 +997,13 @@ class TestCli:
         assert cli_main(["theory-check", "--config", path2,
                          "--out", str(tmp_path / "t2")]) == 2
 
+    @pytest.mark.parametrize("kind", ["pnp_admm", "red_fista"])
+    def test_theory_check_refused_solver_exit_three(self, kind, tmp_path, capsys):
+        path = self._write(tmp_path, theory_config(solver={"kind": kind}))
+        assert cli_main(["theory-check", "--config", path, "--out", str(tmp_path / "t")]) == 3
+        assert "does not apply to solver" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_basis_method_that_does_not_fit_exit_three(self, tmp_path, capsys):
         path = self._write(tmp_path, theory_config(basis={"method": "radon"}))
         assert cli_main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 3
@@ -1014,7 +1037,7 @@ class TestCli:
         *(pytest.param("run", case, id=case) for case in sorted(CONFIG_MISTAKES)),
         *(pytest.param("sweep", case, id=f"sweep-{case}") for case in sorted(CONFIG_MISTAKES)
           if "operator-" in case
-          or case.startswith(("mask-", "kernel-", "solver-", "prior-", "basis-")))])
+          or case.startswith(("mask-", "kernel-", "solver-", "prior-", "basis-", "denoiser-")))])
     def test_config_mistake_exit_three(self, command, case, tmp_path, capsys):
         cfg = CONFIG_MISTAKES[case]
         args = ["--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "o")]

@@ -15,6 +15,8 @@ from nullprior.priors import (
     GaussianError,
     LipschitzError,
     OraclePrior,
+    TrainedPrior,
+    TrainReport,
     TwoLayerNet,
     ZeroError,
     _holdout_error,
@@ -81,6 +83,55 @@ class TestLipschitzError:
                           GaussianError)
         assert isinstance(realize_error({"kind": "lipschitz", "eps": 0.1, "K": 1.0}, 3, 4),
                           LipschitzError)
+
+
+class TestPriorContract:
+    """Both kinds answer predict, error_norm, lipschitz and report."""
+
+    def test_trained_prior(self):
+        H, basis = small_basis()
+        xs = np.random.default_rng(5).standard_normal((20, 10))
+        net = TwoLayerNet(4, 3, 8, seed=0)
+        report = train_mmse(net, xs, DenseOperator(H), basis, epochs=5, seed=0)
+        prior = TrainedPrior(net, basis, report)
+        x = np.random.default_rng(6).standard_normal(10)
+        y = H @ x
+        # the expression run and the theory report read before the interface
+        assert prior.error_norm(y, x) == float(np.linalg.norm(net.predict(y)
+                                                              - basis.project(x)))
+        np.testing.assert_array_equal(prior.predict(y), net.predict(y))
+        np.testing.assert_array_equal(prior.predict(y, x), net.predict(y))
+        assert np.isnan(prior.lipschitz)
+        assert isinstance(prior.report, TrainReport)
+
+    @pytest.mark.parametrize("error,K", [
+        (ZeroError(), 0.0),
+        (GaussianError(3, 0.1, seed=1), 0.0),
+        (LipschitzError(3, 4, eps=0.0, K=0.5, seed=2), 0.0),
+        (LipschitzError(3, 4, eps=0.2, K=0.5, seed=2), 0.5)],
+        ids=["zero", "gaussian", "lipschitz-eps-0", "lipschitz-eps-0.2"])
+    def test_oracle_prior(self, error, K):
+        H, basis = small_basis()
+        prior = OraclePrior(basis, error)
+        assert prior.lipschitz == K
+        assert prior.report is None
+        x = np.random.default_rng(6).standard_normal(10)
+        y = H @ x
+        expected = float(np.linalg.norm(np.atleast_1d(error(y))))
+        assert prior.error_norm(y) == prior.error_norm(y, x) == expected
+        assert prior.error_norm(y, x) == pytest.approx(
+            np.linalg.norm(prior.predict(y, x) - basis.project(x)), abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [{"kind": "gaussian", "eps": 0.1},
+                                      {"kind": "lipschitz", "eps": 0.1, "K": 2.0}],
+                             ids=["gaussian", "lipschitz"])
+    def test_seed_none_is_the_default(self, spec):
+        unset = realize_error(spec, 3, 4, seed=9)
+        none = realize_error(dict(spec, seed=None), 3, 4, seed=9)
+        other = realize_error(dict(spec, seed=10), 3, 4, seed=9)
+        y = np.arange(4.0)
+        np.testing.assert_array_equal(none(y), unset(y))
+        assert not np.array_equal(other(y), unset(y))
 
 
 class TestGradients:
