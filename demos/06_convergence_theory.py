@@ -41,7 +41,7 @@ denoiser = dn.Identity()
 cloud = CloudConstants(op, basis, 1.0, denoiser, x_star,
                        dn.denoise(denoiser, x_star, op.shape_in))
 _, trace = solve_pnp_fista(op, y, denoiser, config, basis,
-                           lambda yy: prior.predict(yy, x_star), observer=cloud)
+                           lambda yy: prior.predict(yy, x_star), observer=cloud.observe)
 
 ric_s, ric_h = cloud.ric
 delta = cloud.delta_hat

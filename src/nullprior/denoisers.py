@@ -11,7 +11,7 @@ import numpy as np
 import scipy.fft
 import scipy.ndimage
 
-from .diagnostics import _DeltaMax
+from .diagnostics import _DeltaMax, _pair_norms
 from .errors import NullPriorError
 
 
@@ -140,8 +140,9 @@ def estimate_delta(denoiser, pairs):
     images already made.  Pairs are read one at a time, so a generator
     holds only the pairs it has not yet yielded.
     """
-    worst = _DeltaMax(denoiser)
+    worst = _DeltaMax()
     for pair in pairs:
-        worst.add(np.asarray(pair[0], dtype=float), np.asarray(pair[1], dtype=float),
-                  *pair[2:])
+        x, z = np.asarray(pair[0], dtype=float), np.asarray(pair[1], dtype=float)
+        _, dd, floor = _pair_norms(x, z)
+        worst.add(dd, floor, lambda: pair[2:] or (denoiser(x), denoiser(z)))
     return worst.value()

@@ -67,29 +67,27 @@ def resolution_floor(*norms):
 class _RicMax:
     """Running max of | ||M d||^2 / ||d||^2 - 1 | over pairs (x, z), d = x - z.
 
-    The per-pair step of `estimate_ric` and `CloudConstants`.  Pairs that
-    coincide to float resolution (`resolution_floor`) are skipped.  The
-    maximum starts at 0, so a nan ratio never enters it, and it does not
-    depend on the order of the pairs.
+    The per-pair step of `estimate_ric` and `CloudConstants`, called as
+    `add(dd, floor, images)` with dd = ||d||^2 and floor the pair's
+    `resolution_floor`: a pair with ||d|| <= floor is skipped, and only
+    for a used pair does `images()` make M d, or a tuple of images (one
+    constant each).  The maximum starts at 0, so a nan ratio never enters
+    it, and it does not depend on the order of the pairs.
     """
 
-    def __init__(self, apply_M):
-        self.apply_M = apply_M
+    def __init__(self):
         self.worst = None
         self.several = False
 
-    def add(self, x, z):
-        d = x - z
-        dd = float(d @ d)
-        if np.sqrt(dd) <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
+    def add(self, dd, floor, images):
+        if np.sqrt(dd) <= floor:
             return
-        md = self.apply_M(d)
+        md = images()
         self.several = isinstance(md, tuple)
-        images = md if self.several else (md,)
+        md = md if self.several else (md,)
         if self.worst is None:
-            self.worst = [0.0] * len(images)
-        self.worst = [max(w, abs(float(v @ v) / dd - 1.0))
-                      for w, v in zip(self.worst, images)]
+            self.worst = [0.0] * len(md)
+        self.worst = [max(w, abs(float(v @ v) / dd - 1.0)) for w, v in zip(self.worst, md)]
 
     def value(self):
         if self.worst is None:
@@ -100,26 +98,22 @@ class _RicMax:
 class _DeltaMax:
     """Running max of ||D(x) - D(z)||^2 / ||x - z||^2 - 1 over pairs (x, z).
 
-    The per-pair step of `denoisers.estimate_delta` and `CloudConstants`.
-    Pairs that coincide to float resolution are skipped; D(x) and D(z) are
-    made by `denoiser` when not given, and only for a pair that is used.
+    The per-pair step of `denoisers.estimate_delta` and `CloudConstants`,
+    called as `_RicMax.add` is, with `images()` giving (D(x), D(z)).
     """
 
-    def __init__(self, denoiser=None):
-        self.denoiser = denoiser
+    def __init__(self):
         self.worst = 0.0
         self.seen = self.used = 0
 
-    def add(self, x, z, dx=None, dz=None):
+    def add(self, dd, floor, images):
         self.seen += 1
-        dist = np.linalg.norm(x - z)
-        if dist <= resolution_floor(np.linalg.norm(x), np.linalg.norm(z)):
+        dist = np.sqrt(dd)
+        if dist <= floor:
             return
-        dxz = dist ** 2
-        if dx is None:
-            dx, dz = self.denoiser(x), self.denoiser(z)
-        dd = np.linalg.norm(np.asarray(dx) - np.asarray(dz)) ** 2
-        self.worst = max(self.worst, dd / dxz - 1.0)
+        dx, dz = images()
+        dd_image = np.linalg.norm(np.asarray(dx) - np.asarray(dz)) ** 2
+        self.worst = max(self.worst, dd_image / dist ** 2 - 1.0)
         self.used += 1
 
     def value(self):
@@ -128,6 +122,12 @@ class _DeltaMax:
         if self.used == 0:
             raise NullPriorError("all pairs coincide to float resolution")
         return max(self.worst, 0.0)
+
+
+def _pair_norms(x, z):
+    """(x - z, ||x - z||^2, resolution floor) of a sample pair, flat."""
+    d = (x - z).reshape(-1)
+    return d, float(d @ d), resolution_floor(np.linalg.norm(x), np.linalg.norm(z))
 
 
 def estimate_ric(M, pairs):
@@ -141,54 +141,69 @@ def estimate_ric(M, pairs):
     returned.
     """
     apply_M = M if callable(M) else (lambda v, _M=np.asarray(M, float): _M @ v)
-    worst = _RicMax(apply_M)
+    worst = _RicMax()
     for x, z in pairs:
-        worst.add(np.asarray(x, dtype=float).reshape(-1),
-                  np.asarray(z, dtype=float).reshape(-1))
+        d, dd, floor = _pair_norms(np.asarray(x, dtype=float).reshape(-1),
+                                   np.asarray(z, dtype=float).reshape(-1))
+        worst.add(dd, floor, lambda: apply_M(d))
     return worst.value()
 
 
 class CloudConstants:
     """ric_s, ric_h and delta_hat on a solve's iterate cloud, measured as it runs.
 
-    A per-solve observer: the solvers call it with each recorded iterate.
-    It forms the pairs the contraction and penalty-decay arguments take
-    norms of as the iterates arrive, each iterate against the one before
-    it, then against x*, and keeps only the previous iterate and its
-    denoised image.  ric_s and ric_h take sqrt(gamma) S d and H d from one
-    `OperatorPair` application per difference d, and delta_hat denoises
-    each iterate once; `x_star_image` is D(x*), flat.
-    The maxima are those of `estimate_ric` and `denoisers.estimate_delta`
-    on the stored cloud, bit for bit.
+    `observe` is a solve's observer (`solvers`): with each iterate x it
+    takes d = x - x*, ||d||^2, (H d, S d), the step x - x_prev and its
+    squared norm from the solve's trace, and measures the pairs the
+    contraction and penalty-decay arguments take norms of, each iterate
+    against the one before it, then against x*.  ric_s and ric_h take
+    sqrt(gamma) S d and H d, for a step from one `OperatorPair` application
+    of its own (S x - S x_prev would cancel near convergence).  delta_hat
+    denoises each iterate once; `x_star_image` is D(x*), flat.  Only the
+    previous iterate's norm and image are kept.  `cloud(x)` measures a
+    plain iterate, forming d, its images and the step itself.  The maxima
+    are those of `estimate_ric` and `denoisers.estimate_delta` on the
+    stored cloud, bit for bit.
     """
 
     def __init__(self, op, basis, gamma, denoiser, x_star, x_star_image):
-        pair = basis.pair(op)
-        weight = np.sqrt(gamma)
-
-        def images(v):
-            h, s = pair.forward(v)
-            return weight * s, h
-
-        self._ric = _RicMax(images)
+        self._pair = basis.pair(op)
+        self._weight = np.sqrt(gamma)
+        self._ric = _RicMax()
         self._delta = _DeltaMax()
         self._denoiser = denoiser
         self._shape = op.shape_in
         self._x_star = np.asarray(x_star, dtype=float).reshape(-1)
-        self._star = self._x_star.reshape(self._shape)
+        self._star_norm = np.linalg.norm(self._x_star)
         self.x_star_image = x_star_image
         self._star_image = np.asarray(x_star_image).reshape(self._shape)
-        self._prev = self._prev_image = None
+        self._last = self._prev_norm = self._prev_image = None
 
     def __call__(self, x):
-        a = x.reshape(self._shape)
-        image = np.asarray(self._denoiser(a))
-        if self._prev is not None:
-            self._ric.add(self._prev, x)
-            self._delta.add(self._prev.reshape(self._shape), a, self._prev_image, image)
-        self._ric.add(x, self._x_star)
-        self._delta.add(a, self._star, image, self._star_image)
-        self._prev, self._prev_image = x, image
+        """Measure iterate x on its own."""
+        d = x - self._x_star
+        step = None if self._last is None else x - self._last
+        self.observe(x, d, float(d @ d), self._pair.forward(d),
+                     step, None if step is None else float(step @ step))
+        self._last = x
+
+    def observe(self, x, d, d_sq, images, step, step_sq):
+        """The observer call; step and step_sq are None for a solve's first iterate."""
+        x_norm = np.linalg.norm(x)
+        image = np.asarray(self._denoiser(x.reshape(self._shape)))
+        if step is not None:
+            floor = resolution_floor(self._prev_norm, x_norm)
+            self._ric.add(step_sq, floor, lambda: self._weighted(self._pair.forward(step)))
+            self._delta.add(step_sq, floor, lambda: (self._prev_image, image))
+        floor = resolution_floor(x_norm, self._star_norm)
+        self._ric.add(d_sq, floor, lambda: self._weighted(images))
+        self._delta.add(d_sq, floor, lambda: (image, self._star_image))
+        self._prev_norm, self._prev_image = x_norm, image
+
+    def _weighted(self, images):
+        """(sqrt(gamma) S v, H v) from a pair's (H v, S v)."""
+        h, s = images
+        return self._weight * s, h
 
     @property
     def ric(self):

@@ -237,6 +237,7 @@ def _resolve_config(cfg):
     prior = top["prior"] = resolve("prior", top["prior"])
     if prior["kind"] == "oracle":
         prior["error"] = resolve("error", prior["error"])
+        _check_ranges("error", prior["error"])
     else:
         _check_choice("net prior activation", prior["activation"], ACTIVATIONS)
         _check_ranges("prior", prior)
@@ -313,13 +314,14 @@ def _check_choice(what, value, choices):
         raise ConfigError(f"unknown {what} {value!r} (choose from {choices})")
 
 
-# the lowest value of each numeric key of the prior, solver and denoiser
-# sections, as (low, cast, strict) for `_check_number`; a key its kind does
-# not have and an unset batch are not checked
+# the lowest value of each numeric key of the prior, error, solver and
+# denoiser sections, as (low, cast, strict) for `_check_number`; a key its
+# kind does not have and an unset batch are not checked
 _RANGES = {
     "prior": {"epochs": (1, int), "lambda1": (0,), "lambda2": (0,), "train_count": (1, int),
               "holdout": (0,), "lr": (0, float, True), "hidden": (1, int), "batch": (1, int),
               "noise_std": (0,)},
+    "error": {"eps": (0,), "K": (0, float, True)},
     "solver": {"gamma": (0,), "iters": (1, int), "rho": (0, float, True),
                "cg_tol": (0, float, True), "cg_maxiter": (1, int), "lam": (0,),
                "peak": (0, float, True)},
@@ -572,7 +574,7 @@ def _penalized_solve(pb):
     # D(x*) serves the report's fixed-point check and the x* pairs of delta
     cloud = CloudConstants(op, pb["basis"], _gamma_eff(config), denoiser, x_star,
                            dn.denoise(denoiser, x_star, op.shape_in))
-    x, trace = _solve(pb, config, observer=cloud)
+    x, trace = _solve(pb, config, observer=cloud.observe)
     return x, trace, cloud
 
 

@@ -14,10 +14,14 @@ to the dedicated no-penalty path.
 Each solve records a full per-iteration trace (squared errors, projected
 errors, penalty value, data residual, PSNR, per-step contraction ratio,
 squared step).  It stores no iterates: the recorder keeps only the previous
-one, for the step, and hands each recorded iterate to an optional per-solve
-`observer(x)`.  `experiments` passes `diagnostics.CloudConstants`, which
-measures the theory report's constants on the iterates as they arrive, so
-a solve holds O(n) memory whatever its iteration count.
+one, for the step, and hands each recorded iterate, with the differences
+its row forms, to an optional per-solve observer, called as
+observer(x, d, d_sq, images, step, step_sq): d = x - x*, d_sq = ||d||^2,
+images = (H d, S d), step = x - x_prev and step_sq = ||step||^2, both
+None for the first iterate.  `experiments` passes
+`diagnostics.CloudConstants.observe`, which measures the theory report's
+constants on the iterates as they arrive, so a solve holds O(n) memory
+whatever its iteration count.
 
 The FISTA loop applies H and S once to each new iterate x and shares H x
 and S x with the trace.  The momentum point z = x + beta (x - x_prev) is
@@ -31,8 +35,15 @@ one transform and the gradient from one inverse, and a penalized or a
 baseline iteration costs three transforms.  Other pairs apply each
 operator separately: five applications per penalized iteration, four per
 baseline one.  S (x - x*) stays its own application, because near
-convergence S x - S x* would cancel.  ADMM applies H and S inside
-conjugate gradient and once more to each iterate for its trace.
+convergence S x - S x* would cancel.  With an observer, S d comes from
+one pair application of d that also gives the observer H d: a masked
+pair still costs three transforms per penalized iteration, any other
+pair six applications.  `CloudConstants` takes its (x, x*) pair from d
+and its images, and adds one pair application per consecutive-iterate
+difference above the resolution floor (one transform, or H and S), so a
+masked-pair penalized iteration it observes costs at most four
+transforms.  ADMM applies H and S inside conjugate gradient and once more
+to each iterate for its trace.
 """
 
 import warnings
@@ -127,11 +138,13 @@ class _Recorder:
     one `OperatorPair`, built here once per solve, which takes both from
     one transform for a masked frequency operator and its complement.
     `add` keeps only the previous iterate, for the squared step, and hands
-    each iterate to `observer` when one is given; the loops make a new
-    array for every iterate, so neither copies it.  `add` also decides
-    when the solve stops: once an iterate leaves the divergence guard it
-    flags the iteration and returns True.  The loops append their own flags
-    (CG convergence) to `flags`.
+    each iterate to `observer` when one is given, with what its row forms
+    (the call is in the module docstring; without x* or a basis the
+    missing parts are None, and d_sq is nan).  The loops make a new array
+    for every iterate, so neither copies it.  `add` also decides when the
+    solve stops: once an iterate leaves the divergence guard it flags the
+    iteration and returns True.  The loops append their own flags (CG
+    convergence) to `flags`.
     """
 
     def __init__(self, op, y, config, basis, g, observer=None):
@@ -140,7 +153,7 @@ class _Recorder:
         self.config = config
         self.basis = basis
         self.g = g
-        self.pair = basis.pair(op) if basis is not None and g is not None else None
+        self.pair = None if basis is None else basis.pair(op)
         self.observer = observer
         self.rows = []
         self.steps = []
@@ -150,7 +163,7 @@ class _Recorder:
 
     def products(self, x):
         """H x, and S x or None."""
-        if self.pair is None:
+        if self.g is None:
             return self.op.forward(x), None
         return self.pair.forward(x)
 
@@ -158,23 +171,27 @@ class _Recorder:
         """Record the zero initialization; H 0 = 0 and S 0 = 0 need no application."""
         x = np.zeros(self.op.n)
         h = np.zeros(self.op.m_eff)
-        s = None if self.pair is None else np.zeros(self.basis.p)
+        s = None if self.g is None else np.zeros(self.basis.p)
         self.add(0, x, h, s)
         return x, h, s
 
     def add(self, ell, x, h, s):
         x_star = self.config.x_star
         n = self.op.n
+        diff = images = None
         if x_star is not None:
             diff = x - x_star
             err_sq = float(diff @ diff)
             psnr = psnr_from_err_sq(err_sq, n, self.config.peak)
         else:
-            diff = None
             err_sq = np.nan
             psnr = np.nan
         if self.basis is not None and diff is not None:
-            pe = self.basis.project(diff)
+            if self.observer is None:
+                pe = self.basis.project(diff)
+            else:
+                images = self.pair.forward(diff)
+                pe = images[1]
             proj_err_sq = float(pe @ pe)
         else:
             proj_err_sq = np.nan
@@ -185,12 +202,14 @@ class _Recorder:
             phi = np.nan
         res = h - self.y
         self.rows.append((ell, err_sq, proj_err_sq, phi, float(res @ res), psnr))
+        step = step_sq = None
         if self.prev is not None:
-            d = x - self.prev
-            self.steps.append(float(d @ d))
+            step = x - self.prev
+            step_sq = float(step @ step)
+            self.steps.append(step_sq)
         self.prev = x
         if self.observer is not None:
-            self.observer(x)
+            self.observer(x, diff, err_sq, images, step, step_sq)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
             self.diverged = True
             self.flags.append(f"diverged at iteration {ell}")

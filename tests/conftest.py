@@ -16,9 +16,9 @@ def run_iterates(monkeypatch):
     iterates = []
 
     class Recording(CloudConstants):
-        def __call__(self, x):
+        def observe(self, x, *shared):
             iterates.append(x.copy())
-            super().__call__(x)
+            super().observe(x, *shared)
 
     monkeypatch.setattr(experiments, "CloudConstants", Recording)
     return iterates

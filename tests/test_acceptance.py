@@ -184,7 +184,7 @@ def test_criterion_4_contraction_rate():
     iterates = []
     x_hat, tr_npn = solve_pnp_fista(op, y, dn.Identity(), cfg_npn, basis,
                                     lambda yy: prior.predict(yy, x_star),
-                                    observer=lambda x: iterates.append(x.copy()))
+                                    observer=lambda x, *shared: iterates.append(x.copy()))
     _, tr_base = solve_pnp_fista(op, y, dn.Identity(),
                                  SolverConfig(alpha=alpha, gamma=0.0, iters=25,
                                               x_star=x_star, momentum="none"),
@@ -427,9 +427,9 @@ def test_criterion_10_reduction_and_reproducibility(tmp_path):
     its_with, its_without = [], []
     x_with, _ = solve_pnp_fista(op, y, dn.GaussianSmooth(0.5), config,
                                 basis, lambda yy: prior.predict(yy, x_star),
-                                observer=lambda x: its_with.append(x.copy()))
+                                observer=lambda x, *shared: its_with.append(x.copy()))
     x_without, _ = solve_pnp_fista(op, y, dn.GaussianSmooth(0.5), config,
-                                   observer=lambda x: its_without.append(x.copy()))
+                                   observer=lambda x, *shared: its_without.append(x.copy()))
     np.testing.assert_array_equal(x_with, x_without)
     assert len(its_with) == len(its_without) == config.iters + 1
     for a, b in zip(its_with, its_without):

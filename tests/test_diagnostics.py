@@ -72,7 +72,7 @@ from references import iterate_cloud_images, iterate_cloud_pairs
 def collector():
     """A list and a solver observer that appends each iterate to it."""
     iterates = []
-    return iterates, lambda x: iterates.append(x.copy())
+    return iterates, lambda x, *shared: iterates.append(x.copy())
 
 
 def scaled_frequency_setup(side=8, kept=16, scale=0.1, seed=0):
@@ -435,16 +435,20 @@ class TestCloudConstants:
         config = SolverConfig(alpha=0.5, gamma=gamma, lam=0.2, iters=iters, x_star=x_star)
         shape = op.shape_in
         x_star_image = denoise(denoiser, x_star, shape)
-        cloud = CloudConstants(op, basis, gamma, denoiser, x_star, x_star_image)
+        # one cloud fed by the solve's recorder, one fed its plain iterates
+        fed = CloudConstants(op, basis, gamma, denoiser, x_star, x_star_image)
+        plain = CloudConstants(op, basis, gamma, denoiser, x_star, x_star_image)
         iterates = []
 
-        def observer(x):
+        def observer(x, *shared):
             iterates.append(x.copy())
-            cloud(x)
+            fed.observe(x, *shared)
 
         _, trace = solve(op, y, denoiser, config, basis, lambda yy: g, observer=observer)
         assert trace.diverged == (kind == "diverging")
         assert len(iterates) == len(trace.iters)
+        for x in iterates:
+            plain(x)
         # the list-based reference on the stored cloud, bit for bit
         pair = basis.pair(op)
 
@@ -452,11 +456,17 @@ class TestCloudConstants:
             h, s = pair.forward(v)
             return np.sqrt(gamma) * s, h
 
-        assert cloud.ric == estimate_ric(images, iterate_cloud_pairs(iterates, x_star))
-        assert cloud.delta_hat == estimate_delta(denoiser, iterate_cloud_images(
+        ric = estimate_ric(images, iterate_cloud_pairs(iterates, x_star))
+        delta_hat = estimate_delta(denoiser, iterate_cloud_images(
             denoiser, iterates, x_star, x_star_image, shape))
+        for cloud in (fed, plain):
+            assert cloud.ric == ric
+            assert cloud.delta_hat == delta_hat
         steps = [float((b - a) @ (b - a)) for a, b in zip(iterates[:-1], iterates[1:])]
         np.testing.assert_array_equal(trace.step_sq, steps + [np.nan])
+        # S (x - x*) from the observer's pair application is basis.project's
+        _, alone = solve(op, y, denoiser, config, basis, lambda yy: g)
+        np.testing.assert_array_equal(alone.proj_err_sq, trace.proj_err_sq)
 
     def test_solve_memory_does_not_grow_with_iterations(self):
         # a stored iterate costs 8 n bytes (32 kB here); the observed solve
@@ -474,7 +484,7 @@ class TestCloudConstants:
                                    denoise(denoiser, x_star, shape))
             return _peak_bytes(lambda: solve_pnp_fista(
                 op, y, denoiser, config, basis, lambda yy: basis.project(x_star),
-                observer=cloud))
+                observer=cloud.observe))
 
         assert peak(200) - peak(20) < 20 * 8 * op.n
 

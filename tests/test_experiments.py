@@ -26,7 +26,7 @@ from nullprior.experiments import (
     theory_check,
     validate_config,
 )
-from nullprior.operators import RadonOperator
+from nullprior.operators import MaskedFrequencyOperator, RadonOperator
 from nullprior.solvers import SolverConfig, default_alpha
 
 from references import iterate_cloud_pairs
@@ -106,6 +106,13 @@ CONFIG_MISTAKES = {
                                               "error": {"kind": "zero", "eps": 5.0}}),
     "error-unknown-kind": theory_config(prior={"kind": "oracle", "error": {"kind": "laplace"}}),
     "error-missing-eps": theory_config(prior={"kind": "oracle", "error": {"kind": "gaussian"}}),
+    # a negative eps ran as a sign-flipped error; a negative K failed only once built
+    "error-gaussian-eps-negative": cs_config(prior={"kind": "oracle",
+                                                    "error": {"kind": "gaussian", "eps": -1}}),
+    "error-lipschitz-eps-negative": cs_config(prior={"kind": "oracle", "error": {
+        "kind": "lipschitz", "eps": -1}}),
+    "error-lipschitz-K-negative": cs_config(prior={"kind": "oracle", "error": {
+        "kind": "lipschitz", "eps": 0.1, "K": -1}}),
     "solver-unknown-kind": theory_config(solver={"kind": "newton"}),
     "solver-unknown-momentum": theory_config(solver={"kind": "pnp_fista", "momentum": "nesterov"}),
     "solver-unknown-restart": theory_config(solver={"kind": "pnp_fista", "restart": "often"}),
@@ -407,6 +414,37 @@ class TestRun:
             cloud(x)
         assert cloud.delta_hat == reference
         assert len(calls) == len(run_iterates) + 1
+
+    def test_observed_solve_transforms_each_error_once(self, monkeypatch, run_iterates):
+        # a masked DCT with its Fourier complement: [H; S] is one transform;
+        # H'H + gamma S'S = 0.01 I, so the iterates reach x* to float resolution
+        pb = build_problem(theory_config(basis={"method": "fourier"},
+                                         solver={"kind": "pnp_fista", "alpha": 50.0,
+                                                 "gamma": 0.01, "iters": 80}))
+        assert pb["basis"].pair(pb["op"])._shared is not None
+        counts = {"_spectrum": 0, "_inverse": 0}
+        for name in counts:
+            def spy(self, *args, _name=name, _transform=getattr(MaskedFrequencyOperator, name)):
+                counts[_name] += 1
+                return _transform(self, *args)
+
+            monkeypatch.setattr(MaskedFrequencyOperator, name, spy)
+        # per iteration H x and S x from one transform and the gradient from
+        # one inverse; G(y) = S x* once; S (x - x*) once per row for the trace
+        _, trace = experiments._solve(pb, replace(pb["solver_config"], gamma=0.0))
+        iters = len(trace.iters) - 1
+        assert counts == {"_spectrum": iters + 1 + (iters + 1), "_inverse": iters}
+        # the observer takes H (x - x*) and S (x - x*) from the trace's one
+        # transform, and transforms only the steps above the resolution floor
+        counts.update(_spectrum=0, _inverse=0)
+        _, trace, _ = experiments._penalized_solve(pb)
+        iters = len(trace.iters) - 1
+        assert len(run_iterates) == iters + 1
+        steps = sum(np.sqrt(trace.step_sq[i]) > diagnostics.resolution_floor(
+            np.linalg.norm(a), np.linalg.norm(b))
+            for i, (a, b) in enumerate(zip(run_iterates[:-1], run_iterates[1:])))
+        assert 0 < steps < iters
+        assert counts == {"_spectrum": iters + 1 + (iters + 1) + steps, "_inverse": iters}
 
     def test_mri_64_run_memory(self, tmp_path):
         # 64x64 MRI, 1024 of 4096 DCT coefficients kept, 120 iterations: one
@@ -1011,7 +1049,8 @@ class TestCli:
         assert not (tmp_path / "o" / "summary.csv").exists()
 
     @pytest.mark.parametrize("case", ["p-fourier", "eps-net", "af-ct", "sigma_blur-mri",
-                                      "sigma_blur-sr-bilinear", "af-zero", "af-negative"])
+                                      "sigma_blur-sr-bilinear", "af-zero", "af-negative",
+                                      "eps-negative"])
     def test_sweep_parameter_that_does_not_apply_exit_three(self, case, tmp_path, capsys):
         param, grid, cfg = {
             "p-fourier": ("p", "5,50,150", theory_config()),
@@ -1023,6 +1062,7 @@ class TestCli:
             "sigma_blur-sr-bilinear": ("sigma_blur", "1,2", problem_config("sr", "sr")),
             "af-zero": ("af", "0", theory_config()),
             "af-negative": ("af", "4,-2", theory_config()),
+            "eps-negative": ("eps", "1e-3,-1e-3", cs_config()),
         }[case]
         path = self._write(tmp_path, cfg)
         code = cli_main(["sweep", "--config", path, "--param", param, "--grid", grid,
@@ -1037,7 +1077,8 @@ class TestCli:
         *(pytest.param("run", case, id=case) for case in sorted(CONFIG_MISTAKES)),
         *(pytest.param("sweep", case, id=f"sweep-{case}") for case in sorted(CONFIG_MISTAKES)
           if "operator-" in case
-          or case.startswith(("mask-", "kernel-", "solver-", "prior-", "basis-", "denoiser-")))])
+          or case.startswith(("mask-", "kernel-", "solver-", "prior-", "error-", "basis-",
+                              "denoiser-")))])
     def test_config_mistake_exit_three(self, command, case, tmp_path, capsys):
         cfg = CONFIG_MISTAKES[case]
         args = ["--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "o")]

@@ -52,7 +52,7 @@ from references import stacked_pinv_solution
 def collector():
     """A list and a solver observer that appends each iterate to it."""
     iterates = []
-    return iterates, lambda x: iterates.append(x.copy())
+    return iterates, lambda x, *shared: iterates.append(x.copy())
 
 
 def cs_problem(n=24, m=6, seed=0, p=None):
