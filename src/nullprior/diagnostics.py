@@ -5,7 +5,9 @@ rho = (1 + delta) * (||I - alpha (H'H + S'S)|| + (1 + Delta_S) ||S||),
 with unsquared spectral norms (the form the fixed-point argument actually
 uses); the squared-norm variant is recorded alongside for comparison.  This
 module owns the spectrum of P = H'H + gamma S'S: `compute_rho` gives the
-rate and `lambda_max` the largest eigenvalue behind the default step.
+rate and `lambda_max` the largest eigenvalue behind the default step;
+for PnP-ADMM, which takes no step, `compute_rho` reads the step's
+lambda_max off the spectrum it forms for the rate.
 Where the operator and basis share a transform (masked DCT/DFT with its
 Fourier complement, blur and SR with their complements, scaled or not),
 both read it from `normal_spectrum` (one FFT or one batched block
@@ -221,6 +223,7 @@ class RhoEstimate:
     rho_squared_form: float
     gradient_op_norm: float
     s_spectral_norm: float
+    alpha: float  # the step the rate is for
 
 
 def gram_lower(A, weight=1.0, out=None, beta=0.0):
@@ -361,13 +364,20 @@ def lambda_max(op, basis=None, gamma=0.0):
     lambda_max(H'H) is then the step at gamma = 0 bit for bit.  `basis` may
     be a plain matrix, whose residuals are nan.
 
-    Reading the residuals may measure them, so one probe rules the test out
-    first: for a fixed u, ||S H'u|| / ||u|| <= ||S H'||_2 <= ||S H'||_F, so
-    when 2 sqrt(gamma) times that ratio exceeds twice the threshold (the
-    factor covers rounding in either figure) the test cannot pass and
-    lambda_max is the Lanczos value, with no residual read.  An approximate
-    complement (Radon) fails by orders of magnitude; an exact one (QR)
-    gives a ratio at rounding level and goes on to its residuals.
+    One fixed probe u decides the test before any Lanczos where it can.
+    h = ||H'u||^2 / ||u||^2 is at most lambda_max(H'H), and a pass bounds
+    ||S S' - I|| by 1e-13, so gamma is at most lambda_max(P) to that
+    relative precision: the test at the threshold 1e-13 max(h, gamma) is
+    as strict, and when it passes the one Lanczos run is on H'H.  Only
+    when it fails is P's lambda_max found by Lanczos and the test made at
+    1e-13 lambda_max.
+    Reading the residuals may measure them, so the probe also rules the
+    test out first: ||S H'u|| / ||u|| <= ||S H'||_2 <= ||S H'||_F, so when
+    2 sqrt(gamma) times that ratio exceeds twice the threshold (the factor
+    covers rounding in either figure) the test cannot pass, with no
+    residual read.  An approximate complement (Radon) fails by orders of
+    magnitude and takes one Lanczos, on P; an exact one (QR) gives a ratio
+    at rounding level and reads its residuals.
     """
     basis = None if basis is None else as_basis(basis)
     eig = normal_spectrum(op, basis, gamma)
@@ -375,17 +385,22 @@ def lambda_max(op, basis=None, gamma=0.0):
         return float(np.max(eig))
     if basis is None:
         return _lanczos_max(op.n, lambda v: op.adjoint(op.forward(v)))
+    u = np.random.default_rng(1992).standard_normal(op.m_eff)
+    hu, u_norm = op.adjoint(u), np.linalg.norm(u)
+    lower = np.linalg.norm(basis.project(hu)) / u_norm
+
+    def weyl_passes(lam):
+        if 2.0 * np.sqrt(gamma) * lower > 2e-13 * lam:
+            return False
+        weyl = (2.0 * np.sqrt(gamma) * basis.ortho_to_H_residual
+                + gamma * basis.row_gram_residual)
+        return weyl <= 1e-13 * lam
+
+    if weyl_passes(max(float(hu @ hu) / u_norm ** 2, gamma)):
+        return max(lambda_max(op), gamma)
     pair = basis.pair(op)
     lam = _lanczos_max(op.n, lambda v: pair.adjoint(*pair.forward(v), gamma))
-    u = np.random.default_rng(1992).standard_normal(op.m_eff)
-    lower = np.linalg.norm(basis.project(op.adjoint(u))) / np.linalg.norm(u)
-    if 2.0 * np.sqrt(gamma) * lower > 2e-13 * lam:
-        return lam
-    weyl = (2.0 * np.sqrt(gamma) * basis.ortho_to_H_residual
-            + gamma * basis.row_gram_residual)
-    if weyl <= 1e-13 * lam:
-        return max(lambda_max(op), gamma)
-    return lam
+    return max(lambda_max(op), gamma) if weyl_passes(lam) else lam
 
 
 def _lanczos_max(n, matvec):
@@ -420,23 +435,43 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
     shifted in place to I - alpha P for LAPACK's syevd.  A first read of
     ||S||^2 fills and frees its own n x n S'S before that buffer is made,
     so beyond the dense H and S one n x n buffer (8 n^2 bytes) is held.
+
+    alpha None takes the step 0.9 / lambda_max(P) from the same spectrum:
+    a structural one gives `default_alpha`'s value bit for bit, and a dense
+    pair reads syevd of P itself, unshifted, and ||I - alpha P|| as max
+    |1 - alpha lambda| over its ends.  This is the step of a solver that
+    never takes one (PnP-ADMM), so no Lanczos runs for it.  A zero P raises
+    NullPriorError, as `default_alpha` does.  The estimate carries the
+    alpha it used.
     """
     basis = as_basis(basis)
     s_norm = float(np.sqrt(gamma * basis.norm_sq))
     eig = normal_spectrum(op, basis, gamma)
-    if eig is not None:
-        op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
-    else:
+    if eig is None:
         S = basis.matrix
         H = op.matrix if isinstance(op, DenseOperator) else op.to_dense()
         M = gram_lower(H, 1.0, gram_lower(S, gamma), beta=1.0)
+    if alpha is None:
+        if eig is None:
+            eig = lower_eigvalsh(M)[[0, -1]]  # the ends of P's spectrum
+        alpha = default_step(float(np.max(eig)))
+    if eig is not None:
+        op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
+    else:
         M *= -alpha
         M.flat[::op.n + 1] += 1.0
         eig = lower_eigvalsh(M)
         op_norm = float(max(abs(eig[0]), abs(eig[-1])))
     rho = (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm)
     rho_sq = (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2)
-    return RhoEstimate(rho, rho_sq, op_norm, s_norm)
+    return RhoEstimate(rho, rho_sq, op_norm, s_norm, alpha)
+
+
+def default_step(lam):
+    """0.9 / lam, the default step for P's largest eigenvalue lam."""
+    if lam <= 0.0:
+        raise NullPriorError("operator is zero; cannot pick a step size")
+    return 0.9 / lam
 
 
 def decay_constants(alpha, K, ric_s, ric_h, xstar_norm):

@@ -98,7 +98,8 @@ CS_DISTS = ("gaussian", "binary")  # the entries of a cs operator's random matri
 _SOLVERS = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista,
             "pnp_admm": solve_pnp_admm, "fista_sparsity": solve_fista_sparsity}
 # the kinds whose iteration steps by alpha; pnp_admm's x-update is a CG solve
-# of H'H + gamma S'S + rho I, so its alpha feeds only the theory report
+# of H'H + gamma S'S + rho I, so its alpha feeds only the theory report, and
+# an auto one is left for the report to take from P's spectrum
 _STEPPED_KINDS = ("pnp_fista", "red_fista", "fista_sparsity")
 
 # marks a key that has no default; a default of None means no value, which
@@ -465,15 +466,25 @@ def _build_prior(prior_cfg, signal_cfg, op, basis, seed):
 
 
 def _build_solver(solver_cfg, op, basis, x_star):
+    """The solver stage: its kind, transform and SolverConfig.
+
+    `alpha: auto` is resolved here (`default_alpha`) only for the
+    `_STEPPED_KINDS`; for pnp_admm it stays None, and the theory report
+    takes the step from the spectrum of P it forms anyway (`compute_rho`).
+    """
     # each field's type also reads the strings PyYAML makes of 1e-8; a field
     # the kind does not read keeps SolverConfig's default
     values = {f.name: f.type(solver_cfg[f.name]) for f in fields(SolverConfig)
               if f.name in solver_cfg and f.name != "alpha"}
     alpha = solver_cfg["alpha"]
-    if alpha == "auto":
+    if alpha != "auto":
+        alpha = float(alpha)
+    elif solver_cfg["kind"] in _STEPPED_KINDS:
         alpha = default_alpha(op, basis, gamma=values["gamma"])
+    else:
+        alpha = None
     return {"solver_kind": solver_cfg["kind"], "transform": solver_cfg.get("transform"),
-            "solver_config": SolverConfig(alpha=float(alpha), x_star=x_star, **values)}
+            "solver_config": SolverConfig(alpha=alpha, x_star=x_star, **values)}
 
 
 def _solve(pb, config, observer=None):
@@ -605,15 +616,16 @@ def _theory_report(pb, trace, cloud):
     # map, which requires the denoiser to leave it unchanged
     if np.linalg.norm(dx - x_star) > 1e-9 * (1.0 + xn):
         notes.append("ground truth is not a fixed point of the denoiser")
+    # a pnp_admm step left auto (None) is resolved from P's spectrum here
     est = compute_rho(delta_hat, config.alpha, op, basis, gamma_eff, ric_s)
     # a prior that declares no K (nan) leaves the C1 that read it nan
-    C1, C2 = decay_constants(config.alpha, K, ric_s, ric_h, xn)
-    C1v, C2v = decay_constants_statement_variant(config.alpha, K, ric_s, ric_h, xn)
+    C1, C2 = decay_constants(est.alpha, K, ric_s, ric_h, xn)
+    C1v, C2v = decay_constants_statement_variant(est.alpha, K, ric_s, ric_h, xn)
     ciz = detect_ciz(trace.proj_err_sq, err_norm)
     ciz_rip = detect_ciz_rip_variant(trace.err_sq, ric_s, err_norm)
     return TheoryReport(delta_hat, ric_s, ric_h, K, err_norm, est.rho,
                         est.rho_squared_form, est.gradient_op_norm,
-                        est.s_spectral_norm, C1, C2, C1v, C2v, config.alpha,
+                        est.s_spectral_norm, C1, C2, C1v, C2v, est.alpha,
                         config.gamma, xn, ciz, ciz_rip, not notes, notes)
 
 

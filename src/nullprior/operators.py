@@ -50,14 +50,13 @@ def _as_flat(x, n, what="input"):
 
 
 class LinearOperator:
-    """Base class: subclasses set .shape_in, .m, .m_eff and implement _apply/_apply_adjoint.
+    """Base class: subclasses set .shape_in, .m_eff and implement _apply/_apply_adjoint.
 
     Both take one flat vector or a stack of them as the rows of a 2-D
     array, and apply the operator to every vector in one call.
     """
 
     shape_in = None  # (n,) or (h, w)
-    m = None         # logical measurement count
     m_eff = None     # length of the real measurement vector
 
     @property
@@ -90,7 +89,7 @@ class DenseOperator(LinearOperator):
             raise DimensionMismatchError("matrix must be 2-D")
         self.matrix = matrix
         self.shape_in = (matrix.shape[1],)
-        self.m = self.m_eff = matrix.shape[0]
+        self.m_eff = matrix.shape[0]
 
     # transposes make a stack of row vectors columns of one product; for a
     # single vector they do nothing
@@ -188,7 +187,7 @@ class MaskedFrequencyOperator(LinearOperator):
                 raise DimensionMismatchError("mask indices must be distinct")
             self.kept = sorted(kept)
             self._kept = np.array(self.kept)  # indexing by a list converts it per call
-            self.m = self.m_eff = len(self.kept)
+            self.m_eff = len(self.kept)
         else:
             self.kept = canonical_representatives(kept, self.shape_in)
             reps = np.array(self.kept)
@@ -199,7 +198,6 @@ class MaskedFrequencyOperator(LinearOperator):
             self._sc_kept, self._sc_slots = reps[selfconj], slots[selfconj]
             self._pair_kept, self._pair_slots = reps[~selfconj], slots[~selfconj]
             self._pair_partners = partners[~selfconj]
-            self.m = len(self.kept)
             self.m_eff = len(self._sc_kept) + 2 * len(self._pair_kept)
 
     def _apply(self, x):
@@ -316,7 +314,7 @@ class CirculantConvOperator(LinearOperator):
         self.shape_in = _as_shape(shape)
         self.kernel_full = embed_kernel(kernel, self.shape_in, anchor)
         self.response = scipy.fft.fftn(self.kernel_full)
-        self.m = self.m_eff = self.n
+        self.m_eff = self.n
 
     def _apply(self, x):
         return self._filter(x, np.conj(self.response))
@@ -344,7 +342,7 @@ class DecimatedConvOperator(LinearOperator):
         self.shape_in = shape
         self.factor = factor
         self.shape_out = tuple(s // factor for s in shape)
-        self.m = self.m_eff = int(np.prod(self.shape_out))
+        self.m_eff = int(np.prod(self.shape_out))
         self._grid = (Ellipsis,) + tuple(slice(None, None, factor) for _ in shape)
 
     def _apply(self, x):
@@ -389,7 +387,7 @@ class RadonOperator(LinearOperator):
         self.side = side
         self.angles_deg = tuple(angles)
         self.shape_in = (side, side)
-        self.m = self.m_eff = side * len(angles)
+        self.m_eff = side * len(angles)
         rows, cols, wts = self._triplets()
         self._A = _csr_in_order(rows, cols, wts, (self.m_eff, self.n))
 
@@ -562,7 +560,6 @@ class ScaledOperator(LinearOperator):
         self.base = base
         self.scale = float(scale)
         self.shape_in = base.shape_in
-        self.m = base.m
         self.m_eff = base.m_eff
 
     def _apply(self, x):

@@ -304,7 +304,7 @@ def _penalties(H, S, Xb, lam1, lam2, dS):
     return l1, l2
 
 
-def _train(net, xs, Y, S, H=None, lam1=0.0, lam2=0.0, fit_weight=1.0, *, epochs, lr,
+def _train(net, xs, Y, S, H=None, lam1=0.0, lam2=0.0, *, epochs, lr,
            batch_size, seed, holdout_frac, normalize, noise_std):
     """Fit net(Y) to xs @ S.T with Adam; S is trained too when lam1 or lam2 > 0.
 
@@ -350,10 +350,6 @@ def _train(net, xs, Y, S, H=None, lam1=0.0, lam2=0.0, fit_weight=1.0, *, epochs,
             if learn_S:
                 # fit residual also drives S: d mean||G - Sx||^2 / dS = -2/N R^T X
                 grads.append(-2.0 * R.T @ Xb / Xb.shape[0])
-            if fit_weight != 1.0:
-                for g in grads:
-                    g *= fit_weight
-                fit *= fit_weight
             l1, l2 = _penalties(H, S, Xb, lam1, lam2, grads[2]) if learn_S else (0.0, 0.0)
             _check_loss(fit + lam1 * l1 + lam2 * l2, epoch, lr)
             opt.step(params, grads)
@@ -392,11 +388,11 @@ def train_mmse(net, xs, operator, basis, epochs=200, lr=1e-3, batch_size=None,
 
 def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
                 lr=1e-3, batch_size=None, seed=0, holdout_frac=0.2,
-                normalize=True, fit_weight=1.0, noise_std=0.0):
+                normalize=True, noise_std=0.0):
     """Jointly optimize the network and the projection matrix.
 
     Adds lam1 * mean ||x - A^+ A x||^2 (A^+ frozen per step) and
-    lam2 * ||A^T A - I||_F^2 to fit_weight times the fit loss, with
+    lam2 * ||A^T A - I||_F^2 to the fit loss, with
     A = [H; S] and measurements xs @ H.T.  With lam1 = lam2 = 0 the
     projection matrix is held fixed.  Returns (net, learned basis, report).
     """
@@ -411,7 +407,7 @@ def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
         warnings.warn("m + p > n: exact orthonormality of [H; S] is unreachable",
                       RuntimeWarning)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    report = _train(net, xs, xs @ H.T, S, H, lam1, lam2, fit_weight, epochs=epochs, lr=lr,
+    report = _train(net, xs, xs @ H.T, S, H, lam1, lam2, epochs=epochs, lr=lr,
                     batch_size=batch_size, seed=seed, holdout_frac=holdout_frac,
                     normalize=normalize, noise_std=noise_std)
     return net, NullSpaceBasis(S, "learned", *_residuals(S, H_dense=H)), report

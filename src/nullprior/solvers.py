@@ -53,7 +53,7 @@ import numpy as np
 import scipy.fft
 
 from .denoisers import denoise
-from .diagnostics import lambda_max, psnr_from_err_sq
+from .diagnostics import default_step, lambda_max, psnr_from_err_sq
 from .errors import ConfigError, NullPriorError
 from .nullspace import as_basis
 
@@ -65,9 +65,15 @@ RESTARTS = ("none", "fista-momentum")  # no restart, or adaptive restart
 
 @dataclass
 class SolverConfig:
-    """Iteration hyperparameters; x_star is for diagnostics only."""
+    """Iteration hyperparameters; x_star is for diagnostics only.
 
-    alpha: float
+    alpha is the step of the FISTA solvers.  PnP-ADMM never takes one, so
+    for it alpha may be None: its theory report then takes 0.9 /
+    lambda_max(P) from the spectrum it forms (`diagnostics.compute_rho`).
+    A stepped solver given None raises NullPriorError.
+    """
+
+    alpha: float | None
     gamma: float = 0.0
     lam: float = 0.0
     iters: int = 100
@@ -82,7 +88,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.x_star is not None:
             self.x_star = np.asarray(self.x_star, dtype=float).reshape(-1)
-        if self.alpha <= 0:
+        if self.alpha is not None and self.alpha <= 0:
             raise NullPriorError("alpha must be positive")
         if self.gamma < 0:
             raise NullPriorError("gamma must be nonnegative")
@@ -247,12 +253,20 @@ def _prepare_prior(basis, prior, y, gamma):
     return basis, g, True
 
 
+def _step(config):
+    """The step alpha of a stepped solve; None is refused."""
+    if config.alpha is None:
+        raise NullPriorError("this solver steps by alpha; alpha is None")
+    return config.alpha
+
+
 def _fista_solve(op, y, config, basis, prior, gradient_extra, prox, observer):
     """Shared accelerated loop.
 
     gradient_extra(v, z) may add further update terms to the post-gradient
     point v (e.g. the denoiser residual); prox(v) maps it to the next iterate.
     """
+    alpha = _step(config)
     y = np.asarray(y, dtype=float).reshape(-1)
     basis, g, active = _prepare_prior(basis, prior, y, config.gamma)
     rec = _Recorder(op, y, config, basis, g, observer)
@@ -266,7 +280,7 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox, observer):
             grad = rec.pair.adjoint(hz - y, sz - g, config.gamma)
         else:
             grad = op.adjoint(hz - y)
-        v = z - config.alpha * grad
+        v = z - alpha * grad
         v = gradient_extra(v, z)
         x = prox(v)
         h, s = rec.products(x)
@@ -328,7 +342,7 @@ def solve_fista_sparsity(op, y, config, basis=None, prior=None, transform="dct",
     alpha * tau, the exact proximal step at step size alpha.
     """
     shape = op.shape_in
-    thresh = config.alpha * config.lam
+    thresh = _step(config) * config.lam
     if transform not in SPARSITY_TRANSFORMS:
         raise NullPriorError(f"unknown transform {transform!r}")
 
@@ -411,7 +425,4 @@ def default_alpha(op, basis=None, gamma=0.0):
     With gamma = 0 the basis is left out, as the solvers leave out the
     penalty.
     """
-    lam = lambda_max(op, basis if gamma > 0 else None, gamma)
-    if lam == 0.0:
-        raise NullPriorError("operator is zero; cannot pick a step size")
-    return 0.9 / lam
+    return default_step(lambda_max(op, basis if gamma > 0 else None, gamma))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nullprior import experiments, nullspace
+from nullprior import diagnostics, experiments, nullspace
 from nullprior.denoisers import (
     GaussianSmooth,
     Identity,
@@ -61,6 +61,7 @@ from nullprior.phantoms import bumps
 from nullprior.priors import LipschitzError, OraclePrior, ZeroError
 from nullprior.solvers import (
     SolverConfig,
+    default_alpha,
     solve_pnp_admm,
     solve_pnp_fista,
     solve_red_fista,
@@ -326,7 +327,7 @@ def _old_dense_rho(delta, alpha, H, S, ric_s, gamma):
     op_norm = float(max(abs(eig[0]), abs(eig[-1])))
     gram_lower(S, gamma, M)
     s_norm = float(np.sqrt(max(lower_eigvalsh(M)[-1], 0.0)))
-    return _rho_fields(delta, op_norm, s_norm, ric_s)
+    return _rho_fields(delta, op_norm, s_norm, ric_s, alpha)
 
 
 def _dense_formula_rho(delta, alpha, H, S, ric_s, gamma):
@@ -334,7 +335,7 @@ def _dense_formula_rho(delta, alpha, H, S, ric_s, gamma):
     # the basis measures it once, whatever gamma
     fields = _old_dense_rho(delta, alpha, H, S, ric_s, gamma)
     s_norm = float(np.sqrt(gamma * max(lower_eigvalsh(gram_lower(S))[-1], 0.0)))
-    return _rho_fields(delta, fields["gradient_op_norm"], s_norm, ric_s)
+    return _rho_fields(delta, fields["gradient_op_norm"], s_norm, ric_s, alpha)
 
 
 def _old_spectral_rho(delta, alpha, op, basis, gamma, ric_s):
@@ -342,13 +343,13 @@ def _old_spectral_rho(delta, alpha, op, basis, gamma, ric_s):
     eig = normal_spectrum(op, basis, gamma)
     op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
     s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
-    return _rho_fields(delta, op_norm, s_norm, ric_s)
+    return _rho_fields(delta, op_norm, s_norm, ric_s, alpha)
 
 
-def _rho_fields(delta, op_norm, s_norm, ric_s):
+def _rho_fields(delta, op_norm, s_norm, ric_s, alpha):
     return {"rho": (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm),
             "rho_squared_form": (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2),
-            "gradient_op_norm": op_norm, "s_spectral_norm": s_norm}
+            "gradient_op_norm": op_norm, "s_spectral_norm": s_norm, "alpha": alpha}
 
 
 def _approximate_configs():
@@ -592,6 +593,63 @@ class TestTheoryReportRho:
         assert report.rho_squared_form == dense.rho_squared_form
 
 
+def _admm(cfg, **solver):
+    """cfg solved by pnp_admm, its step left auto unless given."""
+    return dict(cfg, solver={"kind": "pnp_admm", "alpha": "auto", "gamma": 0.5, "iters": 5,
+                             **solver})
+
+
+def _theory_lines(out_dir):
+    return (Path(out_dir) / "theory.txt").read_text().splitlines()
+
+
+class TestAdmmStepFromSpectrum:
+    """pnp_admm's auto alpha is the theory report's, from the spectrum of P it forms."""
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.0])
+    def test_structured_pair_bit_equal_to_default_alpha(self, gamma, tmp_path, lanczos_calls):
+        result = run(_admm(_pair_configs()["mri-dct"], gamma=gamma), out_dir=str(tmp_path))
+        pb, report = result["problem"], result["theory"]
+        assert pb["solver_config"].alpha is None
+        # at gamma = 0 the report certifies P at gamma 1, and the step is that P's
+        assert report.alpha == default_alpha(pb["op"], pb["basis"], gamma=gamma or 1.0)
+        assert f"alpha = {report.alpha:.17g}" in _theory_lines(tmp_path)
+        assert lanczos_calls == []
+
+    @pytest.mark.parametrize("name", ["radon", "qr"])
+    def test_dense_pair_reads_syevd_of_p(self, name, tmp_path, lanczos_calls):
+        result = run(_admm(_approximate_configs()[name]), out_dir=str(tmp_path))
+        assert lanczos_calls == []
+        pb, report = result["problem"], result["theory"]
+        op, basis = pb["op"], pb["basis"]
+        assert normal_spectrum(op, basis, 0.5) is None
+        H, S = op.to_dense(), basis.matrix
+        dense = 0.9 / np.linalg.eigvalsh(H.T @ H + 0.5 * S.T @ S)[-1]
+        assert report.alpha == pytest.approx(dense, rel=1e-13, abs=0.0)
+        # the Lanczos step a pnp_admm build took before
+        assert report.alpha == pytest.approx(default_alpha(op, basis, gamma=0.5),
+                                             rel=1e-12, abs=0.0)
+        assert f"alpha = {report.alpha:.17g}" in _theory_lines(tmp_path)
+        # the rate and the decay constants are those at that step
+        given = compute_rho(report.delta_hat, report.alpha, op, basis, 0.5, report.ric_s)
+        for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
+            assert getattr(report, field) == pytest.approx(getattr(given, field),
+                                                           rel=1e-12, abs=0.0)
+        assert (report.C1, report.C2) == decay_constants(
+            report.alpha, report.K, report.ric_s, report.ric_h, report.xstar_norm)
+
+    @pytest.mark.parametrize("name", ["radon", "qr"])
+    def test_numeric_alpha_printed_as_given(self, name, tmp_path):
+        result = run(_admm(_approximate_configs()[name], alpha=0.37), out_dir=str(tmp_path))
+        assert result["problem"]["solver_config"].alpha == 0.37
+        assert result["theory"].alpha == 0.37
+        assert "alpha = 0.37" in _theory_lines(tmp_path)
+
+    def test_zero_operator_raises(self):
+        with pytest.raises(NullPriorError, match="operator is zero"):
+            compute_rho(0.0, None, DenseOperator(np.zeros((2, 3))), np.zeros((1, 3)), 1.0, 0.0)
+
+
 def _spectrum_cases():
     blur_1d = CirculantConvOperator(48, gaussian_kernel(2.0, ndim=1), "center")
     blur_2d = CirculantConvOperator((16, 16), gaussian_kernel(1.5, ndim=2), "center")
@@ -641,14 +699,24 @@ def _counted(S, residuals, calls):
     return NullSpaceBasis(S, "counted", measure=measure)
 
 
+@pytest.fixture
+def lanczos_calls(monkeypatch):
+    """A list that gets one entry per `diagnostics._lanczos_max` call."""
+    calls = []
+    monkeypatch.setattr(diagnostics, "_lanczos_max",
+                        lambda *a: calls.append(1) or _lanczos_max(*a))
+    return calls
+
+
 class TestLambdaMaxProbe:
     """One probe ||S H'u|| / ||u|| rules out the Weyl test before residuals are read."""
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
     @pytest.mark.parametrize("seed", range(4))
-    def test_exact_complement_reads_its_residuals(self, gamma, seed):
+    def test_exact_complement_reads_its_residuals(self, gamma, seed, lanczos_calls):
         # S H' vanishes to rounding, so the probe cannot rule the test out:
-        # the residuals are read and pass, and the step is max(lambda(H'H), gamma)
+        # the residuals are read and pass, and the step is max(lambda(H'H), gamma),
+        # from one Lanczos run, on H'H
         op = experiments.make_operator("cs", {"n": 60, "m": 12, "normalize": True}, seed)
         calls = []
         qr = qr_nullspace(op.to_dense(), 30, seed=seed)
@@ -656,10 +724,25 @@ class TestLambdaMaxProbe:
                          calls)
         lam = lambda_max(op, basis, gamma)
         assert calls == [1]
+        assert lanczos_calls == [1]
         assert lam == max(lambda_max(op), gamma)
 
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_exact_complement_matches_lanczos_on_the_pair(self, gamma, lanczos_calls):
+        # a CS pair that used to take two Lanczos runs: the step is the one
+        # the pair's own Lanczos run passed the Weyl test with, from one run
+        op = experiments.make_operator("cs", {"n": 1024, "m": 256, "normalize": True}, 3)
+        basis = qr_nullspace(op.to_dense(), 512, seed=3)
+        lam = lambda_max(op, basis, gamma)
+        assert lanczos_calls == [1]
+        assert lam == max(lambda_max(op), gamma)
+        pair = _lanczos_lambda(op, basis, gamma)
+        weyl = 2.0 * np.sqrt(gamma) * basis.ortho_to_H_residual + gamma * basis.row_gram_residual
+        assert weyl <= 1e-13 * pair
+        assert lam == pytest.approx(pair, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("gamma", [0.3, 3.0])
-    def test_bench_ct_reads_no_residuals(self, gamma, monkeypatch):
+    def test_bench_ct_reads_no_residuals(self, gamma, monkeypatch, lanczos_calls):
         # the Radon complement fails the Weyl test by about 13 orders of
         # magnitude; the probe says so before the residuals are measured
         calls = []
@@ -673,26 +756,32 @@ class TestLambdaMaxProbe:
         op, basis = pb["op"], pb["basis"]
         lam = lambda_max(op, basis, gamma)
         assert calls == []
+        assert lanczos_calls == [1]
         assert lam == _lanczos_lambda(op, basis, gamma)
-        assert pb["solver_config"].alpha == 0.9 / lam
+        # pnp_admm never steps by alpha: the build leaves auto unresolved,
+        # and the theory report takes it from the spectrum of P it forms
+        assert pb["solver_config"].alpha is None
 
     @pytest.mark.parametrize("name", ["ct", "qr"])
-    def test_plain_matrix_takes_lanczos(self, name):
+    def test_plain_matrix_takes_lanczos(self, name, lanczos_calls):
         # a plain matrix has nan residuals: Lanczos whether or not the probe fires
         H, S = _dense_pair(name)
         op = DenseOperator(H)
         assert lambda_max(op, S, 1.5) == _lanczos_lambda(op, S, 1.5)
+        assert lanczos_calls == [1]
 
     @pytest.mark.parametrize("name", ["ct", "qr"])
-    def test_gamma_zero_reads_residuals(self, name):
+    def test_gamma_zero_reads_residuals(self, name, lanczos_calls):
         # at gamma = 0 the probe's bound is zero: finite residuals pass the
-        # test and the step is that of H'H alone
+        # test and the step is that of H'H alone, from one Lanczos run
         H, S = _dense_pair(name)
         op = DenseOperator(H)
         calls = []
         basis = _counted(S, lambda: nullspace._residuals(S, H_dense=H), calls)
-        assert lambda_max(op, basis, 0.0) == lambda_max(op)
+        lam = lambda_max(op, basis, 0.0)
         assert calls == [1]
+        assert lanczos_calls == [1]
+        assert lam == lambda_max(op)
 
 
 class TestNormalSpectrum:

@@ -1,7 +1,11 @@
 """Experiment runner: config validation, run artifacts, sweeps, theory checks, CLI."""
 
 import gc
+import json
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -257,8 +261,11 @@ class TestValidation:
                                                  for key in SOLVER_KEYS[kind]}
         section = experiments.resolve("solver", {"kind": kind, **values})
         built = experiments._build_solver(section, pb["op"], pb["basis"], pb["x_star"])
-        alpha = values.get("alpha") or default_alpha(pb["op"], pb["basis"],
-                                                    gamma=values.get("gamma", 0.0))
+        # an auto step is resolved only for a kind that steps by it; pnp_admm
+        # leaves it None for the theory report
+        alpha = values.get("alpha") or (default_alpha(pb["op"], pb["basis"],
+                                                     gamma=values.get("gamma", 0.0))
+                                        if kind in experiments._STEPPED_KINDS else None)
         fields = {key: float(value) if key == "cg_tol" else value
                   for key, value in values.items() if key not in ("alpha", "transform")}
         expected = SolverConfig(alpha=alpha, x_star=pb["x_star"], **fields)
@@ -867,6 +874,36 @@ def _counting(monkeypatch, module, name):
 
 
 class TestMeasuredOnFirstRead:
+    def test_ct_build_and_sweep_run_no_lanczos(self, tmp_path):
+        # pnp_admm never steps by alpha: its auto step comes from the theory
+        # report's spectrum of P, so no CT build or sweep point runs Lanczos,
+        # and a fresh interpreter never loads ARPACK (scipy.sparse.linalg)
+        code = textwrap.dedent("""
+            import json, sys
+            from nullprior import diagnostics, experiments, solvers
+            calls = []
+            def spy(module, name):
+                real = getattr(module, name)
+                setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+            for module in (experiments, solvers):
+                spy(module, "default_alpha")
+            spy(diagnostics, "_lanczos_max")
+            cfg = experiments.load_config(sys.argv[1])
+            pb = experiments.build_problem(cfg, seed=4)
+            rows = experiments.sweep(cfg, "gamma", [0.3, 3.0], out_dir=sys.argv[2], seed=4)
+            print(json.dumps({"alpha": pb["solver_config"].alpha, "calls": calls,
+                              "errors": [row["error"] for row in rows],
+                              "arpack": "scipy.sparse.linalg" in sys.modules}))
+        """)
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(BENCH_CONFIGS / "ct-admm-sweep.yaml"),
+             str(tmp_path)], env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == {
+            "alpha": None, "calls": [], "errors": ["", ""], "arpack": False}
+
     def test_mri_runs_measure_no_residuals(self, tmp_path, monkeypatch):
         # the masked-Fourier pair's spectrum gives the step and rho, so no
         # build, run or sweep point reads the probe bounds
@@ -885,10 +922,10 @@ class TestMeasuredOnFirstRead:
         assert (ortho, gram) == nullspace._frequency_residuals(basis.operator, pb["op"])
 
     def test_ct_sweep_measures_no_radon_residuals_and_norm_once(self, tmp_path, monkeypatch):
-        # both gamma points keep the basis stage: the auto step's probe rules
-        # the Weyl test out before it reads the residuals, and rho reads
-        # ||S||^2, measured once; the 40 missing angles are only densified,
-        # so their operator builds no transpose
+        # both gamma points keep the basis stage: pnp_admm resolves no auto
+        # step, so nothing reads the residuals, and rho reads ||S||^2,
+        # measured once; the 40 missing angles are only densified, so their
+        # operator builds no transpose
         residuals = _counting(monkeypatch, nullspace, "_residuals")
         norms = _counting(monkeypatch, diagnostics, "norm_sq")
         densified = []

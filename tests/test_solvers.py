@@ -71,7 +71,7 @@ class _Diagonal(LinearOperator):
     def __init__(self, d):
         self.d = d
         self.shape_in = (d.size,)
-        self.m = self.m_eff = d.size
+        self.m_eff = d.size
 
     def _apply(self, x):
         return self.d * x
@@ -525,6 +525,31 @@ class TestPnpAdmm:
                                 lambda yy: prior.predict(yy, x_star))
         x_b, _ = solve_pnp_admm(op, y, denoiser, cfg_base)
         assert psnr(x_n, x_star) > psnr(x_b, x_star)
+
+
+class TestAlphaNone:
+    """alpha None is left by a pnp_admm build; only ADMM, which takes no step, runs on it."""
+
+    @pytest.mark.parametrize("kind", ["pnp_fista", "red_fista", "sparsity"])
+    def test_stepped_solvers_refuse_it(self, kind):
+        op, basis, x_star, y = cs_problem(n=20, m=5, seed=15)
+        cfg = SolverConfig(alpha=None, gamma=0.5, lam=0.1, iters=5, x_star=x_star)
+        with pytest.raises(NullPriorError, match="alpha is None"):
+            if kind == "sparsity":
+                solve_fista_sparsity(op, y, cfg, basis)
+            else:
+                solve = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista}[kind]
+                solve(op, y, Identity(), cfg, basis)
+
+    def test_admm_never_reads_it(self):
+        op, basis, x_star, y = cs_problem(n=20, m=5, seed=15)
+        prior = OraclePrior(basis, ZeroError())
+        cfg = SolverConfig(alpha=0.7, gamma=0.5, iters=10, x_star=x_star)
+        runs = [solve_pnp_admm(op, y, GaussianSmooth(0.5), config, basis,
+                               lambda yy: prior.predict(yy, x_star))
+                for config in (cfg, replace(cfg, alpha=None))]
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1].err_sq, runs[1][1].err_sq)
 
 
 class TestTraceInvariants:
