@@ -2,12 +2,14 @@
 
 The contraction rate of the penalized iteration is
 rho = (1 + delta) * (||I - alpha (H'H + S'S)|| + (1 + Delta_S) ||S||),
-with unsquared spectral norms (the form the fixed-point argument actually
-uses); the squared-norm variant is recorded alongside for comparison.  This
-module owns the spectrum of P = H'H + gamma S'S: `compute_rho` gives the
-rate and `lambda_max` the largest eigenvalue behind the default step;
-for PnP-ADMM, which takes no step, `compute_rho` reads the step's
-lambda_max off the spectrum it forms for the rate.
+with unsquared spectral norms, the form the fixed-point argument uses.  It
+bounds one map: a gradient step of size alpha on the penalized fit, then
+the denoiser, with no momentum (the PnP proximal-gradient map of Sun,
+Wohlberg & Kamilov, IEEE TCI 2019).  This module owns the spectrum of
+P = H'H + gamma S'S: `compute_rho` gives the rate and `lambda_max` the
+largest eigenvalue behind the default step; for PnP-ADMM, which takes no
+step, `compute_rho` reads the step's lambda_max off the spectrum it forms
+for the rate.
 Where the operator and basis share a transform (masked DCT/DFT with its
 Fourier complement, blur and SR with their complements, scaled or not),
 both read it from `normal_spectrum` (one FFT or one batched block
@@ -17,9 +19,8 @@ and lambda_max from residuals or Lanczos.  The restricted-isometry constants Del
 are measured on a supplied sample cloud, the denoiser expansion delta on
 sample pairs; `CloudConstants` measures both on a solve's iterates while it
 runs, so no iterate is stored.  The improvement zone is the set of
-iterations whose projected error still dominates the prior's error norm.  Two constant
-pairs are in circulation for the penalty-decay bound; both are computed,
-with the first as the primary.
+iterations whose projected error still dominates the prior's error norm,
+and `decay_constants` gives the constant pair of the penalty-decay bound.
 """
 
 from dataclasses import dataclass, field
@@ -220,7 +221,6 @@ class CloudConstants:
 @dataclass
 class RhoEstimate:
     rho: float
-    rho_squared_form: float
     gradient_op_norm: float
     s_spectral_norm: float
     alpha: float  # the step the rate is for
@@ -420,16 +420,15 @@ def _lanczos_max(n, matvec):
 
 
 def compute_rho(delta, alpha, op, basis, gamma, ric_s):
-    """Contraction rate of the penalized gradient map, unsquared-norm form.
+    """Contraction rate of the penalized gradient map, in unsquared norms.
 
     The penalty weights S by sqrt(gamma): the rate takes ||I - alpha P|| with
-    P = H'H + gamma S'S and ||sqrt(gamma) S|| = sqrt(gamma ||S||^2); a
-    squared-norm variant is returned alongside.  `basis` may be a plain
-    matrix.  ||S||^2 is the basis's own `norm_sq`, measured on its first
-    read and kept with the basis, so the points of a sweep that share a
-    basis measure it once.  With a structural spectrum (`normal_spectrum`)
-    both norms are exact, max |1 - alpha lambda| and sqrt(gamma max d_S),
-    and no n x n array is formed.  Any other pair (n <= 4096) reads
+    P = H'H + gamma S'S and ||sqrt(gamma) S|| = sqrt(gamma ||S||^2).
+    `basis` may be a plain matrix.  ||S||^2 is the basis's own `norm_sq`,
+    measured on its first read and kept with the basis, so the points of a
+    sweep that share a basis measure it once.  With a structural spectrum
+    (`normal_spectrum`) both norms are exact, max |1 - alpha lambda| and
+    sqrt(gamma max d_S), and no n x n array is formed.  Any other pair (n <= 4096) reads
     ||I - alpha P|| from symmetric eigenvalues of one n x n buffer: P =
     gamma S'S + H'H by BLAS syrk (a dense operator's matrix read uncopied),
     shifted in place to I - alpha P for LAPACK's syevd.  A first read of
@@ -463,8 +462,7 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
         eig = lower_eigvalsh(M)
         op_norm = float(max(abs(eig[0]), abs(eig[-1])))
     rho = (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm)
-    rho_sq = (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2)
-    return RhoEstimate(rho, rho_sq, op_norm, s_norm, alpha)
+    return RhoEstimate(rho, op_norm, s_norm, alpha)
 
 
 def default_step(lam):
@@ -475,17 +473,10 @@ def default_step(lam):
 
 
 def decay_constants(alpha, K, ric_s, ric_h, xstar_norm):
-    """Primary constant pair (C1, C2) of the penalty-decay bound."""
+    """Constant pair (C1, C2) of the penalty-decay bound."""
     C1 = 1.0 / (2.0 * alpha) + (1.0 + ric_s) ** 2 \
         + K * (1.0 + ric_h) * (1.0 + ric_s) * xstar_norm
     C2 = (1.0 + ric_s) + 1.0 / np.sqrt(2.0 * alpha)
-    return C1, C2
-
-
-def decay_constants_statement_variant(alpha, K, ric_s, ric_h, xstar_norm):
-    """Alternative constant pair for the same bound; recorded for comparison."""
-    C1 = (1.0 / (2.0 * alpha) + K * (1.0 + ric_h) * xstar_norm ** 2) * (1.0 + ric_s)
-    C2 = (1.0 + ric_s) ** 2 * (1.0 + 1.0 / (2.0 * alpha))
     return C1, C2
 
 
@@ -513,16 +504,6 @@ def detect_ciz(proj_err_sq, error_norm):
     return np.flatnonzero(thr <= proj)
 
 
-def detect_ciz_rip_variant(err_sq, ric_s, error_norm):
-    """Alternative gate via the isometry upper bound (1 + Delta_S) ||x^l - x*||^2."""
-    err = np.asarray(err_sq, dtype=float)
-    thr = float(error_norm) ** 2
-    bound = (1.0 + ric_s) * err
-    if thr == 0.0:
-        return np.flatnonzero(bound > 0.0)
-    return np.flatnonzero(thr <= bound)
-
-
 @dataclass
 class TheoryReport:
     """Measured constants for one solve, plus the detected improvement zone."""
@@ -533,35 +514,28 @@ class TheoryReport:
     K: float
     error_norm: float
     rho: float
-    rho_squared_form: float
     gradient_op_norm: float
     s_spectral_norm: float
     C1: float
     C2: float
-    C1_statement_variant: float
-    C2_statement_variant: float
     alpha: float
     gamma: float
     xstar_norm: float
     ciz: np.ndarray = field(default=None, repr=False)
-    ciz_rip_variant: np.ndarray = field(default=None, repr=False)
     certified: bool = True
     notes: list = field(default_factory=list)
 
     def to_text(self):
         lines = []
         for name in ("delta_hat", "ric_s", "ric_h", "K", "error_norm", "rho",
-                     "rho_squared_form", "gradient_op_norm", "s_spectral_norm",
-                     "C1", "C2", "C1_statement_variant", "C2_statement_variant",
+                     "gradient_op_norm", "s_spectral_norm", "C1", "C2",
                      "alpha", "gamma", "xstar_norm"):
             lines.append(f"{name} = {getattr(self, name):.17g}")
-        for name in ("ciz", "ciz_rip_variant"):
-            val = getattr(self, name)
-            if val is None or len(val) == 0:
-                lines.append(f"{name} = (empty)")
-            else:
-                lines.append(f"{name} = {int(val[0])}..{int(val[-1])} "
-                             f"(size {len(val)})")
+        ciz = self.ciz
+        if ciz is None or len(ciz) == 0:
+            lines.append("ciz = (empty)")
+        else:
+            lines.append(f"ciz = {int(ciz[0])}..{int(ciz[-1])} (size {len(ciz)})")
         lines.append(f"certified = {self.certified}")
         for note in self.notes:
             lines.append(f"note = {note}")

@@ -20,7 +20,6 @@ from nullprior.diagnostics import (
     _lanczos_max,
     compute_rho,
     detect_ciz,
-    detect_ciz_rip_variant,
     estimate_ric,
     gram_lower,
     lambda_max,
@@ -29,7 +28,6 @@ from nullprior.diagnostics import (
     psnr,
     penalty_decay_bound,
     decay_constants,
-    decay_constants_statement_variant,
 )
 from nullprior.errors import NullPriorError
 from nullprior.experiments import build_problem, run
@@ -218,14 +216,6 @@ class TestComputeRho:
         assert est.gradient_op_norm == pytest.approx(op_norm, rel=1e-14, abs=0)
         assert est.s_spectral_norm == pytest.approx(np.linalg.norm(S, 2), rel=1e-14, abs=0)
 
-    def test_squared_variant_recorded(self):
-        rng = np.random.default_rng(4)
-        H = rng.standard_normal((3, 8)) / 4.0
-        S = rng.standard_normal((2, 8)) / 4.0
-        est = compute_rho(0.1, 0.5, DenseOperator(H), S, 1.0, 0.2)
-        assert est.rho_squared_form == pytest.approx(
-            1.1 * (est.gradient_op_norm ** 2 + 1.2 * est.s_spectral_norm ** 2))
-
 
 def _rho_whole_matrix(alpha, H, S, gamma):
     # the norms compute_rho took before it worked in one n x n buffer
@@ -348,7 +338,6 @@ def _old_spectral_rho(delta, alpha, op, basis, gamma, ric_s):
 
 def _rho_fields(delta, op_norm, s_norm, ric_s, alpha):
     return {"rho": (1.0 + delta) * (op_norm + (1.0 + ric_s) * s_norm),
-            "rho_squared_form": (1.0 + delta) * (op_norm ** 2 + (1.0 + ric_s) * s_norm ** 2),
             "gradient_op_norm": op_norm, "s_spectral_norm": s_norm, "alpha": alpha}
 
 
@@ -513,7 +502,6 @@ class TestTheoryReportRho:
         expected = _dense_rho(report.delta_hat, report.alpha, pb["op"], basis,
                               report.gamma, report.ric_s)
         assert report.rho == expected.rho
-        assert report.rho_squared_form == expected.rho_squared_form
 
     @pytest.mark.parametrize("name", sorted(_structured_configs()))
     def test_structured_bases_match_dense_rho(self, name, tmp_path, run_iterates):
@@ -524,7 +512,7 @@ class TestTheoryReportRho:
         assert pb["basis"].method == f"{name}-complement"
         dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
                            report.gamma, report.ric_s)
-        for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
+        for field in ("rho", "gradient_op_norm", "s_spectral_norm"):
             assert getattr(report, field) == pytest.approx(getattr(dense, field),
                                                            rel=1e-12, abs=0.0)
         # the constants measured through the operators match the dense products
@@ -590,7 +578,6 @@ class TestTheoryReportRho:
         dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
                            report.gamma, report.ric_s)
         assert report.rho == dense.rho
-        assert report.rho_squared_form == dense.rho_squared_form
 
 
 def _admm(cfg, **solver):
@@ -632,7 +619,7 @@ class TestAdmmStepFromSpectrum:
         assert f"alpha = {report.alpha:.17g}" in _theory_lines(tmp_path)
         # the rate and the decay constants are those at that step
         given = compute_rho(report.delta_hat, report.alpha, op, basis, 0.5, report.ric_s)
-        for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
+        for field in ("rho", "gradient_op_norm", "s_spectral_norm"):
             assert getattr(report, field) == pytest.approx(getattr(given, field),
                                                            rel=1e-12, abs=0.0)
         assert (report.C1, report.C2) == decay_constants(
@@ -824,7 +811,7 @@ class TestNormalSpectrum:
         op, basis = _spectrum_cases()[case]
         spectral = compute_rho(0.1, alpha, op, basis, gamma, 0.2)
         dense = _dense_rho(0.1, alpha, op, basis, gamma, 0.2)
-        for field in ("rho", "rho_squared_form", "gradient_op_norm", "s_spectral_norm"):
+        for field in ("rho", "gradient_op_norm", "s_spectral_norm"):
             assert getattr(spectral, field) == pytest.approx(getattr(dense, field),
                                                              rel=1e-12, abs=0.0)
 
@@ -871,11 +858,6 @@ class TestPenaltyDecayBound:
         C1, C2 = decay_constants(1e12, K, ds, dh, xn)
         assert C1 == pytest.approx((1 + ds) ** 2 + K * (1 + dh) * (1 + ds) * xn, rel=1e-9)
         assert C2 == pytest.approx(1 + ds, rel=1e-6)
-
-    def test_statement_variant_differs(self):
-        a = decay_constants(0.5, 0.4, 0.25, 0.15, 2.0)
-        b = decay_constants_statement_variant(0.5, 0.4, 0.25, 0.15, 2.0)
-        assert a != b
 
     def test_bound_dominates_penalty_on_certified_trace(self):
         op, basis, x_star = scaled_frequency_setup(seed=5)
@@ -941,11 +923,6 @@ class TestDetectCiz:
         proj = np.sort(rng.random(30))[::-1] * 10
         sizes = [len(detect_ciz(proj, nv)) for nv in (0.0, 0.5, 1.0, 2.0, 5.0)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-
-    def test_rip_variant_uses_unprojected_error(self):
-        err_sq = np.array([9.0, 4.0, 1.0])
-        got = detect_ciz_rip_variant(err_sq, ric_s=0.0, error_norm=2.0)
-        np.testing.assert_array_equal(got, [0, 1])
 
 
 class TestPsnr:

@@ -536,11 +536,43 @@ class TestRun:
         run(NET_BLUR, out_dir=str(tmp_path))
         lines = (tmp_path / "theory.txt").read_text().splitlines()
         report = dict(line.split(" = ", 1) for line in lines if not line.startswith("note"))
-        assert [report[k] for k in ("K", "C1", "C1_statement_variant")] == ["nan"] * 3
+        assert [report[k] for k in ("K", "C1")] == ["nan"] * 2
         assert np.isfinite(float(report["C2"]))
-        assert np.isfinite(float(report["C2_statement_variant"]))
         assert report["certified"] == "False"
         assert "note = no declared Lipschitz constant for a trained prior" in lines
+
+    @pytest.mark.parametrize("solver, certified, note", [
+        ({"kind": "pnp_fista"}, False, "pnp_fista with fista momentum"),
+        ({"kind": "pnp_admm"}, False, "pnp_admm"),
+        ({"kind": "pnp_fista", "momentum": "none"}, True, None)])
+    def test_certifies_only_the_iterated_map(self, solver, certified, note, tmp_path):
+        # rho bounds the momentum-free proximal-gradient map: on this config
+        # FISTA momentum steps at up to 1.59 and ADMM at up to 0.99 against
+        # rho = 0.70, and only the map itself stays below it
+        cfg = theory_config(solver=dict(solver, alpha=50.0, gamma=1.0, iters=25))
+        result = run(cfg, out_dir=str(tmp_path))
+        report, ratios = result["theory"], result["trace_npn"].ratio
+        lines = (tmp_path / "theory.txt").read_text().splitlines()
+        assert report.certified is certified
+        assert f"certified = {certified}" in lines
+        map_notes = [line for line in lines if "proximal-gradient map" in line]
+        if note is None:
+            assert map_notes == []
+        else:
+            assert map_notes == ["note = rho bounds the proximal-gradient map without "
+                                 "momentum (a step of alpha, then the denoiser), not the "
+                                 f"map of {note}"]
+        steps = np.sqrt(ratios[np.isfinite(ratios)])
+        assert bool(np.all(steps <= report.rho + 1e-9)) is certified
+
+    def test_theory_text_keys(self, tmp_path):
+        # one form of each bound: a comparison-only key must not come back
+        run(theory_config(), out_dir=str(tmp_path))
+        lines = (tmp_path / "theory.txt").read_text().splitlines()
+        assert [line.split(" = ", 1)[0] for line in lines] == [
+            "delta_hat", "ric_s", "ric_h", "K", "error_norm", "rho", "gradient_op_norm",
+            "s_spectral_norm", "C1", "C2", "alpha", "gamma", "xstar_norm", "ciz",
+            "certified", "note"]
 
     def test_toy3d_rejected_by_run(self):
         with pytest.raises(ConfigError, match="toy3d"):
