@@ -1,10 +1,10 @@
 """Classical bounded denoisers and empirical estimation of their expansion constant.
 
 These stand in for learned denoisers inside the plug-and-play loops: identity,
-circular Gaussian smoothing, soft-thresholding in an orthonormal DCT (the exact
-proximal map of tau * ||DCT x||_1), Chambolle-style total-variation denoising
-with a fixed inner iteration count, and a median filter.  All are deterministic
-and preserve the input's shape; 2-D signals are denoised as images.
+circular Gaussian smoothing, soft-thresholding in an orthonormal DCT or the
+identity (the exact prox of tau * ||T x||_1), Chambolle-style total-variation
+denoising with a fixed inner iteration count, and a median filter.  All are
+deterministic and preserve the input's shape; 2-D signals are denoised as images.
 """
 
 import numpy as np
@@ -13,6 +13,8 @@ import scipy.ndimage
 
 from .diagnostics import _DeltaMax, _pair_norms
 from .errors import NullPriorError
+
+SPARSITY_TRANSFORMS = ("dct", "identity")  # the domains of `TransformSoftThreshold`
 
 
 class Denoiser:
@@ -56,13 +58,25 @@ class GaussianSmooth(Denoiser):
 
 
 class TransformSoftThreshold(Denoiser):
-    """Soft-threshold the orthonormal DCT coefficients by tau."""
+    """The prox of tau * ||T x||_1, T the orthonormal DCT or the identity.
 
-    def __init__(self, tau):
+    At tau = 0, the prox of no penalty, the input is returned as it is.
+    """
+
+    def __init__(self, tau, transform="dct"):
         self.tau = float(tau)
+        if self.tau < 0:
+            raise NullPriorError("soft-threshold tau must be nonnegative")
+        if transform not in SPARSITY_TRANSFORMS:
+            raise NullPriorError(f"unknown transform {transform!r}")
+        self.transform = transform
 
     def __call__(self, x):
+        if self.tau == 0.0:
+            return x
         x = np.asarray(x, dtype=float)
+        if self.transform == "identity":
+            return np.sign(x) * np.maximum(np.abs(x) - self.tau, 0.0)
         c = scipy.fft.dctn(x, type=2, norm="ortho")
         c = np.sign(c) * np.maximum(np.abs(c) - self.tau, 0.0)
         return scipy.fft.idctn(c, type=2, norm="ortho")

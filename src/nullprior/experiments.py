@@ -80,10 +80,9 @@ from .priors import (
 from .solvers import (
     MOMENTA,
     RESTARTS,
-    SPARSITY_TRANSFORMS,
     SolverConfig,
     default_alpha,
-    solve_fista_sparsity,
+    solve_fista_sparsity,  # unread here; bench/tracer.py wraps it under this name
     solve_pnp_admm,
     solve_pnp_fista,
     solve_red_fista,
@@ -93,8 +92,9 @@ OUTPUT_ENV_VAR = "NULLPRIOR_OUT"
 
 CS_DISTS = ("gaussian", "binary")  # the entries of a cs operator's random matrix
 
+# fista_sparsity is PnP-FISTA whose denoiser, made by `_build_solver`, is its prox
 _SOLVERS = {"pnp_fista": solve_pnp_fista, "red_fista": solve_red_fista,
-            "pnp_admm": solve_pnp_admm, "fista_sparsity": solve_fista_sparsity}
+            "pnp_admm": solve_pnp_admm, "fista_sparsity": solve_pnp_fista}
 # the kinds whose iteration steps by alpha; pnp_admm's x-update is a CG solve
 # of H'H + gamma S'S + rho I, so its alpha feeds only the theory report, and
 # an auto one is left for the report to take from P's spectrum
@@ -236,6 +236,7 @@ def _resolve_config(cfg):
         return top
     signal_kind, basis_method = _PROBLEM_KINDS[top["problem"]]
     top["signal"] = resolve("signal", top["signal"], signal_kind)
+    _check_ranges("signal", top["signal"])
     prior = top["prior"] = resolve("prior", top["prior"])
     if prior["kind"] == "oracle":
         prior["error"] = resolve("error", prior["error"])
@@ -251,17 +252,21 @@ def _resolve_config(cfg):
     if basis["method"] not in ("qr", basis_method):
         raise ConfigError(f"basis method {basis['method']!r} does not fit problem "
                           f"{top['problem']!r}")
-    denoiser = top["denoiser"] = resolve("denoiser", top["denoiser"])
-    _check_ranges("denoiser", denoiser)
     top["noise"] = resolve("noise", top["noise"])
     solver = top["solver"] = resolve("solver", top["solver"])
     for key, choices in (("momentum", MOMENTA), ("restart", RESTARTS),
-                         ("transform", SPARSITY_TRANSFORMS)):
+                         ("transform", dn.SPARSITY_TRANSFORMS)):
         if key in solver:
             _check_choice(f"solver {key}", solver[key], choices)
     _check_ranges("solver", solver)
     if solver["alpha"] != "auto":
         _check_number("solver alpha", solver["alpha"], 0, strict=True)
+    if solver["kind"] != "fista_sparsity":
+        top["denoiser"] = resolve("denoiser", top["denoiser"])
+        _check_ranges("denoiser", top["denoiser"])
+    elif top["denoiser"] is not None:
+        raise ConfigError("solver kind 'fista_sparsity' reads no denoiser section: "
+                          "its denoiser is its prox")
     top["operator"] = _resolve_operator(top["problem"], top["operator"])
     # a qr or radon basis and joint training hold dense matrices of n columns:
     # past the cap they are refused before anything is built
@@ -290,6 +295,9 @@ def _resolve_operator(problem, section):
     a mask count outside [1, the number of frequencies it chooses from].
     """
     op = resolve("operator", section, problem)
+    # ct's angles given as a list are used as given; a count must be >= 1
+    _check_ranges("operator", {key: value for key, value in op.items()
+                               if np.isscalar(value) or key not in ("full_angles", "acquired")})
     if problem == "cs":
         _check_choice("cs dist", op["dist"], CS_DISTS)
     elif problem == "mri":
@@ -304,6 +312,7 @@ def _resolve_operator(problem, section):
         _check_choice(f"{problem} anchor", op["anchor"], ANCHORS)
         if isinstance(op["kernel"], dict):
             op["kernel"] = kernel = resolve("kernel", op["kernel"])
+            _check_ranges("kernel", kernel)
             if kernel["kind"] == "bilinear" and kernel["factor"] is None:
                 if problem == "blur":
                     raise ConfigError("a blur operator's bilinear kernel needs a factor")
@@ -316,10 +325,13 @@ def _check_choice(what, value, choices):
         raise ConfigError(f"unknown {what} {value!r} (choose from {choices})")
 
 
-# the lowest value of each numeric key of the prior, error, solver and
-# denoiser sections, as (low, cast, strict) for `_check_number`; a key its
-# kind does not have and an unset batch are not checked
+# the lowest value of each numeric key of the signal, prior, error, solver,
+# denoiser, operator and kernel sections, as (low, cast, strict) for
+# `_check_number`; a key its kind does not have and an unset value (a size
+# from the operator, a batch, a kernel radius) are not checked
 _RANGES = {
+    "signal": {"n": (1, int), "k": (1, int), "segments": (1, int), "side": (1, int),
+               "count": (1, int)},
     "prior": {"epochs": (1, int), "lambda1": (0,), "lambda2": (0,), "train_count": (1, int),
               "holdout": (0,), "lr": (0, float, True), "hidden": (1, int), "batch": (1, int),
               "noise_std": (0,)},
@@ -329,6 +341,9 @@ _RANGES = {
                "peak": (0, float, True)},
     "denoiser": {"sigma": (0,), "tau": (0,), "weight": (0, float, True), "iters": (1, int),
                  "window": (1, int)},
+    "operator": {"n": (1, int), "m": (1, int), "side": (1, int), "full_angles": (1, int),
+                 "acquired": (1, int), "factor": (1, int)},
+    "kernel": {"sigma": (0, float, True), "radius": (0,), "factor": (1, int)},
 }
 
 
@@ -467,7 +482,7 @@ def _build_prior(prior_cfg, signal_cfg, op, basis, seed):
 
 
 def _build_solver(solver_cfg, op, basis, x_star):
-    """The solver stage: its kind, transform and SolverConfig.
+    """The solver stage: its kind, SolverConfig, and fista_sparsity's denoiser (its prox).
 
     `alpha: auto` is resolved here (`default_alpha`) only for the
     `_STEPPED_KINDS`; for pnp_admm it stays None, and the theory report
@@ -484,18 +499,18 @@ def _build_solver(solver_cfg, op, basis, x_star):
         alpha = default_alpha(op, basis, gamma=values["gamma"])
     else:
         alpha = None
-    return {"solver_kind": solver_cfg["kind"], "transform": solver_cfg.get("transform"),
-            "solver_config": SolverConfig(alpha=alpha, x_star=x_star, **values)}
+    built = {"solver_kind": solver_cfg["kind"],
+             "solver_config": SolverConfig(alpha=alpha, x_star=x_star, **values)}
+    if solver_cfg["kind"] == "fista_sparsity":
+        built["denoiser"] = dn.TransformSoftThreshold(alpha * values["lam"],
+                                                      solver_cfg["transform"])
+    return built
 
 
 def _solve(pb, config, observer=None):
-    op, y, basis = pb["op"], pb["y"], pb["basis"]
     prior = partial(pb["prior"].predict, x_star=pb["x_star"])
-    if pb["solver_kind"] == "fista_sparsity":
-        return solve_fista_sparsity(op, y, config, basis, prior,
-                                    transform=pb["transform"], observer=observer)
-    return _SOLVERS[pb["solver_kind"]](op, y, pb["denoiser"], config, basis, prior,
-                                       observer=observer)
+    return _SOLVERS[pb["solver_kind"]](pb["op"], pb["y"], pb["denoiser"], config,
+                                       pb["basis"], prior, observer=observer)
 
 
 def add_measurement_noise(y, snr_db, seed):
@@ -539,7 +554,8 @@ def build_problem(cfg, seed=None, reuse=None):
          lambda: {"basis": _build_basis(cfg["basis"], cfg["operator"], pb["op"], basis_seed)}),
         ("prior", (cfg["prior"], prior_seed),
          lambda: _build_prior(cfg["prior"], cfg["signal"], pb["op"], pb["basis"], prior_seed)),
-        ("denoiser", cfg["denoiser"], lambda: {"denoiser": _build_denoiser(cfg["denoiser"])}),
+        ("denoiser", cfg["denoiser"],  # none for fista_sparsity: its solver stage makes it
+         lambda: {} if cfg["denoiser"] is None else {"denoiser": _build_denoiser(cfg["denoiser"])}),
         ("solver", cfg["solver"],
          lambda: _build_solver(cfg["solver"], pb["op"], pb["basis"], pb["x_star"])),
     )

@@ -1,9 +1,9 @@
 """Iterative solvers with an optional null-space subspace penalty.
 
-Four families share one accelerated loop: plug-and-play FISTA (gradient step
-then denoiser), RED-FISTA (denoiser residual added to the gradient),
-plug-and-play ADMM (conjugate-gradient data subproblem, denoiser as the
-prior proximal surrogate), and FISTA with a transform-domain sparsity prox.
+Three solves share one accelerated loop: plug-and-play FISTA (gradient step
+then denoiser), FISTA with a sparsity prox (PnP-FISTA whose denoiser is that
+soft-threshold) and RED-FISTA (denoiser residual added to the gradient).
+Plug-and-play ADMM solves its data subproblem by conjugate gradient.
 
 With a projection basis S, a prior estimate g = G(y), and a weight gamma > 0,
 every gradient step gains the term gamma * S'(S z - g), pulling the iterate's
@@ -50,15 +50,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
-from .denoisers import denoise
+from .denoisers import TransformSoftThreshold, denoise
 from .diagnostics import default_step, lambda_max, psnr_from_err_sq
 from .errors import ConfigError, NullPriorError
 from .nullspace import as_basis
 
 DIVERGENCE_GUARD = 1e12
-SPARSITY_TRANSFORMS = ("dct", "identity")  # the domains of `solve_fista_sparsity`
 MOMENTA = ("fista", "none")  # FISTA, or plain proximal gradient
 RESTARTS = ("none", "fista-momentum")  # no restart, or adaptive restart
 
@@ -92,6 +90,8 @@ class SolverConfig:
             raise NullPriorError("alpha must be positive")
         if self.gamma < 0:
             raise NullPriorError("gamma must be nonnegative")
+        if self.lam < 0:
+            raise NullPriorError("lam must be nonnegative")
         if self.iters < 1:
             raise NullPriorError("iters must be >= 1")
         if self.momentum not in MOMENTA:
@@ -260,11 +260,11 @@ def _step(config):
     return config.alpha
 
 
-def _fista_solve(op, y, config, basis, prior, gradient_extra, prox, observer):
+def _fista_solve(op, y, config, basis, prior, update, observer):
     """Shared accelerated loop.
 
-    gradient_extra(v, z) may add further update terms to the post-gradient
-    point v (e.g. the denoiser residual); prox(v) maps it to the next iterate.
+    update(v, z) maps the post-gradient point v of the momentum point z to
+    the next iterate: the denoiser of v, or v plus the denoiser residual at z.
     """
     alpha = _step(config)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -280,9 +280,7 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox, observer):
             grad = rec.pair.adjoint(hz - y, sz - g, config.gamma)
         else:
             grad = op.adjoint(hz - y)
-        v = z - alpha * grad
-        v = gradient_extra(v, z)
-        x = prox(v)
+        x = update(z - alpha * grad, z)
         h, s = rec.products(x)
         t_prime = t
         t = (1.0 + np.sqrt(1.0 + 4.0 * t_prime * t_prime)) / 2.0
@@ -306,31 +304,22 @@ def _fista_solve(op, y, config, basis, prior, gradient_extra, prox, observer):
 
 def solve_pnp_fista(op, y, denoiser, config, basis=None, prior=None, observer=None):
     """Gradient step on the fit (plus the subspace penalty), then the denoiser."""
-    shape = op.shape_in
+    def update(v, z):
+        return denoise(denoiser, v, op.shape_in)
 
-    def extra(v, z):
-        return v
-
-    def prox(v):
-        return denoise(denoiser, v, shape)
-
-    return _fista_solve(op, y, config, basis, prior, extra, prox, observer)
+    return _fista_solve(op, y, config, basis, prior, update, observer)
 
 
 def solve_red_fista(op, y, denoiser, config, basis=None, prior=None, observer=None):
     """Gradient step plus the denoiser-residual term lam * (z - D(z)); no prox."""
-    shape = op.shape_in
     lam = config.lam
 
-    def extra(v, z):
+    def update(v, z):
         if lam == 0.0:
             return v
-        return v - lam * (z - denoise(denoiser, z, shape))
+        return v - lam * (z - denoise(denoiser, z, op.shape_in))
 
-    def prox(v):
-        return v
-
-    return _fista_solve(op, y, config, basis, prior, extra, prox, observer)
+    return _fista_solve(op, y, config, basis, prior, update, observer)
 
 
 def solve_fista_sparsity(op, y, config, basis=None, prior=None, transform="dct",
@@ -338,27 +327,11 @@ def solve_fista_sparsity(op, y, config, basis=None, prior=None, transform="dct",
     """FISTA with soft-thresholding in an orthonormal transform domain.
 
     With tau = config.lam, transform="dct" penalizes tau * ||DCT x||_1 and
-    transform="identity" penalizes tau * ||x||_1.  The threshold is
-    alpha * tau, the exact proximal step at step size alpha.
+    transform="identity" penalizes tau * ||x||_1: PnP-FISTA whose denoiser is
+    the exact proximal step at step size alpha, a soft-threshold by alpha * tau.
     """
-    shape = op.shape_in
-    thresh = _step(config) * config.lam
-    if transform not in SPARSITY_TRANSFORMS:
-        raise NullPriorError(f"unknown transform {transform!r}")
-
-    def extra(v, z):
-        return v
-
-    def prox(v):
-        if thresh == 0.0:
-            return v
-        if transform == "identity":
-            return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-        c = scipy.fft.dctn(v.reshape(shape), type=2, norm="ortho")
-        c = np.sign(c) * np.maximum(np.abs(c) - thresh, 0.0)
-        return scipy.fft.idctn(c, type=2, norm="ortho").reshape(-1)
-
-    return _fista_solve(op, y, config, basis, prior, extra, prox, observer)
+    prox = TransformSoftThreshold(_step(config) * config.lam, transform)
+    return solve_pnp_fista(op, y, prox, config, basis, prior, observer)
 
 
 def _conjugate_gradient(apply_A, b, x0, tol, maxiter):

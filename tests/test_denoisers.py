@@ -61,6 +61,26 @@ def test_soft_threshold_is_proximal_map():
         assert best <= objective(z) + 1e-9
 
 
+def test_soft_threshold_tau_zero_returns_its_input():
+    # the exact prox of a zero penalty, with no DCT round trip
+    x = np.random.default_rng(3).standard_normal((8, 8))
+    for transform in ("dct", "identity"):
+        assert TransformSoftThreshold(0.0, transform)(x) is x
+
+
+def test_soft_threshold_identity_domain_is_elementwise():
+    x = np.array([-2.0, -0.5, 0.0, 0.25, 1.5])
+    np.testing.assert_array_equal(TransformSoftThreshold(0.5, "identity")(x),
+                                  [-1.5, 0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("tau,transform,match", [(-0.1, "dct", "tau must be nonnegative"),
+                                                 (0.1, "wavelet", "unknown transform")])
+def test_soft_threshold_refuses(tau, transform, match):
+    with pytest.raises(NullPriorError, match=match):
+        TransformSoftThreshold(tau, transform)
+
+
 def test_tv_reduces_total_variation():
     rng = np.random.default_rng(1)
     step = np.concatenate([np.zeros(32), np.ones(32)])

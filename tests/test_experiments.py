@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
+from nullprior import denoisers as dn
 from nullprior import diagnostics, experiments, nullspace
 from nullprior.cli import main as cli_main
 from nullprior.denoisers import denoise, estimate_delta
@@ -196,6 +197,32 @@ CONFIG_MISTAKES = {
                                                                 "sigma": -1}),
     "denoiser-dct-soft-tau-negative": theory_config(denoiser={"kind": "dct_soft", "tau": -1}),
     "prior-train-count-zero": cs_config(prior={"kind": "net", "train_count": 0}),
+    # signal, operator and kernel sizes below range: a run ended with an
+    # all-nan summary, a numpy traceback or an operator error, or ran on
+    # what the builder made of the value
+    "signal-bumps-count-zero": theory_config(signal={"kind": "bumps", "count": 0}),
+    "signal-bumps-side-zero": theory_config(signal={"kind": "bumps", "side": 0}),
+    "signal-shepp-logan-side-zero": _replace(CT, signal={"kind": "shepp_logan", "side": 0}),
+    "signal-sparse-k-negative": cs_config(signal={"kind": "sparse", "k": -1}),
+    "signal-sparse-n-zero": cs_config(signal={"kind": "sparse", "n": 0}),
+    "signal-piecewise-segments-zero": cs_config(signal={"kind": "piecewise", "segments": 0}),
+    "cs-operator-n-zero": cs_config(operator={"n": 0, "m": 8}),
+    "cs-operator-m-zero": cs_config(operator={"n": 40, "m": 0}),
+    "ct-operator-side-zero": _replace(CT, operator=dict(CT["operator"], side=0)),
+    "ct-operator-full-angles-zero": _replace(CT, operator=dict(CT["operator"], full_angles=0)),
+    "ct-operator-acquired-zero": _replace(CT, operator=dict(CT["operator"], acquired=0)),
+    "sr-operator-factor-zero": _replace(problem_config("sr", "sr"), operator=dict(
+        OPERATORS["sr"], factor=0)),
+    "kernel-gaussian-sigma-negative": _replace(BLUR, operator=dict(
+        BLUR["operator"], kernel={"kind": "gaussian", "sigma": -1})),
+    "kernel-gaussian-sigma-zero": _replace(BLUR, operator=dict(
+        BLUR["operator"], kernel={"kind": "gaussian", "sigma": 0})),
+    "kernel-gaussian-radius-negative": _replace(BLUR, operator=dict(
+        BLUR["operator"], kernel={"kind": "gaussian", "sigma": 1.0, "radius": -1})),
+    "kernel-bilinear-factor-zero": _replace(BLUR, operator=dict(
+        BLUR["operator"], kernel={"kind": "bilinear", "factor": 0})),
+    # fista_sparsity's denoiser is its prox: a denoiser section goes unread
+    "solver-sparsity-denoiser-section": theory_config(solver={"kind": "fista_sparsity"}),
     # dense matrices of n columns past the cap: refused before the operator is built
     "basis-radon-past-cap": _replace(CT, operator={"side": 65, "full_angles": 12,
                                                    "acquired": 4}),
@@ -277,8 +304,14 @@ class TestValidation:
         assert typed(built["solver_config"]) == typed(expected)
         np.testing.assert_array_equal(built["solver_config"].x_star, pb["x_star"])
         assert built["solver_kind"] == kind
-        assert built["transform"] == (values.get("transform", "dct")
-                                      if kind == "fista_sparsity" else None)
+        # fista_sparsity's denoiser is its prox, a soft-threshold by alpha * lam
+        if kind == "fista_sparsity":
+            prox = built["denoiser"]
+            assert type(prox) is dn.TransformSoftThreshold
+            assert prox.tau == alpha * values.get("lam", 0.0)
+            assert prox.transform == values.get("transform", "dct")
+        else:
+            assert "denoiser" not in built
 
     @pytest.mark.parametrize("problem,key", [("cs", "scale"), ("sr", "kernel")])
     def test_null_takes_the_default(self, problem, key):
@@ -544,12 +577,19 @@ class TestRun:
     @pytest.mark.parametrize("solver, certified, note", [
         ({"kind": "pnp_fista"}, False, "pnp_fista with fista momentum"),
         ({"kind": "pnp_admm"}, False, "pnp_admm"),
-        ({"kind": "pnp_fista", "momentum": "none"}, True, None)])
+        ({"kind": "pnp_fista", "momentum": "none"}, True, None),
+        ({"kind": "fista_sparsity", "momentum": "none", "lam": 0.001}, False, None),
+        ({"kind": "fista_sparsity", "momentum": "none", "lam": 0.0}, True, None)])
     def test_certifies_only_the_iterated_map(self, solver, certified, note, tmp_path):
         # rho bounds the momentum-free proximal-gradient map: on this config
         # FISTA momentum steps at up to 1.59 and ADMM at up to 0.99 against
-        # rho = 0.70, and only the map itself stays below it
+        # rho = 0.70, and only the map itself stays below it.  fista_sparsity
+        # iterates that map with its prox as the denoiser: at lam > 0 the
+        # prox moves x*, which the map then does not hold fixed, and its
+        # steps reach 1.00
         cfg = theory_config(solver=dict(solver, alpha=50.0, gamma=1.0, iters=25))
+        if solver["kind"] == "fista_sparsity":
+            cfg = _replace(cfg, denoiser=None)
         result = run(cfg, out_dir=str(tmp_path))
         report, ratios = result["theory"], result["trace_npn"].ratio
         lines = (tmp_path / "theory.txt").read_text().splitlines()
@@ -562,6 +602,8 @@ class TestRun:
             assert map_notes == ["note = rho bounds the proximal-gradient map without "
                                  "momentum (a step of alpha, then the denoiser), not the "
                                  f"map of {note}"]
+        fixed_point_note = "note = ground truth is not a fixed point of the denoiser"
+        assert (fixed_point_note in lines) is (solver.get("lam", 0.0) > 0)
         steps = np.sqrt(ratios[np.isfinite(ratios)])
         assert bool(np.all(steps <= report.rho + 1e-9)) is certified
 
@@ -652,9 +694,10 @@ class TestRun:
         ("fista_sparsity", {"lam": 0.001, "transform": "identity"}),
     ])
     def test_other_solver_kinds_through_config(self, tmp_path, solver_kind, extra):
-        cfg = cs_config()
-        cfg["solver"] = {"kind": solver_kind, "alpha": "auto", "gamma": 1.0,
-                         "iters": 60, **extra}
+        cfg = cs_config(solver={"kind": solver_kind, "alpha": "auto", "gamma": 1.0,
+                                "iters": 60, **extra})
+        if solver_kind == "fista_sparsity":  # its denoiser is its prox: no section
+            cfg = _replace(cfg, denoiser=None)
         result = run(cfg, out_dir=str(tmp_path))
         assert result["summary"]["psnr_npn"] >= result["summary"]["psnr_baseline"]
 
@@ -845,7 +888,10 @@ class TestSweep:
         # the baseline key leaves alpha out for the other kinds, so a kind
         # that starts reading it must join _STEPPED_KINDS
         lam = {"lam": 0.01} if "lam" in SOLVER_KEYS[kind] else {}
-        pb = build_problem(cs_config(solver={"kind": kind, "gamma": 0.5, "iters": 10, **lam}))
+        cfg = cs_config(solver={"kind": kind, "gamma": 0.5, "iters": 10, **lam})
+        if kind == "fista_sparsity":  # its denoiser is its prox: no section
+            cfg = _replace(cfg, denoiser=None)
+        pb = build_problem(cfg)
         solves = [experiments._solve(pb, replace(pb["solver_config"], alpha=alpha))
                   for alpha in (0.2, 0.3)]
         (x_a, trace_a), (x_b, trace_b) = solves
@@ -1147,7 +1193,7 @@ class TestCli:
         *(pytest.param("sweep", case, id=f"sweep-{case}") for case in sorted(CONFIG_MISTAKES)
           if "operator-" in case
           or case.startswith(("mask-", "kernel-", "solver-", "prior-", "error-", "basis-",
-                              "denoiser-")))])
+                              "denoiser-", "signal-")))])
     def test_config_mistake_exit_three(self, command, case, tmp_path, capsys):
         cfg = CONFIG_MISTAKES[case]
         args = ["--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "o")]

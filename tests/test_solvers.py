@@ -13,7 +13,7 @@ import pytest
 import scipy.fft
 
 from nullprior import make_operator, solvers
-from nullprior.denoisers import GaussianSmooth, Identity, TVChambolle
+from nullprior.denoisers import GaussianSmooth, Identity, TransformSoftThreshold, TVChambolle
 from nullprior.errors import NullPriorError
 from nullprior.nullspace import (
     NullSpaceBasis,
@@ -357,7 +357,38 @@ class TestRedFista:
         assert tr_red.psnr[-1] >= tr_grad.psnr[-1]
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["gamma", "lam"])
+    def test_negative_weight_refused(self, field):
+        # a negative lam makes red_fista's term anti-regularize
+        with pytest.raises(NullPriorError, match=f"{field} must be nonnegative"):
+            SolverConfig(alpha=1.0, **{field: -1.0})
+
+
 class TestSparsityFista:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.05])
+    @pytest.mark.parametrize("momentum", ["fista", "none"])
+    @pytest.mark.parametrize("transform", ["dct", "identity"])
+    @pytest.mark.parametrize("kind", ["mri-dct", "cs"])
+    def test_is_pnp_fista_with_its_prox(self, kind, transform, momentum, lam):
+        # the soft-threshold by alpha * lam is the denoiser of PnP-FISTA:
+        # every iterate and every trace column match bit for bit
+        op, basis, x_star, y, prior = _carry_problem(kind)
+        config = SolverConfig(alpha=default_alpha(op, basis, 0.5), gamma=0.5, lam=lam,
+                              iters=30, momentum=momentum, x_star=x_star)
+        its_sparse, obs_sparse = collector()
+        its_pnp, obs_pnp = collector()
+        x_sparse, tr_sparse = solve_fista_sparsity(op, y, config, basis, prior, transform,
+                                                   observer=obs_sparse)
+        prox = TransformSoftThreshold(config.alpha * lam, transform)
+        x_pnp, tr_pnp = solve_pnp_fista(op, y, prox, config, basis, prior, observer=obs_pnp)
+        np.testing.assert_array_equal(x_sparse, x_pnp)
+        assert len(its_sparse) == len(its_pnp) == config.iters + 1
+        for a, b in zip(its_sparse, its_pnp):
+            np.testing.assert_array_equal(a, b)
+        for column in TRACE_COLUMNS:
+            np.testing.assert_array_equal(getattr(tr_sparse, column), getattr(tr_pnp, column))
+
     def test_tau_zero_complete_orthonormal_exact(self):
         n = 16
         op = MaskedFrequencyOperator(n, range(n), "dct")
@@ -611,7 +642,7 @@ class TestTraceInvariants:
 # carried H z and S z against the loop that applied H and S to every z
 # ---------------------------------------------------------------------------
 
-def _applying_fista_solve(op, y, config, basis, prior, gradient_extra, prox, observer):
+def _applying_fista_solve(op, y, config, basis, prior, update, observer):
     # the loop before H z and S z were carried: H and S applied to every
     # momentum point, and H x, S x applied again for the trace
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -625,9 +656,7 @@ def _applying_fista_solve(op, y, config, basis, prior, gradient_extra, prox, obs
         grad = op.adjoint(op.forward(z) - y)
         if active:
             grad = grad + config.gamma * basis.backproject(basis.project(z) - g)
-        v = z - config.alpha * grad
-        v = gradient_extra(v, z)
-        x = prox(v)
+        x = update(z - config.alpha * grad, z)
         t_prime = t
         t = (1.0 + np.sqrt(1.0 + 4.0 * t_prime * t_prime)) / 2.0
         if config.momentum == "fista":
