@@ -8,11 +8,13 @@ parameter grid, `theory_check` verifies the contraction and penalty-decay
 bounds on an assumption-certified configuration of a proximal-gradient
 solver, and `run_toy3d` reproduces the three-dimensional geometry experiment.
 
-Configs are strict: `SCHEMA` lists the keys and defaults of each section's
-kinds, the operator's (one kind per problem) and its mask and kernel specs
-included.  A config is resolved against it once, before anything is built:
-an unknown kind or key, a missing required key or a number out of range
-raises ConfigError, and a key given as null takes its default.
+Configs are strict: `SCHEMA` declares each key of each section's kinds
+once, with its default and its admissible values, the operator's (one kind
+per problem) and its mask and kernel specs included.  A config is resolved
+against it once, before anything is built: an unknown kind or key, a
+missing required key or a value its key does not admit raises ConfigError,
+as do the few rules that span keys (`_resolve_config`), and a key given as
+null takes its default.
 `build_problem` then builds one chain of stages (operator, signal,
 measurement, basis, prior, denoiser, solver), each from its section, its
 seed and the stages before it; the prior stage holds one prior, which a run
@@ -24,7 +26,7 @@ runs produce byte-identical CSV files.
 """
 
 import os
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -107,45 +109,90 @@ _PG_KINDS = ("pnp_fista", "fista_sparsity")
 # the builders read as "from the operator or the seed" where one is needed
 REQUIRED = object()
 
-_COMPONENTS = {"seed": 0, "output": None, "signal": None, "operator": REQUIRED,
-               "basis": None, "prior": None, "denoiser": None,
-               "solver": REQUIRED, "noise": None}
+
+@dataclass(frozen=True)
+class _Low:
+    """A key's admissible numbers: cast as its builder casts them, >= low (> if strict).
+
+    `also` is admitted besides them: a literal, or a value of the types it names.
+    """
+
+    low: float
+    cast: type = float
+    strict: bool = False
+    also: object = ()
+
+    def __contains__(self, value):
+        if value == self.also if isinstance(self.also, str) else isinstance(value, self.also):
+            return True
+        try:
+            number = self.cast(value)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return number > self.low if self.strict else number >= self.low
+
+    def __str__(self):
+        return "a number" if self.low == -np.inf else f"{'>' if self.strict else '>='} {self.low}"
+
+
+_COUNT, _SEED = _Low(1, int), _Low(0, int)  # an integer >= 1, an integer >= 0
+_NONNEG, _POSITIVE = _Low(0), _Low(0, strict=True)
+# ct's angles: a count of equispaced angles in [0, 180), or a list of them
+_ANGLES = _Low(1, int, also=(list, tuple, np.ndarray))
+
+_COMPONENTS = {"seed": (0, _SEED), "output": (None, None), "signal": (None, None),
+               "operator": (REQUIRED, None), "basis": (None, None), "prior": (None, None),
+               "denoiser": (None, None), "solver": (REQUIRED, None), "noise": (None, None)}
+
+# the admissible values of each solver key
+_SOLVER_ADMITS = {"alpha": _Low(0, strict=True, also="auto"), "gamma": _NONNEG,
+                  "lam": _NONNEG, "iters": _COUNT, "momentum": MOMENTA, "restart": RESTARTS,
+                  "transform": dn.SPARSITY_TRANSFORMS, "rho": _POSITIVE, "cg_tol": _POSITIVE,
+                  "cg_maxiter": _COUNT, "peak": _POSITIVE}
 
 
 def _solver_keys(*keys):
     """Keys of a solver kind, defaulting as SolverConfig's fields (alpha to auto)."""
     defaults = {f.name: f.default for f in fields(SolverConfig)}
     defaults.update(alpha="auto", transform="dct")
-    return {key: defaults[key] for key in keys}
+    return {key: (defaults[key], _SOLVER_ADMITS[key]) for key in keys}
 
 
 # the solver keys every one of the _STEPPED_KINDS reads
 _FISTA_KEYS = ("alpha", "gamma", "iters", "momentum", "restart", "peak")
 
-# section: (the key naming its kind, the default kind, {kind: {key: default}})
+# section: (the key naming its kind, the default kind, {kind: {key: (default,
+# admissible values)}}); a key admits the values `in` its tuple of choices or
+# `_Low`, or any value if None
 SCHEMA = {
     "top level": ("problem", None, {
         **dict.fromkeys(("cs", "mri", "blur", "sr", "ct"), _COMPONENTS),
-        "toy3d": {"seed": 0, "output": None, "toy3d": None}}),
+        "toy3d": {"seed": _COMPONENTS["seed"], "output": (None, None), "toy3d": (None, None)}}),
     "signal": ("kind", None, {
-        "sparse": {"n": None, "k": 8}, "piecewise": {"n": None, "segments": REQUIRED},
-        "shepp_logan": {"side": None}, "bumps": {"side": None, "count": 5}}),
+        "sparse": {"n": (None, _COUNT), "k": (8, _COUNT)},
+        "piecewise": {"n": (None, _COUNT), "segments": (REQUIRED, _COUNT)},
+        "shepp_logan": {"side": (None, _COUNT)},
+        "bumps": {"side": (None, _COUNT), "count": (5, _COUNT)}}),
     "prior": ("kind", "oracle", {
-        "oracle": {"error": None},
-        "net": {"hidden": 64, "epochs": 300, "lr": 1e-3, "batch": None,
-                "lambda1": 0.0, "lambda2": 0.0, "activation": "tanh",
-                "train_count": 300, "train_seed": None, "holdout": 0.2,
-                "normalize": True, "noise_std": 0.0, "init_scale": 1.0}}),
+        "oracle": {"error": (None, None)},
+        "net": {"hidden": (64, _COUNT), "epochs": (300, _COUNT), "lr": (1e-3, _POSITIVE),
+                "batch": (None, _COUNT), "lambda1": (0.0, _NONNEG), "lambda2": (0.0, _NONNEG),
+                "activation": ("tanh", ACTIVATIONS), "train_count": (300, _COUNT),
+                "holdout": (0.2, _NONNEG), "normalize": (True, None),
+                "noise_std": (0.0, _NONNEG)}}),
     # the oracle prior's error spec
     "error": ("kind", "zero", {
-        "zero": {}, "gaussian": {"eps": REQUIRED, "seed": None},
-        "lipschitz": {"eps": REQUIRED, "K": 1.0, "seed": None}}),
+        "zero": {}, "gaussian": {"eps": (REQUIRED, _NONNEG), "seed": (None, _SEED)},
+        "lipschitz": {"eps": (REQUIRED, _NONNEG), "K": (1.0, _POSITIVE),
+                      "seed": (None, _SEED)}}),
     "basis": ("method", None, {
-        "qr": {"p": None, "scale": 1.0},
-        **{m: {"scale": 1.0} for m in ("fourier", "toeplitz", "sr", "radon")}}),
+        "qr": {"p": (None, _COUNT), "scale": (1.0, None)},
+        **{m: {"scale": (1.0, None)} for m in ("fourier", "toeplitz", "sr", "radon")}}),
     "denoiser": ("kind", "identity", {
-        "identity": {}, "gaussian": {"sigma": 1.0}, "dct_soft": {"tau": 0.1},
-        "tv": {"weight": 0.1, "iters": 20}, "median": {"window": 3}}),
+        "identity": {}, "gaussian": {"sigma": (1.0, _NONNEG)},
+        "dct_soft": {"tau": (0.1, _NONNEG)},
+        "tv": {"weight": (0.1, _POSITIVE), "iters": (20, _COUNT)},
+        "median": {"window": (3, _COUNT)}}),
     # the SolverConfig fields each kind reads (x_star is the run's own signal);
     # pnp_admm's alpha feeds only the theory report
     "solver": ("kind", "pnp_fista", {
@@ -154,27 +201,30 @@ SCHEMA = {
         "fista_sparsity": _solver_keys(*_FISTA_KEYS, "lam", "transform"),
         "pnp_admm": _solver_keys("alpha", "gamma", "iters", "rho", "cg_tol", "cg_maxiter",
                                  "peak")}),
-    # an operator's kind is its problem; ct's angles are a count of
-    # equispaced angles in [0, 180) or a list, and acquired a count or list
+    # an operator's kind is its problem
     "operator": (None, None, {
-        "cs": {"n": REQUIRED, "m": REQUIRED, "dist": "gaussian", "normalize": False,
-               "scale": 1.0},
-        "mri": {"shape": REQUIRED, "transform": "dct", "mask": REQUIRED, "scale": 1.0},
-        "blur": {"shape": REQUIRED, "kernel": REQUIRED, "anchor": "center", "scale": 1.0},
-        "sr": {"shape": REQUIRED, "factor": REQUIRED, "kernel": {"kind": "bilinear"},
-               "anchor": "center", "scale": 1.0},
-        "ct": {"side": REQUIRED, "full_angles": REQUIRED, "acquired": REQUIRED}}),
+        "cs": {"n": (REQUIRED, _COUNT), "m": (REQUIRED, _COUNT),
+               "dist": ("gaussian", CS_DISTS), "normalize": (False, None),
+               "scale": (1.0, None)},
+        "mri": {"shape": (REQUIRED, None), "transform": ("dct", TRANSFORMS),
+                "mask": (REQUIRED, None), "scale": (1.0, None)},
+        "blur": {"shape": (REQUIRED, None), "kernel": (REQUIRED, None),
+                 "anchor": ("center", ANCHORS), "scale": (1.0, None)},
+        "sr": {"shape": (REQUIRED, None), "factor": (REQUIRED, _COUNT),
+               "kernel": ({"kind": "bilinear"}, None), "anchor": ("center", ANCHORS),
+               "scale": (1.0, None)},
+        "ct": {"side": (REQUIRED, _COUNT), "full_angles": (REQUIRED, _ANGLES),
+               "acquired": (REQUIRED, _ANGLES)}}),
     # an mri operator's mask spec (a list of indices is used as given)
     "mask": ("kind", None, {
-        "lowpass": {"count": REQUIRED}, "random": {"count": REQUIRED, "seed": None}}),
+        "lowpass": {"count": (REQUIRED, _COUNT)},
+        "random": {"count": (REQUIRED, _COUNT), "seed": (None, _SEED)}}),
     # a blur or sr operator's kernel spec (a list of taps is used as given)
     "kernel": ("kind", None, {
-        "gaussian": {"sigma": REQUIRED, "radius": None}, "bilinear": {"factor": None}}),
-    "noise": (None, None, {None: {"snr_db": None}}),
-    "toy3d": (None, None, {None: {
-        "count": 500, "radius": 1.0, "hidden": 50, "epochs": 4000, "lr": 5e-3,
-        "grid_lo": 2.0, "grid_hi": 4.0, "grid_points": 5, "gamma": 1.0,
-        "iters": 200, "init_scale": 0.1}}),
+        "gaussian": {"sigma": (REQUIRED, _POSITIVE), "radius": (None, _NONNEG)},
+        "bilinear": {"factor": (None, _COUNT)}}),
+    "noise": (None, None, {None: {"snr_db": (None, _Low(-np.inf))}}),
+    "toy3d": (None, None, {None: {"epochs": (4000, _COUNT)}}),
 }
 
 # the default signal kind and basis method of each problem; a complement
@@ -189,7 +239,8 @@ def resolve(where, section, kind=None):
 
     `kind` replaces the schema's default kind (signal and basis default by
     problem), and a key given as null takes its default.  Raises ConfigError
-    for an unknown kind, an unknown key or a missing (or null) required key.
+    for an unknown kind, an unknown key, a missing (or null) required key or
+    a value its key does not admit: the one check each key has.
     """
     kind_key, default_kind, kinds = SCHEMA[where]
     section = {} if section is None else section
@@ -199,16 +250,25 @@ def resolve(where, section, kind=None):
         kind = section.get(kind_key, kind or default_kind)
     if kind not in kinds:
         raise ConfigError(f"unknown {where} {kind_key or 'kind'} {kind!r}")
-    defaults = kinds[kind]
+    declared = kinds[kind]
     keys = f"{where} key(s)" + (f" for {kind_key} {kind!r}" if kind_key else "")
-    unknown = set(section) - set(defaults) - {kind_key}
+    unknown = set(section) - set(declared) - {kind_key}
     if unknown:
         raise ConfigError(f"unknown {keys}: {sorted(unknown, key=str)}")
-    missing = [key for key, value in defaults.items()
-               if value is REQUIRED and section.get(key) is None]
+    missing = [key for key, (default, _) in declared.items()
+               if default is REQUIRED and section.get(key) is None]
     if missing:
         raise ConfigError(f"missing required {keys}: {missing}")
-    values = {**defaults, **{key: v for key, v in section.items() if v is not None}}
+    values = {}
+    for key, (default, admits) in declared.items():
+        value = section.get(key)
+        if value is None:
+            value = default
+        elif admits is not None and value not in admits:
+            raise ConfigError(f"unknown {where} {key} {value!r} (choose from {admits})"
+                              if isinstance(admits, tuple)
+                              else f"{where} {key} must be {admits}, not {value!r}")
+        values[key] = value
     if kind_key is not None:
         values[kind_key] = kind
     return values
@@ -229,21 +289,17 @@ def validate_config(cfg):
 
 
 def _resolve_config(cfg):
-    """cfg with every section resolved against SCHEMA; cfg itself is unchanged."""
+    """cfg with every section resolved and the rules that span keys checked; cfg is unchanged."""
     top = resolve("top level", cfg)
     if top["problem"] == "toy3d":
         top["toy3d"] = resolve("toy3d", top["toy3d"])
         return top
     signal_kind, basis_method = _PROBLEM_KINDS[top["problem"]]
     top["signal"] = resolve("signal", top["signal"], signal_kind)
-    _check_ranges("signal", top["signal"])
     prior = top["prior"] = resolve("prior", top["prior"])
     if prior["kind"] == "oracle":
         prior["error"] = resolve("error", prior["error"])
-        _check_ranges("error", prior["error"])
     else:
-        _check_choice("net prior activation", prior["activation"], ACTIVATIONS)
-        _check_ranges("prior", prior)
         count = int(prior["train_count"])
         if round(float(prior["holdout"]) * count) >= count:  # `priors._train`'s split
             raise ConfigError(f"prior holdout {prior['holdout']!r} leaves none of the "
@@ -253,26 +309,18 @@ def _resolve_config(cfg):
         raise ConfigError(f"basis method {basis['method']!r} does not fit problem "
                           f"{top['problem']!r}")
     top["noise"] = resolve("noise", top["noise"])
-    solver = top["solver"] = resolve("solver", top["solver"])
-    for key, choices in (("momentum", MOMENTA), ("restart", RESTARTS),
-                         ("transform", dn.SPARSITY_TRANSFORMS)):
-        if key in solver:
-            _check_choice(f"solver {key}", solver[key], choices)
-    _check_ranges("solver", solver)
-    if solver["alpha"] != "auto":
-        _check_number("solver alpha", solver["alpha"], 0, strict=True)
-    if solver["kind"] != "fista_sparsity":
+    top["solver"] = resolve("solver", top["solver"])
+    if top["solver"]["kind"] != "fista_sparsity":
         top["denoiser"] = resolve("denoiser", top["denoiser"])
-        _check_ranges("denoiser", top["denoiser"])
     elif top["denoiser"] is not None:
         raise ConfigError("solver kind 'fista_sparsity' reads no denoiser section: "
                           "its denoiser is its prox")
     top["operator"] = _resolve_operator(top["problem"], top["operator"])
-    # a qr or radon basis and joint training hold dense matrices of n columns:
-    # past the cap they are refused before anything is built
+    # a qr or radon basis holds a dense matrix of n columns, and so does a net
+    # prior's training, which densifies its basis: past the cap they are
+    # refused before anything is built
     dense = {"a qr basis": basis["method"] == "qr", "a radon basis": basis["method"] == "radon",
-             "joint training": prior["kind"] == "net" and (float(prior["lambda1"]) > 0
-                                                           or float(prior["lambda2"]) > 0)}
+             "a net prior": prior["kind"] == "net"}
     for what, needed in dense.items():
         if needed and (n := _signal_length(top["problem"], top["operator"])) > DENSE_CAP:
             raise ConfigError(f"{what} needs n <= {DENSE_CAP}, not n = {n}")
@@ -291,76 +339,23 @@ def _signal_length(problem, op):
 def _resolve_operator(problem, section):
     """The operator section of `problem`, its mask or kernel spec resolved too.
 
-    Also rejects the values an operator would reject only once built, and
-    a mask count outside [1, the number of frequencies it chooses from].
+    Also rejects a mask count above the number of frequencies it chooses
+    from, and a blur operator's bilinear kernel without a factor.
     """
     op = resolve("operator", section, problem)
-    # ct's angles given as a list are used as given; a count must be >= 1
-    _check_ranges("operator", {key: value for key, value in op.items()
-                               if np.isscalar(value) or key not in ("full_angles", "acquired")})
-    if problem == "cs":
-        _check_choice("cs dist", op["dist"], CS_DISTS)
-    elif problem == "mri":
-        _check_choice("mri transform", op["transform"], TRANSFORMS)
-        if isinstance(op["mask"], dict):
-            op["mask"] = mask = resolve("mask", op["mask"])
-            pool = len(mask_pool(op["shape"], op["transform"]))
-            if not 1 <= int(mask["count"]) <= pool:
-                raise ConfigError(f"mri mask count {mask['count']} is outside "
-                                  f"[1, {pool}], the frequencies it chooses from")
-    elif problem in ("blur", "sr"):
-        _check_choice(f"{problem} anchor", op["anchor"], ANCHORS)
-        if isinstance(op["kernel"], dict):
-            op["kernel"] = kernel = resolve("kernel", op["kernel"])
-            _check_ranges("kernel", kernel)
-            if kernel["kind"] == "bilinear" and kernel["factor"] is None:
-                if problem == "blur":
-                    raise ConfigError("a blur operator's bilinear kernel needs a factor")
-                kernel["factor"] = op["factor"]
+    if problem == "mri" and isinstance(op["mask"], dict):
+        op["mask"] = mask = resolve("mask", op["mask"])
+        pool = len(mask_pool(op["shape"], op["transform"]))
+        if int(mask["count"]) > pool:
+            raise ConfigError(f"mri mask count {mask['count']} is outside "
+                              f"[1, {pool}], the frequencies it chooses from")
+    elif problem in ("blur", "sr") and isinstance(op["kernel"], dict):
+        op["kernel"] = kernel = resolve("kernel", op["kernel"])
+        if kernel["kind"] == "bilinear" and kernel["factor"] is None:
+            if problem == "blur":
+                raise ConfigError("a blur operator's bilinear kernel needs a factor")
+            kernel["factor"] = op["factor"]
     return op
-
-
-def _check_choice(what, value, choices):
-    if value not in choices:
-        raise ConfigError(f"unknown {what} {value!r} (choose from {choices})")
-
-
-# the lowest value of each numeric key of the signal, prior, error, solver,
-# denoiser, operator and kernel sections, as (low, cast, strict) for
-# `_check_number`; a key its kind does not have and an unset value (a size
-# from the operator, a batch, a kernel radius) are not checked
-_RANGES = {
-    "signal": {"n": (1, int), "k": (1, int), "segments": (1, int), "side": (1, int),
-               "count": (1, int)},
-    "prior": {"epochs": (1, int), "lambda1": (0,), "lambda2": (0,), "train_count": (1, int),
-              "holdout": (0,), "lr": (0, float, True), "hidden": (1, int), "batch": (1, int),
-              "noise_std": (0,)},
-    "error": {"eps": (0,), "K": (0, float, True)},
-    "solver": {"gamma": (0,), "iters": (1, int), "rho": (0, float, True),
-               "cg_tol": (0, float, True), "cg_maxiter": (1, int), "lam": (0,),
-               "peak": (0, float, True)},
-    "denoiser": {"sigma": (0,), "tau": (0,), "weight": (0, float, True), "iters": (1, int),
-                 "window": (1, int)},
-    "operator": {"n": (1, int), "m": (1, int), "side": (1, int), "full_angles": (1, int),
-                 "acquired": (1, int), "factor": (1, int)},
-    "kernel": {"sigma": (0, float, True), "radius": (0,), "factor": (1, int)},
-}
-
-
-def _check_ranges(where, values):
-    for key, value in values.items():
-        if key in _RANGES[where] and value is not None:
-            _check_number(f"{where} {key}", value, *_RANGES[where][key])
-
-
-def _check_number(what, value, low, cast=float, strict=False):
-    """ConfigError unless value, cast as its builder casts it, is >= low (> if strict)."""
-    try:
-        ok = cast(value) > low if strict else cast(value) >= low
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"{what} must be {'>' if strict else '>='} {low}, not {value!r}")
 
 
 def _seeds(seed, count):
@@ -402,7 +397,7 @@ def make_operator(problem, params, seed=0):
         if isinstance(mask, dict) and mask["kind"] == "lowpass":
             mask = lowpass_mask(shape, int(mask["count"]), op["transform"])
         elif isinstance(mask, dict):
-            mask_seed = seed if mask["seed"] is None else mask["seed"]
+            mask_seed = seed if mask["seed"] is None else int(mask["seed"])
             mask = random_mask(shape, int(mask["count"]), mask_seed, op["transform"])
         base = MaskedFrequencyOperator(shape, mask, op["transform"])
     else:
@@ -463,11 +458,11 @@ def _build_prior(prior_cfg, signal_cfg, op, basis, seed):
         return {"prior": OraclePrior(basis, realize_error(prior_cfg["error"], basis.p,
                                                           op.m_eff, seed=seed))}
 
-    train_seed = seed + 1 if prior_cfg["train_seed"] is None else int(prior_cfg["train_seed"])
+    train_seed = seed + 1
     xs = np.array([_build_signal(signal_cfg, op, s)
                    for s in _seeds(train_seed, int(prior_cfg["train_count"]))])
     net = TwoLayerNet(op.m_eff, basis.p, int(prior_cfg["hidden"]), prior_cfg["activation"],
-                      seed=train_seed, init_scale=float(prior_cfg["init_scale"]))
+                      seed=train_seed)
     training = {"epochs": int(prior_cfg["epochs"]), "lr": float(prior_cfg["lr"]),
                 "batch_size": prior_cfg["batch"], "seed": train_seed,
                 "holdout_frac": float(prior_cfg["holdout"]),
@@ -518,7 +513,7 @@ def add_measurement_noise(y, snr_db, seed):
     y = np.asarray(y, dtype=float)
     if snr_db is None:
         return y.copy()
-    sigma = np.sqrt(float(y @ y) / (y.size * 10.0 ** (snr_db / 10.0)))
+    sigma = np.sqrt(float(y @ y) / (y.size * 10.0 ** (float(snr_db) / 10.0)))
     rng = np.random.default_rng(seed)
     return y + sigma * rng.standard_normal(y.size)
 
@@ -535,11 +530,11 @@ def build_problem(cfg, seed=None, reuse=None):
     failed build leaves the next the stages it finished.  The result equals
     a build without it.
     """
-    cfg = _resolve_config(cfg)
+    cfg = _resolve_config(cfg if seed is None else dict(cfg, seed=seed))
     problem = cfg["problem"]
     if problem == "toy3d":
         raise ConfigError("toy3d has its own runner: use run_toy3d (CLI subcommand `toy3d`)")
-    seed = int(cfg["seed"]) if seed is None else int(seed)
+    seed = int(cfg["seed"])
     op_seed, sig_seed, basis_seed, prior_seed, noise_seed = _seeds(seed, 5)
     pb = {"problem": problem, "seed": seed, "snr_db": cfg["noise"]["snr_db"], "stages": {}}
     chain = (  # (stage, what it reads besides earlier stages, its builder)
@@ -804,7 +799,7 @@ def sweep(cfg, param, grid, out_dir=None, seed=None):
     limited-angle CT sweep: the points contend for the interpreter lock and
     for the cores BLAS already uses.
     """
-    cfg = validate_config(cfg)
+    cfg = validate_config(cfg if seed is None else dict(cfg, seed=seed))
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep grid is empty")
@@ -818,7 +813,7 @@ def sweep(cfg, param, grid, out_dir=None, seed=None):
         row = {param: value, "error": ""}
         try:
             os.makedirs(point_dir, exist_ok=True)
-            result = run(point_cfg, out_dir=point_dir, seed=seed, reuse=pb)
+            result = run(point_cfg, out_dir=point_dir, reuse=pb)
             row.update(result["summary"])
             pb = result["problem"]
             # only the summary and the problem are kept: a point's traces and
@@ -852,7 +847,7 @@ def theory_check(cfg, out_dir=None, seed=None):
         raise ConfigError("theory check requires an oracle prior")
     if cfg["basis"]["method"] not in ("qr", "fourier"):
         raise ConfigError("theory check requires an exact (qr/fourier) basis")
-    if (kind := cfg["solver"]["kind"]) in ("pnp_admm", "red_fista"):
+    if (kind := cfg["solver"]["kind"]) not in _PG_KINDS:
         raise ConfigError(f"theory check does not apply to solver {kind!r}: its bounds "
                           "govern the proximal-gradient map, which it does not iterate")
     cfg["solver"] = dict(cfg["solver"], momentum="none")
@@ -922,6 +917,14 @@ def theory_check(cfg, out_dir=None, seed=None):
 # R^3 toy experiment
 # ---------------------------------------------------------------------------
 
+# the toy experiment's fixed settings: the disk's point count and radius, the
+# nets' hidden width, first-layer scale and learning rate, the grid off the
+# disk (low, high, points per axis), and the inverse solve's gamma and iters
+_TOY_COUNT, _TOY_RADIUS, _TOY_HIDDEN, _TOY_INIT_SCALE, _TOY_LR = 500, 1.0, 50, 0.1, 5e-3
+_TOY_GRID = (2.0, 4.0, 5)
+_TOY_GAMMA, _TOY_ITERS = 1.0, 200
+
+
 def run_toy3d(cfg, out_dir=None, seed=None):
     """Disk-supported data in a 2-plane of R^3: subspace prior vs direct net.
 
@@ -930,34 +933,31 @@ def run_toy3d(cfg, out_dir=None, seed=None):
     projection errors on the training disk and on an out-of-distribution
     grid; finally solves the inverse problem with the trained prior.
     """
-    cfg = _resolve_config(cfg)
+    cfg = _resolve_config(cfg if seed is None else dict(cfg, seed=seed))
     if cfg["problem"] != "toy3d":
         raise ConfigError("run_toy3d needs problem: toy3d")
-    toy = cfg["toy3d"]
-    seed = int(cfg["seed"]) if seed is None else int(seed)
-    hidden, epochs, lr = int(toy["hidden"]), int(toy["epochs"]), float(toy["lr"])
-    gamma, init_scale = float(toy["gamma"]), float(toy["init_scale"])
+    seed, epochs = int(cfg["seed"]), int(cfg["toy3d"]["epochs"])
 
     op_seed, data_seed, net_seed = _seeds(seed, 3)
     rng = np.random.default_rng(op_seed)
     H = rng.standard_normal((2, 3))
     basis = qr_nullspace(H, p=1, seed=op_seed)
     op = DenseOperator(H)
-    points, plane = toy_plane_disk(int(toy["count"]), float(toy["radius"]), seed=data_seed)
+    points, plane = toy_plane_disk(_TOY_COUNT, _TOY_RADIUS, seed=data_seed)
 
-    proj_net = TwoLayerNet(2, 1, hidden, "tanh", seed=net_seed,
-                           init_scale=init_scale)
-    rep_proj = train_mmse(proj_net, points, op, basis, epochs=epochs, lr=lr,
+    proj_net = TwoLayerNet(2, 1, _TOY_HIDDEN, "tanh", seed=net_seed,
+                           init_scale=_TOY_INIT_SCALE)
+    rep_proj = train_mmse(proj_net, points, op, basis, epochs=epochs, lr=_TOY_LR,
                           seed=net_seed, holdout_frac=0.2, normalize=False)
 
-    direct_net = TwoLayerNet(2, 3, hidden, "tanh", seed=net_seed + 1,
-                             init_scale=init_scale)
+    direct_net = TwoLayerNet(2, 3, _TOY_HIDDEN, "tanh", seed=net_seed + 1,
+                             init_scale=_TOY_INIT_SCALE)
     identity_basis = NullSpaceBasis(np.eye(3), "learned", np.nan, 0.0)
     rep_direct = train_mmse(direct_net, points, op, identity_basis,
-                            epochs=epochs, lr=lr, seed=net_seed + 1,
+                            epochs=epochs, lr=_TOY_LR, seed=net_seed + 1,
                             holdout_frac=0.2, normalize=False)
 
-    axis = np.linspace(float(toy["grid_lo"]), float(toy["grid_hi"]), int(toy["grid_points"]))
+    axis = np.linspace(*_TOY_GRID)
     cc1, cc2 = np.meshgrid(axis, axis, indexing="ij")
     ood = np.stack([cc1.reshape(-1), cc2.reshape(-1)], axis=1) @ plane
 
@@ -976,8 +976,8 @@ def run_toy3d(cfg, out_dir=None, seed=None):
     # solution uniquely; the trained net leaves only its estimation error
     x_star = points[0]
     y = op.forward(x_star)
-    alpha = default_alpha(op, basis, gamma=gamma)
-    config = SolverConfig(alpha=alpha, gamma=gamma, iters=int(toy["iters"]), x_star=x_star,
+    alpha = default_alpha(op, basis, gamma=_TOY_GAMMA)
+    config = SolverConfig(alpha=alpha, gamma=_TOY_GAMMA, iters=_TOY_ITERS, x_star=x_star,
                           restart="fista-momentum")
     x_npn, _ = solve_pnp_fista(op, y, dn.Identity(), config, basis,
                                proj_net.predict)

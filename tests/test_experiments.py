@@ -229,6 +229,19 @@ CONFIG_MISTAKES = {
     "basis-qr-past-cap": cs_config(operator={"n": 4097, "m": 8}),
     "prior-joint-training-past-cap": theory_config(
         operator=dict(MRI_OPERATOR, shape=[65, 65]), prior={"kind": "net", "lambda1": 0.1}),
+    # training densifies the basis, so every net prior needs the cap
+    "prior-net-past-cap": theory_config(operator=dict(MRI_OPERATOR, shape=[65, 65]),
+                                        prior={"kind": "net"}),
+    # seeds, a noise level, a qr basis size and toy3d epochs that no check
+    # reached: a traceback, or an exit 1 once building had started
+    "top-seed-negative": theory_config(seed=-1),
+    "error-gaussian-seed-negative": theory_config(prior={"kind": "oracle", "error": {
+        "kind": "gaussian", "eps": 0.1, "seed": -1}}),
+    "mask-random-seed-negative": theory_config(operator=dict(
+        MRI_OPERATOR, mask={"kind": "random", "count": 16, "seed": -1})),
+    "noise-snr-db-not-a-number": theory_config(noise={"snr_db": "abc"}),
+    "basis-qr-p-zero": cs_config(basis={"method": "qr", "p": 0}),
+    "toy3d-epochs-zero": {"problem": "toy3d", "toy3d": {"epochs": 0}},
     "toy3d-unknown-key": {"problem": "toy3d", "toy3d": {"epochs": 10, "foo": 1}},
     "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
 }
@@ -322,6 +335,15 @@ class TestValidation:
         np.testing.assert_array_equal(nulled["op"].to_dense(), omitted["op"].to_dense())
         np.testing.assert_array_equal(nulled["y"], omitted["y"])
 
+    def test_every_default_is_admissible(self):
+        # a declaration that refuses its own default would fail every run
+        # that leaves the key unset
+        for where, (_, _, kinds) in experiments.SCHEMA.items():
+            for kind, declared in kinds.items():
+                for key, (default, admits) in declared.items():
+                    if default not in (None, experiments.REQUIRED) and admits is not None:
+                        assert default in admits, (where, kind, key, default)
+
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="unknown top level"):
             validate_config(cs_config(bogus=1))
@@ -343,7 +365,7 @@ class TestValidation:
             validate_config(cfg)
 
     @pytest.mark.parametrize("case", ["basis-radon-past-cap", "basis-qr-past-cap",
-                                      "prior-joint-training-past-cap"])
+                                      "prior-joint-training-past-cap", "prior-net-past-cap"])
     def test_dense_cap_checked_before_any_build(self, case, tmp_path, monkeypatch):
         def built(*args, **kwargs):
             raise AssertionError("the operator was built")
@@ -1186,14 +1208,12 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("sw/point_*"))
 
-    # every case runs; an operator mistake also sweeps, which must stop
-    # before it writes any point
+    # every case runs, and every case but toy3d's also sweeps, which must
+    # stop before it writes any point
     @pytest.mark.parametrize("command,case", [
         *(pytest.param("run", case, id=case) for case in sorted(CONFIG_MISTAKES)),
         *(pytest.param("sweep", case, id=f"sweep-{case}") for case in sorted(CONFIG_MISTAKES)
-          if "operator-" in case
-          or case.startswith(("mask-", "kernel-", "solver-", "prior-", "error-", "basis-",
-                              "denoiser-", "signal-")))])
+          if not case.startswith("toy3d-"))])
     def test_config_mistake_exit_three(self, command, case, tmp_path, capsys):
         cfg = CONFIG_MISTAKES[case]
         args = ["--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "o")]
@@ -1204,6 +1224,17 @@ class TestCli:
         assert cli_main([command, *args]) == 3
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # so no point_* directory either
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "theory-check", "toy3d"])
+    def test_seed_override_below_zero_exit_three(self, command, tmp_path, capsys):
+        cfg = {"problem": "toy3d"} if command == "toy3d" else theory_config()
+        args = ["--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                "--seed", "-1"]
+        if command == "sweep":
+            args += ["--param", "gamma", "--grid", "0.5,1"]
+        assert cli_main([command, *args]) == 3
+        assert "config error: top level seed must be >= 0, not -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_cli(self, tmp_path, capsys):
         path = self._write(tmp_path, cs_config())
