@@ -8,8 +8,6 @@ deterministic and preserve the input's shape; 2-D signals are denoised as images
 """
 
 import numpy as np
-import scipy.fft
-import scipy.ndimage
 
 from .diagnostics import _DeltaMax, _pair_norms
 from .errors import NullPriorError
@@ -40,6 +38,8 @@ class GaussianSmooth(Denoiser):
     """
 
     def __init__(self, sigma):
+        import scipy.ndimage  # imported here, as in `operators.MaskedFrequencyOperator`
+        self._ndimage = scipy.ndimage
         self.sigma = float(sigma)
         self._weights = None
         if self.sigma > 1e-15:
@@ -51,9 +51,9 @@ class GaussianSmooth(Denoiser):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self._weights is None:
-            return scipy.ndimage.gaussian_filter(x, self.sigma, mode="wrap")
+            return self._ndimage.gaussian_filter(x, self.sigma, mode="wrap")
         for axis in range(x.ndim):
-            x = scipy.ndimage.correlate1d(x, self._weights, axis, mode="wrap")
+            x = self._ndimage.correlate1d(x, self._weights, axis, mode="wrap")
         return x
 
 
@@ -70,6 +70,9 @@ class TransformSoftThreshold(Denoiser):
         if transform not in SPARSITY_TRANSFORMS:
             raise NullPriorError(f"unknown transform {transform!r}")
         self.transform = transform
+        if transform == "dct":
+            import scipy.fft  # imported here, as in `GaussianSmooth`
+            self._fft = scipy.fft
 
     def __call__(self, x):
         if self.tau == 0.0:
@@ -77,9 +80,9 @@ class TransformSoftThreshold(Denoiser):
         x = np.asarray(x, dtype=float)
         if self.transform == "identity":
             return np.sign(x) * np.maximum(np.abs(x) - self.tau, 0.0)
-        c = scipy.fft.dctn(x, type=2, norm="ortho")
+        c = self._fft.dctn(x, type=2, norm="ortho")
         c = np.sign(c) * np.maximum(np.abs(c) - self.tau, 0.0)
-        return scipy.fft.idctn(c, type=2, norm="ortho")
+        return self._fft.idctn(c, type=2, norm="ortho")
 
 
 class TVChambolle(Denoiser):
@@ -113,10 +116,12 @@ class Median(Denoiser):
     """Median filter with a square (or length-w) window, circular boundary."""
 
     def __init__(self, window=3):
+        import scipy.ndimage  # imported here, as in `GaussianSmooth`
+        self._ndimage = scipy.ndimage
         self.window = int(window)
 
     def __call__(self, x):
-        return scipy.ndimage.median_filter(np.asarray(x, dtype=float),
+        return self._ndimage.median_filter(np.asarray(x, dtype=float),
                                            size=self.window, mode="wrap")
 
 

@@ -35,6 +35,8 @@ from .operators import (
     DenseOperator,
     MaskedFrequencyOperator,
     ScaledOperator,
+    _check_dense_cap,
+    identity_chunks,
 )
 
 
@@ -237,11 +239,31 @@ def gram_lower(A, weight=1.0, out=None, beta=0.0):
     # about 6 MB to the peak memory of every process that imports nullprior
     from scipy.linalg.blas import dsyrk
 
-    # A' of a C-ordered A is Fortran-ordered, so BLAS reads it uncopied
-    At = np.asarray(A, dtype=float).T
+    # BLAS reads a Fortran-ordered array uncopied: A' of a C-ordered A, or
+    # an F-ordered A itself (a sparse or dense operator's transpose applied
+    # to a stack of vectors), which syrk transposes
+    A = np.asarray(A, dtype=float)
+    a, trans = (A, 1) if A.flags.f_contiguous and not A.flags.c_contiguous else (A.T, 0)
     if out is None:
-        return dsyrk(weight, At, lower=1)
-    return dsyrk(weight, At, beta=beta, c=out, overwrite_c=1, lower=1)
+        return dsyrk(weight, a, trans=trans, lower=1)
+    return dsyrk(weight, a, trans=trans, beta=beta, c=out, overwrite_c=1, lower=1)
+
+
+def add_gram(op, weight=1.0, out=None):
+    """out + weight A'A for the operator A, in the lower triangle of an n x n buffer.
+
+    Without `out` a new Fortran-ordered buffer holds weight A'A.  A dense
+    operator's matrix is read uncopied by one syrk.  Any other operator
+    (n <= 4096) is added in blocks of 64 rows (`identity_chunks`), so its
+    m x n matrix is never formed: each block is the operator's transpose
+    applied to unit measurement vectors, added by syrk with beta = 1.
+    """
+    if isinstance(op, DenseOperator):
+        return gram_lower(op.matrix, weight, out, beta=1.0)
+    _check_dense_cap(op.n)
+    for _, units in identity_chunks(op.m_eff):
+        out = gram_lower(op._apply_adjoint(units), weight, out, beta=1.0)
+    return out
 
 
 def lower_eigvalsh(M):
@@ -322,13 +344,12 @@ def norm_sq(op):
     """||A||^2, the largest eigenvalue of A'A, for an operator A.
 
     max d of a diagonal A'A (`_diagonal_gram`), else the top syevd
-    eigenvalue of one dense n x n A'A (n <= 4096), clipped at 0.
+    eigenvalue of one n x n A'A from `add_gram`, clipped at 0.
     """
     gram = _diagonal_gram(op)
     if gram is not None:
         return float(np.max(gram[1]))
-    A = op.matrix if isinstance(op, DenseOperator) else op.to_dense()
-    return float(max(lower_eigvalsh(gram_lower(A))[-1], 0.0))
+    return float(max(lower_eigvalsh(add_gram(op))[-1], 0.0))
 
 
 def _alias_spectrum(op, scale_sq, s_term):
@@ -430,10 +451,12 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
     (`normal_spectrum`) both norms are exact, max |1 - alpha lambda| and
     sqrt(gamma max d_S), and no n x n array is formed.  Any other pair (n <= 4096) reads
     ||I - alpha P|| from symmetric eigenvalues of one n x n buffer: P =
-    gamma S'S + H'H by BLAS syrk (a dense operator's matrix read uncopied),
-    shifted in place to I - alpha P for LAPACK's syevd.  A first read of
-    ||S||^2 fills and frees its own n x n S'S before that buffer is made,
-    so beyond the dense H and S one n x n buffer (8 n^2 bytes) is held.
+    gamma S'S + H'H by `add_gram` (a dense operator's matrix read
+    uncopied, any other operator added in row blocks), shifted in place
+    to I - alpha P for LAPACK's syevd.  A first read of ||S||^2 fills and
+    frees its own n x n S'S before that buffer is made, so beyond the
+    operators' own arrays one n x n buffer (8 n^2 bytes) and one row
+    block are held: a Radon H is never densified.
 
     alpha None takes the step 0.9 / lambda_max(P) from the same spectrum:
     a structural one gives `default_alpha`'s value bit for bit, and a dense
@@ -447,9 +470,7 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
     s_norm = float(np.sqrt(gamma * basis.norm_sq))
     eig = normal_spectrum(op, basis, gamma)
     if eig is None:
-        S = basis.matrix
-        H = op.matrix if isinstance(op, DenseOperator) else op.to_dense()
-        M = gram_lower(H, 1.0, gram_lower(S, gamma), beta=1.0)
+        M = add_gram(op, 1.0, add_gram(basis.operator, gamma))
     if alpha is None:
         if eig is None:
             eig = lower_eigvalsh(M)[[0, -1]]  # the ends of P's spectrum

@@ -135,10 +135,26 @@ class _Low:
         return "a number" if self.low == -np.inf else f"{'>' if self.strict else '>='} {self.low}"
 
 
+@dataclass(frozen=True)
+class _OneOrList:
+    """A key's admissible values: one value `item` admits, or a non-empty list of them."""
+
+    item: object
+
+    def __contains__(self, value):
+        values = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+        return len(values) > 0 and all(v in self.item for v in values)
+
+    def __str__(self):
+        return f"{self.item}, or a list of values {self.item}"
+
+
 _COUNT, _SEED = _Low(1, int), _Low(0, int)  # an integer >= 1, an integer >= 0
 _NONNEG, _POSITIVE = _Low(0), _Low(0, strict=True)
+_BOOL = (False, True)
 # ct's angles: a count of equispaced angles in [0, 180), or a list of them
 _ANGLES = _Low(1, int, also=(list, tuple, np.ndarray))
+_SHAPE = _OneOrList(_COUNT)  # a signal's side, or its sides
 
 _COMPONENTS = {"seed": (0, _SEED), "output": (None, None), "signal": (None, None),
                "operator": (REQUIRED, None), "basis": (None, None), "prior": (None, None),
@@ -178,7 +194,7 @@ SCHEMA = {
         "net": {"hidden": (64, _COUNT), "epochs": (300, _COUNT), "lr": (1e-3, _POSITIVE),
                 "batch": (None, _COUNT), "lambda1": (0.0, _NONNEG), "lambda2": (0.0, _NONNEG),
                 "activation": ("tanh", ACTIVATIONS), "train_count": (300, _COUNT),
-                "holdout": (0.2, _NONNEG), "normalize": (True, None),
+                "holdout": (0.2, _NONNEG), "normalize": (True, _BOOL),
                 "noise_std": (0.0, _NONNEG)}}),
     # the oracle prior's error spec
     "error": ("kind", "zero", {
@@ -186,8 +202,8 @@ SCHEMA = {
         "lipschitz": {"eps": (REQUIRED, _NONNEG), "K": (1.0, _POSITIVE),
                       "seed": (None, _SEED)}}),
     "basis": ("method", None, {
-        "qr": {"p": (None, _COUNT), "scale": (1.0, None)},
-        **{m: {"scale": (1.0, None)} for m in ("fourier", "toeplitz", "sr", "radon")}}),
+        "qr": {"p": (None, _COUNT), "scale": (1.0, _POSITIVE)},
+        **{m: {"scale": (1.0, _POSITIVE)} for m in ("fourier", "toeplitz", "sr", "radon")}}),
     "denoiser": ("kind", "identity", {
         "identity": {}, "gaussian": {"sigma": (1.0, _NONNEG)},
         "dct_soft": {"tau": (0.1, _NONNEG)},
@@ -204,15 +220,15 @@ SCHEMA = {
     # an operator's kind is its problem
     "operator": (None, None, {
         "cs": {"n": (REQUIRED, _COUNT), "m": (REQUIRED, _COUNT),
-               "dist": ("gaussian", CS_DISTS), "normalize": (False, None),
-               "scale": (1.0, None)},
-        "mri": {"shape": (REQUIRED, None), "transform": ("dct", TRANSFORMS),
-                "mask": (REQUIRED, None), "scale": (1.0, None)},
-        "blur": {"shape": (REQUIRED, None), "kernel": (REQUIRED, None),
-                 "anchor": ("center", ANCHORS), "scale": (1.0, None)},
-        "sr": {"shape": (REQUIRED, None), "factor": (REQUIRED, _COUNT),
+               "dist": ("gaussian", CS_DISTS), "normalize": (False, _BOOL),
+               "scale": (1.0, _POSITIVE)},
+        "mri": {"shape": (REQUIRED, _SHAPE), "transform": ("dct", TRANSFORMS),
+                "mask": (REQUIRED, None), "scale": (1.0, _POSITIVE)},
+        "blur": {"shape": (REQUIRED, _SHAPE), "kernel": (REQUIRED, None),
+                 "anchor": ("center", ANCHORS), "scale": (1.0, _POSITIVE)},
+        "sr": {"shape": (REQUIRED, _SHAPE), "factor": (REQUIRED, _COUNT),
                "kernel": ({"kind": "bilinear"}, None), "anchor": ("center", ANCHORS),
-               "scale": (1.0, None)},
+               "scale": (1.0, _POSITIVE)},
         "ct": {"side": (REQUIRED, _COUNT), "full_angles": (REQUIRED, _ANGLES),
                "acquired": (REQUIRED, _ANGLES)}}),
     # an mri operator's mask spec (a list of indices is used as given)

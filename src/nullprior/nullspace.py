@@ -287,9 +287,9 @@ def fourier_complement(op):
     gives lambda_max and rho without them.
     """
     base = _unscaled(op, MaskedFrequencyOperator, "fourier_complement")
-    pool = range(base.n) if base.transform == "dct" else all_representatives(base.shape_in)
-    missing = sorted(set(pool) - set(base.kept))
-    if not missing:
+    pool = np.arange(base.n) if base.transform == "dct" else all_representatives(base.shape_in)
+    missing = np.setdiff1d(pool, base.kept, assume_unique=True)
+    if missing.size == 0:
         raise EmptyComplementError("mask keeps every frequency")
     S_op = MaskedFrequencyOperator(base.shape_in, missing, base.transform)
     return NullSpaceBasis(S_op, "fourier-complement",

@@ -293,12 +293,26 @@ class TestDenseRhoBuffer:
         peak = _peak_bytes(lambda: compute_rho(0.0, 0.01, DenseOperator(H), S, 0.3, 0.0))
         assert peak <= 1.2 * 8 * n * n
 
+    def test_compute_rho_memory_with_radon_operator(self, bench_ct):
+        # H'H is added in row blocks: the peak is one n x n buffer and one
+        # block of rows with its unit vectors (0.85 MB), with room for one
+        # copy of each, never the dense H (8 m n = 5.2 MB)
+        op, basis = bench_ct["op"], bench_ct["basis"]
+        assert isinstance(op, RadonOperator)
+        n, m = op.n, op.m_eff
+        block = 8 * 64 * (n + m)
+        rho = lambda: compute_rho(0.0, 0.01, op, basis, 0.3, 0.0)
+        rho()  # builds the transpose, as a solve does, and reads ||S||^2
+        peak = _peak_bytes(rho)
+        assert peak <= 8 * n * n + 2 * block < 8 * n * n + 8 * m * n
+
     def test_theory_report_memory_on_benchmark_ct_pair(self, bench_ct):
-        # the report densifies H (5.2 MB) and holds one n x n buffer (8.4 MB)
+        # the report holds one n x n buffer (8.4 MB) and one row block of H,
+        # never the dense H (5.2 MB): 11.7 MB, against 16.0 MB with it
         pb = bench_ct
         _, trace, cloud = experiments._penalized_solve(pb)
         assert normal_spectrum(pb["op"], pb["basis"]) is None
-        assert _peak_bytes(lambda: experiments._theory_report(pb, trace, cloud)) <= 16e6
+        assert _peak_bytes(lambda: experiments._theory_report(pb, trace, cloud)) <= 12.5e6
 
 
 def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
@@ -306,11 +320,22 @@ def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
     return compute_rho(delta, alpha, DenseOperator(op.to_dense()), basis.matrix, gamma, ric_s)
 
 
-def _old_dense_rho(delta, alpha, H, S, ric_s, gamma):
-    # the dense-matrix rate before compute_rho chose its path itself
-    n = H.shape[1]
+def _row_blocks(op):
+    # H as compute_rho adds it: a dense operator's matrix whole, any other
+    # operator in blocks of 64 rows, its transpose applied to unit vectors
+    if isinstance(op, DenseOperator):
+        return [op.matrix]
+    units = np.eye(op.m_eff)
+    return [op._apply_adjoint(units[s:s + 64]) for s in range(0, op.m_eff, 64)]
+
+
+def _old_dense_rho(delta, alpha, H_rows, S, ric_s, gamma):
+    # the dense-matrix rate before compute_rho chose its path itself, with
+    # H'H added from the row blocks H_rows in turn
+    n = S.shape[1]
     M = gram_lower(S, gamma)
-    gram_lower(H, 1.0, M, beta=1.0)
+    for rows in H_rows:
+        gram_lower(rows, 1.0, M, beta=1.0)
     M *= -alpha
     M.flat[::n + 1] += 1.0
     eig = lower_eigvalsh(M)
@@ -320,10 +345,10 @@ def _old_dense_rho(delta, alpha, H, S, ric_s, gamma):
     return _rho_fields(delta, op_norm, s_norm, ric_s, alpha)
 
 
-def _dense_formula_rho(delta, alpha, H, S, ric_s, gamma):
+def _dense_formula_rho(delta, alpha, H_rows, S, ric_s, gamma):
     # the dense-matrix rate with ||S||^2 from S'S rather than gamma S'S:
     # the basis measures it once, whatever gamma
-    fields = _old_dense_rho(delta, alpha, H, S, ric_s, gamma)
+    fields = _old_dense_rho(delta, alpha, H_rows, S, ric_s, gamma)
     s_norm = float(np.sqrt(gamma * max(lower_eigvalsh(gram_lower(S))[-1], 0.0)))
     return _rho_fields(delta, fields["gradient_op_norm"], s_norm, ric_s, alpha)
 
@@ -499,9 +524,13 @@ class TestTheoryReportRho:
                                 "scaled": "fourier-complement-scaled",
                                 "qr": "qr-random",
                                 "learned": "learned"}[name]
-        expected = _dense_rho(report.delta_hat, report.alpha, pb["op"], basis,
-                              report.gamma, report.ric_s)
-        assert report.rho == expected.rho
+        expected = _dense_formula_rho(report.delta_hat, report.alpha, _row_blocks(pb["op"]),
+                                      basis.matrix, report.ric_s, report.gamma)
+        assert report.rho == expected["rho"]
+        # adding H'H by row blocks moves only rounding from one syrk of the whole H
+        whole = _dense_rho(report.delta_hat, report.alpha, pb["op"], basis,
+                           report.gamma, report.ric_s)
+        assert report.rho == pytest.approx(whole.rho, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("name", sorted(_structured_configs()))
     def test_structured_bases_match_dense_rho(self, name, tmp_path, run_iterates):
@@ -820,8 +849,12 @@ class TestNormalSpectrum:
         op, basis = _spectrum_cases()["blur-2d"]
         scaled = basis.scaled(0.5)
         assert normal_spectrum(op, scaled, 1.0) is None
-        assert vars(compute_rho(0.0, 1.0, op, scaled, 1.0, 0.0)) == _old_dense_rho(
-            0.0, 1.0, op.to_dense(), scaled.matrix, 0.0, 1.0)
+        rho = vars(compute_rho(0.0, 1.0, op, scaled, 1.0, 0.0))
+        assert rho == _old_dense_rho(0.0, 1.0, _row_blocks(op), scaled.matrix, 0.0, 1.0)
+        # adding H'H by row blocks moves only rounding from one syrk of the whole H
+        whole = _old_dense_rho(0.0, 1.0, [op.to_dense()], scaled.matrix, 0.0, 1.0)
+        for field, value in whole.items():
+            assert rho[field] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case", sorted(_spectrum_cases()))
     def test_rho_bit_identical_to_spectral_formula(self, case):
@@ -836,14 +869,16 @@ class TestNormalSpectrum:
         pb = build_problem(_approximate_configs()[name])
         op, basis, alpha = pb["op"], pb["basis"], pb["solver_config"].alpha
         assert normal_spectrum(op, basis, 1.0) is None
+        H_rows = _row_blocks(op)
         for gamma in (0.5, 3.0):
             rho = vars(compute_rho(0.1, alpha, op, basis, gamma, 0.2))
-            assert rho == _dense_formula_rho(0.1, alpha, op.to_dense(), basis.matrix,
-                                             0.2, gamma)
-            # taking gamma out of the eigenvalue problem moves only rounding
-            old = _old_dense_rho(0.1, alpha, op.to_dense(), basis.matrix, 0.2, gamma)
+            assert rho == _dense_formula_rho(0.1, alpha, H_rows, basis.matrix, 0.2, gamma)
+            old = _old_dense_rho(0.1, alpha, H_rows, basis.matrix, 0.2, gamma)
             assert rho["gradient_op_norm"] == old["gradient_op_norm"]
-            for field, value in old.items():
+            # taking gamma out of the eigenvalue problem, and adding H'H by
+            # row blocks rather than in one syrk of the whole H, move only rounding
+            whole = _old_dense_rho(0.1, alpha, [op.to_dense()], basis.matrix, 0.2, gamma)
+            for field, value in whole.items():
                 assert rho[field] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 

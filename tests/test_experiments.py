@@ -241,6 +241,19 @@ CONFIG_MISTAKES = {
         MRI_OPERATOR, mask={"kind": "random", "count": 16, "seed": -1})),
     "noise-snr-db-not-a-number": theory_config(noise={"snr_db": "abc"}),
     "basis-qr-p-zero": cs_config(basis={"method": "qr", "p": 0}),
+    # scale, normalize and shape admitted any value: a ValueError traceback
+    # once built, or a run on what the builder made of the value
+    "cs-operator-scale-not-a-number": cs_config(operator={"n": 40, "m": 8, "scale": "abc"}),
+    "mri-operator-scale-zero": theory_config(operator=dict(MRI_OPERATOR, scale=0)),
+    "blur-operator-scale-negative": _replace(BLUR, operator=dict(BLUR["operator"], scale=-1)),
+    "basis-qr-scale-negative": cs_config(basis={"method": "qr", "p": 8, "scale": -1}),
+    "basis-fourier-scale-zero": theory_config(basis={"method": "fourier", "scale": 0}),
+    "cs-operator-normalize-not-a-bool": cs_config(operator={"n": 40, "m": 8,
+                                                            "normalize": "maybe"}),
+    "prior-normalize-not-a-bool": cs_config(prior={"kind": "net", "normalize": "maybe"}),
+    "mri-operator-shape-not-a-number": theory_config(operator=dict(MRI_OPERATOR, shape="abc")),
+    "sr-operator-shape-side-zero": _replace(problem_config("sr", "sr"), operator=dict(
+        OPERATORS["sr"], shape=[8, 0])),
     "toy3d-epochs-zero": {"problem": "toy3d", "toy3d": {"epochs": 0}},
     "toy3d-unknown-key": {"problem": "toy3d", "toy3d": {"epochs": 10, "foo": 1}},
     "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
@@ -1025,7 +1038,8 @@ class TestMeasuredOnFirstRead:
         # both gamma points keep the basis stage: pnp_admm resolves no auto
         # step, so nothing reads the residuals, and rho reads ||S||^2,
         # measured once; the 40 missing angles are only densified, so their
-        # operator builds no transpose
+        # operator builds no transpose, and rho adds the 20 acquired ones in
+        # row blocks, never densified
         residuals = _counting(monkeypatch, nullspace, "_residuals")
         norms = _counting(monkeypatch, diagnostics, "norm_sq")
         densified = []
@@ -1036,8 +1050,58 @@ class TestMeasuredOnFirstRead:
         rows = sweep(cfg, "gamma", [0.3, 3.0], out_dir=str(tmp_path), seed=4)
         assert [row["error"] for row in rows] == ["", ""]
         assert (len(residuals), len(norms)) == (0, 1)
-        assert {(len(op.angles_deg), "_At" in vars(op)) for op in densified} == {
-            (20, True), (40, False)}
+        assert {(len(op.angles_deg), "_At" in vars(op)) for op in densified} == {(40, False)}
+
+
+def _fresh_json(code, *args):
+    """The JSON object that `code` prints last, run in a new interpreter on this checkout."""
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *map(str, args)],
+                            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestScipyImports:
+    # scipy.fft and scipy.ndimage are imported by the classes that use them,
+    # and both load scipy.special: a process that needs none of them (a CT
+    # run) does without about 6 MB of modules
+    LAZY = ("scipy.fft", "scipy.ndimage", "scipy.special")
+
+    def test_import_loads_no_scipy(self):
+        assert _fresh_json("""
+            import json, sys
+            import nullprior
+            print(json.dumps(sorted(m for m in sys.modules
+                                    if m == "scipy" or m.startswith("scipy."))))
+        """) == []
+
+    def test_ct_sweep_loads_no_transform_modules(self, tmp_path):
+        loaded = _fresh_json("""
+            import json, sys
+            from nullprior import experiments
+            cfg = experiments.load_config(sys.argv[1])
+            rows = experiments.sweep(cfg, "gamma", [0.3, 3.0], out_dir=sys.argv[2], seed=4)
+            print(json.dumps({"errors": [row["error"] for row in rows],
+                              "loaded": [m for m in sys.argv[3:] if m in sys.modules]}))
+        """, BENCH_CONFIGS / "ct-admm-sweep.yaml", tmp_path, *self.LAZY)
+        assert loaded == {"errors": ["", ""], "loaded": []}
+
+    def test_mri_build_loads_them_before_any_solve(self, tmp_path):
+        # imported at build, not at call time: the run imports no scipy module
+        loaded = _fresh_json("""
+            import json, sys
+            from nullprior import experiments
+            cfg = experiments.load_config(sys.argv[1])
+            experiments.build_problem(cfg, seed=4)
+            built = [m for m in sys.argv[3:] if m in sys.modules]
+            before = set(sys.modules)
+            experiments.run(cfg, out_dir=sys.argv[2], seed=4)
+            print(json.dumps({"built": built, "run": sorted(
+                m for m in set(sys.modules) - before if m.startswith("scipy"))}))
+        """, BENCH_CONFIGS / "mri-dct-64.yaml", tmp_path, "scipy.fft", "scipy.ndimage")
+        assert loaded == {"built": ["scipy.fft", "scipy.ndimage"], "run": []}
 
 
 class TestTheoryCheck:

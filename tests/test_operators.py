@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 
 from nullprior import make_operator, operators
+from nullprior.nullspace import fourier_complement
 from nullprior.errors import DimensionMismatchError, NullPriorError, SizeCapError
 from nullprior.operators import (
     CirculantConvOperator,
@@ -310,6 +311,27 @@ class TestVectorizedMasks:
             assert op._pair_partners.tolist() == [q for k, q in zip(op.kept, partners) if q != k]
         assert [conjugate_partner(k, shape) for k in range(n)] == [
             _loop_partner(k, shape) for k in range(n)]
+
+    @pytest.mark.parametrize("transform", ["dct", "dft"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_kept_and_complement_match_loop(self, shape, transform):
+        n = int(np.prod(shape))
+        pool = range(n) if transform == "dct" else _loop_representatives(shape)
+        rng = np.random.default_rng(5)
+        for indices in (rng.permutation(pool)[:max(1, len(pool) // 3)].tolist(),
+                        rng.permutation(pool)[:1], [float(pool[-1])]):
+            op = MaskedFrequencyOperator(shape, indices, transform)
+            kept = sorted(int(k) for k in indices)
+            if transform == "dft":
+                kept = _loop_canonical(kept, shape)
+            assert op.kept == kept
+            assert all(type(k) is int for k in op.kept)
+            missing = sorted(set(pool) - set(kept))
+            if missing:
+                assert fourier_complement(op).operator.kept == missing
+        for indices in ([], [-1], [n], [0, 0] if transform == "dct" else []):
+            with pytest.raises(DimensionMismatchError):
+                MaskedFrequencyOperator(shape, indices, transform)
 
     @pytest.mark.parametrize("transform", ["dct", "dft"])
     @pytest.mark.parametrize("shape", SHAPES)
