@@ -11,7 +11,7 @@ largest eigenvalue behind the default step; for PnP-ADMM, which takes no
 step, `compute_rho` reads the step's lambda_max off the spectrum it forms
 for the rate.
 Where the operator and basis share a transform (masked DCT/DFT with its
-Fourier complement, blur and SR with their complements, scaled or not),
+Fourier complement, blur and SR with their complements, either scaled or not),
 both read it from `normal_spectrum` (one FFT or one batched block
 `eigvalsh`).  Every other pair takes ||I - alpha P|| from a dense n x n P,
 ||S|| from the basis (`NullSpaceBasis.norm_sq`, measured once per basis),
@@ -34,9 +34,9 @@ from .operators import (
     DecimatedConvOperator,
     DenseOperator,
     MaskedFrequencyOperator,
-    ScaledOperator,
     _check_dense_cap,
     identity_chunks,
+    split_scale,
 )
 
 
@@ -252,12 +252,15 @@ def gram_lower(A, weight=1.0, out=None, beta=0.0):
 def add_gram(op, weight=1.0, out=None):
     """out + weight A'A for the operator A, in the lower triangle of an n x n buffer.
 
-    Without `out` a new Fortran-ordered buffer holds weight A'A.  A dense
-    operator's matrix is read uncopied by one syrk.  Any other operator
-    (n <= 4096) is added in blocks of 64 rows (`identity_chunks`), so its
-    m x n matrix is never formed: each block is the operator's transpose
-    applied to unit measurement vectors, added by syrk with beta = 1.
+    Without `out` a new Fortran-ordered buffer holds weight A'A.  A scaled
+    operator c B adds B with weight c^2 (`split_scale`).  A dense operator's
+    matrix is read uncopied by one syrk.  Any other operator (n <= 4096) is
+    added in blocks of 64 rows (`identity_chunks`), so its m x n matrix is
+    never formed: each block is the operator's transpose applied to unit
+    measurement vectors, added by syrk with beta = 1.
     """
+    op, scale = split_scale(op)
+    weight = weight * scale * scale
     if isinstance(op, DenseOperator):
         return gram_lower(op.matrix, weight, out, beta=1.0)
     _check_dense_cap(op.n)
@@ -296,8 +299,8 @@ def normal_spectrum(op, basis=None, gamma=0.0):
       class's K^ (the polyphase split of Zhao et al., IEEE TIP 2016).  One
       batched `eigvalsh` solves them.
     Without a basis the result is the spectrum of H'H.  Any other pair
-    (Radon, dense CS, QR, learned or rescaled bases) gives None, also at
-    gamma = 0: `compute_rho` then works from dense matrices, and
+    (Radon, dense CS, QR or learned bases, scaled or not) gives None, also
+    at gamma = 0: `compute_rho` then works from dense matrices, and
     `lambda_max` from the basis residuals or Lanczos.
     """
     s_term = s_frame = None
@@ -313,31 +316,28 @@ def normal_spectrum(op, basis=None, gamma=0.0):
         if s_term is None:
             return h_diag
         return h_diag + s_term if h_frame == s_frame else None
-    base, scale_sq = ((op.base, op.scale * op.scale) if isinstance(op, ScaledOperator)
-                      else (op, 1.0))
+    base, scale = split_scale(op)
     if not isinstance(base, DecimatedConvOperator):
         return None
     if s_term is not None and s_frame != ("dft", base.shape_in):
         return None
-    return _alias_spectrum(base, scale_sq, s_term)
+    return _alias_spectrum(base, scale * scale, s_term)
 
 
 def _diagonal_gram(op):
     """((transform, shape), d) with A'A = F' diag(d) F, or None.
 
     F is the orthonormal DCT or DFT on `shape`, d holds one value per flat
-    frequency bin.
+    frequency bin; a scaled operator's d is its base's times scale^2.
     """
-    if isinstance(op, ScaledOperator):
-        inner = _diagonal_gram(op.base)
-        if inner is None:
-            return None
-        return inner[0], op.scale * op.scale * inner[1]
-    if isinstance(op, MaskedFrequencyOperator):
-        return (op.transform, op.shape_in), op.support().astype(float)
-    if isinstance(op, CirculantConvOperator):
-        return ("dft", op.shape_in), np.abs(op.response.reshape(-1)) ** 2
-    return None
+    base, scale = split_scale(op)
+    if isinstance(base, MaskedFrequencyOperator):
+        frame, d = (base.transform, base.shape_in), base.support().astype(float)
+    elif isinstance(base, CirculantConvOperator):
+        frame, d = ("dft", base.shape_in), np.abs(base.response.reshape(-1)) ** 2
+    else:
+        return None
+    return frame, scale * scale * d
 
 
 def norm_sq(op):

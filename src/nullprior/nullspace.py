@@ -8,15 +8,16 @@ operator over the missing frequencies.  Toeplitz and SR complements are
 circulant convolutions with frequency response 1 - K, K that of the
 operator's convolution, held as such.  Applying either costs one DCT or FFT
 round trip and forms no p x n array.  QR complements (of a dense H),
-learned bases and Radon complements hold a dense matrix.  The Radon and
-convolution rows are not exactly in Null(H), so their orthogonality
-residuals are recorded rather than forced to zero: in closed form over the
-FFT bins for the convolutions, from the dense rows for Radon.  Residuals
-that need no more than the basis and a matrix-free operator (Fourier and
-Radon complements) are measured the first time either is read; QR and
-learned bases measure theirs from the dense H at build, so that nothing
-keeps H alive.  `.matrix` densifies an operator-backed basis on request,
-within the dense cap.
+learned bases and Radon complements hold a dense matrix.  A scaled basis
+wraps the operator of the basis it scales, so it keeps that basis's
+structure.  The Radon and convolution rows are not exactly in Null(H), so
+their orthogonality residuals are recorded rather than forced to zero: in
+closed form over the FFT bins for the convolutions, from the dense rows for
+Radon.  Residuals that need no more than the basis and a matrix-free
+operator (Fourier and Radon complements, scaled bases) are measured the
+first time either is read; QR and learned bases measure theirs from the
+dense H at build, so that nothing keeps H alive.  `.matrix` densifies an
+operator-backed basis on request, within the dense cap.
 """
 
 import io
@@ -43,6 +44,7 @@ from .operators import (
     _as_flat,
     _check_dense_cap,
     all_representatives,
+    split_scale,
 )
 
 RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
@@ -100,7 +102,8 @@ class NullSpaceBasis:
     def norm_sq(self):
         """||S||^2, the largest eigenvalue of S'S, measured on first read.
 
-        Exact from a diagonal S'S (a Fourier, Toeplitz or SR complement),
+        Exact from a diagonal S'S (a Fourier, Toeplitz or SR complement,
+        scaled or not),
         else from one dense n x n S'S (n <= 4096): `diagnostics.norm_sq`.
         """
         from . import diagnostics  # imported here: diagnostics imports this module
@@ -135,18 +138,23 @@ class NullSpaceBasis:
         return OperatorPair(op, self)
 
     def scaled(self, factor):
-        """Rescaled dense copy (used by the contraction-rate experiments)."""
-        mat = float(factor) * self.matrix
-        return NullSpaceBasis(mat, f"{self.method}-scaled",
-                              abs(factor) * self.ortho_to_H_residual,
-                              _residuals(mat)[1])
+        """Rows factor * S, this basis's operator wrapped, not copied (theory configs).
+
+        Residuals are measured on first read: |factor| times this basis's
+        `ortho_to_H_residual`, and the row-gram residual of the dense rows.
+        """
+        factor = float(factor)
+        op = ScaledOperator(self.operator, factor)
+        return NullSpaceBasis(op, f"{self.method}-scaled",
+                              measure=lambda: (abs(factor) * self.ortho_to_H_residual,
+                                               _residuals(op.to_dense())[1]))
 
 
 class OperatorPair:
     """A sensing operator H and a basis S applied together.
 
     `forward(x)` gives (H x, S x) and `adjoint(u, w, gamma)` gives
-    H'u + gamma S'w.  When H (or a scaled wrapper around it) and S are
+    H'u + gamma S'w.  When H and S (or scaled wrappers around them) are
     masks of one transform on one shape with disjoint supports, as for a
     Fourier complement, [H; S] are rows of one orthonormal transform
     (the masked-Fourier model of Lustig, Donoho & Pauly, "Sparse MRI",
@@ -166,37 +174,35 @@ class OperatorPair:
         """(H x, S x)."""
         if self._shared is None:
             return self.op.forward(x), self.basis.project(x)
-        H, scale, S = self._shared
+        H, h_scale, S, s_scale = self._shared
         spec = H._spectrum(_as_flat(x, H.n, "signal"))
-        h = H._gather(spec)
-        return (h if scale is None else scale * h), S._gather(spec)
+        return h_scale * H._gather(spec), s_scale * S._gather(spec)
 
     def adjoint(self, u, w, gamma):
         """H'u + gamma S'w."""
         if self._shared is None:
             return self.op.adjoint(u) + gamma * self.basis.backproject(w)
-        H, scale, S = self._shared
-        u = _as_flat(u, H.m_eff, "measurement")
-        spec = H._scatter(u if scale is None else scale * u)
-        S._scatter(gamma * _as_flat(w, S.m_eff, "coefficients"), spec)
+        H, h_scale, S, s_scale = self._shared
+        spec = H._scatter(h_scale * _as_flat(u, H.m_eff, "measurement"))
+        S._scatter((gamma * s_scale) * _as_flat(w, S.m_eff, "coefficients"), spec)
         return H._inverse(spec)
 
 
 def _shared_masks(op, S_op):
-    """(H, scale or None, S) when op and S_op are disjoint masks of one transform, else None."""
-    H, scale = (op.base, op.scale) if isinstance(op, ScaledOperator) else (op, None)
-    if not (isinstance(H, MaskedFrequencyOperator) and isinstance(S_op, MaskedFrequencyOperator)):
+    """(H, its scale, S, its scale) of disjoint masks of one transform (`split_scale`), or None."""
+    (H, h_scale), (S, s_scale) = split_scale(op), split_scale(S_op)
+    if not (isinstance(H, MaskedFrequencyOperator) and isinstance(S, MaskedFrequencyOperator)):
         return None
-    if (H.transform, H.shape_in) != (S_op.transform, S_op.shape_in):
+    if (H.transform, H.shape_in) != (S.transform, S.shape_in):
         return None
-    if np.any(H.support() & S_op.support()):
+    if np.any(H.support() & S.support()):
         return None
-    return H, scale, S_op
+    return H, h_scale, S, s_scale
 
 
 def _unscaled(op, cls, name):
-    """op, or the operator inside a ScaledOperator, checked to be a `cls`."""
-    base = op.base if isinstance(op, ScaledOperator) else op
+    """op's base (`split_scale`), checked to be a `cls`."""
+    base, _ = split_scale(op)
     if not isinstance(base, cls):
         raise NullPriorError(f"{name} requires a {cls.__name__}")
     return base
@@ -331,11 +337,12 @@ def radon_complement(op, full_angles):
     """Radon rows at the angles of `full_angles` that the Radon operator op lacks.
 
     An approximate complement; its residuals come from the dense rows and op,
-    measured the first time either is read.  `save_basis`, `inspect-basis`
-    and `scaled()` read them; `lambda_max` rules its Weyl test out with one
-    probe first and does not.  The dense cap is checked before the
-    missing-angle operator is built, and that operator is only densified,
-    so it never builds the transpose an adjoint would need.
+    measured the first time either is read.  `save_basis` and
+    `inspect-basis` read them, and so does the first read of a `scaled()`
+    copy's; `lambda_max` rules its Weyl test out with one probe first and
+    does not.  The dense cap is checked before the missing-angle operator
+    is built, and that operator is only densified, so it never builds the
+    transpose an adjoint would need.
     """
     radon = _unscaled(op, RadonOperator, "radon_complement")
     _check_dense_cap(radon.n)

@@ -560,7 +560,7 @@ def random_mask(shape, count, seed, transform="dct"):
 
 
 class ScaledOperator(LinearOperator):
-    """Wrap an operator with a positive scalar factor (used by theory configs)."""
+    """An operator times a scalar factor (theory configs); `split_scale` unwraps it."""
 
     def __init__(self, base, scale):
         self.base = base
@@ -573,6 +573,17 @@ class ScaledOperator(LinearOperator):
 
     def _apply_adjoint(self, u):
         return self.scale * self.base._apply_adjoint(u)
+
+    def to_dense(self):
+        return self.scale * self.base.to_dense()
+
+
+def split_scale(op):
+    """(base, scale) inside ScaledOperator wrappers, scales multiplied; (op, 1.0) if unwrapped."""
+    scale = 1.0
+    while isinstance(op, ScaledOperator):
+        op, scale = op.base, scale * op.scale
+    return op, scale
 
 
 def dot_test(op, trials=5, seed=0):

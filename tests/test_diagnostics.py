@@ -290,8 +290,9 @@ class TestDenseRhoBuffer:
         H, S = bench_ct["op"].to_dense(), bench_ct["basis"].matrix
         n = H.shape[1]
         assert (n, S.shape[0], H.shape[0]) == (1024, 1280, 640)
-        peak = _peak_bytes(lambda: compute_rho(0.0, 0.01, DenseOperator(H), S, 0.3, 0.0))
-        assert peak <= 1.2 * 8 * n * n
+        rho = lambda: compute_rho(0.0, 0.01, DenseOperator(H), S, 0.3, 0.0)
+        rho()  # loads scipy.linalg, whose first import would count in the peak
+        assert _peak_bytes(rho) <= 1.2 * 8 * n * n
 
     def test_compute_rho_memory_with_radon_operator(self, bench_ct):
         # H'H is added in row blocks: the peak is one n x n buffer and one
@@ -318,6 +319,27 @@ class TestDenseRhoBuffer:
 def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
     # the dense reference: a dense operator and matrix have no structural spectrum
     return compute_rho(delta, alpha, DenseOperator(op.to_dense()), basis.matrix, gamma, ric_s)
+
+
+def _forbid_densifying(monkeypatch):
+    """Make densifying any operator or basis raise; returns the raising function."""
+    def densified(*args):
+        raise AssertionError("H or S was densified, or an n x n buffer formed")
+
+    for cls in (LinearOperator, DenseOperator, RadonOperator, ScaledOperator):
+        monkeypatch.setattr(cls, "to_dense", densified)
+    monkeypatch.setattr(NullSpaceBasis, "matrix", property(densified))
+    return densified
+
+
+def _assert_structural_matches_dense(est, delta, op, basis, gamma, ric_s):
+    """The pair's structural spectrum, and the rate `est` it gave, match the dense reference."""
+    eig = np.sort(normal_spectrum(op, basis, gamma))
+    dense = _dense_normal_eigs(op, basis, gamma)
+    assert np.max(np.abs(eig - dense)) <= 1e-12 * dense[-1]
+    ref = _dense_rho(delta, est.alpha, op, basis, gamma, ric_s)
+    for field in ("rho", "gradient_op_norm", "s_spectral_norm"):
+        assert getattr(est, field) == pytest.approx(getattr(ref, field), rel=1e-12, abs=0.0)
 
 
 def _row_blocks(op):
@@ -524,6 +546,11 @@ class TestTheoryReportRho:
                                 "scaled": "fourier-complement-scaled",
                                 "qr": "qr-random",
                                 "learned": "learned"}[name]
+        if name == "scaled":
+            # a scaled Fourier complement keeps its structure
+            _assert_structural_matches_dense(report, report.delta_hat, pb["op"], basis,
+                                             report.gamma, report.ric_s)
+            return
         expected = _dense_formula_rho(report.delta_hat, report.alpha, _row_blocks(pb["op"]),
                                       basis.matrix, report.ric_s, report.gamma)
         assert report.rho == expected["rho"]
@@ -568,17 +595,26 @@ class TestTheoryReportRho:
     @pytest.mark.parametrize("name", ["mri-dct", "mri-dft-scaled", "toeplitz", "sr"])
     def test_structured_report_densifies_nothing(self, name, monkeypatch):
         pb = build_problem(_pair_configs()[name])
-
-        def densified(*args):
-            raise AssertionError("the theory report densified H or S")
-
-        for cls in (LinearOperator, DenseOperator, RadonOperator):
-            monkeypatch.setattr(cls, "to_dense", densified)
-        monkeypatch.setattr(NullSpaceBasis, "matrix", property(densified))
+        _forbid_densifying(monkeypatch)
         # the constants measured during the solve densify nothing either
         _, trace, cloud = experiments._penalized_solve(pb)
         report = experiments._theory_report(pb, trace, cloud)
         assert np.isfinite(report.rho)
+
+    @pytest.mark.parametrize("name", ["mri-dct", "mri-dft-scaled", "toeplitz", "sr"])
+    def test_scaled_basis_run_stays_structured(self, name, tmp_path, monkeypatch,
+                                               lanczos_calls):
+        # a scaled complement is the complement's operator times a factor:
+        # a run densifies neither H nor S, forms no n x n buffer and runs
+        # no Lanczos
+        cfg = _pair_configs()[name]
+        cfg = dict(cfg, basis={**cfg["basis"], "scale": 0.5})
+        densified = _forbid_densifying(monkeypatch)
+        monkeypatch.setattr(diagnostics, "add_gram", densified)
+        result = run(cfg, out_dir=str(tmp_path))
+        assert result["problem"]["basis"].method.endswith("-scaled")
+        assert np.isfinite(result["theory"].rho)
+        assert lanczos_calls == []
 
     def test_exact_basis_uses_closed_form(self, tmp_path):
         cfg = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
@@ -678,18 +714,24 @@ def _spectrum_cases():
         op = op if scale == 1.0 else ScaledOperator(op, scale)
         return op, sr_complement(op)
 
+    sr_2d = sr((16, 16), 2)
     return {
         "blur-1d": (blur_1d, toeplitz_complement(blur_1d)),
         "blur-2d": (blur_2d, toeplitz_complement(blur_2d)),
         "blur-2d-scaled": (ScaledOperator(blur_2d, 2.5), toeplitz_complement(blur_2d)),
         "sr-1d-f2": sr((48,), 2),
         "sr-1d-f3": sr((48,), 3),
-        "sr-2d-f2": sr((16, 16), 2),
+        "sr-2d-f2": sr_2d,
         "sr-2d-f3": sr((12, 18), 3),
         "sr-2d-f2-scaled": sr((16, 16), 2, 0.37),
         "dct": (dct, fourier_complement(dct)),
         "dft": (dft, fourier_complement(dft)),
         "dct-scaled": (ScaledOperator(dct, 0.37), fourier_complement(dct)),
+        # scaled bases keep the structure of the basis they scale
+        "blur-2d-scaled-basis": (blur_2d, toeplitz_complement(blur_2d).scaled(0.5)),
+        "sr-2d-f2-scaled-basis": (sr_2d[0], sr_2d[1].scaled(0.5)),
+        "dct-scaled-basis": (dct, fourier_complement(dct).scaled(0.5)),
+        "dft-scaled-basis": (dft, fourier_complement(dft).scaled(2.5)),
     }
 
 
@@ -823,17 +865,20 @@ class TestNormalSpectrum:
         cs = DenseOperator(np.random.default_rng(1).standard_normal((10, 36)))
         assert normal_spectrum(radon) is None
         assert normal_spectrum(cs, qr_nullspace(cs.matrix, 20, seed=0), 1.0) is None
-        # a dense, a rescaled, or another transform's basis on a structured H
+        # a dense or another transform's basis on a structured H
         dense = NullSpaceBasis(toeplitz.matrix, "learned", 0.0, 0.0)
         assert normal_spectrum(blur, dense, 0.0) is None
-        assert normal_spectrum(dct, fourier.scaled(0.5), 1.0) is None
+        dense = NullSpaceBasis(fourier.matrix, "learned", 0.0, 0.0)
+        assert normal_spectrum(dct, dense, 1.0) is None
         blur_8 = CirculantConvOperator((8, 8), gaussian_kernel(1.0, ndim=2), "center")
         assert normal_spectrum(dct, toeplitz_complement(blur_8), 1.0) is None
         sr_op, _ = _spectrum_cases()["sr-2d-f2"]
         assert normal_spectrum(sr_op, fourier, 1.0) is None
 
     @pytest.mark.parametrize("case", ["blur-1d", "blur-2d-scaled", "sr-2d-f3",
-                                      "sr-2d-f2-scaled", "dct", "dft", "dct-scaled"])
+                                      "sr-2d-f2-scaled", "dct", "dft", "dct-scaled",
+                                      "blur-2d-scaled-basis", "sr-2d-f2-scaled-basis",
+                                      "dct-scaled-basis", "dft-scaled-basis"])
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 30.0])
     @pytest.mark.parametrize("alpha", [0.02, 0.2, 0.9])
     def test_spectral_rho_matches_dense(self, case, gamma, alpha):
@@ -845,14 +890,14 @@ class TestNormalSpectrum:
                                                              rel=1e-12, abs=0.0)
 
     def test_spectral_rho_rejects_unstructured_pair(self):
-        # a rescaled basis has no structural spectrum, so the rate is the dense one
+        # a dense basis has no structural spectrum, so the rate is the dense one
         op, basis = _spectrum_cases()["blur-2d"]
-        scaled = basis.scaled(0.5)
-        assert normal_spectrum(op, scaled, 1.0) is None
-        rho = vars(compute_rho(0.0, 1.0, op, scaled, 1.0, 0.0))
-        assert rho == _old_dense_rho(0.0, 1.0, _row_blocks(op), scaled.matrix, 0.0, 1.0)
+        dense = NullSpaceBasis(0.5 * basis.matrix, "learned", 0.0, 0.0)
+        assert normal_spectrum(op, dense, 1.0) is None
+        rho = vars(compute_rho(0.0, 1.0, op, dense, 1.0, 0.0))
+        assert rho == _old_dense_rho(0.0, 1.0, _row_blocks(op), dense.matrix, 0.0, 1.0)
         # adding H'H by row blocks moves only rounding from one syrk of the whole H
-        whole = _old_dense_rho(0.0, 1.0, [op.to_dense()], scaled.matrix, 0.0, 1.0)
+        whole = _old_dense_rho(0.0, 1.0, [op.to_dense()], dense.matrix, 0.0, 1.0)
         for field, value in whole.items():
             assert rho[field] == pytest.approx(value, rel=1e-12, abs=0.0)
 
@@ -868,6 +913,12 @@ class TestNormalSpectrum:
     def test_rho_bit_identical_to_dense_formula(self, name):
         pb = build_problem(_approximate_configs()[name])
         op, basis, alpha = pb["op"], pb["basis"], pb["solver_config"].alpha
+        if name == "scaled":
+            # a scaled Fourier complement keeps its structure
+            for gamma in (0.5, 3.0):
+                _assert_structural_matches_dense(compute_rho(0.1, alpha, op, basis, gamma, 0.2),
+                                                 0.1, op, basis, gamma, 0.2)
+            return
         assert normal_spectrum(op, basis, 1.0) is None
         H_rows = _row_blocks(op)
         for gamma in (0.5, 3.0):

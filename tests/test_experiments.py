@@ -1103,6 +1103,20 @@ class TestScipyImports:
         """, BENCH_CONFIGS / "mri-dct-64.yaml", tmp_path, "scipy.fft", "scipy.ndimage")
         assert loaded == {"built": ["scipy.fft", "scipy.ndimage"], "run": []}
 
+    def test_scaled_fourier_run_loads_no_linalg(self, tmp_path):
+        # a scaled Fourier complement keeps its structure: the run takes its
+        # step and rate from the pair's spectrum, with no dense rate
+        # (scipy.linalg) and no Lanczos (scipy.sparse.linalg)
+        loaded = _fresh_json("""
+            import json, sys
+            from nullprior import experiments
+            cfg = experiments.load_config(sys.argv[1])
+            cfg["basis"] = {"method": "fourier", "scale": 0.5}
+            experiments.run(cfg, out_dir=sys.argv[2], seed=4)
+            print(json.dumps([m for m in sys.argv[3:] if m in sys.modules]))
+        """, BENCH_CONFIGS / "mri-dct-64.yaml", tmp_path, "scipy.linalg", "scipy.sparse.linalg")
+        assert loaded == []
+
 
 class TestTheoryCheck:
     def test_pass_on_constructed_configuration(self):

@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 
 from nullprior import experiments, nullspace
+from nullprior.denoisers import GaussianSmooth
 from nullprior.errors import (
     DimensionMismatchError,
     EmptyComplementError,
@@ -41,7 +42,9 @@ from nullprior.operators import (
     lowpass_mask,
     random_mask,
 )
+from nullprior.phantoms import bumps
 from nullprior.priors import TwoLayerNet, train_joint
+from nullprior.solvers import SolverConfig, default_alpha, solve_pnp_fista
 
 
 class TestQrNullspace:
@@ -433,6 +436,54 @@ class TestScaled:
         svals = np.linalg.svd(basis.matrix, compute_uv=False)
         assert svals[0] == pytest.approx(0.1, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["dct", "dft", "blur", "sr", "radon", "cs"])
+    def test_wraps_the_operator_and_measures_residuals_on_first_read(self, kind, monkeypatch):
+        _, basis = _scaled_case(kind)
+        c = -0.7
+        expected = (abs(c) * basis.ortho_to_H_residual,
+                    nullspace._residuals(c * basis.matrix)[1])
+        calls = []
+        real = nullspace._residuals
+        monkeypatch.setattr(nullspace, "_residuals",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        scaled = basis.scaled(c)
+        assert isinstance(scaled.operator, ScaledOperator)
+        assert scaled.operator.base is basis.operator
+        assert calls == [] and "row_gram_residual" not in vars(scaled)
+        assert (scaled.ortho_to_H_residual, scaled.row_gram_residual) == expected
+        assert calls == [1]
+        assert same_bits(scaled.matrix, c * basis.matrix)
+
+    @pytest.mark.parametrize("kind", ["dct", "dft", "blur", "sr"])
+    def test_pnp_fista_trace_matches_dense_pair(self, kind):
+        # a scaled structured basis solves as its dense rows do, to rounding
+        op, basis = _scaled_case(kind)
+        scaled = basis.scaled(0.5)
+        x_star = bumps(16, 4, seed=3).reshape(-1)
+        rng = np.random.default_rng(4)
+        y = op.forward(x_star) + 0.01 * rng.standard_normal(op.m_eff)
+        g = scaled.project(x_star) + 1e-3 * rng.standard_normal(scaled.p)
+        config = SolverConfig(alpha=default_alpha(op, scaled, gamma=1.0), gamma=1.0,
+                              iters=40, x_star=x_star)
+        denoiser = GaussianSmooth(0.5)
+        dense_op = DenseOperator(op.to_dense())
+        dense_op.shape_in = op.shape_in  # so the denoiser smooths the image
+        _, fast = solve_pnp_fista(op, y, denoiser, config, scaled, lambda yy: g)
+        _, dense = solve_pnp_fista(dense_op, y, denoiser, config, scaled.matrix, lambda yy: g)
+        for col in ("err_sq", "proj_err_sq", "phi", "data_res_sq", "psnr", "ratio", "step_sq"):
+            a, b = getattr(fast, col), getattr(dense, col)
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+            ok = ~np.isnan(b)
+            assert np.max(np.abs(a[ok] - b[ok])) <= 1e-12 * np.max(np.abs(b[ok])), col
+
+
+def _scaled_case(kind):
+    """An operator and a basis to scale: a 16 x 16 Fourier complement, or a `fallback_case`."""
+    if kind in ("dct", "dft"):
+        op, _, _ = complement_case((16, 16), kind, 1.0)
+        return op, fourier_complement(op)
+    return fallback_case(kind)
+
 
 # ---------------------------------------------------------------------------
 # operator-backed Fourier complements against the dense reference rows
@@ -694,6 +745,20 @@ class TestOperatorPair:
             ref = op.adjoint(u) + gamma * basis.backproject(w)
             got = basis.pair(op).adjoint(u, w, gamma)
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape,transform,scale", PAIR_CASES)
+    def test_scaled_basis_shares_the_transform(self, shape, transform, scale):
+        op, _, _ = complement_case(shape, transform, scale)
+        basis = fourier_complement(op).scaled(0.6)
+        pair = basis.pair(op)
+        assert pair._shared is not None
+        rng = np.random.default_rng(13)
+        x, u, w = (rng.standard_normal(k) for k in (op.n, op.m_eff, basis.p))
+        h, s = pair.forward(x)
+        assert same_bits(h, op.forward(x))
+        assert same_bits(s, basis.project(x))
+        ref = op.adjoint(u) + 2.0 * basis.backproject(w)
+        assert np.linalg.norm(pair.adjoint(u, w, 2.0) - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("kind", ["blur", "sr", "radon", "cs"])
     def test_other_pairs_apply_separately_bit_for_bit(self, kind):
