@@ -40,23 +40,21 @@ from .operators import (
 )
 
 
-def psnr_from_err_sq(err_sq, n, peak):
-    """10 log10(peak^2 n / err_sq), capped at 200 dB (and 200 dB at zero error)."""
+def psnr_from_err_sq(err_sq, n):
+    """10 log10(n / err_sq), a unit-peak PSNR capped at 200 dB (and 200 dB at zero error)."""
     if err_sq <= 0:
         return 200.0
-    return min(10.0 * np.log10(peak * peak * n / err_sq), 200.0)
+    return min(10.0 * np.log10(n / err_sq), 200.0)
 
 
-def psnr(x_hat, x_star, peak=1.0):
-    """10 log10(peak^2 n / ||x_hat - x_star||^2), capped at 200 dB."""
+def psnr(x_hat, x_star):
+    """10 log10(n / ||x_hat - x_star||^2) for a unit-peak x_star, capped at 200 dB."""
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     if x_hat.shape != x_star.shape:
         raise NullPriorError("inputs must have the same size")
-    if peak <= 0:
-        raise NullPriorError("peak must be positive")
     err_sq = float(np.sum((x_hat - x_star) ** 2))
-    return psnr_from_err_sq(err_sq, x_hat.size, peak)
+    return psnr_from_err_sq(err_sq, x_hat.size)
 
 
 def resolution_floor(*norms):

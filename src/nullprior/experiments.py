@@ -9,12 +9,13 @@ bounds on an assumption-certified configuration of a proximal-gradient
 solver, and `run_toy3d` reproduces the three-dimensional geometry experiment.
 
 Configs are strict: `SCHEMA` declares each key of each section's kinds
-once, with its default and its admissible values, the operator's (one kind
-per problem) and its mask and kernel specs included.  A config is resolved
-against it once, before anything is built: an unknown kind or key, a
-missing required key or a value its key does not admit raises ConfigError,
-as do the few rules that span keys (`_resolve_config`), and a key given as
-null takes its default.
+once, with its default and its admissible values and their type, the
+operator's (one kind per problem) and its mask and kernel specs included.
+A config is resolved against it once, before anything is built: an
+unknown kind or key, a missing required key or a value its key does not
+admit raises ConfigError, as do the few rules that span keys
+(`_resolve_config`), a key given as null takes its default, and every
+other value comes back as its key's type, which the builders take as is.
 `build_problem` then builds one chain of stages (operator, signal,
 measurement, basis, prior, denoiser, solver), each from its section, its
 seed and the stages before it; the prior stage holds one prior, which a run
@@ -41,7 +42,6 @@ from .diagnostics import (
     detect_ciz,
     estimate_ric,  # unread here; bench/tracer.py wraps it under this name
     penalty_decay_bound,
-    psnr,
     resolution_floor,
 )
 from .errors import ConfigError, DimensionMismatchError
@@ -112,9 +112,12 @@ REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Low:
-    """A key's admissible numbers: cast as its builder casts them, >= low (> if strict).
+    """A key's admissible numbers, of type `cast` (int or float), >= low (> if strict).
 
-    `also` is admitted besides them: a literal, or a value of the types it names.
+    Called on a number or a string of one, returns it as that type (an int
+    only from an integral number); `also` is admitted besides them and
+    returned as given: a literal, or a value of the types it names.  Raises
+    ValueError or TypeError on any other value, as `_OneOrList` does.
     """
 
     low: float
@@ -122,17 +125,20 @@ class _Low:
     strict: bool = False
     also: object = ()
 
-    def __contains__(self, value):
+    def __call__(self, value):
         if value == self.also if isinstance(self.also, str) else isinstance(value, self.also):
-            return True
-        try:
-            number = self.cast(value)
-        except (TypeError, ValueError, OverflowError):
-            return False
-        return number > self.low if self.strict else number >= self.low
+            return value
+        number = float(value) if isinstance(value, str) else value
+        if self.cast is int and int(number) != number:
+            raise ValueError(f"{value!r} is not an integer")
+        number = self.cast(number)
+        if not (number > self.low if self.strict else number >= self.low):
+            raise ValueError(f"{value!r} is out of range")
+        return number
 
     def __str__(self):
-        return "a number" if self.low == -np.inf else f"{'>' if self.strict else '>='} {self.low}"
+        kind = "an integer" if self.cast is int else "a number"
+        return kind if self.low == -np.inf else f"{kind} {'>' if self.strict else '>='} {self.low}"
 
 
 @dataclass(frozen=True)
@@ -141,12 +147,18 @@ class _OneOrList:
 
     item: object
 
-    def __contains__(self, value):
-        values = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
-        return len(values) > 0 and all(v in self.item for v in values)
+    def __call__(self, value):
+        if isinstance(value, (list, tuple, np.ndarray)) and len(value) > 0:
+            return [self.item(v) for v in value]
+        return self.item(value)
 
     def __str__(self):
         return f"{self.item}, or a list of values {self.item}"
+
+
+def _admit(admits, value):
+    """value as `admits` declares it: the choice it equals (1 is True), or what admits makes."""
+    return admits[admits.index(value)] if isinstance(admits, tuple) else admits(value)
 
 
 _COUNT, _SEED = _Low(1, int), _Low(0, int)  # an integer >= 1, an integer >= 0
@@ -164,7 +176,7 @@ _COMPONENTS = {"seed": (0, _SEED), "output": (None, None), "signal": (None, None
 _SOLVER_ADMITS = {"alpha": _Low(0, strict=True, also="auto"), "gamma": _NONNEG,
                   "lam": _NONNEG, "iters": _COUNT, "momentum": MOMENTA, "restart": RESTARTS,
                   "transform": dn.SPARSITY_TRANSFORMS, "rho": _POSITIVE, "cg_tol": _POSITIVE,
-                  "cg_maxiter": _COUNT, "peak": _POSITIVE}
+                  "cg_maxiter": _COUNT}
 
 
 def _solver_keys(*keys):
@@ -175,11 +187,11 @@ def _solver_keys(*keys):
 
 
 # the solver keys every one of the _STEPPED_KINDS reads
-_FISTA_KEYS = ("alpha", "gamma", "iters", "momentum", "restart", "peak")
+_FISTA_KEYS = ("alpha", "gamma", "iters", "momentum", "restart")
 
 # section: (the key naming its kind, the default kind, {kind: {key: (default,
-# admissible values)}}); a key admits the values `in` its tuple of choices or
-# `_Low`, or any value if None
+# admissible values)}}); a key admits its tuple of choices, the values its
+# `_Low` or `_OneOrList` converts to its type (`_admit`), or any value if None
 SCHEMA = {
     "top level": ("problem", None, {
         **dict.fromkeys(("cs", "mri", "blur", "sr", "ct"), _COMPONENTS),
@@ -215,8 +227,7 @@ SCHEMA = {
         "pnp_fista": _solver_keys(*_FISTA_KEYS),
         "red_fista": _solver_keys(*_FISTA_KEYS, "lam"),
         "fista_sparsity": _solver_keys(*_FISTA_KEYS, "lam", "transform"),
-        "pnp_admm": _solver_keys("alpha", "gamma", "iters", "rho", "cg_tol", "cg_maxiter",
-                                 "peak")}),
+        "pnp_admm": _solver_keys("alpha", "gamma", "iters", "rho", "cg_tol", "cg_maxiter")}),
     # an operator's kind is its problem
     "operator": (None, None, {
         "cs": {"n": (REQUIRED, _COUNT), "m": (REQUIRED, _COUNT),
@@ -237,7 +248,7 @@ SCHEMA = {
         "random": {"count": (REQUIRED, _COUNT), "seed": (None, _SEED)}}),
     # a blur or sr operator's kernel spec (a list of taps is used as given)
     "kernel": ("kind", None, {
-        "gaussian": {"sigma": (REQUIRED, _POSITIVE), "radius": (None, _NONNEG)},
+        "gaussian": {"sigma": (REQUIRED, _POSITIVE), "radius": (None, _SEED)},
         "bilinear": {"factor": (None, _COUNT)}}),
     "noise": (None, None, {None: {"snr_db": (None, _Low(-np.inf))}}),
     "toy3d": (None, None, {None: {"epochs": (4000, _COUNT)}}),
@@ -280,10 +291,13 @@ def resolve(where, section, kind=None):
         value = section.get(key)
         if value is None:
             value = default
-        elif admits is not None and value not in admits:
-            raise ConfigError(f"unknown {where} {key} {value!r} (choose from {admits})"
-                              if isinstance(admits, tuple)
-                              else f"{where} {key} must be {admits}, not {value!r}")
+        elif admits is not None:
+            try:
+                value = _admit(admits, value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"unknown {where} {key} {value!r} (choose from {admits})"
+                                  if isinstance(admits, tuple)
+                                  else f"{where} {key} must be {admits}, not {value!r}") from None
         values[key] = value
     if kind_key is not None:
         values[kind_key] = kind
@@ -315,11 +329,10 @@ def _resolve_config(cfg):
     prior = top["prior"] = resolve("prior", top["prior"])
     if prior["kind"] == "oracle":
         prior["error"] = resolve("error", prior["error"])
-    else:
-        count = int(prior["train_count"])
-        if round(float(prior["holdout"]) * count) >= count:  # `priors._train`'s split
-            raise ConfigError(f"prior holdout {prior['holdout']!r} leaves none of the "
-                              f"{count} training signals to train on")
+    elif round(prior["holdout"] * prior["train_count"]) >= prior["train_count"]:
+        # `priors._train`'s split
+        raise ConfigError(f"prior holdout {prior['holdout']!r} leaves none of the "
+                          f"{prior['train_count']} training signals to train on")
     basis = top["basis"] = resolve("basis", top["basis"], basis_method)
     if basis["method"] not in ("qr", basis_method):
         raise ConfigError(f"basis method {basis['method']!r} does not fit problem "
@@ -345,11 +358,8 @@ def _resolve_config(cfg):
 
 def _signal_length(problem, op):
     """n of the operator a resolved operator section builds."""
-    if problem == "cs":
-        return int(op["n"])
-    if problem == "ct":
-        return int(op["side"]) ** 2
-    return int(np.prod(op["shape"]))
+    return (op["n"] if problem == "cs" else op["side"] ** 2 if problem == "ct"
+            else np.prod(op["shape"]))
 
 
 def _resolve_operator(problem, section):
@@ -362,7 +372,7 @@ def _resolve_operator(problem, section):
     if problem == "mri" and isinstance(op["mask"], dict):
         op["mask"] = mask = resolve("mask", op["mask"])
         pool = len(mask_pool(op["shape"], op["transform"]))
-        if int(mask["count"]) > pool:
+        if mask["count"] > pool:
             raise ConfigError(f"mri mask count {mask['count']} is outside "
                               f"[1, {pool}], the frequencies it chooses from")
     elif problem in ("blur", "sr") and isinstance(op["kernel"], dict):
@@ -391,7 +401,7 @@ def make_operator(problem, params, seed=0):
     """
     op = _resolve_operator(problem, params)
     if problem == "cs":
-        n, m = int(op["n"]), int(op["m"])
+        n, m = op["n"], op["m"]
         if m > n:
             raise DimensionMismatchError(f"m={m} exceeds n={n}")
         rng = np.random.default_rng(seed)
@@ -401,38 +411,36 @@ def make_operator(problem, params, seed=0):
             mat = rng.standard_normal((m, n))
         if op["normalize"]:
             mat /= np.sqrt(n)
-        return DenseOperator(float(op["scale"]) * mat)
+        return DenseOperator(op["scale"] * mat)
     if problem == "ct":
         angles = op["acquired"]
         if np.isscalar(angles):  # a count: the first of the full angles
-            angles = _full_angles(op["full_angles"])[: int(angles)]
+            angles = _full_angles(op["full_angles"])[:angles]
         return RadonOperator(op["side"], angles)
     shape = op["shape"]
     if problem == "mri":
         mask = op["mask"]
         if isinstance(mask, dict) and mask["kind"] == "lowpass":
-            mask = lowpass_mask(shape, int(mask["count"]), op["transform"])
+            mask = lowpass_mask(shape, mask["count"], op["transform"])
         elif isinstance(mask, dict):
-            mask_seed = seed if mask["seed"] is None else int(mask["seed"])
-            mask = random_mask(shape, int(mask["count"]), mask_seed, op["transform"])
+            mask_seed = seed if mask["seed"] is None else mask["seed"]
+            mask = random_mask(shape, mask["count"], mask_seed, op["transform"])
         base = MaskedFrequencyOperator(shape, mask, op["transform"])
     else:
         ndim = 1 if np.isscalar(shape) else len(shape)
         kernel = op["kernel"]
         if isinstance(kernel, dict) and kernel["kind"] == "gaussian":
-            kernel = gaussian_kernel(float(kernel["sigma"]), kernel["radius"], ndim)
+            kernel = gaussian_kernel(kernel["sigma"], kernel["radius"], ndim)
         elif isinstance(kernel, dict):
             kernel = bilinear_kernel(kernel["factor"], ndim)
         base = (CirculantConvOperator(shape, kernel, op["anchor"]) if problem == "blur"
                 else DecimatedConvOperator(shape, kernel, op["factor"], op["anchor"]))
-    scale = float(op["scale"])
-    return base if scale == 1.0 else ScaledOperator(base, scale)
+    return base if op["scale"] == 1.0 else ScaledOperator(base, op["scale"])
 
 
 def _full_angles(full):
     """CT's full angle list: a count of equispaced angles in [0, 180), or the angles."""
-    return ([180.0 * i / int(full) for i in range(int(full))]
-            if np.isscalar(full) else [float(a) for a in full])
+    return [180.0 * i / full for i in range(full)] if np.isscalar(full) else full
 
 
 def _build_signal(spec, op, seed):
@@ -443,15 +451,15 @@ def _build_signal(spec, op, seed):
             raise ConfigError("2-D phantom side must match the operator shape")
     else:
         spec = dict(spec, n=op.n if spec["n"] is None else spec["n"])
-        if int(spec["n"]) != op.n:
+        if spec["n"] != op.n:
             raise ConfigError("signal length must match the operator")
     return np.asarray(generate(spec, seed=seed), dtype=float).reshape(-1)
 
 
 def _build_basis(basis_cfg, op_cfg, op, seed):
-    method, scale = basis_cfg["method"], float(basis_cfg["scale"])
+    method, scale = basis_cfg["method"], basis_cfg["scale"]
     if method == "qr":
-        p = op.n - op.m_eff if basis_cfg["p"] is None else int(basis_cfg["p"])
+        p = op.n - op.m_eff if basis_cfg["p"] is None else basis_cfg["p"]
         basis = qr_nullspace(op.to_dense(), p, seed=seed)
     elif method == "radon":
         basis = radon_complement(op, _full_angles(op_cfg["full_angles"]))
@@ -476,15 +484,14 @@ def _build_prior(prior_cfg, signal_cfg, op, basis, seed):
 
     train_seed = seed + 1
     xs = np.array([_build_signal(signal_cfg, op, s)
-                   for s in _seeds(train_seed, int(prior_cfg["train_count"]))])
-    net = TwoLayerNet(op.m_eff, basis.p, int(prior_cfg["hidden"]), prior_cfg["activation"],
+                   for s in _seeds(train_seed, prior_cfg["train_count"])])
+    net = TwoLayerNet(op.m_eff, basis.p, prior_cfg["hidden"], prior_cfg["activation"],
                       seed=train_seed)
-    training = {"epochs": int(prior_cfg["epochs"]), "lr": float(prior_cfg["lr"]),
+    training = {"epochs": prior_cfg["epochs"], "lr": prior_cfg["lr"],
                 "batch_size": prior_cfg["batch"], "seed": train_seed,
-                "holdout_frac": float(prior_cfg["holdout"]),
-                "normalize": bool(prior_cfg["normalize"]),
-                "noise_std": float(prior_cfg["noise_std"])}
-    lam1, lam2 = float(prior_cfg["lambda1"]), float(prior_cfg["lambda2"])
+                "holdout_frac": prior_cfg["holdout"], "normalize": prior_cfg["normalize"],
+                "noise_std": prior_cfg["noise_std"]}
+    lam1, lam2 = prior_cfg["lambda1"], prior_cfg["lambda2"]
     if lam1 > 0 or lam2 > 0:
         net, basis, report = train_joint(net, basis, xs, op.to_dense(), lam1, lam2,
                                          **training)
@@ -499,17 +506,13 @@ def _build_solver(solver_cfg, op, basis, x_star):
     `_STEPPED_KINDS`; for pnp_admm it stays None, and the theory report
     takes the step from the spectrum of P it forms anyway (`compute_rho`).
     """
-    # each field's type also reads the strings PyYAML makes of 1e-8; a field
-    # the kind does not read keeps SolverConfig's default
-    values = {f.name: f.type(solver_cfg[f.name]) for f in fields(SolverConfig)
-              if f.name in solver_cfg and f.name != "alpha"}
+    # a field the kind does not read keeps SolverConfig's default
+    values = {key: value for key, value in solver_cfg.items()
+              if key not in ("kind", "alpha", "transform")}
     alpha = solver_cfg["alpha"]
-    if alpha != "auto":
-        alpha = float(alpha)
-    elif solver_cfg["kind"] in _STEPPED_KINDS:
-        alpha = default_alpha(op, basis, gamma=values["gamma"])
-    else:
-        alpha = None
+    if alpha == "auto":
+        alpha = (default_alpha(op, basis, gamma=values["gamma"])
+                 if solver_cfg["kind"] in _STEPPED_KINDS else None)
     built = {"solver_kind": solver_cfg["kind"],
              "solver_config": SolverConfig(alpha=alpha, x_star=x_star, **values)}
     if solver_cfg["kind"] == "fista_sparsity":
@@ -550,7 +553,7 @@ def build_problem(cfg, seed=None, reuse=None):
     problem = cfg["problem"]
     if problem == "toy3d":
         raise ConfigError("toy3d has its own runner: use run_toy3d (CLI subcommand `toy3d`)")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     op_seed, sig_seed, basis_seed, prior_seed, noise_seed = _seeds(seed, 5)
     pb = {"problem": problem, "seed": seed, "snr_db": cfg["noise"]["snr_db"], "stages": {}}
     chain = (  # (stage, what it reads besides earlier stages, its builder)
@@ -719,7 +722,7 @@ def run(cfg, out_dir=None, seed=None, reuse=None):
     held = reuse.pop("baseline", None) if reuse else None  # build_problem empties reuse
     pb = build_problem(cfg, seed=seed, reuse=reuse)
     out_dir = resolve_output_dir(cfg, out_dir)
-    x_star, config_npn = pb["x_star"], pb["solver_config"]
+    config_npn = pb["solver_config"]
     key = _baseline_key(pb)
     if held is None or not _same(held[0], key):
         held = None  # freed before the new baseline is solved
@@ -740,15 +743,13 @@ def run(cfg, out_dir=None, seed=None, reuse=None):
     if training is not None:
         training.save_history_csv(os.path.join(out_dir, "training_history.csv"))
 
-    peak = config_npn.peak
+    # each solve returns the iterate of its trace's last row
     summary = {
         "problem": pb["problem"], "seed": pb["seed"], "gamma": config_npn.gamma,
         "snr_db": pb["snr_db"] if pb["snr_db"] is not None else np.nan,
-        "psnr_baseline": psnr(x_base, x_star, peak),
-        "psnr_npn": psnr(x_npn, x_star, peak),
-        "err_baseline": float(np.linalg.norm(x_base - x_star)),
-        "err_npn": float(np.linalg.norm(x_npn - x_star)),
-        "improvement_db": psnr(x_npn, x_star, peak) - psnr(x_base, x_star, peak),
+        "psnr_baseline": tr_base.psnr[-1], "psnr_npn": tr_npn.psnr[-1],
+        "err_baseline": np.sqrt(tr_base.err_sq[-1]), "err_npn": np.sqrt(tr_npn.err_sq[-1]),
+        "improvement_db": tr_npn.psnr[-1] - tr_base.psnr[-1],
         "ciz_size": int(np.sum(tr_npn.in_ciz)),
         "rho": report.rho,
         "holdout_error": np.nan if training is None else training.holdout_projection_error,
@@ -769,12 +770,12 @@ def apply_sweep_value(cfg, param, value):
     """The config of one sweep point; ConfigError where the parameter does not apply."""
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
     if param == "gamma":
-        cfg.setdefault("solver", {})["gamma"] = float(value)
+        cfg.setdefault("solver", {})["gamma"] = value
     elif param == "p":
-        cfg.setdefault("basis", {})["p"] = int(value)
+        cfg.setdefault("basis", {})["p"] = value
     elif param == "eps":
         prior = cfg.setdefault("prior", {"kind": "oracle"})
-        error = dict(prior.get("error") or {}, eps=float(value))
+        error = dict(prior.get("error") or {}, eps=value)
         if error.get("kind") in (None, "zero"):  # eps makes a zero error gaussian
             error["kind"] = "gaussian"
         prior["error"] = error
@@ -795,7 +796,7 @@ def apply_sweep_value(cfg, param, value):
                 isinstance(kernel, dict) and kernel.get("kind") == "gaussian"):
             raise ConfigError("sweep parameter 'sigma_blur' needs a blur or sr "
                               "problem with a gaussian kernel")
-        cfg["operator"]["kernel"] = dict(kernel, sigma=float(value))
+        cfg["operator"]["kernel"] = dict(kernel, sigma=value)
     else:
         raise ConfigError(f"unknown sweep parameter {param!r} "
                           f"(choose from {SWEEP_PARAMS})")
@@ -952,7 +953,7 @@ def run_toy3d(cfg, out_dir=None, seed=None):
     cfg = _resolve_config(cfg if seed is None else dict(cfg, seed=seed))
     if cfg["problem"] != "toy3d":
         raise ConfigError("run_toy3d needs problem: toy3d")
-    seed, epochs = int(cfg["seed"]), int(cfg["toy3d"]["epochs"])
+    seed, epochs = cfg["seed"], cfg["toy3d"]["epochs"]
 
     op_seed, data_seed, net_seed = _seeds(seed, 3)
     rng = np.random.default_rng(op_seed)

@@ -81,7 +81,6 @@ class SolverConfig:
     cg_tol: float = 1e-8
     cg_maxiter: int = 200
     x_star: np.ndarray = None
-    peak: float = 1.0
 
     def __post_init__(self):
         if self.x_star is not None:
@@ -188,7 +187,7 @@ class _Recorder:
         if x_star is not None:
             diff = x - x_star
             err_sq = float(diff @ diff)
-            psnr = psnr_from_err_sq(err_sq, n, self.config.peak)
+            psnr = psnr_from_err_sq(err_sq, n)
         else:
             err_sq = np.nan
             psnr = np.nan

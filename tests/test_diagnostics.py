@@ -1018,11 +1018,11 @@ class TestPsnr:
 
     def test_zero_db_case(self):
         x_star = np.zeros(4)
-        x_hat = np.ones(4)  # MSE = 1 = peak^2
-        assert psnr(x_hat, x_star, peak=1.0) == pytest.approx(0.0, abs=1e-12)
+        x_hat = np.ones(4)  # MSE = 1 = the unit peak squared
+        assert psnr(x_hat, x_star) == pytest.approx(0.0, abs=1e-12)
 
     def test_30db_case(self):
         n = 1000
         x_star = np.zeros(n)
         x_hat = np.full(n, np.sqrt(1e-3))
-        assert psnr(x_hat, x_star, peak=1.0) == pytest.approx(30.0, abs=1e-9)
+        assert psnr(x_hat, x_star) == pytest.approx(30.0, abs=1e-9)

@@ -1,5 +1,6 @@
 """Experiment runner: config validation, run artifacts, sweeps, theory checks, CLI."""
 
+import csv
 import gc
 import json
 import os
@@ -86,6 +87,12 @@ def problem_config(problem, method, **overrides):
     return cs_config(problem=problem, operator=OPERATORS[problem], basis=basis,
                      signal=None if problem == "cs" else {"kind": "bumps", "count": 3},
                      **overrides)
+
+
+def csv_row(path, index=0):
+    """Row `index` of a CSV file, as {column: cell}."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))[index]
 
 
 def _replace(cfg, **sections):
@@ -188,7 +195,9 @@ CONFIG_MISTAKES = {
     "solver-admm-rho-negative": theory_config(solver={"kind": "pnp_admm", "rho": -1}),
     "solver-admm-cg-tol-negative": theory_config(solver={"kind": "pnp_admm", "cg_tol": -1}),
     "solver-admm-cg-maxiter-zero": theory_config(solver={"kind": "pnp_admm", "cg_maxiter": 0}),
+    # every signal has unit peak, so no solver kind reads a PSNR peak
     "solver-admm-peak-negative": theory_config(solver={"kind": "pnp_admm", "peak": -1}),
+    "solver-fista-peak": theory_config(solver={"kind": "pnp_fista", "peak": 1.0}),
     "solver-red-lam-negative": theory_config(solver={"kind": "red_fista", "lam": -1}),
     "denoiser-median-window-zero": theory_config(denoiser={"kind": "median", "window": 0}),
     "denoiser-tv-weight-zero": theory_config(denoiser={"kind": "tv", "weight": 0}),
@@ -254,6 +263,11 @@ CONFIG_MISTAKES = {
     "mri-operator-shape-not-a-number": theory_config(operator=dict(MRI_OPERATOR, shape="abc")),
     "sr-operator-shape-side-zero": _replace(problem_config("sr", "sr"), operator=dict(
         OPERATORS["sr"], shape=[8, 0])),
+    # fractional values of integer keys: truncated, or a half-pixel kernel
+    "solver-iters-fractional": theory_config(solver={"kind": "pnp_fista", "iters": 2.5}),
+    "kernel-gaussian-radius-fractional": _replace(BLUR, operator=dict(
+        BLUR["operator"], kernel={"kind": "gaussian", "sigma": 1.0, "radius": 2.5})),
+    "prior-hidden-fractional": cs_config(prior={"kind": "net", "hidden": 3.5}),
     "toy3d-epochs-zero": {"problem": "toy3d", "toy3d": {"epochs": 0}},
     "toy3d-unknown-key": {"problem": "toy3d", "toy3d": {"epochs": 10, "foo": 1}},
     "toy3d-unknown-section": {"problem": "toy3d", "noise": {"snr_db": 20.0}},
@@ -261,14 +275,14 @@ CONFIG_MISTAKES = {
 
 # the keys of each solver kind: the SolverConfig fields it reads, and
 # fista_sparsity's transform; pnp_admm reads alpha only in the theory report
-_FISTA = {"alpha", "gamma", "iters", "momentum", "restart", "peak"}
+_FISTA = {"alpha", "gamma", "iters", "momentum", "restart"}
 SOLVER_KEYS = {"pnp_fista": _FISTA, "red_fista": _FISTA | {"lam"},
                "fista_sparsity": _FISTA | {"lam", "transform"},
-               "pnp_admm": {"alpha", "gamma", "iters", "rho", "cg_tol", "cg_maxiter", "peak"}}
+               "pnp_admm": {"alpha", "gamma", "iters", "rho", "cg_tol", "cg_maxiter"}}
 # a valid value other than the default for every solver key (cg_tol as the
 # string PyYAML makes of 1e-6)
 SOLVER_VALUES = {"alpha": 0.2, "gamma": 0.5, "iters": 7, "momentum": "none",
-                 "restart": "fista-momentum", "peak": 2.0, "lam": 0.01, "rho": 3.0,
+                 "restart": "fista-momentum", "lam": 0.01, "rho": 3.0,
                  "cg_tol": "1e-6", "cg_maxiter": 50, "transform": "identity"}
 UNREAD_SOLVER_KEYS = [(kind, key) for kind in sorted(SOLVER_KEYS)
                       for key in sorted(set(SOLVER_VALUES) - SOLVER_KEYS[kind])]
@@ -277,7 +291,44 @@ CONFIG_MISTAKES.update({
     for kind, key in UNREAD_SOLVER_KEYS})
 
 
+def _typed_sample(admits, given):
+    """(a value `admits` takes, made by `given`, and what resolve must return for it)."""
+    if admits is None:  # an untyped key's value comes back as given
+        return "as given", "as given"
+    if isinstance(admits, experiments._OneOrList):
+        item, want = _typed_sample(admits.item, given)
+        return [item, item], [want, want]
+    if admits == (False, True):  # 1 or 1.0 is the choice True; "1" is no choice
+        return (True if given is str else given(1)), True
+    if isinstance(admits, tuple):
+        return admits[-1], admits[-1]
+    return given(2), admits.cast(2)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("given", [int, float, str])
+    def test_resolve_returns_each_key_as_its_declared_type(self, given):
+        # every key of every kind of every section, its value given as an
+        # int, a float or a string, comes back as SCHEMA declares it
+        for where, (kind_key, _, kinds) in experiments.SCHEMA.items():
+            for kind, declared in kinds.items():
+                samples = {key: _typed_sample(admits, given)
+                           for key, (_, admits) in declared.items()}
+                section = {key: value for key, (value, _) in samples.items()}
+                if kind_key is not None:
+                    section[kind_key] = kind
+                resolved = experiments.resolve(where, section, kind)
+                for key, (_, want) in samples.items():
+                    got = resolved[key]
+                    assert (type(got), got) == (type(want), want), (where, kind, key)
+                    if isinstance(want, list):
+                        assert [type(v) for v in got] == [type(v) for v in want]
+
+    @pytest.mark.parametrize("value", [2.5, "2.5", "two", float("nan"), float("inf")])
+    def test_integer_key_refuses_a_non_integral_value(self, value):
+        with pytest.raises(ConfigError, match="solver iters must be an integer >= 1"):
+            experiments.resolve("solver", {"iters": value})
+
     def test_readme_config_schema_example_builds(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Config schema", 1)[1]
@@ -350,12 +401,15 @@ class TestValidation:
 
     def test_every_default_is_admissible(self):
         # a declaration that refuses its own default would fail every run
-        # that leaves the key unset
+        # that leaves the key unset, and one that would convert it declares
+        # a type its default does not have
         for where, (_, _, kinds) in experiments.SCHEMA.items():
             for kind, declared in kinds.items():
                 for key, (default, admits) in declared.items():
                     if default not in (None, experiments.REQUIRED) and admits is not None:
-                        assert default in admits, (where, kind, key, default)
+                        admitted = experiments._admit(admits, default)
+                        assert (type(admitted), admitted) == (type(default), default), (
+                            where, kind, key, default)
 
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="unknown top level"):
@@ -461,6 +515,19 @@ class TestRun:
                      "summary.csv"):
             assert (tmp_path / name).exists()
         assert result["summary"]["psnr_npn"] > result["summary"]["psnr_baseline"]
+
+    def test_summary_reads_the_traces_last_rows(self, tmp_path):
+        # one PSNR: a PSNR summed apart from the trace's moved the last
+        # digit of psnr_baseline on this config and seed
+        run(experiments.load_config(BENCH_CONFIGS / "mri-dct-64.yaml"), out_dir=str(tmp_path),
+            seed=9)
+        summary = csv_row(tmp_path / "summary.csv")
+        last = {name: csv_row(tmp_path / f"trace_{name}.csv", -1) for name in ("baseline", "npn")}
+        for name, trace in last.items():
+            assert summary[f"psnr_{name}"] == trace["psnr"]
+            assert float(summary[f"err_{name}"]) == np.sqrt(float(trace["err_sq"]))
+        assert float(summary["improvement_db"]) == (float(last["npn"]["psnr"])
+                                                    - float(last["baseline"]["psnr"]))
 
     @pytest.mark.parametrize("denoiser", [{"kind": "median", "window": 3},
                                           {"kind": "tv", "weight": 0.05, "iters": 10}])
@@ -1303,6 +1370,26 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # so no point_* directory either
 
+    @pytest.mark.parametrize("key", ["batch", "radius"])
+    def test_quoted_integer_writes_the_files_of_the_integer(self, key, tmp_path, capsys):
+        # an integer key given as a quoted string reads as the integer
+        if key == "batch":
+            cfg = cs_config(prior={"kind": "net", "hidden": 4, "epochs": 3,
+                                   "train_count": 20, "batch": 8})
+            quoted = dict(cfg, prior=dict(cfg["prior"], batch="8"))
+        else:
+            cfg = BLUR  # its kernel radius is 2
+            quoted = dict(cfg, operator=dict(cfg["operator"], kernel=dict(
+                cfg["operator"]["kernel"], radius="2")))
+        outs = {}
+        for name, config in (("plain", cfg), ("quoted", quoted)):
+            (tmp_path / name).mkdir()
+            path = self._write(tmp_path / name, config)
+            assert cli_main(["run", "--config", path, "--out", str(tmp_path / name / "o")]) == 0
+            outs[name] = {f.name: f.read_bytes() for f in (tmp_path / name / "o").iterdir()}
+        assert f"{key}: '" in (tmp_path / "quoted" / "config.yaml").read_text()
+        assert "summary.csv" in outs["plain"] and outs["quoted"] == outs["plain"]
+
     @pytest.mark.parametrize("command", ["run", "sweep", "theory-check", "toy3d"])
     def test_seed_override_below_zero_exit_three(self, command, tmp_path, capsys):
         cfg = {"problem": "toy3d"} if command == "toy3d" else theory_config()
@@ -1311,7 +1398,8 @@ class TestCli:
         if command == "sweep":
             args += ["--param", "gamma", "--grid", "0.5,1"]
         assert cli_main([command, *args]) == 3
-        assert "config error: top level seed must be >= 0, not -1" in capsys.readouterr().err
+        assert ("config error: top level seed must be an integer >= 0, not -1"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_sweep_cli(self, tmp_path, capsys):
