@@ -35,7 +35,6 @@ from .operators import (
     DenseOperator,
     MaskedFrequencyOperator,
     _check_dense_cap,
-    identity_chunks,
     split_scale,
 )
 
@@ -253,17 +252,18 @@ def add_gram(op, weight=1.0, out=None):
     Without `out` a new Fortran-ordered buffer holds weight A'A.  A scaled
     operator c B adds B with weight c^2 (`split_scale`).  A dense operator's
     matrix is read uncopied by one syrk.  Any other operator (n <= 4096) is
-    added in blocks of 64 rows (`identity_chunks`), so its m x n matrix is
-    never formed: each block is the operator's transpose applied to unit
-    measurement vectors, added by syrk with beta = 1.
+    added in blocks of 64 rows (`LinearOperator.row_blocks`), so its m x n
+    matrix is never formed: each block, the transpose applied to unit
+    measurement vectors or a Radon operator's densified sparse rows, is
+    added by syrk with beta = 1.
     """
     op, scale = split_scale(op)
     weight = weight * scale * scale
     if isinstance(op, DenseOperator):
         return gram_lower(op.matrix, weight, out, beta=1.0)
     _check_dense_cap(op.n)
-    for _, units in identity_chunks(op.m_eff):
-        out = gram_lower(op._apply_adjoint(units), weight, out, beta=1.0)
+    for rows in op.row_blocks():
+        out = gram_lower(rows, weight, out, beta=1.0)
     return out
 
 

@@ -115,7 +115,8 @@ class _Low:
     """A key's admissible numbers, of type `cast` (int or float), >= low (> if strict).
 
     Called on a number or a string of one, returns it as that type (an int
-    only from an integral number); `also` is admitted besides them and
+    only from an integral number); nan and infinities are refused, whatever
+    the bound.  `also` is admitted besides them and
     returned as given: a literal, or a value of the types it names.  Raises
     ValueError or TypeError on any other value, as `_OneOrList` does.
     """
@@ -132,12 +133,13 @@ class _Low:
         if self.cast is int and int(number) != number:
             raise ValueError(f"{value!r} is not an integer")
         number = self.cast(number)
-        if not (number > self.low if self.strict else number >= self.low):
+        in_range = number > self.low if self.strict else number >= self.low
+        if not (np.isfinite(number) and in_range):
             raise ValueError(f"{value!r} is out of range")
         return number
 
     def __str__(self):
-        kind = "an integer" if self.cast is int else "a number"
+        kind = "an integer" if self.cast is int else "a finite number"
         return kind if self.low == -np.inf else f"{kind} {'>' if self.strict else '>='} {self.low}"
 
 

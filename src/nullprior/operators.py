@@ -78,6 +78,15 @@ class LinearOperator:
             out[:, start:start + len(rows)] = self._apply(rows).T
         return out
 
+    def row_blocks(self, chunk=64):
+        """The (m_eff, n) matrix as blocks of at most `chunk` rows, top to bottom.
+
+        Each block is the transpose applied to a block of unit measurement
+        vectors (`identity_chunks`), so the whole matrix is never formed.
+        """
+        for _, units in identity_chunks(self.m_eff, chunk):
+            yield self._apply_adjoint(units)
+
 
 class DenseOperator(LinearOperator):
     """Explicit (m, n) matrix, used for compressed sensing."""
@@ -378,9 +387,11 @@ class RadonOperator(LinearOperator):
     both in scatter order: each row keeps its interpolation weights in the
     order in which a per-angle scatter of the sample points would add them,
     duplicates included, so forward, adjoint and the dense matrix are
-    bit-identical to that scatter.  The transpose is built from the same
-    samples the first time an adjoint is applied, so an operator that is
-    only applied forward or densified never holds it.
+    bit-identical to that scatter.  The samples are drawn for blocks of
+    angles at a time (`_radon_block`).  The transpose is built from the
+    same samples the first time an adjoint is applied, so an operator that
+    is only applied forward, densified or read row block by row block
+    (`row_blocks`) never holds it.
     """
 
     def __init__(self, side, angles_deg):
@@ -405,15 +416,16 @@ class RadonOperator(LinearOperator):
         return _csr_in_order(cols, rows, wts, (self.n, self.m_eff))
 
     def _triplets(self):
-        """(row, column, weight) of every sample, angle by angle in scatter order."""
+        """(row, pixel, weight) of every sample in scatter order: by angle, corner, detector, step.
+
+        Angles are sampled in blocks of at most `_BLOCK_SAMPLES` samples
+        (angle x detector x step) and at least one angle each.
+        """
         index = _index_type(max(self.m_eff, self.n))
-        rows, cols, wts = [], [], []
-        for a, angle in enumerate(self.angles_deg):
-            pix, w, dets = _radon_samples(self.side, angle, index)
-            rows.append(a * self.side + dets)
-            cols.append(pix)
-            wts.append(w)
-        return tuple(np.concatenate(v) for v in (rows, cols, wts))
+        per_block = max(1, _BLOCK_SAMPLES // self.side ** 2)
+        blocks = [_radon_block(self.side, self.angles_deg[first:first + per_block], first, index)
+                  for first in range(0, len(self.angles_deg), per_block)]
+        return tuple(np.concatenate(v) for v in zip(*blocks))
 
     def _apply(self, x):
         return (self._A @ x.T).T
@@ -425,37 +437,58 @@ class RadonOperator(LinearOperator):
         _check_dense_cap(self.n)
         return self._A.toarray()
 
+    def row_blocks(self, chunk=64):
+        """Dense slices of the stored matrix, F-ordered like the transpose's products.
 
-def _radon_samples(side, angle_deg, index=np.int64):
-    """Bilinear sample weights of one projection angle as (pixel, weight, detector).
+        Densifying a row adds its duplicate entries in the order in which
+        the transpose's product with a unit vector adds them, so the blocks
+        are bit-identical to the base class's and no transpose is built.
+        """
+        for start in range(0, self.m_eff, chunk):
+            yield self._A[start:start + chunk].toarray(order="F")
+
+
+_BLOCK_SAMPLES = 1 << 16  # samples in one block of angles, unless one angle has more
+
+
+def _radon_block(side, angles_deg, first, index):
+    """(row, pixel, weight) of the bilinear samples of a block of angles, in scatter order.
 
     Sample points are p = center + r*(cos,sin) + tau*(-sin,cos) in (x, y) for
-    detector offsets r and unit steps tau along the ray.  Entries come corner
-    by corner, each in (detector, step) order, with zero weights and
-    off-image corners dropped; a pixel may repeat within one detector.
-    Pixels and detectors are of the integer type `index`, which must hold
-    side**2.
+    detector offsets r and unit steps tau along the ray.  Entries come angle
+    by angle, then corner by corner, each in (detector, step) order, with
+    zero weights and off-image corners dropped; a pixel may repeat within
+    one detector.  The block's first angle is angle `first` of the
+    operator, whose rows start at first * side.  Rows and pixels are of the
+    integer type `index`, which must hold side**2 and every row.
     """
     c = (side - 1) / 2.0
-    th = np.deg2rad(angle_deg)
-    r = np.arange(side) - c          # detector offsets
-    tau = np.arange(side) - c        # steps along the ray
-    px = c + r[:, None] * np.cos(th) - tau[None, :] * np.sin(th)
-    py = c + r[:, None] * np.sin(th) + tau[None, :] * np.cos(th)
+    th = np.deg2rad(np.asarray(angles_deg, dtype=float))[:, None, None]
+    r = (np.arange(side) - c)[:, None]  # detector offsets
+    tau = np.arange(side) - c           # steps along the ray
+    px = c + r * np.cos(th) - tau * np.sin(th)
+    py = c + r * np.sin(th) + tau * np.cos(th)
     x0 = np.floor(px).astype(index)
     y0 = np.floor(py).astype(index)
     fx = px - x0
     fy = py - y0
-    idx, wts, dets = [], [], []
-    det_grid = np.broadcast_to(np.arange(side, dtype=index)[:, None], px.shape)
-    for dx, dy, w in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
-                      (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
-        xs, ys = x0 + dx, y0 + dy
-        ok = (xs >= 0) & (xs < side) & (ys >= 0) & (ys < side) & (w > 0)
-        idx.append((ys[ok] * side + xs[ok]))
-        wts.append(w[ok])
-        dets.append(det_grid[ok])
-    return (np.concatenate(idx), np.concatenate(wts), np.concatenate(dets))
+    # the x and y weights and in-image tests of a corner offset d = 0 or 1
+    wx, wy = (1 - fx, fx), (1 - fy, fy)
+    inx = [(x0 >= -d) & (x0 < side - d) for d in (0, 1)]
+    iny = [(y0 >= -d) & (y0 < side - d) for d in (0, 1)]
+    shape = (len(angles_deg), 4, side, side)
+    w = np.empty(shape)
+    ok = np.empty(shape, dtype=bool)
+    for k, (dx, dy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        np.multiply(wx[dx], wy[dy], out=w[:, k])
+        np.logical_and(inx[dx], iny[dy], out=ok[:, k])
+    ok &= w > 0
+    offsets = np.array([0, 1, side, side + 1], dtype=index)[:, None, None]
+    pix = (y0 * side + x0)[:, None] + offsets
+    rows = (np.arange(first, first + len(angles_deg), dtype=index)[:, None] * side
+            + np.arange(side, dtype=index))[:, None, :, None]
+    # a C-order boolean mask reads (angle, corner, detector, step) order
+    return np.broadcast_to(rows, shape)[ok], pix[ok], w[ok]
 
 
 def _csr_in_order(rows, cols, data, shape):

@@ -18,6 +18,7 @@ from nullprior.diagnostics import (
     CloudConstants,
     _diagonal_gram,
     _lanczos_max,
+    add_gram,
     compute_rho,
     detect_ciz,
     estimate_ric,
@@ -314,6 +315,20 @@ class TestDenseRhoBuffer:
         _, trace, cloud = experiments._penalized_solve(pb)
         assert normal_spectrum(pb["op"], pb["basis"]) is None
         assert _peak_bytes(lambda: experiments._theory_report(pb, trace, cloud)) <= 12.5e6
+
+
+class TestAddGram:
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_radon_gram_from_its_rows_matches_the_adjoint_of_unit_vectors(self, side, scale):
+        base = RadonOperator(side, np.linspace(0.0, 180.0, 30, endpoint=False)[::2])
+        op = base if scale == 1.0 else ScaledOperator(base, scale)
+        got = add_gram(op, 0.6)
+        assert "_At" not in vars(base)  # the rows come from the stored matrix
+        want = None
+        for rows in _row_blocks(base):
+            want = gram_lower(rows, 0.6 * scale * scale, want, beta=1.0)
+        assert np.tril(got).tobytes() == np.tril(want).tobytes()
 
 
 def _dense_rho(delta, alpha, op, basis, gamma, ric_s):

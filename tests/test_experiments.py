@@ -195,6 +195,13 @@ CONFIG_MISTAKES = {
     "solver-admm-rho-negative": theory_config(solver={"kind": "pnp_admm", "rho": -1}),
     "solver-admm-cg-tol-negative": theory_config(solver={"kind": "pnp_admm", "cg_tol": -1}),
     "solver-admm-cg-maxiter-zero": theory_config(solver={"kind": "pnp_admm", "cg_maxiter": 0}),
+    # infinities a number key admitted: a traceback (alpha, gamma, snr_db -inf)
+    # or an all-nan summary (rho)
+    "solver-alpha-infinite": theory_config(solver={"kind": "pnp_fista", "alpha": np.inf}),
+    "solver-gamma-infinite": theory_config(solver={"kind": "pnp_fista", "gamma": np.inf}),
+    "solver-admm-rho-infinite": theory_config(solver={"kind": "pnp_admm", "rho": np.inf}),
+    "noise-snr-db-minus-infinity": theory_config(noise={"snr_db": -np.inf}),
+    "noise-snr-db-infinite": theory_config(noise={"snr_db": np.inf}),
     # every signal has unit peak, so no solver kind reads a PSNR peak
     "solver-admm-peak-negative": theory_config(solver={"kind": "pnp_admm", "peak": -1}),
     "solver-fista-peak": theory_config(solver={"kind": "pnp_fista", "peak": 1.0}),

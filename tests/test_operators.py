@@ -18,7 +18,6 @@ from nullprior.operators import (
     RadonOperator,
     ScaledOperator,
     _csr_in_order,
-    _radon_samples,
     all_representatives,
     bilinear_kernel,
     canonical_representatives,
@@ -31,6 +30,8 @@ from nullprior.operators import (
     mask_pool,
     random_mask,
 )
+
+from references import radon_samples, radon_triplets
 
 
 def sample_operators(seed=0):
@@ -373,7 +374,7 @@ def scatter_radon_forward(op, x):
     """Reference: one np.add.at scatter per angle, in sample order."""
     out = np.zeros(op.m_eff)
     for a, angle in enumerate(op.angles_deg):
-        idx, wts, dets = _radon_samples(op.side, angle)
+        idx, wts, dets = radon_samples(op.side, angle)
         acc = np.zeros(op.side)
         np.add.at(acc, dets, wts * x[idx])
         out[a * op.side:(a + 1) * op.side] = acc
@@ -383,7 +384,7 @@ def scatter_radon_forward(op, x):
 def scatter_radon_adjoint(op, u):
     out = np.zeros(op.n)
     for a, angle in enumerate(op.angles_deg):
-        idx, wts, dets = _radon_samples(op.side, angle)
+        idx, wts, dets = radon_samples(op.side, angle)
         ua = u[a * op.side:(a + 1) * op.side]
         np.add.at(out, idx, wts * ua[dets])
     return out
@@ -466,6 +467,58 @@ def _csr_int64_reference(rows, cols, data, shape):
     order = np.argsort(rows.astype(np.int64), kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
     return data[order], cols[order], indptr
+
+
+# angle sets: the listed angles, one angle, and 60 equispaced angles, which
+# span 4 blocks at side 64 and 15 at side 128
+RADON_ANGLE_SETS = {"listed": RADON_ANGLES, "single": [33.3],
+                    "equispaced-60": np.linspace(0.0, 180.0, 60, endpoint=False)}
+
+
+class TestRadonBlockSampler:
+    """The block sampler and the matrices built from it against the per-angle loop."""
+
+    @staticmethod
+    def _assert_matches_loop(op, index):
+        ref = radon_triplets(op, index)
+        for got, want in zip(op._triplets(), ref):
+            assert same_bits(got, want)
+        rows, cols, wts = ref
+        for mat, want in ((op._A, _csr_in_order(rows, cols, wts, (op.m_eff, op.n))),
+                          (op._At, _csr_in_order(cols, rows, wts, (op.n, op.m_eff)))):
+            for name in ("data", "indices", "indptr"):
+                assert same_bits(getattr(mat, name), getattr(want, name))
+
+    @pytest.mark.parametrize("angles", sorted(RADON_ANGLE_SETS))
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("side", [8, 17, 32, 64, 128])
+    def test_triplets_and_matrices_match_the_angle_loop(self, side, index, angles, monkeypatch):
+        monkeypatch.setattr(operators, "_index_type", lambda size: index)
+        op = RadonOperator(side, RADON_ANGLE_SETS[angles])
+        assert op._triplets()[0].dtype == index
+        self._assert_matches_loop(op, index)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
+    def test_any_block_size_gives_the_same_arrays(self, per_block, monkeypatch):
+        # blocks of a few angles at a side where the default takes all 7 at once
+        monkeypatch.setattr(operators, "_BLOCK_SAMPLES", per_block * 17 ** 2)
+        self._assert_matches_loop(RadonOperator(17, RADON_ANGLES), np.int32)
+
+    # a block holds at most 2^16 samples (angle x detector x step), unless
+    # one angle has more: from side 182 on, every block is one angle
+    @pytest.mark.parametrize("side,count,sizes", [(17, 20, [20]), (64, 20, [16, 4]),
+                                                  (181, 3, [2, 1]), (182, 3, [1, 1, 1])])
+    def test_block_sizes(self, side, count, sizes, monkeypatch):
+        seen = []
+        block = operators._radon_block
+
+        def sized(side, angles_deg, first, index):
+            seen.append(len(angles_deg))
+            return block(side, angles_deg, first, index)
+
+        monkeypatch.setattr(operators, "_radon_block", sized)
+        RadonOperator(side, RADON_ANGLE_SETS["equispaced-60"][:count])
+        assert seen == sizes
 
 
 class TestRadonStorage:
