@@ -9,13 +9,11 @@ Wohlberg & Kamilov, IEEE TCI 2019).  This module owns the spectrum of
 P = H'H + gamma S'S: `compute_rho` gives the rate and `lambda_max` the
 largest eigenvalue behind the default step; for PnP-ADMM, which takes no
 step, `compute_rho` reads the step's lambda_max off the spectrum it forms
-for the rate.
-Where the operator and basis share a transform (masked DCT/DFT with its
-Fourier complement, blur and SR with their complements, either scaled or not),
-both read it from `normal_spectrum` (one FFT or one batched block
-`eigvalsh`).  Every other pair takes ||I - alpha P|| from a dense n x n P,
-||S|| from the basis (`NullSpaceBasis.norm_sq`, measured once per basis),
-and lambda_max from residuals or Lanczos.  The restricted-isometry constants Delta
+for the rate.  Both read P's spectrum from the pair's structure where it
+has one (`normal_spectrum`: a shared transform, a dense H, or an exact
+complement of H); every other pair takes ||I - alpha P|| from a dense P
+and lambda_max from one Lanczos run.  ||S|| comes from the basis
+(`NullSpaceBasis.norm_sq`).  The restricted-isometry constants Delta
 are measured on a supplied sample cloud, the denoiser expansion delta on
 sample pairs; `CloudConstants` measures both on a solve's iterates while it
 runs, so no iterate is stored.  The improvement zone is the set of
@@ -28,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NullPriorError
-from .nullspace import as_basis
+from .nullspace import _probe_residuals, as_basis
 from .operators import (
     CirculantConvOperator,
     DecimatedConvOperator,
     DenseOperator,
     MaskedFrequencyOperator,
+    ScaledOperator,
     _check_dense_cap,
     split_scale,
 )
@@ -282,7 +281,7 @@ def lower_eigvalsh(M):
 def normal_spectrum(op, basis=None, gamma=0.0):
     """Eigenvalues of P = H'H + gamma S'S from the pair's structure, or None.
 
-    Two structures give all n eigenvalues without forming P:
+    H alone gets the spectrum its structure gives, and a pair one of three:
     - H and S diagonal in one orthonormal transform F (masked DCT or DFT
       rows, circulant convolutions, scaled wrappers of these): P =
       F' diag(d_H + gamma d_S) F, where d is scale^2 on the kept
@@ -296,11 +295,34 @@ def normal_spectrum(op, basis=None, gamma=0.0):
       class, each (scale^2 / f^d) k k* + gamma diag(|S^|^2) with k the
       class's K^ (the polyphase split of Zhao et al., IEEE TIP 2016).  One
       batched `eigvalsh` solves them.
-    Without a basis the result is the spectrum of H'H.  Any other pair
-    (Radon, dense CS, QR or learned bases, scaled or not) gives None, also
-    at gamma = 0: `compute_rho` then works from dense matrices, and
-    `lambda_max` from the basis residuals or Lanczos.
+    - S an exact complement (S H' = 0, S S' = I) of an H with a spectrum:
+      P is H'H plus gamma on S's p directions in Null(H), so its spectrum
+      is H's with the p smallest eigenvalues replaced by gamma.  By Weyl,
+      on AA' with A = [H; sqrt(gamma) S], the residuals move each one by
+      at most 2 sqrt(gamma) ||S H'||_F + gamma ||S S' - I||_F.  An unscaled
+      basis with m + p <= n is admitted when that margin, from probe
+      bounds on this pair (`nullspace._probe_residuals`), is at most
+      10 n eps max(lambda_max(H'H), gamma); QR rows reach about n eps
+      lambda.  Recorded residuals are never read: a dump carries its own.
+    A dense H (scaled or not) has the eigenvalues of its smaller Gram
+    matrix, padded with zeros to n.  Any other pair, and a Radon H, gives
+    None: `compute_rho` then works from dense matrices, `lambda_max` from
+    Lanczos.
     """
+    eig = _transform_spectrum(op, basis, gamma)
+    S = None if basis is None else basis.operator
+    if eig is not None or S is None or isinstance(S, ScaledOperator) or S.n != op.n \
+            or op.m_eff + S.m_eff > op.n or (h := normal_spectrum(op)) is None:
+        return eig
+    ortho, gram = _probe_residuals(S, op)
+    bound = 10.0 * op.n * np.finfo(float).eps * max(float(np.max(h)), gamma)
+    if 2.0 * np.sqrt(gamma) * ortho + gamma * gram <= bound:  # False for nan
+        eig = np.concatenate((np.full(S.m_eff, float(gamma)), np.sort(h)[S.m_eff:]))
+    return eig
+
+
+def _transform_spectrum(op, basis, gamma):
+    """The spectrum of P from a shared transform, or of a dense H alone, or None."""
     s_term = s_frame = None
     if basis is not None:
         s_gram = _diagonal_gram(basis.operator)
@@ -315,6 +337,10 @@ def normal_spectrum(op, basis=None, gamma=0.0):
             return h_diag
         return h_diag + s_term if h_frame == s_frame else None
     base, scale = split_scale(op)
+    if isinstance(base, DenseOperator) and s_term is None:
+        H = base.matrix
+        eig = np.linalg.eigvalsh(H @ H.T if H.shape[0] < H.shape[1] else H.T @ H)
+        return scale * scale * np.concatenate((np.zeros(op.n - eig.size), eig))
     if not isinstance(base, DecimatedConvOperator):
         return None
     if s_term is not None and s_frame != ("dft", base.shape_in):
@@ -373,53 +399,21 @@ def _alias_spectrum(op, scale_sq, s_term):
 def lambda_max(op, basis=None, gamma=0.0):
     """Largest eigenvalue of P = H'H + gamma S'S (of H'H without a basis).
 
-    Exact from the structural spectrum (`normal_spectrum`), else Lanczos
-    (ARPACK `eigsh`) on the matrix-free P to machine precision from a fixed
-    start vector, a few ulps below lambda_max (Kuczynski & Wozniakowski,
-    SIAM J. Matrix Anal. Appl. 1992).  With S H' = 0 and S S' = I the top
-    of P is max(lambda_max(H'H), gamma), and that is returned when the
-    basis's residuals bound the Weyl perturbation 2 sqrt(gamma) ||S H'||_F
-    + gamma ||S S' - I||_F by 1e-13 lambda_max: the step at gamma <=
-    lambda_max(H'H) is then the step at gamma = 0 bit for bit.  `basis` may
-    be a plain matrix, whose residuals are nan.
-
-    One fixed probe u decides the test before any Lanczos where it can.
-    h = ||H'u||^2 / ||u||^2 is at most lambda_max(H'H), and a pass bounds
-    ||S S' - I|| by 1e-13, so gamma is at most lambda_max(P) to that
-    relative precision: the test at the threshold 1e-13 max(h, gamma) is
-    as strict, and when it passes the one Lanczos run is on H'H.  Only
-    when it fails is P's lambda_max found by Lanczos and the test made at
-    1e-13 lambda_max.
-    Reading the residuals may measure them, so the probe also rules the
-    test out first: ||S H'u|| / ||u|| <= ||S H'||_2 <= ||S H'||_F, so when
-    2 sqrt(gamma) times that ratio exceeds twice the threshold (the factor
-    covers rounding in either figure) the test cannot pass, with no
-    residual read.  An approximate complement (Radon) fails by orders of
-    magnitude and takes one Lanczos, on P; an exact one (QR) gives a ratio
-    at rounding level and reads its residuals.
+    Exact from the structural spectrum (`normal_spectrum`), else one
+    Lanczos run (ARPACK `eigsh`) to machine precision from a fixed start,
+    a few ulps low (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl.
+    1992), on H'H without a basis or at gamma = 0, else on P.  An exact
+    complement's step at gamma <= lambda_max(H'H) is the gamma = 0 step
+    bit for bit.  `basis` may be a plain matrix.
     """
-    basis = None if basis is None else as_basis(basis)
+    basis = None if basis is None or gamma == 0.0 else as_basis(basis)
     eig = normal_spectrum(op, basis, gamma)
     if eig is not None:
         return float(np.max(eig))
     if basis is None:
         return _lanczos_max(op.n, lambda v: op.adjoint(op.forward(v)))
-    u = np.random.default_rng(1992).standard_normal(op.m_eff)
-    hu, u_norm = op.adjoint(u), np.linalg.norm(u)
-    lower = np.linalg.norm(basis.project(hu)) / u_norm
-
-    def weyl_passes(lam):
-        if 2.0 * np.sqrt(gamma) * lower > 2e-13 * lam:
-            return False
-        weyl = (2.0 * np.sqrt(gamma) * basis.ortho_to_H_residual
-                + gamma * basis.row_gram_residual)
-        return weyl <= 1e-13 * lam
-
-    if weyl_passes(max(float(hu @ hu) / u_norm ** 2, gamma)):
-        return max(lambda_max(op), gamma)
     pair = basis.pair(op)
-    lam = _lanczos_max(op.n, lambda v: pair.adjoint(*pair.forward(v), gamma))
-    return max(lambda_max(op), gamma) if weyl_passes(lam) else lam
+    return _lanczos_max(op.n, lambda v: pair.adjoint(*pair.forward(v), gamma))
 
 
 def _lanczos_max(n, matvec):
@@ -446,23 +440,21 @@ def compute_rho(delta, alpha, op, basis, gamma, ric_s):
     `basis` may be a plain matrix.  ||S||^2 is the basis's own `norm_sq`,
     measured on its first read and kept with the basis, so the points of a
     sweep that share a basis measure it once.  With a structural spectrum
-    (`normal_spectrum`) both norms are exact, max |1 - alpha lambda| and
-    sqrt(gamma max d_S), and no n x n array is formed.  Any other pair (n <= 4096) reads
-    ||I - alpha P|| from symmetric eigenvalues of one n x n buffer: P =
-    gamma S'S + H'H by `add_gram` (a dense operator's matrix read
-    uncopied, any other operator added in row blocks), shifted in place
-    to I - alpha P for LAPACK's syevd.  A first read of ||S||^2 fills and
-    frees its own n x n S'S before that buffer is made, so beyond the
-    operators' own arrays one n x n buffer (8 n^2 bytes) and one row
-    block are held: a Radon H is never densified.
+    (`normal_spectrum`, a QR pair's too) ||I - alpha P|| is max |1 - alpha
+    lambda| over it.  Any other pair (n <= 4096) reads it from symmetric
+    eigenvalues of one n x n buffer: P = gamma S'S + H'H by `add_gram` (a
+    dense operator's matrix read uncopied, any other operator added in row
+    blocks), shifted in place to I - alpha P for LAPACK's syevd.  A first
+    read of ||S||^2 fills and frees its own n x n S'S before that buffer is
+    made, so beyond the operators' own arrays one n x n buffer (8 n^2
+    bytes) and one row block are held: a Radon H is never densified.
 
     alpha None takes the step 0.9 / lambda_max(P) from the same spectrum:
     a structural one gives `default_alpha`'s value bit for bit, and a dense
     pair reads syevd of P itself, unshifted, and ||I - alpha P|| as max
     |1 - alpha lambda| over its ends.  This is the step of a solver that
     never takes one (PnP-ADMM), so no Lanczos runs for it.  A zero P raises
-    NullPriorError, as `default_alpha` does.  The estimate carries the
-    alpha it used.
+    NullPriorError, as `default_alpha` does.  The estimate carries its alpha.
     """
     basis = as_basis(basis)
     s_norm = float(np.sqrt(gamma * basis.norm_sq))

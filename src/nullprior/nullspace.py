@@ -261,13 +261,15 @@ def qr_nullspace(H_dense, p, seed=0):
     H = np.asarray(H_dense, dtype=float)
     m, n = H.shape
     _check_dense_cap(n)
-    svals = np.linalg.svd(H, compute_uv=False)
+    Q, R = scipy.linalg.qr(H.T, mode="full", check_finite=False)
+    # H' = Q R: H's singular values are those of R's top m rows
+    svals = np.linalg.svd(R[:m], compute_uv=False)
+    del R  # n x m: kept, it raised the peak by 33 MB at n = 4096, m = 1024
     rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
     if rank < m:
         raise RankDeficientError(f"H has numerical rank {rank} < m={m}")
     if p < 1 or p > n - m:
         raise InfeasibleDimensionError(f"p={p} not in [1, n-m={n - m}]")
-    Q, _ = scipy.linalg.qr(H.T, mode="full")
     N = Q[:, m:]
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n - m, p))
@@ -288,7 +290,7 @@ def fourier_complement(op):
     are probabilistic upper bounds measured through the operators from
     128 seeded Gaussian probes, without forming S: each holds with
     probability >= 1 - 1e-6, both together with probability >= 1 - 2e-6
-    (`_frequency_residuals`).  They are measured the first time either is
+    (`_probe_residuals`).  They are measured the first time either is
     read, which no run, sweep or theory check does: the pair's spectrum
     gives lambda_max and rho without them.
     """
@@ -299,11 +301,11 @@ def fourier_complement(op):
         raise EmptyComplementError("mask keeps every frequency")
     S_op = MaskedFrequencyOperator(base.shape_in, missing, base.transform)
     return NullSpaceBasis(S_op, "fourier-complement",
-                          measure=lambda: _frequency_residuals(S_op, base))
+                          measure=lambda: _probe_residuals(S_op, base))
 
 
-def _frequency_residuals(S_op, H_op):
-    """Upper bounds on ||S H'||_F and ||S S' - I||_F for two masks of one transform.
+def _probe_residuals(S_op, H_op):
+    """Upper bounds on ||S H'||_F and ||S S' - I||_F for any two operators.
 
     For a fixed p-column matrix E and k independent standard Gaussian
     probes z in R^p, ||E Z||_F^2 is a weighted chi-square whose lower tail
@@ -315,19 +317,25 @@ def _frequency_residuals(S_op, H_op):
     bounds hold together with probability >= 1 - 2e-6.  Each bound is
     1.71 times the plain estimate sqrt(||E Z||_F^2 / k).
 
-    The probes come from a fixed seed, 16 per transform round trip: the
-    adjoint of S maps them to S'Z, and one full transform of that holds
-    both H S'Z and S S'Z.  The cost is eight round trips whatever p is;
-    small blocks keep the transient small (tracemalloc, n = 4096 and
-    p = 3072: 2.0 MB, against 7.9 MB for blocks of 64).
+    The probes come from a fixed seed, 16 at a time, and H and S are
+    applied to S'Z.  Two masks of one transform (`_shared_masks`) read both
+    from one transform, so a Fourier complement costs eight round trips
+    whatever p is; small blocks keep the transient small (tracemalloc,
+    n = 4096 and p = 3072: 2.0 MB, against 7.9 MB for blocks of 64).
     """
+    shared = _shared_masks(H_op, S_op)
     rng = np.random.default_rng(0)
     ortho_sq = gram_sq = 0.0
     for _ in range(RESIDUAL_PROBES // _PROBE_BLOCK):
         Z = rng.standard_normal((_PROBE_BLOCK, S_op.m_eff))
-        spec = S_op._spectrum(S_op._apply_adjoint(Z))
-        ortho_sq += float(np.sum(H_op._gather(spec) ** 2))
-        gram_sq += float(np.sum((S_op._gather(spec) - Z) ** 2))
+        V = S_op._apply_adjoint(Z)
+        if shared is None:
+            hv, sv = H_op._apply(V), S_op._apply(V)
+        else:  # H, its scale, S, its scale
+            spec = shared[2]._spectrum(V)
+            hv, sv = shared[1] * shared[0]._gather(spec), shared[3] * shared[2]._gather(spec)
+        ortho_sq += float(np.sum(hv ** 2))
+        gram_sq += float(np.sum((sv - Z) ** 2))
     k = RESIDUAL_PROBES
     c = np.sqrt(k * (1.0 - 2.0 * np.sqrt(np.log(1.0 / RESIDUAL_FAILURE) / k)))
     return float(np.sqrt(ortho_sq) / c), float(np.sqrt(gram_sq) / c)
@@ -339,8 +347,7 @@ def radon_complement(op, full_angles):
     An approximate complement; its residuals come from the dense rows and op,
     measured the first time either is read.  `save_basis` and
     `inspect-basis` read them, and so does the first read of a `scaled()`
-    copy's; `lambda_max` rules its Weyl test out with one probe first and
-    does not.  The dense cap is checked before the missing-angle operator
+    copy's; no run does.  The dense cap is checked before the missing-angle operator
     is built, and that operator is only densified, so it never builds the
     transpose an adjoint would need.
     """

@@ -288,7 +288,7 @@ def _check_loss(loss, epoch, lr):
 
 
 def _penalties(H, S, Xb, lam1, lam2, dS):
-    """Invertibility and gram losses of a batch (A^+ frozen); adds lam * grad to dS."""
+    """Invertibility and gram losses of a batch; adds lam * grad (A^+ moving with S) to dS."""
     A = np.vstack([H, S])
     l1 = l2 = 0.0
     if lam2 > 0:
@@ -299,7 +299,7 @@ def _penalties(H, S, Xb, lam1, lam2, dS):
         Adag = pseudoinverse(A)
         Rx = Xb - (Xb @ A.T) @ Adag.T
         l1 = float(np.mean(np.sum(Rx ** 2, axis=1)))
-        dA = -2.0 * Adag.T @ (Rx.T @ Xb) / Xb.shape[0]
+        dA = -2.0 * Adag.T @ (Xb.T @ Rx) / Xb.shape[0]
         dS += lam1 * dA[H.shape[0]:]
     return l1, l2
 
@@ -391,7 +391,7 @@ def train_joint(net, S_init, xs, H_dense, lam1=0.0, lam2=0.0, epochs=200,
                 normalize=True, noise_std=0.0):
     """Jointly optimize the network and the projection matrix.
 
-    Adds lam1 * mean ||x - A^+ A x||^2 (A^+ frozen per step) and
+    Adds lam1 * mean ||x - A^+ A x||^2 and
     lam2 * ||A^T A - I||_F^2 to the fit loss, with
     A = [H; S] and measurements xs @ H.T.  With lam1 = lam2 = 0 the
     projection matrix is held fixed.  Returns (net, learned basis, report).

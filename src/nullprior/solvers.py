@@ -394,7 +394,8 @@ def solve_pnp_admm(op, y, denoiser, config, basis=None, prior=None, observer=Non
 def default_alpha(op, basis=None, gamma=0.0):
     """0.9 over the largest eigenvalue of H'H + gamma S'S (`diagnostics.lambda_max`).
 
-    With gamma = 0 the basis is left out, as the solvers leave out the
-    penalty.
+    The top of the pair's structural spectrum (an exact complement's too),
+    else one Lanczos run; at gamma = 0 the basis is left out, as the
+    solvers leave out the penalty.
     """
     return default_step(lambda_max(op, basis if gamma > 0 else None, gamma))

@@ -231,7 +231,7 @@ def _rho_whole_matrix(alpha, H, S, gamma):
 
 
 def _dense_pair(name):
-    """(H, S) of a pair with no structural spectrum: Radon, QR or Gaussian S."""
+    """(H, S) of a dense pair: Radon, QR (an exact complement) or Gaussian S."""
     if name == "ct":
         full = [180.0 * k / 30 for k in range(30)]
         return (RadonOperator(16, full[:10]).to_dense(),
@@ -332,8 +332,12 @@ class TestAddGram:
 
 
 def _dense_rho(delta, alpha, op, basis, gamma, ric_s):
-    # the dense reference: a dense operator and matrix have no structural spectrum
-    return compute_rho(delta, alpha, DenseOperator(op.to_dense()), basis.matrix, gamma, ric_s)
+    # the dense reference: eigvalsh of P and of S'S, formed from the dense matrices
+    H, S = op.to_dense(), as_basis(basis).matrix
+    eig = np.linalg.eigvalsh(H.T @ H + gamma * S.T @ S)
+    op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
+    s_norm = float(np.sqrt(gamma * max(np.linalg.eigvalsh(S.T @ S)[-1], 0.0)))
+    return diagnostics.RhoEstimate(**_rho_fields(delta, op_norm, s_norm, ric_s, alpha))
 
 
 def _forbid_densifying(monkeypatch):
@@ -391,10 +395,12 @@ def _dense_formula_rho(delta, alpha, H_rows, S, ric_s, gamma):
 
 
 def _old_spectral_rho(delta, alpha, op, basis, gamma, ric_s):
-    # the structural-spectrum rate before compute_rho chose its path itself
+    # the structural-spectrum rate before compute_rho chose its path itself;
+    # ||S||^2 is max d_S of a diagonal S'S, else the basis's dense syevd
     eig = normal_spectrum(op, basis, gamma)
     op_norm = float(np.max(np.abs(1.0 - alpha * eig)))
-    s_norm = float(np.sqrt(gamma * np.max(_diagonal_gram(basis.operator)[1])))
+    gram = _diagonal_gram(basis.operator)
+    s_norm = float(np.sqrt(gamma * (basis.norm_sq if gram is None else np.max(gram[1]))))
     return _rho_fields(delta, op_norm, s_norm, ric_s, alpha)
 
 
@@ -561,8 +567,9 @@ class TestTheoryReportRho:
                                 "scaled": "fourier-complement-scaled",
                                 "qr": "qr-random",
                                 "learned": "learned"}[name]
-        if name == "scaled":
-            # a scaled Fourier complement keeps its structure
+        if name in ("scaled", "qr"):
+            # a scaled Fourier complement keeps its structure, and QR rows
+            # are an exact complement of H
             _assert_structural_matches_dense(report, report.delta_hat, pb["op"], basis,
                                              report.gamma, report.ric_s)
             return
@@ -644,20 +651,20 @@ class TestTheoryReportRho:
                            report.gamma, report.ric_s)
         assert report.rho == pytest.approx(dense.rho, rel=1e-12, abs=0.0)
 
-    def test_dense_basis_with_fourier_label_uses_dense_rho(self, tmp_path):
+    def test_dense_basis_with_fourier_label_is_measured(self, tmp_path):
         # the label says Fourier complement, but a loaded dump is a dense
-        # matrix: its pair has no structural spectrum
+        # matrix that shares no transform with H: the probes measure its
+        # rows as an exact complement of H
         cfg = dict(_approximate_configs()["scaled"], basis={"method": "fourier"})
         pb = build_problem(cfg)
         save_basis(pb["basis"], tmp_path / "basis.csv")
         pb["basis"] = load_basis(tmp_path / "basis.csv")
         assert pb["basis"].method == "fourier-complement"
-        assert normal_spectrum(pb["op"], pb["basis"]) is None
+        assert diagnostics._transform_spectrum(pb["op"], pb["basis"], 1.0) is None
         _, trace, cloud = experiments._penalized_solve(pb)
         report = experiments._theory_report(pb, trace, cloud)
-        dense = _dense_rho(report.delta_hat, report.alpha, pb["op"], pb["basis"],
-                           report.gamma, report.ric_s)
-        assert report.rho == dense.rho
+        _assert_structural_matches_dense(report, report.delta_hat, pb["op"], pb["basis"],
+                                         report.gamma, report.ric_s)
 
 
 def _admm(cfg, **solver):
@@ -683,7 +690,7 @@ class TestAdmmStepFromSpectrum:
         assert f"alpha = {report.alpha:.17g}" in _theory_lines(tmp_path)
         assert lanczos_calls == []
 
-    @pytest.mark.parametrize("name", ["radon", "qr"])
+    @pytest.mark.parametrize("name", ["radon"])
     def test_dense_pair_reads_syevd_of_p(self, name, tmp_path, lanczos_calls):
         result = run(_admm(_approximate_configs()[name]), out_dir=str(tmp_path))
         assert lanczos_calls == []
@@ -704,6 +711,20 @@ class TestAdmmStepFromSpectrum:
                                                            rel=1e-12, abs=0.0)
         assert (report.C1, report.C2) == decay_constants(
             report.alpha, report.K, report.ric_s, report.ric_h, report.xstar_norm)
+
+    def test_exact_complement_reads_its_spectrum(self, tmp_path, lanczos_calls):
+        # a QR pair's step is 0.9 over the top of its spectrum, the step
+        # default_alpha takes, bit for bit, and no Lanczos runs
+        result = run(_admm(_approximate_configs()["qr"]), out_dir=str(tmp_path))
+        pb, report = result["problem"], result["theory"]
+        op, basis = pb["op"], pb["basis"]
+        assert report.alpha == 0.9 / np.max(normal_spectrum(op, basis, 0.5))
+        assert report.alpha == default_alpha(op, basis, gamma=0.5)
+        assert lanczos_calls == []
+        H, S = op.to_dense(), basis.matrix
+        dense = 0.9 / np.linalg.eigvalsh(H.T @ H + 0.5 * S.T @ S)[-1]
+        assert report.alpha == pytest.approx(dense, rel=1e-13, abs=0.0)
+        assert f"alpha = {report.alpha:.17g}" in _theory_lines(tmp_path)
 
     @pytest.mark.parametrize("name", ["radon", "qr"])
     def test_numeric_alpha_printed_as_given(self, name, tmp_path):
@@ -730,7 +751,14 @@ def _spectrum_cases():
         return op, sr_complement(op)
 
     sr_2d = sr((16, 16), 2)
+    # QR rows are an exact complement of a dense CS H and of a masked DCT
+    cs = experiments.make_operator("cs", {"n": 64, "m": 16, "normalize": True}, 5)
     return {
+        "cs": (cs, None),
+        "cs-qr-1": (cs, qr_nullspace(cs.matrix, 1, seed=5)),
+        "cs-qr-half": (cs, qr_nullspace(cs.matrix, 24, seed=5)),
+        "cs-qr-full": (cs, qr_nullspace(cs.matrix, 48, seed=5)),
+        "dct-qr": (dct, qr_nullspace(dct.to_dense(), 24, seed=5)),
         "blur-1d": (blur_1d, toeplitz_complement(blur_1d)),
         "blur-2d": (blur_2d, toeplitz_complement(blur_2d)),
         "blur-2d-scaled": (ScaledOperator(blur_2d, 2.5), toeplitz_complement(blur_2d)),
@@ -782,37 +810,41 @@ def lanczos_calls(monkeypatch):
 
 
 class TestLambdaMaxProbe:
-    """One probe ||S H'u|| / ||u|| rules out the Weyl test before residuals are read."""
+    """lambda_max is the pair's spectrum where its probes admit it, else one Lanczos run."""
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
     @pytest.mark.parametrize("seed", range(4))
-    def test_exact_complement_reads_its_residuals(self, gamma, seed, lanczos_calls):
-        # S H' vanishes to rounding, so the probe cannot rule the test out:
-        # the residuals are read and pass, and the step is max(lambda(H'H), gamma),
-        # from one Lanczos run, on H'H
+    def test_exact_complement_reads_no_residuals(self, gamma, seed, lanczos_calls):
+        # the probes bound S H' and S S' - I on the pair itself: the
+        # recorded residuals are not read, no Lanczos runs, and the step is
+        # max(lambda(H'H), gamma)
         op = experiments.make_operator("cs", {"n": 60, "m": 12, "normalize": True}, seed)
         calls = []
         qr = qr_nullspace(op.to_dense(), 30, seed=seed)
         basis = _counted(qr.operator, lambda: (qr.ortho_to_H_residual, qr.row_gram_residual),
                          calls)
         lam = lambda_max(op, basis, gamma)
-        assert calls == [1]
-        assert lanczos_calls == [1]
+        assert calls == []
+        assert lanczos_calls == []
         assert lam == max(lambda_max(op), gamma)
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
     def test_exact_complement_matches_lanczos_on_the_pair(self, gamma, lanczos_calls):
-        # a CS pair that used to take two Lanczos runs: the step is the one
-        # the pair's own Lanczos run passed the Weyl test with, from one run
+        # the top of the spectrum is what Lanczos on the pair finds, with no run
         op = experiments.make_operator("cs", {"n": 1024, "m": 256, "normalize": True}, 3)
         basis = qr_nullspace(op.to_dense(), 512, seed=3)
         lam = lambda_max(op, basis, gamma)
-        assert lanczos_calls == [1]
+        assert lanczos_calls == []
         assert lam == max(lambda_max(op), gamma)
-        pair = _lanczos_lambda(op, basis, gamma)
-        weyl = 2.0 * np.sqrt(gamma) * basis.ortho_to_H_residual + gamma * basis.row_gram_residual
-        assert weyl <= 1e-13 * pair
-        assert lam == pytest.approx(pair, rel=1e-13, abs=0.0)
+        assert lam == pytest.approx(_lanczos_lambda(op, basis, gamma), rel=1e-13, abs=0.0)
+
+    def test_large_exact_complement_takes_no_lanczos(self, lanczos_calls):
+        # n = 2048 with a 1536-row complement: a threshold fixed at 1e-13
+        # lambda_max did not admit it, the one scaled by n does
+        op = experiments.make_operator("cs", {"n": 2048, "m": 512, "normalize": True}, 4)
+        basis = qr_nullspace(op.to_dense(), 1536, seed=4)
+        assert lambda_max(op, basis, 1.0) == max(lambda_max(op), 1.0)
+        assert lanczos_calls == []
 
     @pytest.mark.parametrize("gamma", [0.3, 3.0])
     def test_bench_ct_reads_no_residuals(self, gamma, monkeypatch, lanczos_calls):
@@ -835,26 +867,36 @@ class TestLambdaMaxProbe:
         # and the theory report takes it from the spectrum of P it forms
         assert pb["solver_config"].alpha is None
 
-    @pytest.mark.parametrize("name", ["ct", "qr"])
+    @pytest.mark.parametrize("name", ["ct"])
     def test_plain_matrix_takes_lanczos(self, name, lanczos_calls):
-        # a plain matrix has nan residuals: Lanczos whether or not the probe fires
+        # Radon rows are no exact complement: one Lanczos run on P
         H, S = _dense_pair(name)
         op = DenseOperator(H)
         assert lambda_max(op, S, 1.5) == _lanczos_lambda(op, S, 1.5)
         assert lanczos_calls == [1]
 
+    def test_plain_qr_matrix_takes_the_spectrum(self, lanczos_calls):
+        # a plain matrix carries nan residuals, and the probes admit QR rows
+        H, S = _dense_pair("qr")
+        op = DenseOperator(H)
+        lam = lambda_max(op, S, 1.5)
+        assert lam == max(lambda_max(op), 1.5)
+        assert lanczos_calls == []
+        assert lam == pytest.approx(_lanczos_lambda(op, S, 1.5), rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("name", ["ct", "qr"])
-    def test_gamma_zero_reads_residuals(self, name, lanczos_calls):
-        # at gamma = 0 the probe's bound is zero: finite residuals pass the
-        # test and the step is that of H'H alone, from one Lanczos run
+    def test_gamma_zero_reads_no_residuals(self, name, lanczos_calls):
+        # at gamma = 0 P is H'H: the step is that of the dense H's own
+        # spectrum, whatever the basis, with no residual read and no Lanczos
         H, S = _dense_pair(name)
         op = DenseOperator(H)
         calls = []
         basis = _counted(S, lambda: nullspace._residuals(S, H_dense=H), calls)
         lam = lambda_max(op, basis, 0.0)
-        assert calls == [1]
-        assert lanczos_calls == [1]
+        assert calls == []
+        assert lanczos_calls == []
         assert lam == lambda_max(op)
+        assert lam == pytest.approx(np.linalg.eigvalsh(H.T @ H)[-1], rel=1e-13, abs=0.0)
 
 
 class TestNormalSpectrum:
@@ -875,16 +917,16 @@ class TestNormalSpectrum:
 
     def test_unstructured_pairs_give_none(self):
         blur, toeplitz = _spectrum_cases()["blur-2d"]
-        dct, fourier = _spectrum_cases()["dct"]
         radon = RadonOperator(8, [0.0, 90.0])
         cs = DenseOperator(np.random.default_rng(1).standard_normal((10, 36)))
         assert normal_spectrum(radon) is None
-        assert normal_spectrum(cs, qr_nullspace(cs.matrix, 20, seed=0), 1.0) is None
-        # a dense or another transform's basis on a structured H
+        gaussian = np.random.default_rng(2).standard_normal((20, 36))
+        assert normal_spectrum(cs, as_basis(gaussian), 1.0) is None
+        # a dense basis on a structured H, with m + p > n
         dense = NullSpaceBasis(toeplitz.matrix, "learned", 0.0, 0.0)
         assert normal_spectrum(blur, dense, 0.0) is None
-        dense = NullSpaceBasis(fourier.matrix, "learned", 0.0, 0.0)
-        assert normal_spectrum(dct, dense, 1.0) is None
+        # another transform's basis on a structured H
+        dct, fourier = _spectrum_cases()["dct"]
         blur_8 = CirculantConvOperator((8, 8), gaussian_kernel(1.0, ndim=2), "center")
         assert normal_spectrum(dct, toeplitz_complement(blur_8), 1.0) is None
         sr_op, _ = _spectrum_cases()["sr-2d-f2"]
@@ -893,7 +935,8 @@ class TestNormalSpectrum:
     @pytest.mark.parametrize("case", ["blur-1d", "blur-2d-scaled", "sr-2d-f3",
                                       "sr-2d-f2-scaled", "dct", "dft", "dct-scaled",
                                       "blur-2d-scaled-basis", "sr-2d-f2-scaled-basis",
-                                      "dct-scaled-basis", "dft-scaled-basis"])
+                                      "dct-scaled-basis", "dft-scaled-basis", "cs-qr-1",
+                                      "cs-qr-half", "cs-qr-full", "dct-qr"])
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 30.0])
     @pytest.mark.parametrize("alpha", [0.02, 0.2, 0.9])
     def test_spectral_rho_matches_dense(self, case, gamma, alpha):
@@ -916,7 +959,7 @@ class TestNormalSpectrum:
         for field, value in whole.items():
             assert rho[field] == pytest.approx(value, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("case", sorted(_spectrum_cases()))
+    @pytest.mark.parametrize("case", sorted(set(_spectrum_cases()) - {"cs"}))
     def test_rho_bit_identical_to_spectral_formula(self, case):
         op, basis = _spectrum_cases()[case]
         for gamma in (0.1, 1.0, 30.0):
@@ -928,8 +971,9 @@ class TestNormalSpectrum:
     def test_rho_bit_identical_to_dense_formula(self, name):
         pb = build_problem(_approximate_configs()[name])
         op, basis, alpha = pb["op"], pb["basis"], pb["solver_config"].alpha
-        if name == "scaled":
-            # a scaled Fourier complement keeps its structure
+        if name in ("scaled", "qr"):
+            # a scaled Fourier complement keeps its structure, and QR rows
+            # are an exact complement of H
             for gamma in (0.5, 3.0):
                 _assert_structural_matches_dense(compute_rho(0.1, alpha, op, basis, gamma, 0.2),
                                                  0.1, op, basis, gamma, 0.2)
@@ -946,6 +990,93 @@ class TestNormalSpectrum:
             whole = _old_dense_rho(0.1, alpha, [op.to_dense()], basis.matrix, 0.2, gamma)
             for field, value in whole.items():
                 assert rho[field] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def _unadmitted_pair(name, tmp_path):
+    """(H, basis) of a pair the exact-complement rule must not admit."""
+    if name.startswith("radon"):
+        # 3 of 6 angles at side 8: m + p = 48 <= n = 64
+        full = [180.0 * k / 6 for k in range(6)]
+        op = RadonOperator(8, full[:3])
+        if name == "radon-dense":
+            return DenseOperator(op.to_dense()), radon_complement(op, full)
+        if name == "radon":
+            return op, radon_complement(op, full)
+        return op, qr_nullspace(op.to_dense(), 30, seed=1)
+    if name == "learned":
+        pb = build_problem(_approximate_configs()["learned"])
+        return pb["op"], pb["basis"]
+    H, S = _dense_pair("qr")
+    op = DenseOperator(H)
+    if name == "gaussian":
+        return op, _dense_pair("gaussian")[1]  # m + p = 80 <= n = 120
+    if name == "scaled-qr":
+        return op, qr_nullspace(H, 60, seed=2).scaled(0.5)
+    if name == "other-h-qr":
+        other = np.random.default_rng(22).standard_normal(H.shape)
+        return op, qr_nullspace(other, 60, seed=2)
+    # rows in Null(H) that are not orthonormal, under a header that claims
+    # both residuals are zero
+    mixed = (np.eye(60) + 0.01 * np.random.default_rng(3).standard_normal((60, 60))) @ S
+    path = tmp_path / "lying.csv"
+    save_basis(NullSpaceBasis(mixed, "qr-random", 0.0, 0.0), path)
+    basis = load_basis(path)
+    assert (basis.ortho_to_H_residual, basis.row_gram_residual) == (0.0, 0.0)
+    return op, basis
+
+
+class TestExactComplementRule:
+    """Only a measured exact complement takes H's spectrum; every other pair keeps its path."""
+
+    @pytest.mark.parametrize("name", ["radon", "radon-dense", "radon-qr",
+                                      "learned", "gaussian", "scaled-qr", "other-h-qr",
+                                      "lying-dump"])
+    def test_not_admitted_pairs_keep_their_paths(self, name, tmp_path, lanczos_calls):
+        op, basis = _unadmitted_pair(name, tmp_path)
+        basis = as_basis(basis)
+        for gamma in (0.5, 3.0):
+            assert normal_spectrum(op, basis, gamma) is None
+            # one Lanczos run on P, and the rate from dense matrices, as before
+            lanczos_calls.clear()
+            assert lambda_max(op, basis, gamma) == _lanczos_lambda(op, basis, gamma)
+            assert lanczos_calls == [1]
+            alpha = 0.9 / _lanczos_lambda(op, basis, gamma)
+            rho = vars(compute_rho(0.1, alpha, op, basis, gamma, 0.2))
+            assert rho == _dense_formula_rho(0.1, alpha, _row_blocks(op), basis.matrix, 0.2,
+                                             gamma)
+
+    @pytest.mark.parametrize("case", ["cs-qr-1", "cs-qr-half", "cs-qr-full", "dct-qr"])
+    def test_step_below_the_top_of_h_is_the_baseline_step(self, case, lanczos_calls):
+        # up to lambda_max(H'H) an exact complement leaves the top of P where
+        # it was, bit for bit, so a gamma sweep can keep its baseline solve
+        op, basis = _spectrum_cases()[case]
+        top = lambda_max(op)
+        for gamma in (1e-3, 0.1, 0.5 * top, top):
+            assert lambda_max(op, basis, gamma) == top
+        assert lambda_max(op, basis, 2.0 * top) == 2.0 * top
+        assert lanczos_calls == []
+
+    def test_compute_rho_runs_one_syevd(self, monkeypatch):
+        # the only n x n eigenproblem left is ||S||^2, kept with the basis
+        calls = []
+        real = diagnostics.lower_eigvalsh
+        monkeypatch.setattr(diagnostics, "lower_eigvalsh", lambda M: calls.append(1) or real(M))
+        op, basis = _spectrum_cases()["cs-qr-half"]
+        compute_rho(0.1, None, op, basis, 0.5, 0.2)
+        assert calls == [1]
+        compute_rho(0.1, 0.3, op, basis, 3.0, 0.2)
+        assert calls == [1]
+
+    def test_margin_scales_with_n(self, monkeypatch):
+        # the rule admits a margin up to 10 n eps max(lambda_max(H'H), gamma),
+        # and no more
+        op, basis = _spectrum_cases()["cs-qr-half"]
+        top = max(lambda_max(op), 0.5)
+        bound = 10.0 * op.n * np.finfo(float).eps * top
+        for ortho, admitted in ((0.99 * bound / (2.0 * np.sqrt(0.5)), True),
+                                (1.01 * bound / (2.0 * np.sqrt(0.5)), False)):
+            monkeypatch.setattr(diagnostics, "_probe_residuals", lambda *a: (ortho, 0.0))
+            assert (normal_spectrum(op, basis, 0.5) is not None) == admitted
 
 
 class TestPenaltyDecayBound:

@@ -1094,7 +1094,7 @@ class TestMeasuredOnFirstRead:
     def test_mri_runs_measure_no_residuals(self, tmp_path, monkeypatch):
         # the masked-Fourier pair's spectrum gives the step and rho, so no
         # build, run or sweep point reads the probe bounds
-        calls = _counting(monkeypatch, nullspace, "_frequency_residuals")
+        calls = _counting(monkeypatch, nullspace, "_probe_residuals")
         cfg = experiments.load_config(BENCH_CONFIGS / "mri-dct-64.yaml")
         pb = build_problem(cfg, seed=4)
         run(cfg, out_dir=str(tmp_path / "run"), seed=4)
@@ -1106,7 +1106,7 @@ class TestMeasuredOnFirstRead:
         assert len(calls) == 1
         gram = basis.row_gram_residual
         assert len(calls) == 1
-        assert (ortho, gram) == nullspace._frequency_residuals(basis.operator, pb["op"])
+        assert (ortho, gram) == nullspace._probe_residuals(basis.operator, pb["op"])
 
     def test_ct_sweep_measures_no_radon_residuals_and_norm_once(self, tmp_path, monkeypatch):
         # both gamma points keep the basis stage: pnp_admm resolves no auto

@@ -562,25 +562,11 @@ class TestFourierComplementOperator:
         assert basis.row_gram_residual >= np.linalg.norm(S_op._gather(spec) - E)
 
     def test_bounds_residuals_above_roundoff(self):
-        # the probe algebra on a generic S and H, held as dense stand-ins
-        # for masked operators with the identity as their transform
-        class Rows:
-            def __init__(self, M):
-                self.M, self.m_eff = M, M.shape[0]
-
-            def _apply_adjoint(self, u):
-                return u @ self.M
-
-            def _spectrum(self, x):
-                return x
-
-            def _gather(self, spec):
-                return spec @ self.M.T
-
+        # the probe algebra on a generic S and H, held as dense operators
         rng = np.random.default_rng(3)
         S = rng.standard_normal((30, 50)) / np.sqrt(50)
         H = rng.standard_normal((10, 50)) / np.sqrt(50)
-        ortho, gram = nullspace._frequency_residuals(Rows(S), Rows(H))
+        ortho, gram = nullspace._probe_residuals(DenseOperator(S), DenseOperator(H))
         true_ortho = np.linalg.norm(S @ H.T)
         true_gram = np.linalg.norm(S @ S.T - np.eye(30))
         assert true_ortho <= ortho <= 2.5 * true_ortho
@@ -592,7 +578,7 @@ class TestFourierComplementOperator:
         H_op = MaskedFrequencyOperator(shape, lowpass_mask(shape, 16), "dct")
         missing = sorted(set(range(64)) - set(H_op.kept))
         S_op = MaskedFrequencyOperator(shape, missing + [H_op.kept[3]], "dct")
-        ortho, gram = nullspace._frequency_residuals(S_op, H_op)
+        ortho, gram = nullspace._probe_residuals(S_op, H_op)
         assert 1.0 <= ortho <= 2.5
         assert gram < 1e-13
 
@@ -617,9 +603,9 @@ class TestFourierComplementOperator:
         # the blocks draw one seeded stream; only the order of the sums changes
         op, _, _ = complement_case((15, 16), transform, 1.0)
         S_op = fourier_complement(op).operator
-        small = nullspace._frequency_residuals(S_op, op)
+        small = nullspace._probe_residuals(S_op, op)
         monkeypatch.setattr(nullspace, "_PROBE_BLOCK", nullspace.RESIDUAL_PROBES)
-        whole = nullspace._frequency_residuals(S_op, op)
+        whole = nullspace._probe_residuals(S_op, op)
         for a, b in zip(small, whole):
             assert a == pytest.approx(b, rel=1e-12, abs=0)
 
@@ -632,13 +618,13 @@ class TestFourierComplementOperator:
     def test_residuals_measured_once_on_first_read(self, monkeypatch):
         op = MaskedFrequencyOperator((16, 16), lowpass_mask((16, 16), 64), "dct")
         calls = []
-        real = nullspace._frequency_residuals
+        real = nullspace._probe_residuals
 
         def spy(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(nullspace, "_frequency_residuals", spy)
+        monkeypatch.setattr(nullspace, "_probe_residuals", spy)
         basis = fourier_complement(op)
         assert calls == []
         residuals = (basis.ortho_to_H_residual, basis.row_gram_residual)
@@ -649,7 +635,7 @@ class TestFourierComplementOperator:
         op, _, _ = complement_case((8, 8), "dct", 0.3)
         lazy = fourier_complement(op)
         measured = NullSpaceBasis(lazy.operator, lazy.method,
-                                  *nullspace._frequency_residuals(lazy.operator, op.base))
+                                  *nullspace._probe_residuals(lazy.operator, op.base))
         assert repr(lazy) == repr(measured)
         assert lazy == measured
         assert same_bits(lazy.scaled(0.5).matrix, measured.scaled(0.5).matrix)
